@@ -29,16 +29,12 @@ pub mod cfl;
 pub mod ddg;
 pub mod pointsto;
 pub mod preprocess;
-pub mod summary;
 
 pub use callgraph::CallGraph;
 pub use cfl::CtxStack;
 pub use ddg::{CallSite, Ddg, DepKind, NodeId};
-pub use pointsto::{
-    ObjectId, ObjectKind, PointsTo, PointsToProvenance, PointsToSession, PtsSource, SessionReport,
-};
+pub use pointsto::{ObjectId, ObjectKind, PointsTo, PointsToProvenance, PtsSource};
 pub use preprocess::{preprocess, PreprocessConfig, Preprocessed};
-pub use summary::{summarize_function, summarize_module, FnSummary, ModuleSummaries};
 
 /// A module-global reference to an SSA value: the pair of its function and
 /// the function-local value id. This is the variable domain `𝕍` shared by
@@ -62,18 +58,6 @@ impl std::fmt::Display for VarRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}:{}", self.func, self.value)
     }
-}
-
-/// Substrate build options beyond preprocessing configuration.
-#[derive(Clone, Debug, Default)]
-pub struct BuildOptions {
-    /// Preprocessing configuration.
-    pub config: PreprocessConfig,
-    /// Solve points-to with the compositional partitioned solver
-    /// (per-function constraint partitions scheduled as call-graph
-    /// wavefronts, [`pointsto::partition`]) instead of the monolithic
-    /// delta solver. Produces the same points-to relations.
-    pub partitioned_pointsto: bool,
 }
 
 /// Bundles the full analysis state for one module: the preprocessed module,
@@ -138,38 +122,15 @@ impl ModuleAnalysis {
     ///
     /// Returns [`MantaError::Budget`] when `budget` trips and
     /// [`MantaError::Panic`] when a stage panics.
+    ///
+    /// [`MantaError::Budget`]: manta_resilience::MantaError::Budget
+    /// [`MantaError::Panic`]: manta_resilience::MantaError::Panic
     pub fn build_budgeted(
         module: manta_ir::Module,
         config: PreprocessConfig,
         budget: &manta_resilience::Budget,
     ) -> Result<ModuleAnalysis, manta_resilience::MantaError> {
-        Self::build_budgeted_with(
-            module,
-            BuildOptions {
-                config,
-                ..BuildOptions::default()
-            },
-            budget,
-        )
-    }
-
-    /// [`ModuleAnalysis::build_budgeted`] with full [`BuildOptions`]
-    /// (preprocessing configuration plus the points-to solver choice).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MantaError::Budget`] when `budget` trips and
-    /// [`MantaError::Panic`] when a stage panics.
-    ///
-    /// [`MantaError::Budget`]: manta_resilience::MantaError::Budget
-    /// [`MantaError::Panic`]: manta_resilience::MantaError::Panic
-    pub fn build_budgeted_with(
-        module: manta_ir::Module,
-        opts: BuildOptions,
-        budget: &manta_resilience::Budget,
-    ) -> Result<ModuleAnalysis, manta_resilience::MantaError> {
         use manta_resilience::{fault_point_budgeted, isolate, MantaError};
-        let config = opts.config;
         manta_telemetry::span!("analysis.build");
         let budget_err = |stage: &str, e: manta_resilience::BudgetExceeded| {
             manta_resilience::budget_exhausted(stage);
@@ -204,11 +165,7 @@ impl ModuleAnalysis {
             manta_telemetry::span!("pointsto");
             isolate("analysis.pointsto", || {
                 fault_point_budgeted("analysis.pointsto", budget);
-                if opts.partitioned_pointsto {
-                    PointsTo::solve_partitioned_budgeted(&pre, &callgraph, budget)
-                } else {
-                    PointsTo::solve_budgeted(&pre, &callgraph, budget)
-                }
+                PointsTo::solve_budgeted(&pre, &callgraph, budget)
             })?
             .map_err(|e| budget_err("analysis.pointsto", e))?
         };

@@ -1,34 +1,14 @@
-//! Constraint collection.
-//!
-//! Two views of the same inclusion-constraint system:
-//!
-//! * [`Constraints`] — the whole-module "flat soup" consumed by the
-//!   monolithic [`super::solver::DeltaSolver`] and the reference
-//!   solver. Call bindings are direct variable-to-variable copy edges.
-//! * [`PartitionedConstraints`] — one [`FunctionConstraints`] partition
-//!   per function with an interned [`BoundaryTable`]: every
-//!   cross-function flow (argument → parameter, return → call result)
-//!   is routed through an explicit boundary slot, so a partition's
-//!   constraints mention only its own variables, shared objects, and
-//!   boundary slots. Globals and escaping objects are shared through
-//!   the object state itself.
-//!
-//! Both views are collected by the same deterministic module walk, and
-//! routing a copy through a fresh intermediate slot does not change the
-//! least fixpoint — the differential suite pins the two solvers to
-//! bit-identical relations (via [`ObjectKind`] chains).
+//! Constraint collection: the whole-module inclusion-constraint system
+//! consumed by the delta solver and the reference solver. Call bindings
+//! are direct variable-to-variable copy edges.
 
 use std::collections::HashMap;
 
-use manta_ir::{BinOp, Callee, ExternEffect, FuncId, GlobalId, InstKind, Terminator, ValueId};
+use manta_ir::{BinOp, Callee, ExternEffect, GlobalId, InstKind, Terminator, ValueId};
 
 use super::{Node, ObjectId, ObjectKind};
 use crate::preprocess::Preprocessed;
 use crate::VarRef;
-
-// ---------------------------------------------------------------------------
-// Whole-module constraints (the monolithic solvers' input)
-// ---------------------------------------------------------------------------
 
 /// The inclusion constraints of one module, in deterministic module order.
 /// `objects` holds the pre-solve objects (globals, allocas, heap and extern
@@ -186,348 +166,5 @@ impl Constraints {
             }
         }
         c
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-function partitions with an interned boundary table
-// ---------------------------------------------------------------------------
-
-/// A cross-function interface point.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum BoundaryKind {
-    /// The `i`-th parameter of a function (callers write, the owner reads).
-    Param(u32),
-    /// The merged return value of a function (the owner writes, callers
-    /// read).
-    Ret,
-}
-
-/// Interned boundary slots: one per `(function, interface point)`. Slot
-/// ids are dense `u32`s allocated in deterministic module order (all of
-/// function 0's params, then its return, then function 1's, ...), so
-/// the table is a pure function of the module's signatures.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct BoundaryTable {
-    slots: Vec<(FuncId, BoundaryKind)>,
-    index: HashMap<(FuncId, BoundaryKind), u32>,
-}
-
-impl BoundaryTable {
-    fn intern(&mut self, func: FuncId, kind: BoundaryKind) -> u32 {
-        if let Some(&s) = self.index.get(&(func, kind)) {
-            return s;
-        }
-        let s = self.slots.len() as u32;
-        self.slots.push((func, kind));
-        self.index.insert((func, kind), s);
-        s
-    }
-
-    fn get(&self, func: FuncId, kind: BoundaryKind) -> Option<u32> {
-        self.index.get(&(func, kind)).copied()
-    }
-
-    /// Number of interned slots.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The `(function, interface point)` a slot stands for.
-    pub(crate) fn slot(&self, s: u32) -> (FuncId, BoundaryKind) {
-        self.slots[s as usize]
-    }
-}
-
-/// The constraint partition of one function. Variables are the
-/// function's dense [`ValueId`] indices; objects are global
-/// [`ObjectId`]s; boundary slots index the shared [`BoundaryTable`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FunctionConstraints {
-    /// Dense local variable count (`ValueId` arena size).
-    pub(crate) num_vars: u32,
-    /// Address-of seeds `o ∈ pts(v)`.
-    pub(crate) seeds: Vec<(u32, ObjectId)>,
-    /// Local copy edges `pts(src) ⊆ pts(dst)` as `(src, dst)`.
-    pub(crate) copies: Vec<(u32, u32)>,
-    /// Load rules `(addr, dst)`.
-    pub(crate) loads: Vec<(u32, u32)>,
-    /// Store rules `(addr, val)`.
-    pub(crate) stores: Vec<(u32, u32)>,
-    /// Gep rules `(base, dst, offset)`.
-    pub(crate) geps: Vec<(u32, u32, u64)>,
-    /// Boundary-in copies `pts(slot) ⊆ pts(var)` as `(slot, var)`.
-    pub(crate) bin: Vec<(u32, u32)>,
-    /// Boundary-out copies `pts(var) ⊆ pts(slot)` as `(var, slot)`.
-    pub(crate) bout: Vec<(u32, u32)>,
-}
-
-impl FunctionConstraints {
-    /// A content fingerprint of the partition (constraints plus the
-    /// kinds of the objects it seeds): two functions with equal
-    /// fingerprints induce identical local constraint systems. The
-    /// incremental session diffs these to find edited partitions.
-    pub(crate) fn fingerprint(&self, objects: &[ObjectKind]) -> u64 {
-        // FNV-1a over the constraint streams; manta-analysis is
-        // store-free, so keep the hash local.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        eat(u64::from(self.num_vars));
-        for &(v, o) in &self.seeds {
-            eat(1);
-            eat(u64::from(v));
-            // Hash the object's kind, not its id: ids shift when other
-            // partitions gain or lose allocation sites.
-            eat(object_kind_hash(objects, o));
-        }
-        for &(a, b) in &self.copies {
-            eat(2);
-            eat(u64::from(a));
-            eat(u64::from(b));
-        }
-        for &(a, b) in &self.loads {
-            eat(3);
-            eat(u64::from(a));
-            eat(u64::from(b));
-        }
-        for &(a, b) in &self.stores {
-            eat(4);
-            eat(u64::from(a));
-            eat(u64::from(b));
-        }
-        for &(a, b, off) in &self.geps {
-            eat(5);
-            eat(u64::from(a));
-            eat(u64::from(b));
-            eat(off);
-        }
-        for &(s, v) in &self.bin {
-            eat(6);
-            eat(u64::from(s));
-            eat(u64::from(v));
-        }
-        for &(v, s) in &self.bout {
-            eat(7);
-            eat(u64::from(v));
-            eat(u64::from(s));
-        }
-        h
-    }
-}
-
-/// Stable hash of an object's kind chain (field chains recurse into the
-/// parent), independent of object numbering.
-pub(crate) fn object_kind_hash(objects: &[ObjectKind], o: ObjectId) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    match objects[o.index()] {
-        ObjectKind::Stack { func, site, size } => {
-            eat(0);
-            eat(u64::from(func.0));
-            eat(u64::from(site.0));
-            eat(size);
-        }
-        ObjectKind::Heap { func, site } => {
-            eat(1);
-            eat(u64::from(func.0));
-            eat(u64::from(site.0));
-        }
-        ObjectKind::Global(g) => {
-            eat(2);
-            eat(u64::from(g.0));
-        }
-        ObjectKind::Field { parent, offset } => {
-            eat(3);
-            eat(object_kind_hash(objects, parent));
-            eat(offset);
-        }
-        ObjectKind::ExternBuf { func, site } => {
-            eat(4);
-            eat(u64::from(func.0));
-            eat(u64::from(site.0));
-        }
-    }
-    h
-}
-
-/// The whole module as per-function partitions plus the shared tables.
-pub(crate) struct PartitionedConstraints {
-    /// Pre-solve objects in the same deterministic order the monolithic
-    /// collector allocates them (globals first, then per-function
-    /// allocation sites); field objects materialize during solving.
-    pub(crate) objects: Vec<ObjectKind>,
-    /// The interned cross-function interface.
-    pub(crate) boundary: BoundaryTable,
-    /// One partition per function, indexed by [`FuncId`].
-    pub(crate) funcs: Vec<FunctionConstraints>,
-    /// Unbroken direct-call edges `(caller, callee)` — the condensation
-    /// input. Broken (recursion-opaque) edges carry no constraints and
-    /// so do not appear.
-    pub(crate) call_edges: Vec<(u32, u32)>,
-}
-
-impl PartitionedConstraints {
-    pub(crate) fn collect(pre: &Preprocessed) -> PartitionedConstraints {
-        let module = &pre.module;
-        let mut objects: Vec<ObjectKind> = Vec::new();
-        let new_object = |objects: &mut Vec<ObjectKind>, kind: ObjectKind| {
-            let id = ObjectId(objects.len() as u32);
-            objects.push(kind);
-            id
-        };
-        let mut global_objs: HashMap<GlobalId, ObjectId> = HashMap::new();
-        for g in module.globals() {
-            let o = new_object(&mut objects, ObjectKind::Global(g.id));
-            global_objs.insert(g.id, o);
-        }
-
-        // Boundary slots for every signature point, in module order.
-        let mut boundary = BoundaryTable::default();
-        for func in module.functions() {
-            let fid = func.id();
-            for i in 0..func.params().len() {
-                boundary.intern(fid, BoundaryKind::Param(i as u32));
-            }
-            boundary.intern(fid, BoundaryKind::Ret);
-        }
-
-        let mut funcs: Vec<FunctionConstraints> = Vec::new();
-        let mut call_edges: Vec<(u32, u32)> = Vec::new();
-        for func in module.functions() {
-            let fid = func.id();
-            let mut fc = FunctionConstraints {
-                num_vars: func.value_count() as u32,
-                ..FunctionConstraints::default()
-            };
-            // The function's own interface: parameters read their slot,
-            // every `ret v` writes the return slot.
-            for (i, &p) in func.params().iter().enumerate() {
-                if let Some(s) = boundary.get(fid, BoundaryKind::Param(i as u32)) {
-                    fc.bin.push((s, p.0));
-                }
-            }
-            if let Some(rs) = boundary.get(fid, BoundaryKind::Ret) {
-                for b in func.blocks() {
-                    if let Terminator::Ret(Some(r)) = b.term {
-                        fc.bout.push((r.0, rs));
-                    }
-                }
-            }
-            for (v, data) in func.values() {
-                if let manta_ir::ValueKind::GlobalAddr(g) = data.kind {
-                    fc.seeds.push((v.0, global_objs[&g]));
-                }
-            }
-            for inst in func.insts() {
-                match &inst.kind {
-                    InstKind::Copy { dst, src } => fc.copies.push((src.0, dst.0)),
-                    InstKind::Phi { dst, incomings } => {
-                        for (_, v) in incomings {
-                            fc.copies.push((v.0, dst.0));
-                        }
-                    }
-                    InstKind::Alloca { dst, size } => {
-                        let o = new_object(
-                            &mut objects,
-                            ObjectKind::Stack {
-                                func: fid,
-                                site: inst.id,
-                                size: *size,
-                            },
-                        );
-                        fc.seeds.push((dst.0, o));
-                    }
-                    InstKind::Gep { dst, base, offset } => fc.geps.push((base.0, dst.0, *offset)),
-                    InstKind::Load { dst, addr, .. } => fc.loads.push((addr.0, dst.0)),
-                    InstKind::Store { addr, val } => fc.stores.push((addr.0, val.0)),
-                    InstKind::BinOp {
-                        op: BinOp::Add | BinOp::Sub,
-                        dst,
-                        lhs,
-                        rhs,
-                    } => {
-                        // Symbolic-indexing collapse, as in the flat view.
-                        fc.copies.push((lhs.0, dst.0));
-                        fc.copies.push((rhs.0, dst.0));
-                    }
-                    InstKind::BinOp { .. } | InstKind::Cmp { .. } => {}
-                    InstKind::Call { dst, callee, args } => match callee {
-                        Callee::Direct(target) => {
-                            if pre.is_broken_call(fid, inst.id) {
-                                // Opaque edge: no constraints, no
-                                // condensation edge (same semantics as
-                                // the flat view's `continue`).
-                                continue;
-                            }
-                            call_edges.push((fid.0, target.0));
-                            let tf = module.function(*target);
-                            for (i, &a) in args.iter().enumerate() {
-                                if i < tf.params().len() {
-                                    if let Some(s) =
-                                        boundary.get(*target, BoundaryKind::Param(i as u32))
-                                    {
-                                        fc.bout.push((a.0, s));
-                                    }
-                                }
-                            }
-                            if let Some(d) = dst {
-                                if let Some(s) = boundary.get(*target, BoundaryKind::Ret) {
-                                    fc.bin.push((s, d.0));
-                                }
-                            }
-                        }
-                        Callee::Extern(e) => {
-                            let decl = module.extern_decl(*e);
-                            match decl.effect {
-                                ExternEffect::AllocHeap => {
-                                    if let Some(d) = dst {
-                                        let o = new_object(
-                                            &mut objects,
-                                            ObjectKind::Heap {
-                                                func: fid,
-                                                site: inst.id,
-                                            },
-                                        );
-                                        fc.seeds.push((d.0, o));
-                                    }
-                                }
-                                ExternEffect::TaintSource => {
-                                    if let Some(d) = dst {
-                                        let o = new_object(
-                                            &mut objects,
-                                            ObjectKind::ExternBuf {
-                                                func: fid,
-                                                site: inst.id,
-                                            },
-                                        );
-                                        fc.seeds.push((d.0, o));
-                                    }
-                                }
-                                ExternEffect::StrCopy => {
-                                    if let (Some(d), Some(&a0)) = (dst, args.first()) {
-                                        fc.copies.push((a0.0, d.0));
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        Callee::Indirect(_) => {}
-                    },
-                }
-            }
-            funcs.push(fc);
-        }
-        PartitionedConstraints {
-            objects,
-            boundary,
-            funcs,
-            call_edges,
-        }
     }
 }

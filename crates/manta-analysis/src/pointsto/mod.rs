@@ -45,10 +45,7 @@ use crate::VarRef;
 
 mod constraints;
 mod objset;
-pub mod partition;
 mod solver;
-
-pub use partition::{PointsToSession, SessionReport};
 
 use solver::DeltaSolver;
 
@@ -215,28 +212,6 @@ impl PointsTo {
             // A fresh unlimited budget never trips.
             Err(_) => unreachable!("unlimited budget tripped"),
         }
-    }
-
-    /// Solves with the compositional solver: per-function constraint
-    /// partitions with explicit boundary interfaces, scheduled as
-    /// call-graph wavefronts ([`partition`]). Produces the same
-    /// points-to relations as [`PointsTo::solve`] (pinned by the
-    /// differential suite via [`ObjectKind`] chains).
-    pub fn solve_partitioned(pre: &Preprocessed, _cg: &CallGraph) -> PointsTo {
-        PointsToSession::new(pre).export()
-    }
-
-    /// [`PointsTo::solve_partitioned`] under a cooperative budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`manta_resilience::BudgetExceeded`] when `budget` trips.
-    pub fn solve_partitioned_budgeted(
-        pre: &Preprocessed,
-        _cg: &CallGraph,
-        budget: &manta_resilience::Budget,
-    ) -> Result<PointsTo, manta_resilience::BudgetExceeded> {
-        Ok(PointsToSession::new_budgeted(pre, budget)?.export())
     }
 
     /// Points-to set of variable `v`.
@@ -495,118 +470,5 @@ mod tests {
         let cg = CallGraph::build(&pre);
         let b = manta_resilience::Budget::with_fuel(0);
         assert!(PointsTo::solve_budgeted(&pre, &cg, &b).is_err());
-        assert!(PointsTo::solve_partitioned_budgeted(&pre, &cg, &b).is_err());
-    }
-
-    /// Canonical ObjectKind chain — object numbering may differ between
-    /// solvers, so equality goes through kind chains.
-    fn canon(p: &PointsTo, o: ObjectId) -> String {
-        match p.object_kind(o) {
-            ObjectKind::Stack { func, site, size } => {
-                format!("stack({},{},{size})", func.0, site.0)
-            }
-            ObjectKind::Heap { func, site } => format!("heap({},{})", func.0, site.0),
-            ObjectKind::Global(g) => format!("global({})", g.0),
-            ObjectKind::Field { parent, offset } => {
-                format!("field({},{offset})", canon(p, parent))
-            }
-            ObjectKind::ExternBuf { func, site } => format!("extbuf({},{})", func.0, site.0),
-        }
-    }
-
-    fn var_shape(p: &PointsTo, pre: &Preprocessed) -> Vec<(u32, u32, Vec<String>)> {
-        let mut out = Vec::new();
-        for func in pre.module.functions() {
-            let fid = func.id();
-            for (v, _) in func.values() {
-                let set = p.pts_var(VarRef::new(fid, v));
-                if set.is_empty() {
-                    continue;
-                }
-                let mut objs: Vec<String> = set.iter().map(|&o| canon(p, o)).collect();
-                objs.sort();
-                out.push((fid.0, v.0, objs));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn partitioned_matches_monolithic_on_interprocedural_flow() {
-        let mut mb = ModuleBuilder::new("m");
-        let malloc = mb.extern_fn("malloc", &[], None);
-        let (id_f, mut ib) = mb.function("id", &[Width::W64], Some(Width::W64));
-        let x = ib.param(0);
-        ib.ret(Some(x));
-        mb.finish_function(ib);
-        let (_caller, mut cb) = mb.function("caller", &[], None);
-        let sz = cb.const_int(16, Width::W64);
-        let h = cb.call_extern(malloc, &[sz], Some(Width::W64)).unwrap();
-        let s = cb.alloca(8);
-        cb.store(s, h);
-        let y = cb.call(id_f, &[s], Some(Width::W64)).unwrap();
-        let f8 = cb.gep(y, 8);
-        let _l = cb.load(f8, Width::W64);
-        cb.ret(None);
-        mb.finish_function(cb);
-        let pre = preprocess(mb.finish(), PreprocessConfig::default());
-        let cg = CallGraph::build(&pre);
-        let mono = PointsTo::solve(&pre, &cg);
-        let part = PointsTo::solve_partitioned(&pre, &cg);
-        assert_eq!(var_shape(&mono, &pre), var_shape(&part, &pre));
-    }
-
-    #[test]
-    fn session_one_function_edit_resolves_only_dirty_cluster() {
-        // Two disjoint call chains: editing one leaves the other clean.
-        let build = |extra_alloca: bool| {
-            let mut mb = ModuleBuilder::new("m");
-            let (a_callee, mut ab) = mb.function("a_callee", &[Width::W64], Some(Width::W64));
-            let p = ab.param(0);
-            ab.ret(Some(p));
-            mb.finish_function(ab);
-            let (_a, mut fb) = mb.function("a", &[], None);
-            let s = fb.alloca(8);
-            if extra_alloca {
-                let t = fb.alloca(16);
-                let _ = fb.call(a_callee, &[t], Some(Width::W64));
-            }
-            let _ = fb.call(a_callee, &[s], Some(Width::W64));
-            fb.ret(None);
-            mb.finish_function(fb);
-            let (b_callee, mut bb) = mb.function("b_callee", &[Width::W64], Some(Width::W64));
-            let q = bb.param(0);
-            bb.ret(Some(q));
-            mb.finish_function(bb);
-            let (_b, mut gb) = mb.function("b", &[], None);
-            let u = gb.alloca(8);
-            let _ = gb.call(b_callee, &[u], Some(Width::W64));
-            gb.ret(None);
-            mb.finish_function(gb);
-            preprocess(mb.finish(), PreprocessConfig::default())
-        };
-        let pre0 = build(false);
-        let mut session = PointsToSession::new(&pre0);
-        assert_eq!(session.partition_count(), 4);
-        let pre1 = build(true);
-        let report = session.update(&pre1).clone();
-        assert!(!report.full_resolve);
-        // Function 1 ("a") was edited; its callee (function 0) reads a
-        // boundary slot "a" feeds, so the closure is the a-cluster only.
-        assert_eq!(report.edited, vec![1]);
-        assert!(report.closure.contains(&1));
-        assert!(
-            !report.closure.contains(&3),
-            "the disjoint b-cluster must stay clean, closure={:?}",
-            report.closure
-        );
-        // And the re-solved session matches a fresh partitioned solve.
-        let cg = CallGraph::build(&pre1);
-        let fresh = PointsTo::solve_partitioned(&pre1, &cg);
-        let resolved = session.export();
-        assert_eq!(var_shape(&fresh, &pre1), var_shape(&resolved, &pre1));
-        // Which in turn matches the monolithic solver.
-        let mono = PointsTo::solve(&pre1, &cg);
-        assert_eq!(var_shape(&mono, &pre1), var_shape(&resolved, &pre1));
     }
 }

@@ -1,6 +1,5 @@
-//! Hybrid sorted-vec / bitset object sets — the points-to set
-//! representation shared by the delta solver and the partitioned
-//! solver.
+//! Hybrid sorted-vec / bitset object sets — the delta solver's points-to
+//! set representation.
 
 /// An object set: a sorted `Vec<u32>` while small, switching to a bitset
 /// once it crosses [`ObjSet::SPILL`] elements. Iteration is ascending in

@@ -1,6 +1,5 @@
-//! The monolithic delta-propagation solver and the historical
-//! whole-set reference solver (the differential-testing oracle). The
-//! per-function partitioned solver lives in [`super::partition`].
+//! The delta-propagation solver and the historical whole-set reference
+//! solver (the differential-testing oracle).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 

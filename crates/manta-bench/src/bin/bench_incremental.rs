@@ -98,9 +98,8 @@ fn suite(limit: Option<usize>) -> Vec<manta_workloads::ProjectSpec> {
 }
 
 fn bench_incremental(limit: Option<usize>) -> IncrementalBench {
-    let dir = std::env::temp_dir().join(format!("manta-bench-incr-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+    let dir = manta_store::TempDir::new("bench-incr");
+    let cache = Arc::new(AnalysisCache::open(dir.path()).expect("open cache"));
     let engine = Engine::builder()
         .config(MantaConfig::full())
         .cache(cache)
@@ -149,7 +148,6 @@ fn bench_incremental(limit: Option<usize>) -> IncrementalBench {
     );
     assert_eq!(edit.rows.len(), n);
 
-    let _ = std::fs::remove_dir_all(&dir);
     let warm_speedup = cold_ms / warm_ms.max(1e-6);
     let edit_speedup = cold_ms / edit_ms.max(1e-6);
     println!(

@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use manta::{Engine, MantaConfig};
-use manta_analysis::{CallGraph, PointsTo, PointsToSession, PreprocessConfig};
+use manta_analysis::{CallGraph, PointsTo, PreprocessConfig};
 use manta_bench::harness::median;
 use manta_ir::{ModuleBuilder, Width};
 use manta_store::json::{parse, JsonValue, JsonWriter};
@@ -92,11 +92,6 @@ struct PointstoRow {
     reference_ms: f64,
     delta_ms: f64,
     speedup: f64,
-    /// Compositional (per-function partition) solve under the ambient
-    /// pool; same least fixpoint as the monolithic delta solve.
-    partitioned_ms: f64,
-    /// `reference_ms / partitioned_ms`, parallel to `speedup`.
-    partitioned_speedup: f64,
     peak_pts: usize,
     worklist_iters: u64,
 }
@@ -105,29 +100,6 @@ struct PointstoBench {
     rows: Vec<PointstoRow>,
     /// Name and speedup of the project with the most functions.
     largest: (String, f64),
-    partitioned: PartitionedBench,
-}
-
-/// The compositional solver's two headline contracts on the stress
-/// project: batch-mode (all partitions dirty, wavefront-scheduled
-/// across the pool) vs the monolithic delta solve, and a one-function
-/// edit re-solved through a live [`PointsToSession`] vs a from-scratch
-/// solve.
-struct PartitionedBench {
-    threads: usize,
-    partitions: usize,
-    monolithic_ms: f64,
-    partitioned_ms: f64,
-    /// Batch-mode win at [`BATCH_THREADS`]: `monolithic_ms / partitioned_ms`.
-    speedup: f64,
-    edit_full_ms: f64,
-    edit_update_ms: f64,
-    /// Incremental win: full re-solve time over `session.update` time
-    /// after editing one function.
-    edit_speedup: f64,
-    /// Partitions the edit's dirty closure actually re-ran (out of
-    /// `partitions`).
-    edit_resolved: usize,
 }
 
 struct PipelineBench {
@@ -194,25 +166,11 @@ fn suite(limit: Option<usize>) -> Vec<manta_workloads::ProjectSpec> {
 /// rewrite; the suite projects above have near-singleton points-to sets
 /// and shallow chains, so they understate the gap.
 fn stress_module(functions: usize, fan: usize, chain: usize) -> manta_ir::Module {
-    stress_module_edited(functions, fan, chain, None)
-}
-
-/// [`stress_module`] with one function's relay deepened by a few links —
-/// the "one-function edit" the incremental session leg re-solves. The
-/// other `functions - 1` bodies are byte-identical to the base module,
-/// so only the edited partition's constraint fingerprint changes.
-fn stress_module_edited(
-    functions: usize,
-    fan: usize,
-    chain: usize,
-    edited: Option<usize>,
-) -> manta_ir::Module {
     let mut mb = ModuleBuilder::new("pointsto_stress");
     for i in 0..functions {
-        let depth = if edited == Some(i) { chain + 4 } else { chain };
         let (_, mut fb) = mb.function(&format!("chain_{i}"), &[], None);
         let slots: Vec<_> = (0..fan).map(|_| fb.alloca(8)).collect();
-        let cells: Vec<_> = (0..depth).map(|_| fb.alloca(8)).collect();
+        let cells: Vec<_> = (0..chain).map(|_| fb.alloca(8)).collect();
         for &s in &slots {
             fb.store(cells[0], s);
         }
@@ -232,7 +190,6 @@ fn measure_pointsto(name: &str, functions: usize, module: manta_ir::Module) -> P
     let cg = CallGraph::build(&pre);
     let mut refs = Vec::new();
     let mut deltas = Vec::new();
-    let mut parts = Vec::new();
     let mut pts = None;
     let iters_before = counter("pointsto.worklist_iters");
     let begun = Instant::now();
@@ -243,9 +200,6 @@ fn measure_pointsto(name: &str, functions: usize, module: manta_ir::Module) -> P
         let t = Instant::now();
         pts = Some(PointsTo::solve(&pre, &cg));
         deltas.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        let _ = PointsTo::solve_partitioned(&pre, &cg);
-        parts.push(t.elapsed().as_secs_f64() * 1e3);
         // Two paired reps are enough once a slow reference solver has
         // already eaten the time budget for this row.
         if refs.len() >= 2 && begun.elapsed().as_secs_f64() > 6.0 {
@@ -265,17 +219,10 @@ fn measure_pointsto(name: &str, functions: usize, module: manta_ir::Module) -> P
         .map(|(r, d)| r / d.max(1e-6))
         .collect();
     let speedup = median(&mut ratios);
-    let mut part_ratios: Vec<f64> = refs
-        .iter()
-        .zip(&parts)
-        .map(|(r, p)| r / p.max(1e-6))
-        .collect();
-    let partitioned_speedup = median(&mut part_ratios);
     let reference_ms = median(&mut refs);
     let delta_ms = median(&mut deltas);
-    let partitioned_ms = median(&mut parts);
     println!(
-        "pointsto {name:<16} ref {reference_ms:9.2} ms  delta {delta_ms:9.2} ms  {speedup:6.2}x  part {partitioned_ms:9.2} ms  peak {:5}  iters {worklist_iters}",
+        "pointsto {name:<16} ref {reference_ms:9.2} ms  delta {delta_ms:9.2} ms  {speedup:6.2}x  peak {:5}  iters {worklist_iters}",
         pts.max_pts_len(),
     );
     PointstoRow {
@@ -284,8 +231,6 @@ fn measure_pointsto(name: &str, functions: usize, module: manta_ir::Module) -> P
         reference_ms,
         delta_ms,
         speedup,
-        partitioned_ms,
-        partitioned_speedup,
         peak_pts: pts.max_pts_len(),
         worklist_iters,
     }
@@ -314,117 +259,7 @@ fn bench_pointsto(limit: Option<usize>) -> PointstoBench {
         .map(|r| (r.name.clone(), r.speedup))
         .unwrap_or_default();
     println!("largest project {} speedup {:.2}x", largest.0, largest.1);
-    let partitioned = bench_partitioned();
-    PointstoBench {
-        rows,
-        largest,
-        partitioned,
-    }
-}
-
-/// Measures the compositional solver's two contracts on the stress
-/// project.
-///
-/// Batch mode: all 320 call-free functions form one wavefront level, so
-/// partitions schedule across the pool at [`BATCH_THREADS`] while the
-/// monolithic delta solve is inherently sequential.
-///
-/// Edit mode: a live [`PointsToSession`] absorbs a one-function edit;
-/// constraint fingerprints confine the dirty closure to the edited
-/// partition, so the update cost is ~1/320 of a from-scratch solve.
-/// The edit alternates between the base and the edited module so every
-/// timed `update` does real re-solving work.
-fn bench_partitioned() -> PartitionedBench {
-    const FUNCS: usize = 320;
-    let pre_base =
-        manta_analysis::preprocess(stress_module(FUNCS, 12, 24), PreprocessConfig::default());
-    let pre_edit = manta_analysis::preprocess(
-        stress_module_edited(FUNCS, 12, 24, Some(0)),
-        PreprocessConfig::default(),
-    );
-    let cg = CallGraph::build(&pre_base);
-
-    // Batch leg: monolithic on one thread vs partitioned across the
-    // pool, interleaved rep by rep like `measure_pointsto`.
-    let mut monos = Vec::new();
-    let mut parts = Vec::new();
-    let begun = Instant::now();
-    while monos.len() < REPS {
-        manta_parallel::set_threads(1);
-        let t = Instant::now();
-        let _ = PointsTo::solve(&pre_base, &cg);
-        monos.push(t.elapsed().as_secs_f64() * 1e3);
-        manta_parallel::set_threads(BATCH_THREADS);
-        let t = Instant::now();
-        let _ = PointsTo::solve_partitioned(&pre_base, &cg);
-        parts.push(t.elapsed().as_secs_f64() * 1e3);
-        if monos.len() >= 2 && begun.elapsed().as_secs_f64() > 6.0 {
-            break;
-        }
-    }
-    manta_parallel::set_threads(0);
-    let mut ratios: Vec<f64> = monos
-        .iter()
-        .zip(&parts)
-        .map(|(m, p)| m / p.max(1e-6))
-        .collect();
-    let speedup = median(&mut ratios);
-    let monolithic_ms = median(&mut monos);
-    let partitioned_ms = median(&mut parts);
-
-    // Edit leg: full from-scratch session vs a one-function update on a
-    // live session, alternating edit targets so no update is a no-op.
-    let mut session = PointsToSession::new(&pre_base);
-    let partitions = session.partition_count();
-    let mut fulls = Vec::new();
-    let mut updates = Vec::new();
-    let mut edit_resolved = 0;
-    for rep in 0..REPS {
-        let target = if rep % 2 == 0 { &pre_edit } else { &pre_base };
-        let t = Instant::now();
-        let fresh = PointsToSession::new(target);
-        fulls.push(t.elapsed().as_secs_f64() * 1e3);
-        drop(fresh);
-        let t = Instant::now();
-        let report = session.update(target);
-        updates.push(t.elapsed().as_secs_f64() * 1e3);
-        // The bench is only honest if the update really was incremental:
-        // a counted full re-solve here means the fingerprint diff broke.
-        assert!(
-            !report.full_resolve && report.resolved <= 2,
-            "one-function edit dirtied {} of {partitions} partitions",
-            report.resolved
-        );
-        edit_resolved = edit_resolved.max(report.resolved);
-    }
-    let mut edit_ratios: Vec<f64> = fulls
-        .iter()
-        .zip(&updates)
-        .map(|(f, u)| f / u.max(1e-6))
-        .collect();
-    let edit_speedup = median(&mut edit_ratios);
-    let edit_full_ms = median(&mut fulls);
-    let edit_update_ms = median(&mut updates);
-
-    println!(
-        "partitioned threads={BATCH_THREADS} mono {monolithic_ms:9.2} ms  \
-         part {partitioned_ms:9.2} ms  {speedup:6.2}x  ({partitions} partitions)"
-    );
-    println!(
-        "edit        full {edit_full_ms:9.2} ms  update {edit_update_ms:9.2} ms  \
-         {edit_speedup:6.2}x  ({edit_resolved}/{partitions} partitions re-solved)"
-    );
-    PartitionedBench {
-        threads: BATCH_THREADS,
-        partitions,
-        monolithic_ms,
-        partitioned_ms,
-        speedup,
-        edit_full_ms,
-        edit_update_ms,
-        edit_speedup,
-        edit_resolved,
-    }
+    PointstoBench { rows, largest }
 }
 
 fn bench_pipeline(limit: Option<usize>) -> PipelineBench {
@@ -539,10 +374,6 @@ fn render_pointsto(b: &PointstoBench) -> String {
         w.float(r.delta_ms);
         w.key("speedup");
         w.float(r.speedup);
-        w.key("partitioned_ms");
-        w.float(r.partitioned_ms);
-        w.key("partitioned_speedup");
-        w.float(r.partitioned_speedup);
         w.key("peak_pts");
         w.uint(r.peak_pts as u64);
         w.key("worklist_iters");
@@ -556,27 +387,6 @@ fn render_pointsto(b: &PointstoBench) -> String {
     w.string(&b.largest.0);
     w.key("speedup");
     w.float(b.largest.1);
-    w.end_object();
-    w.key("partitioned");
-    w.begin_object();
-    w.key("threads");
-    w.uint(b.partitioned.threads as u64);
-    w.key("partitions");
-    w.uint(b.partitioned.partitions as u64);
-    w.key("monolithic_ms");
-    w.float(b.partitioned.monolithic_ms);
-    w.key("partitioned_ms");
-    w.float(b.partitioned.partitioned_ms);
-    w.key("speedup");
-    w.float(b.partitioned.speedup);
-    w.key("edit_full_ms");
-    w.float(b.partitioned.edit_full_ms);
-    w.key("edit_update_ms");
-    w.float(b.partitioned.edit_update_ms);
-    w.key("edit_speedup");
-    w.float(b.partitioned.edit_speedup);
-    w.key("edit_resolved");
-    w.uint(b.partitioned.edit_resolved as u64);
     w.end_object();
     w.end_object();
     w.finish()
@@ -728,71 +538,8 @@ fn check_regressions(
         );
         ok = false;
     }
-    // Compositional points-to batch-mode guard: wavefront-scheduled
-    // partitions must beat the monolithic delta solve on real parallel
-    // hardware. Baselines recorded before the partitioned leg existed
-    // (schema v1, no `partitioned` object) are tolerated.
-    let part = &pointsto.partitioned;
-    if pipeline.cores < 4 {
-        println!(
-            "::warning title=partitioned guard skipped::host has {} cores; \
-             the >= {PARTITIONED_SPEEDUP_FLOOR}x partitioned points-to speedup \
-             guard needs 4",
-            pipeline.cores
-        );
-        eprintln!(
-            "##############################################################\n\
-             # PARTITIONED GUARD SKIPPED: host has {} cores (needs >= 4). \n\
-             # The >= {PARTITIONED_SPEEDUP_FLOOR}x partitioned-vs-monolithic batch contract \n\
-             # was NOT verified.                                          \n\
-             ##############################################################",
-            pipeline.cores
-        );
-    } else if part.speedup < PARTITIONED_SPEEDUP_FLOOR {
-        eprintln!(
-            "REGRESSION: partitioned batch speedup@{} is {:.2}x, below the \
-             {PARTITIONED_SPEEDUP_FLOOR}x floor",
-            part.threads, part.speedup
-        );
-        ok = false;
-    }
-    // The one-function-edit guard runs everywhere: the incremental win
-    // comes from re-solving 1/N partitions, not from thread count.
-    let base_edit = base_pts
-        .get("partitioned")
-        .and_then(|p| p.get("edit_speedup"))
-        .and_then(JsonValue::as_f64);
-    if part.edit_speedup < EDIT_SPEEDUP_FLOOR {
-        eprintln!(
-            "REGRESSION: one-function-edit re-solve speedup is {:.2}x, below \
-             the {EDIT_SPEEDUP_FLOOR}x floor (baseline {:.2}x)",
-            part.edit_speedup,
-            base_edit.unwrap_or(f64::NAN)
-        );
-        ok = false;
-    } else if let Some(base) = base_edit {
-        if part.edit_speedup < 0.9 * base {
-            println!(
-                "edit re-solve speedup is {:.2}x, below 90% of the {base:.2}x \
-                 baseline but above the {EDIT_SPEEDUP_FLOOR}x floor — treating as noise",
-                part.edit_speedup
-            );
-        }
-    }
     ok
 }
-
-/// Minimum acceptable partitioned-vs-monolithic batch speedup at
-/// [`BATCH_THREADS`] threads on a multi-core (>= 4) host: with every
-/// partition dirty, wavefront scheduling must win despite the
-/// boundary-merge overhead.
-const PARTITIONED_SPEEDUP_FLOOR: f64 = 1.3;
-
-/// Minimum acceptable full-solve / one-function-update ratio for a live
-/// [`PointsToSession`]. Thread-independent: the win is the dirty
-/// closure's size (one partition of hundreds), so it holds even on a
-/// single-core host.
-const EDIT_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Minimum acceptable `analyze_batch` speedup over the sequential loop
 /// at [`BATCH_THREADS`] threads on a multi-core (>= 4) host.

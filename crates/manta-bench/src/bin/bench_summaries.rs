@@ -179,9 +179,8 @@ fn analysis(clusters: usize, edit: Option<u64>) -> ModuleAnalysis {
 
 fn bench_summaries(clusters: usize) -> SummaryBench {
     let config = MantaConfig::full();
-    let dir = std::env::temp_dir().join(format!("manta-bench-summ-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+    let dir = manta_store::TempDir::new("bench-summ");
+    let cache = Arc::new(AnalysisCache::open(dir.path()).expect("open cache"));
     let summary_engine = Engine::builder()
         .config(config)
         .cache(cache)
@@ -266,7 +265,6 @@ fn bench_summaries(clusters: usize) -> SummaryBench {
     }
     let summary_edit_ms = median(&mut summ_times);
 
-    let _ = std::fs::remove_dir_all(&dir);
     let edit_speedup = full_edit_ms / summary_edit_ms.max(1e-6);
     println!(
         "summaries: cold {cold_ms:9.2} ms  full-edit {full_edit_ms:9.2} ms  \
@@ -371,9 +369,8 @@ fn probe(clusters: usize) {
 
     // Engine-level timing: what the cached summary path adds on top of
     // the bare solve (store get/put, result encode).
-    let dir = std::env::temp_dir().join("manta-bench-summ-probe");
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+    let dir = manta_store::TempDir::new("bench-summ-probe");
+    let cache = Arc::new(AnalysisCache::open(dir.path()).expect("open cache"));
     let engine = Engine::builder()
         .config(config)
         .cache(cache)
@@ -390,5 +387,4 @@ fn probe(clusters: usize) {
         t.elapsed().as_secs_f64() * 1e3
     );
     print!("{}", manta_telemetry::report().render_text());
-    let _ = std::fs::remove_dir_all(&dir);
 }

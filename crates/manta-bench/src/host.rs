@@ -37,9 +37,6 @@ pub fn host_meta() -> HostMeta {
         guard_skips.push(format!(
             "batch guard skipped: host has {cores} cores; needs >= 4"
         ));
-        guard_skips.push(format!(
-            "partitioned points-to guard skipped: host has {cores} cores; needs >= 4"
-        ));
     }
     HostMeta {
         cores,

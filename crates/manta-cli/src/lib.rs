@@ -779,14 +779,10 @@ fn run_command(
             // print the per-stage cost breakdown they recorded. With a cache
             // directory the engine runs in summary mode so the `summary.*`
             // counters below reflect real replay/recompute traffic.
-            // The stats view runs the compositional points-to solver so the
-            // `pointsto.*` partition/wavefront counters below reflect real
-            // traffic; results are bit-identical to the monolithic solve.
             let mut builder = Engine::builder()
                 .config(MantaConfig::full())
                 .budget(resilience.spec())
                 .strict(resilience.strict)
-                .partitioned_pointsto(true)
                 .summaries(cache.is_some());
             if let Some(c) = cache.clone() {
                 builder = builder.cache(c);
@@ -848,9 +844,8 @@ fn run_command(
             if let Some(c) = &cache {
                 // Per-entry-kind traffic straight off the store: `infer`
                 // (inference results), `prov` (provenance graphs),
-                // `module` (lifted-module file cache), `modidx`/`func`/
-                // `row` (incremental per-function rows), `fsum`
-                // (per-function summary state).
+                // `module` (lifted-module file cache), `row` (eval suite
+                // rows), `fsum` (per-function summary state).
                 for (kind, hits, misses) in c.store().kind_traffic() {
                     let _ = writeln!(out, "  cache[{kind}]: {hits} hits, {misses} misses");
                 }
@@ -874,16 +869,16 @@ fn run_command(
                 counter("summary.wavefront_width_max"),
                 counter("summary.state_corrupt"),
             );
-            // Compositional points-to: partition count, scheduler levels,
-            // and cross-partition boundary churn from the solve above.
+            // Delta-solver shape: constraint graph size, worklist work,
+            // copy-cycle collapses and the largest points-to set.
             let _ = writeln!(
                 out,
-                "pointsto: {} partitions, {} wavefronts, {} boundary deltas, \
-                 {} full re-solves, peak |pts| {}",
-                counter("pointsto.partitions"),
-                counter("pointsto.wavefronts"),
-                counter("pointsto.boundary_delta"),
-                counter("pointsto.full_resolves"),
+                "pointsto: {} constraint nodes, {} constraint edges, {} worklist iterations, \
+                 {} scc merges, peak |pts| {}",
+                counter("pointsto.constraint_nodes"),
+                counter("pointsto.constraint_edges"),
+                counter("pointsto.worklist_iters"),
+                counter("pointsto.scc_merges"),
                 counter("pointsto.peak_pts"),
             );
             out.push_str(&report.render_text());
@@ -1099,12 +1094,19 @@ func main(0) -> ret {
 }
 ";
 
+    /// Runs `f` in a temp dir of its own (unique per call, removed
+    /// afterwards), one test at a time: `run` drives process-global
+    /// state — the telemetry collector and its counters, the pool size,
+    /// the provenance switch — so a test asserting on `stats` output
+    /// must not overlap another command.
     fn with_files<T>(f: impl FnOnce(&Path) -> T) -> T {
-        let dir = std::env::temp_dir().join(format!("manta-cli-test-{}", std::process::id()));
-        let _ = fs::create_dir_all(&dir);
-        let r = f(&dir);
-        let _ = fs::remove_dir_all(&dir);
-        r
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _serial = SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let dir = manta_store::TempDir::new("cli-test");
+        let _ = fs::create_dir_all(dir.path());
+        f(dir.path())
     }
 
     fn s(v: &[&str]) -> Vec<String> {
@@ -1380,10 +1382,15 @@ func main(0) -> ret {
             assert!(out.contains("cache: 0 hits, 0 misses"), "{out}");
             // Summary mode needs --cache-dir, so the line renders zeros here.
             assert!(out.contains("summaries: 0 chunk replays"), "{out}");
-            // Stats drives the compositional points-to solver, so the
-            // partition counters carry live (nonzero) traffic.
-            assert!(out.contains("boundary deltas"), "{out}");
-            assert!(!out.contains("pointsto: 0 partitions"), "{out}");
+            // The points-to line carries the delta solver's live counters.
+            let iters = out
+                .lines()
+                .find_map(|l| l.strip_prefix("pointsto: "))
+                .and_then(|l| l.split(", ").nth(2))
+                .and_then(|c| c.strip_suffix(" worklist iterations"))
+                .and_then(|n| n.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("no pointsto line in:\n{out}"));
+            assert!(iters > 0, "{out}");
 
             // `--stats` writes a JSON report the hand parser accepts.
             let json_path = dir.join("stats.json");

@@ -65,7 +65,7 @@ pub fn spec_fingerprint(spec: &ProjectSpec) -> u64 {
 }
 
 /// The deterministic per-project evaluation outcome persisted by
-/// [`run_suite_cached`]. Contains no wall times: a row served warm is
+/// [`run_suite`]. Contains no wall times: a row served warm is
 /// bit-identical to the row computed cold.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EvalRow {
@@ -226,34 +226,7 @@ fn row_key(spec: &ProjectSpec, config: &MantaConfig, budget: BudgetSpec) -> Key 
 /// failures land in [`CachedSuite::failures`] instead of aborting the
 /// suite.
 pub fn run_suite(specs: Vec<ProjectSpec>, engine: &Engine) -> CachedSuite {
-    run_suite_impl(specs, engine, engine.cache())
-}
-
-/// Evaluates `specs` under `config`, serving unchanged projects from
-/// `cache` and building only the misses.
-#[deprecated(
-    note = "build an `Engine` with `EngineBuilder::budget` + `EngineBuilder::cache`/`cache_dir` \
-            and call `run_suite`"
-)]
-pub fn run_suite_cached(
-    specs: Vec<ProjectSpec>,
-    config: MantaConfig,
-    budget: BudgetSpec,
-    cache: &AnalysisCache,
-) -> CachedSuite {
-    let engine = Engine::builder()
-        .config(config)
-        .budget(budget)
-        .build()
-        .expect("cacheless engine build is infallible");
-    run_suite_impl(specs, &engine, Some(cache))
-}
-
-fn run_suite_impl(
-    specs: Vec<ProjectSpec>,
-    engine: &Engine,
-    cache: Option<&AnalysisCache>,
-) -> CachedSuite {
+    let cache = engine.cache();
     let config = *engine.config();
     let budget = *engine.budget();
     let (load, hits) = load_specs_cached(specs, budget, cache, &config, engine.strict());
@@ -265,16 +238,10 @@ fn run_suite_impl(
     suite.failures = load.failures;
 
     // Score the projects that actually built, persisting their rows.
-    // Module sync (dependency-aware invalidation) happens inside the
-    // engine's cached path.
     let bypass = manta_resilience::plan_active() || budget.deadline_ms.is_some() || engine.strict();
     let mut fresh: Vec<(usize, EvalRow)> = Vec::new();
     for (order, project) in &load.projects {
-        let outcome = match cache {
-            Some(c) => engine.analyze_with_cache(&project.analysis, c),
-            None => engine.analyze(&project.analysis),
-        };
-        let result = match outcome {
+        let result = match engine.analyze(&project.analysis) {
             Ok(r) => r,
             Err(error) => {
                 // Only strict engines error; record the project and move on.
@@ -414,10 +381,8 @@ mod tests {
             .expect("prebuilt cache: build cannot fail")
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("manta-evalcache-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    fn temp_dir(tag: &str) -> manta_store::TempDir {
+        manta_store::TempDir::new(&format!("evalcache-{tag}"))
     }
 
     fn tiny_specs() -> Vec<ProjectSpec> {
@@ -436,8 +401,9 @@ mod tests {
 
     #[test]
     fn warm_run_skips_builds_and_matches_cold_bit_for_bit() {
+        let _l = crate::test_lock();
         let dir = temp_dir("warm");
-        let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
+        let cache = Arc::new(AnalysisCache::open(dir.path()).unwrap());
         let engine = engine_for(&cache);
         let cold = run_suite(tiny_specs(), &engine);
         assert_eq!(cold.skipped_builds, 0);
@@ -447,13 +413,13 @@ mod tests {
         assert_eq!(warm.skipped_builds, 3, "all projects must be served warm");
         assert_eq!(warm.rows, cold.rows);
         assert_eq!(warm.render_rows(), cold.render_rows());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn seed_edit_rebuilds_only_the_edited_project() {
+        let _l = crate::test_lock();
         let dir = temp_dir("edit");
-        let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
+        let cache = Arc::new(AnalysisCache::open(dir.path()).unwrap());
         let engine = engine_for(&cache);
         let cold = run_suite(tiny_specs(), &engine);
 
@@ -465,13 +431,13 @@ mod tests {
         assert_eq!(warm.rows[0], cold.rows[0]);
         assert_eq!(warm.rows[2], cold.rows[2]);
         assert_ne!(warm.rows[1].module_fp, cold.rows[1].module_fp);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_row_entry_degrades_and_recomputes() {
+        let _l = crate::test_lock();
         let dir = temp_dir("corrupt");
-        let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
+        let cache = Arc::new(AnalysisCache::open(dir.path()).unwrap());
         let engine = engine_for(&cache);
         let cold = run_suite(tiny_specs(), &engine);
 
@@ -492,7 +458,6 @@ mod tests {
                 .any(|d| d.kind == DegradationKind::StoreCorruption),
             "corrupt row must surface a StoreCorruption degradation"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,6 +23,17 @@ pub mod runner;
 pub mod table;
 
 pub use adapters::MantaTool;
+
+/// Serializes the unit tests that share process-global state: an
+/// installed [`manta_resilience::FaultPlan`] makes every cache-aware
+/// run bypass its cache, so a test asserting cache traffic must never
+/// overlap one that arms a fault.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 pub use cached::{run_suite, spec_fingerprint, CachedSuite, EvalRow};
 pub use runner::{
     load_coreutils, load_coreutils_checked, load_firmware, load_firmware_checked, load_projects,

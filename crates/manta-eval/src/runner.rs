@@ -75,7 +75,7 @@ pub struct SuiteLoad {
     pub failures: Vec<ProjectFailure>,
     /// Projects whose generation and parsing was skipped entirely
     /// because an analysis cache already held their result (see
-    /// `crate::cached::run_suite_cached`). Always 0 for the plain
+    /// [`crate::cached::run_suite`]). Always 0 for the plain
     /// uncached loaders.
     pub skipped_parses: usize,
 }
@@ -404,16 +404,8 @@ pub fn solver_shape_table(projects: &[ProjectData]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_lock as fault_lock;
     use manta_workloads::PhenomenonMix;
-    use std::sync::Mutex;
-
-    /// Serializes the tests sharing the process-global fault plan (and
-    /// the "beta" project name one of them arms a fault on).
-    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn tiny_specs() -> Vec<ProjectSpec> {
         ["alpha", "beta", "gamma"]

@@ -16,8 +16,7 @@
 //!
 //! The [`wavefront`] module layers dependency-ordered scheduling on top
 //! of `par_map`: SCC condensation plus level-by-level dispatch, shared
-//! by the summary driver, the partitioned points-to solver, and
-//! `Engine::analyze_batch`.
+//! by the summary solve and `Engine::analyze_batch`.
 //!
 //! ## Determinism contract
 //!

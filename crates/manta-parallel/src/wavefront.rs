@@ -8,18 +8,15 @@
 //! dispatched across the pool with [`crate::par_map`], and levels run
 //! in order so every unit sees its dependencies' results.
 //!
-//! This module is the shared home for that shape. It used to live as a
-//! `pub(crate)` helper inside `manta::summaries` (with the engine's
-//! batch scheduler reaching into it — an inverted layering); now the
-//! summary driver, the partitioned points-to solver, and
-//! `Engine::analyze_batch` all schedule through this API.
+//! This module is the shared home for that shape, and [`condense`] is
+//! the workspace's one SCC condensation: the summary solve schedules
+//! its recompute wavefronts through it, and `Engine::analyze_batch`
+//! dispatches independent modules as a single wavefront.
 //!
-//! The condensation here is deliberately self-contained (this crate
-//! depends only on `manta-telemetry`) and matches the deterministic
-//! contract of `manta_store::DepGraph::condense`: SCC ids are ordered
-//! by smallest member, members are sorted, and levels are sorted — the
-//! output is a pure function of the node count and edge set,
-//! independent of DFS traversal details or thread count.
+//! The condensation is deterministic: SCC ids are ordered by smallest
+//! member, members are sorted, and levels are sorted — the output is a
+//! pure function of the node count and edge set, independent of DFS
+//! traversal details or thread count.
 
 /// The SCC condensation of a dependency graph, arranged into bottom-up
 /// wavefronts. Produced by [`condense`].
@@ -61,7 +58,7 @@ impl Condensation {
 /// `(from, to)` pairs meaning *`from` depends on `to`* (for a call
 /// graph: caller depends on callee), so level 0 holds the leaves and a
 /// bottom-up sweep visits callees before callers. Edges naming nodes
-/// `>= nodes` are ignored, mirroring `DepGraph::add_dep`.
+/// `>= nodes` are ignored.
 ///
 /// Deterministic: iterative Tarjan in node order; component ids are
 /// relabeled by smallest member and levels assigned from the
@@ -206,8 +203,8 @@ pub fn group_by_level<K: Copy, T>(
 /// one wavefront whose items run concurrently via [`crate::par_map`];
 /// levels run in order. Results come back flattened in input order.
 /// `counter` names the telemetry counter bumped once per dispatched
-/// level (e.g. `"summary.wavefronts"`, `"pointsto.wavefronts"`), so
-/// each consumer keeps its own observability surface.
+/// level (e.g. `"summary.wavefronts"`, `"engine.batch_wavefronts"`),
+/// so each consumer keeps its own observability surface.
 pub fn wavefront_dispatch<T: Send, R: Send>(
     levels: Vec<Vec<T>>,
     counter: &str,

@@ -2,7 +2,7 @@
 //!
 //! The persistence layer of the Manta pipeline: a zero-dependency
 //! (`std`-only, per the repo's in-tree-substitutes convention)
-//! content-addressed analysis cache with dependency-aware invalidation.
+//! content-addressed analysis cache.
 //!
 //! Four building blocks, layered bottom-up:
 //!
@@ -19,8 +19,9 @@
 //! * [`store`] — the versioned on-disk [`Store`]: entries keyed by
 //!   `(stage, content-hash, config-hash)`, self-checksummed files,
 //!   atomic-rename writes, corruption that degrades to recomputation.
-//! * [`depgraph`] — reverse/bidirectional closure computation and
-//!   dependency-closure hashing for invalidation over the call graph.
+//!
+//! [`TempDir`] gives tests and benchmarks a per-process-unique temporary
+//! directory for their stores.
 //!
 //! This crate knows nothing about IR, analyses or inference: higher
 //! layers (`manta::cache`, `manta-eval`) map their domain objects onto
@@ -32,15 +33,15 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bytes;
-pub mod depgraph;
 pub mod hash;
 pub mod json;
 pub mod store;
+mod tempdir;
 
 pub use bytes::{ByteReader, ByteWriter, DecodeError};
-pub use depgraph::{Condensation, DepGraph};
 pub use hash::{combine, hash_bytes, hash_str, splitmix64, Fingerprint};
 pub use store::{
     GcReport, Key, OpenOutcome, StatsSnapshot, Store, StoreError, StoreStats, DEFAULT_LOCK_WAIT,
     FORMAT_VERSION, LOCK_FILE,
 };
+pub use tempdir::TempDir;

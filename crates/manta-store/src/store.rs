@@ -85,7 +85,7 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 /// The key of one cached entry: `(stage, content-hash, config-hash)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Key {
-    /// Pipeline stage tag (e.g. `infer`, `row`, `modidx`). Must be
+    /// Pipeline stage tag (e.g. `infer`, `row`, `fsum`). Must be
     /// non-empty ASCII alphanumerics (plus `_`); enforced on use.
     pub stage: &'static str,
     /// Content hash of the analyzed input.
@@ -432,22 +432,6 @@ impl Store {
         existed
     }
 
-    /// Removes every entry whose `(stage, content)` pair matches,
-    /// across all config hashes. Returns the number removed.
-    pub fn invalidate_content(&self, stage: &str, content: u64) -> usize {
-        let prefix = format!("{stage}-{content:016x}-");
-        let mut removed = 0;
-        for name in self.entry_names() {
-            if name.starts_with(&prefix) && std::fs::remove_file(self.dir.join(&name)).is_ok() {
-                removed += 1;
-            }
-        }
-        self.stats
-            .invalidations
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        removed
-    }
-
     /// Number of entry files currently on disk.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -717,15 +701,16 @@ fn decode_entry(raw: &[u8]) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("manta-store-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    /// A unique temp dir (removed when the guard drops) and its path.
+    fn temp_dir(tag: &str) -> (crate::TempDir, PathBuf) {
+        let tmp = crate::TempDir::new(&format!("store-test-{tag}"));
+        let dir = tmp.path().to_path_buf();
+        (tmp, dir)
     }
 
     #[test]
     fn put_get_roundtrip_and_stats() {
-        let dir = temp_dir("roundtrip");
+        let (_tmp, dir) = temp_dir("roundtrip");
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.open_outcome(), OpenOutcome::Fresh);
         let key = Key::new("infer", 0xabc, 0xdef);
@@ -736,12 +721,11 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.bytes_written, 7);
         assert_eq!(s.bytes_read, 7);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reopen_preserves_entries() {
-        let dir = temp_dir("reopen");
+        let (_tmp, dir) = temp_dir("reopen");
         let key = Key::new("row", 1, 2);
         {
             let store = Store::open(&dir).unwrap();
@@ -750,12 +734,11 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.open_outcome(), OpenOutcome::Existing);
         assert_eq!(store.get(&key).unwrap(), b"persisted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_entry_is_discarded_not_served() {
-        let dir = temp_dir("corrupt");
+        let (_tmp, dir) = temp_dir("corrupt");
         let store = Store::open(&dir).unwrap();
         let key = Key::new("infer", 3, 4);
         store.put(&key, b"good data here").unwrap();
@@ -768,12 +751,11 @@ mod tests {
         assert!(store.get(&key).is_none(), "corrupt entry must miss");
         assert!(!path.exists(), "corrupt entry must be deleted");
         assert_eq!(store.stats().snapshot().corrupt, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn version_mismatch_wipes_on_open() {
-        let dir = temp_dir("version");
+        let (_tmp, dir) = temp_dir("version");
         {
             let store = Store::open(&dir).unwrap();
             store.put(&Key::new("infer", 1, 1), b"old").unwrap();
@@ -786,12 +768,11 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.open_outcome(), OpenOutcome::Recovered);
         assert!(store.is_empty(), "old-format entries must be discarded");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn second_opener_fails_with_a_clear_diagnostic_while_lock_is_held() {
-        let dir = temp_dir("lock-held");
+        let (_tmp, dir) = temp_dir("lock-held");
         let store = Store::open(&dir).unwrap();
         let err = Store::open_with_lock_wait(&dir, Duration::from_millis(50))
             .expect_err("second open must fail while the lock is held");
@@ -810,12 +791,11 @@ mod tests {
         // cleanly (no recovery needed).
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.open_outcome(), OpenOutcome::Existing);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_lock_recovers_keeping_committed_entries() {
-        let dir = temp_dir("lock-stale");
+        let (_tmp, dir) = temp_dir("lock-stale");
         let key = Key::new("infer", 7, 7);
         {
             let store = Store::open(&dir).unwrap();
@@ -840,12 +820,11 @@ mod tests {
             !dir.join(".tmp-999999999-abc").exists(),
             "half-written temp files must be swept"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn racing_openers_over_a_stale_lock_admit_exactly_one() {
-        let dir = temp_dir("lock-race");
+        let (_tmp, dir) = temp_dir("lock-race");
         drop(Store::open(&dir).unwrap());
         // A stale lock from a SIGKILLed holder. Takeover is the racy
         // path under delete-and-recreate schemes: both racers see the
@@ -882,12 +861,11 @@ mod tests {
             "the winner must still observe the unclean shutdown"
         );
         drop(stores);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_evicts_least_recently_used_until_under_budget() {
-        let dir = temp_dir("gc");
+        let (_tmp, dir) = temp_dir("gc");
         let store = Store::open(&dir).unwrap();
         let cold = Key::new("infer", 1, 1);
         let warm = Key::new("infer", 2, 1);
@@ -919,29 +897,14 @@ mod tests {
         assert_eq!(wipe.evicted, 2);
         assert!(dir.join("MANIFEST").exists());
         assert!(dir.join(LOCK_FILE).exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disk_usage_tracks_entry_bytes() {
-        let dir = temp_dir("usage");
+        let (_tmp, dir) = temp_dir("usage");
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.disk_usage(), 0);
         store.put(&Key::new("infer", 1, 1), &[0u8; 64]).unwrap();
         assert_eq!(store.disk_usage(), 64 + HEADER_LEN as u64);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn invalidate_content_removes_all_configs() {
-        let dir = temp_dir("inval");
-        let store = Store::open(&dir).unwrap();
-        store.put(&Key::new("infer", 9, 1), b"a").unwrap();
-        store.put(&Key::new("infer", 9, 2), b"b").unwrap();
-        store.put(&Key::new("infer", 8, 1), b"keep").unwrap();
-        assert_eq!(store.invalidate_content("infer", 9), 2);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.stats().snapshot().invalidations, 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

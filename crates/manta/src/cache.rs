@@ -17,13 +17,10 @@
 //!   by *bypassing* the cache entirely (deadline-degraded results are
 //!   nondeterministic and must never be persisted).
 //!
-//! Stale data is impossible by construction — changed inputs hash to
-//! different keys — and the per-function index maintained by
-//! [`AnalysisCache::sync_module`] adds *physical* invalidation on top:
-//! when a function's canonical text changes, the entries of every
-//! function in its bidirectional call-graph closure (the sound dirty set
-//! under global unification) are deleted, along with the stale
-//! module-level entries.
+//! Stale data is impossible by construction: changed inputs hash to
+//! different keys, so an edited module simply misses. Superseded
+//! entries stay on disk until the store's size-capped LRU collection
+//! ([`Store::gc`]) reclaims them.
 //!
 //! ## Degradation, not failure
 //!
@@ -37,16 +34,15 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use manta_analysis::{ModuleAnalysis, ObjectId, VarRef};
+use manta_analysis::{ObjectId, VarRef};
 use manta_ir::{printer, FuncId, InstId, Type, ValueId, Width};
-use manta_resilience::{BudgetSpec, Degradation, DegradationKind};
+use manta_resilience::{Degradation, DegradationKind};
 use manta_store::{
-    hash_str, ByteReader, ByteWriter, DecodeError, DepGraph, Fingerprint, Key, OpenOutcome, Store,
-    StoreError,
+    hash_str, ByteReader, ByteWriter, DecodeError, Fingerprint, Key, OpenOutcome, Store, StoreError,
 };
 
 use crate::interval::TypeInterval;
-use crate::{ClassCounts, InferenceResult, Manta, MantaConfig, Sensitivity, Stage, VarClass};
+use crate::{ClassCounts, InferenceResult, MantaConfig, Sensitivity, Stage, VarClass};
 
 /// Version of the payload encoding in this module. Folded into every
 /// config hash, so bumping it orphans (rather than misreads) entries
@@ -70,8 +66,9 @@ pub fn module_fingerprint(module: &manta_ir::Module) -> u64 {
 }
 
 /// Per-function content hashes `(name, fingerprint)`, in id order. Two
-/// functions with identical canonical text hash identically — the input
-/// to dependency-aware invalidation.
+/// functions with identical canonical text hash identically — the text
+/// part of each function's summary input fingerprint
+/// ([`crate::summaries`]).
 #[must_use]
 pub fn function_fingerprints(module: &manta_ir::Module) -> Vec<(String, u64)> {
     module
@@ -493,23 +490,8 @@ pub fn decode_result(payload: &[u8]) -> Result<InferenceResult, DecodeError> {
 // The cache
 // ---------------------------------------------------------------------
 
-/// What [`AnalysisCache::sync_module`] found and did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ModuleSync {
-    /// Functions whose canonical text changed (or are new) since the
-    /// last sync, by name.
-    pub changed: Vec<String>,
-    /// The bidirectional call-graph closure of `changed` — every
-    /// function whose cached per-function results may be stale under
-    /// global unification.
-    pub affected: Vec<String>,
-    /// Entry files physically removed.
-    pub invalidated: usize,
-}
-
 /// A persistent analysis cache: a [`Store`] plus the Manta-side
-/// policies (keying, codec, fault-injection bypass, degradation
-/// logging, per-function dependency index).
+/// policies (keying, codec, degradation logging).
 #[derive(Debug)]
 pub struct AnalysisCache {
     store: Store,
@@ -599,132 +581,6 @@ impl AnalysisCache {
             }
         }
     }
-
-    /// Syncs the per-function fingerprint index against `analysis` and
-    /// performs dependency-aware invalidation: the entries of every
-    /// function in the bidirectional call-graph closure of the changed
-    /// set are removed, and module-level entries for the superseded
-    /// module fingerprint are dropped.
-    pub fn sync_module(&self, analysis: &ModuleAnalysis) -> ModuleSync {
-        let module = analysis.module();
-        let fingerprints = function_fingerprints(module);
-        let module_fp = module_fingerprint(module);
-        self.sync_module_with(analysis, &fingerprints, module_fp)
-    }
-
-    /// [`sync_module`] with the fingerprints precomputed by the caller:
-    /// canonical-text hashing is the dominant fixed cost of a cached
-    /// solve, so a driver that needs the fingerprints anyway (the
-    /// summary path does) must not hash the module twice.
-    ///
-    /// [`sync_module`]: AnalysisCache::sync_module
-    pub(crate) fn sync_module_with(
-        &self,
-        analysis: &ModuleAnalysis,
-        fingerprints: &[(String, u64)],
-        module_fp: u64,
-    ) -> ModuleSync {
-        let module = analysis.module();
-        let index_key = Key::new("modidx", hash_str(module.name()), 0);
-        let previous = self
-            .store
-            .get(&index_key)
-            .and_then(|p| decode_index(&p).ok());
-
-        let mut sync = ModuleSync::default();
-        if let Some(prev) = &previous {
-            let prev_map: HashMap<&str, u64> = prev
-                .functions
-                .iter()
-                .map(|(n, f)| (n.as_str(), *f))
-                .collect();
-            let cur_map: HashMap<&str, u64> =
-                fingerprints.iter().map(|(n, f)| (n.as_str(), *f)).collect();
-
-            for (name, fp) in fingerprints {
-                if prev_map.get(name.as_str()) != Some(fp) {
-                    sync.changed.push(name.clone());
-                }
-            }
-            // Removed functions count as changes too: their callers'
-            // summaries are stale.
-            let mut removed: Vec<&String> = prev
-                .functions
-                .iter()
-                .map(|(n, _)| n)
-                .filter(|n| !cur_map.contains_key(n.as_str()))
-                .collect();
-            removed.sort();
-
-            if !sync.changed.is_empty() || !removed.is_empty() {
-                // Bidirectional closure over the *current* call graph.
-                let ids: HashMap<&str, u32> = fingerprints
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (n, _))| (n.as_str(), i as u32))
-                    .collect();
-                let mut graph = DepGraph::new(fingerprints.len());
-                for e in analysis.callgraph.edges() {
-                    let caller = module.function(e.caller).name();
-                    let callee = module.function(e.callee).name();
-                    if let (Some(&a), Some(&b)) = (ids.get(caller), ids.get(callee)) {
-                        graph.add_dep(a, b);
-                    }
-                }
-                let mut seeds: Vec<u32> = sync
-                    .changed
-                    .iter()
-                    .filter_map(|n| ids.get(n.as_str()).copied())
-                    .collect();
-                // Callers of removed functions seed through the previous
-                // index: they are current functions whose callee set
-                // shrank, so their own text changed too in any
-                // well-formed edit; seeding `changed` already covers
-                // them, but keep removed names visible in the report.
-                seeds.sort_unstable();
-                for idx in graph.affected(&seeds) {
-                    sync.affected.push(fingerprints[idx as usize].0.clone());
-                }
-
-                // Physical invalidation: per-function entries of every
-                // affected function (old and new fingerprints), plus
-                // superseded module-level entries.
-                for name in &sync.affected {
-                    for fp in [
-                        prev_map.get(name.as_str()).copied(),
-                        cur_map.get(name.as_str()).copied(),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    {
-                        sync.invalidated += self.store.invalidate_content("func", fp);
-                    }
-                }
-                for (_, fp) in removed
-                    .iter()
-                    .filter_map(|n| prev.functions.iter().find(|(pn, _)| pn == n.as_str()))
-                {
-                    sync.invalidated += self.store.invalidate_content("func", *fp);
-                }
-                if prev.module != module_fp {
-                    sync.invalidated += self.store.invalidate_content("infer", prev.module);
-                    sync.invalidated += self.store.invalidate_content("row", prev.module);
-                }
-            }
-        } else {
-            sync.changed = fingerprints.iter().map(|(n, _)| n.clone()).collect();
-            sync.affected.clone_from(&sync.changed);
-        }
-
-        let _ = self.store.put(
-            &index_key,
-            &encode_index(&FunctionIndex {
-                module: module_fp,
-                functions: fingerprints.to_vec(),
-            }),
-        );
-        sync
-    }
 }
 
 /// Whether two inference results are bit-identical under the canonical
@@ -735,96 +591,13 @@ pub fn results_identical(a: &InferenceResult, b: &InferenceResult) -> bool {
     encode_result(a) == encode_result(b)
 }
 
-/// The persisted per-module function index.
-struct FunctionIndex {
-    module: u64,
-    functions: Vec<(String, u64)>,
-}
-
-fn encode_index(index: &FunctionIndex) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(CODEC_VERSION);
-    w.u64(index.module);
-    w.usize(index.functions.len());
-    for (name, fp) in &index.functions {
-        w.str(name).u64(*fp);
-    }
-    w.finish()
-}
-
-fn decode_index(payload: &[u8]) -> Result<FunctionIndex, DecodeError> {
-    let mut r = ByteReader::new(payload);
-    if r.u32("index version")? != CODEC_VERSION {
-        return Err(bad("index version"));
-    }
-    let module = r.u64("module fp")?;
-    let n = r.len("function count")?;
-    let mut functions = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let name = r.str("function name")?.to_string();
-        functions.push((name, r.u64("function fp")?));
-    }
-    r.expect_end("function index")?;
-    Ok(FunctionIndex { module, functions })
-}
-
-impl Manta {
-    /// Cache-aware [`Manta::infer`]: serves a stored result when the
-    /// `(module fingerprint, config hash)` key hits, computes and
-    /// persists otherwise. Bypasses the cache entirely while a
-    /// fault-injection plan is active.
-    #[deprecated(
-        note = "build an `Engine` with a cache (`EngineBuilder::cache_dir` or \
-                `EngineBuilder::cache`) and call `Engine::analyze`"
-    )]
-    pub fn infer_cached(
-        &self,
-        analysis: &ModuleAnalysis,
-        cache: &AnalysisCache,
-    ) -> InferenceResult {
-        match crate::Engine::new(*self.config()).analyze_with_cache(analysis, cache) {
-            Ok(r) => r,
-            Err(_) => unreachable!("non-strict engines convert failures to degradations"),
-        }
-    }
-
-    /// Cache-aware [`Manta::infer_resilient`]. The fuel limit is part of
-    /// the key (fuel-degraded results are deterministic); deadline
-    /// budgets bypass the cache (wall-clock cutoffs are not), as do
-    /// active fault-injection plans. Degraded results are recomputed
-    /// rather than persisted, so a later run with the same key but a
-    /// healthier environment is never served a stale degradation.
-    #[deprecated(
-        note = "build an `Engine` with a budget and a cache (`EngineBuilder::budget` + \
-                `EngineBuilder::cache_dir`/`cache`) and call `Engine::analyze`"
-    )]
-    pub fn infer_resilient_cached(
-        &self,
-        analysis: &ModuleAnalysis,
-        spec: &BudgetSpec,
-        cache: &AnalysisCache,
-    ) -> InferenceResult {
-        let engine = crate::Engine {
-            config: *self.config(),
-            budget: *spec,
-            strict: false,
-            provenance: false,
-            summaries: false,
-            partitioned_pointsto: false,
-            cache: None,
-        };
-        match engine.analyze_with_cache(analysis, cache) {
-            Ok(r) => r,
-            Err(_) => unreachable!("non-strict engines convert failures to degradations"),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{Engine, Manta};
+    use manta_analysis::ModuleAnalysis;
     use manta_ir::{BinOp, ModuleBuilder, Width};
+    use manta_store::TempDir;
 
     fn sample_module(mul: bool) -> manta_ir::Module {
         let mut mb = ModuleBuilder::new("cached");
@@ -846,10 +619,16 @@ mod tests {
         mb.finish()
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("manta-cache-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    /// A full-sensitivity engine over a fresh cache in a unique temp
+    /// dir (removed when the guard drops, after the engine).
+    fn cached_engine(tag: &str) -> (TempDir, Engine) {
+        let tmp = TempDir::new(&format!("cache-test-{tag}"));
+        let engine = Engine::builder()
+            .config(MantaConfig::full())
+            .cache_dir(tmp.path())
+            .build()
+            .unwrap();
+        (tmp, engine)
     }
 
     #[test]
@@ -866,18 +645,17 @@ mod tests {
 
     #[test]
     fn warm_hit_matches_cold_computation() {
-        let dir = temp_dir("warmhit");
-        let cache = AnalysisCache::open(&dir).unwrap();
+        let (_tmp, engine) = cached_engine("warmhit");
+        let cache = engine.cache().unwrap();
         let analysis = ModuleAnalysis::build(sample_module(true));
-        let m = Manta::new(MantaConfig::full());
-        let cold = m.infer_cached(&analysis, &cache);
-        let warm = m.infer_cached(&analysis, &cache);
+        let cold = engine.analyze(&analysis).unwrap();
+        let warm = engine.analyze(&analysis).unwrap();
         assert!(results_identical(&cold, &warm));
-        // Two gets per analyze: the per-module function index (synced by
-        // the engine driver) and the inference entry itself.
+        // One lookup per analyze, keyed by the module fingerprint alone:
+        // the cold miss stores the single entry the warm run hits.
         let s = cache.store().stats().snapshot();
-        assert_eq!((s.hits, s.misses), (2, 2));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(cache.store().len(), 1);
     }
 
     #[test]
@@ -892,68 +670,44 @@ mod tests {
     }
 
     #[test]
-    fn sync_module_reports_dependency_closure() {
-        let dir = temp_dir("sync");
-        let cache = AnalysisCache::open(&dir).unwrap();
-        let before = ModuleAnalysis::build(sample_module(true));
-        let first = cache.sync_module(&before);
-        assert_eq!(first.changed.len(), 2, "everything new on first sync");
-
-        // No edit: nothing changes.
-        let clean = cache.sync_module(&before);
-        assert!(clean.changed.is_empty(), "{clean:?}");
-        assert!(clean.affected.is_empty());
-
-        // Edit `grab` only: `leaf` has no call edge to it, so the
-        // affected set is exactly `grab`.
-        let after = ModuleAnalysis::build(sample_module(false));
-        let edit = cache.sync_module(&after);
-        assert_eq!(edit.changed, vec!["grab".to_string()]);
-        assert_eq!(edit.affected, vec!["grab".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn module_edit_invalidates_stale_infer_entries() {
-        let dir = temp_dir("inval");
-        let cache = AnalysisCache::open(&dir).unwrap();
+        let (_tmp, engine) = cached_engine("inval");
+        let cache = engine.cache().unwrap();
         let before = ModuleAnalysis::build(sample_module(true));
-        let m = Manta::new(MantaConfig::full());
-        cache.sync_module(&before);
-        let _ = m.infer_cached(&before, &cache);
-        assert_eq!(cache.store().len(), 2, "index + infer entry");
+        let _ = engine.analyze(&before).unwrap();
+        assert_eq!(cache.store().len(), 1, "one infer entry");
 
+        // The edit changes the module fingerprint, so the stale entry is
+        // never consulted: the lookup misses and a fresh entry lands
+        // under the new key.
         let after = ModuleAnalysis::build(sample_module(false));
-        let sync = cache.sync_module(&after);
-        assert!(sync.invalidated >= 1, "{sync:?}");
-        // The old infer entry is gone; a fresh one lands under a new key.
-        let warm = m.infer_cached(&after, &cache);
-        let direct = m.infer(&after);
+        let warm = engine.analyze(&after).unwrap();
+        let s = cache.store().stats().snapshot();
+        assert_eq!((s.hits, s.misses), (0, 2));
+        assert_eq!(cache.store().len(), 2);
+        let direct = Manta::new(MantaConfig::full()).infer(&after);
         assert!(results_identical(&warm, &direct));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_payload_degrades_and_recomputes() {
-        let dir = temp_dir("corrupt");
-        let cache = AnalysisCache::open(&dir).unwrap();
+        let (_tmp, engine) = cached_engine("corrupt");
+        let cache = engine.cache().unwrap();
         let analysis = ModuleAnalysis::build(sample_module(true));
-        let m = Manta::new(MantaConfig::full());
-        let cold = m.infer_cached(&analysis, &cache);
+        let cold = engine.analyze(&analysis).unwrap();
 
         // Rewrite the entry with a checksum-valid but undecodable
         // payload: the store serves it, the codec must reject it.
         let key = Key::new(
             "infer",
             module_fingerprint(analysis.module()),
-            config_hash(m.config(), None),
+            config_hash(engine.config(), None),
         );
         cache.store().put(&key, b"not an inference result").unwrap();
-        let warm = m.infer_cached(&analysis, &cache);
+        let warm = engine.analyze(&analysis).unwrap();
         assert!(results_identical(&cold, &warm), "recomputed, not stale");
         let degs = cache.take_degradations();
         assert_eq!(degs.len(), 1);
         assert_eq!(degs[0].kind, DegradationKind::StoreCorruption);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

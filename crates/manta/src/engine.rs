@@ -16,12 +16,10 @@
 //!   count, and an optional [`AnalysisCache`], it applies every
 //!   cross-cutting concern exactly once, in one loop, for every stage.
 //!
-//! [`Engine::analyze`] replaces `infer` / `infer_resilient` /
-//! `infer_strict` / `infer_cached` / `infer_resilient_cached`;
-//! [`Engine::analyze_batch`] adds whole-module scheduling across the
-//! work-stealing pool on top. The legacy entrypoints survive as thin
-//! deprecated shims over this module and are bit-identical to it (see
-//! `tests/engine_parity.rs`).
+//! [`Engine::analyze`] is the one way to run the cascade — plain,
+//! budgeted, strict or cached; [`Engine::analyze_batch`] adds
+//! whole-module scheduling across the work-stealing pool on top.
+//! [`crate::Manta::infer`] stays as one-shot sugar over it.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -186,10 +184,7 @@ fn budget_error(site: &'static str, e: BudgetExceeded) -> MantaError {
 
 /// Builds the analysis substrate (preprocess → call graph → points-to →
 /// DDG) from a raw module.
-struct SubstrateStage {
-    /// Solve points-to with the compositional partitioned solver.
-    partitioned: bool,
-}
+struct SubstrateStage;
 
 impl Stage for SubstrateStage {
     fn name(&self) -> &'static str {
@@ -213,12 +208,9 @@ impl Stage for SubstrateStage {
             SubstrateSlot::Pending(m) => m.take().expect("substrate stage ran twice"),
             _ => return Ok(()),
         };
-        let analysis = ModuleAnalysis::build_budgeted_with(
+        let analysis = ModuleAnalysis::build_budgeted(
             module,
-            manta_analysis::BuildOptions {
-                partitioned_pointsto: self.partitioned,
-                ..manta_analysis::BuildOptions::default()
-            },
+            manta_analysis::PreprocessConfig::default(),
             ctx.budget,
         )?;
         ctx.substrate = SubstrateSlot::Built(Box::new(analysis));
@@ -413,7 +405,6 @@ pub struct EngineBuilder {
     telemetry: Option<bool>,
     provenance: Option<bool>,
     summaries: bool,
-    partitioned_pointsto: bool,
     cache_dir: Option<PathBuf>,
     cache: Option<Arc<AnalysisCache>>,
 }
@@ -513,19 +504,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Solves points-to with the compositional partitioned solver:
-    /// per-function constraint partitions with explicit boundary
-    /// interfaces, scheduled callees-first as call-graph wavefronts
-    /// with each partition's local fixpoint an independent parallel
-    /// job. Results are bit-identical to the monolithic delta solver
-    /// (pinned by the differential suite); the win is batch-mode
-    /// wall-clock on multi-core hosts and incremental re-solves.
-    #[must_use]
-    pub fn partitioned_pointsto(mut self, enabled: bool) -> Self {
-        self.partitioned_pointsto = enabled;
-        self
-    }
-
     /// Opens (or initializes) a persistent [`AnalysisCache`] in `dir`
     /// at build time.
     #[must_use]
@@ -570,7 +548,6 @@ impl EngineBuilder {
             strict: self.strict,
             provenance: self.provenance.unwrap_or(false),
             summaries: self.summaries,
-            partitioned_pointsto: self.partitioned_pointsto,
             cache,
         })
     }
@@ -590,7 +567,6 @@ pub struct Engine {
     pub(crate) strict: bool,
     pub(crate) provenance: bool,
     pub(crate) summaries: bool,
-    pub(crate) partitioned_pointsto: bool,
     pub(crate) cache: Option<Arc<AnalysisCache>>,
 }
 
@@ -602,7 +578,6 @@ impl fmt::Debug for Engine {
             .field("strict", &self.strict)
             .field("provenance", &self.provenance)
             .field("summaries", &self.summaries)
-            .field("partitioned_pointsto", &self.partitioned_pointsto)
             .field("cache", &self.cache.is_some())
             .finish()
     }
@@ -618,7 +593,6 @@ impl Engine {
             strict: false,
             provenance: false,
             summaries: false,
-            partitioned_pointsto: false,
             cache: None,
         }
     }
@@ -646,12 +620,6 @@ impl Engine {
     /// Whether this engine records a type-provenance graph per analysis.
     pub fn provenance(&self) -> bool {
         self.provenance
-    }
-
-    /// Whether the substrate solves points-to with the partitioned
-    /// solver.
-    pub fn partitioned_pointsto(&self) -> bool {
-        self.partitioned_pointsto
     }
 
     /// The attached persistent cache, if any.
@@ -723,22 +691,6 @@ impl Engine {
         self.analyze_inner(analysis, Some(budget)).map(|(r, _)| r)
     }
 
-    /// Like [`Engine::analyze`] but reading and writing through an
-    /// explicitly provided cache instead of the engine's own — for
-    /// callers that manage cache lifetime themselves (the eval runner's
-    /// legacy entrypoints).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Engine::analyze`].
-    pub fn analyze_with_cache(
-        &self,
-        analysis: &ModuleAnalysis,
-        cache: &AnalysisCache,
-    ) -> Result<InferenceResult, MantaError> {
-        self.analyze_cached(analysis, cache, None).map(|(r, _)| r)
-    }
-
     /// Builds the analysis substrate and runs the cascade, sharing one
     /// budget across both.
     ///
@@ -770,12 +722,7 @@ impl Engine {
         budget: &Budget,
     ) -> Result<ModuleAnalysis, MantaError> {
         let mut ctx = StageCtx::pending(module, self.config, budget);
-        Self::run_stage(
-            &SubstrateStage {
-                partitioned: self.partitioned_pointsto,
-            },
-            &mut ctx,
-        )?;
+        Self::run_stage(&SubstrateStage, &mut ctx)?;
         match ctx.substrate {
             SubstrateSlot::Built(analysis) => Ok(*analysis),
             _ => unreachable!("substrate stage builds the analysis or errors"),
@@ -793,8 +740,8 @@ impl Engine {
         analyses: &[ModuleAnalysis],
     ) -> Vec<Result<InferenceResult, MantaError>> {
         // Modules are mutually independent, so the batch is one
-        // wavefront on the shared scheduler the summary driver and the
-        // partitioned points-to solver use for their per-level dispatch.
+        // wavefront on the shared scheduler the summary solve uses for
+        // its per-level dispatch.
         let jobs: Vec<&ModuleAnalysis> = analyses.iter().collect();
         manta_parallel::wavefront::wavefront_dispatch(vec![jobs], "engine.batch_wavefronts", |a| {
             self.analyze(a)
@@ -826,7 +773,7 @@ impl Engine {
     /// The cache policy, applied in one place: bypass entirely under a
     /// strict engine, an armed fault plan, or a wall-clock deadline
     /// (faults and deadlines make results nondeterministic); otherwise
-    /// sync the per-function index, look up, and persist only
+    /// look up by module fingerprint and config hash, and persist only
     /// non-degraded results. A provenance-recording engine persists the
     /// graph next to the result under a `"prov"` key with the same
     /// fingerprint and config hash — the result payload itself stays
@@ -840,12 +787,7 @@ impl Engine {
         if self.strict || plan_active() || self.budget.deadline_ms.is_some() {
             return self.run_uncached(analysis, external);
         }
-        // Canonical-text hashing is the dominant fixed cost of a warm
-        // cached solve; compute the per-function and module
-        // fingerprints once and feed every consumer below.
-        let fingerprints = crate::cache::function_fingerprints(analysis.module());
         let fingerprint = module_fingerprint(analysis.module());
-        cache.sync_module_with(analysis, &fingerprints, fingerprint);
         let cfg = config_hash(&self.config, self.budget.fuel);
         let key = Key::new("infer", fingerprint, cfg);
         let prov_key = Key::new("prov", fingerprint, cfg);
@@ -877,12 +819,8 @@ impl Engine {
         {
             let state_key = crate::summaries::state_key(analysis.module().name(), &self.config);
             let prev = cache.store().get(&state_key);
-            let (result, state, _report) = crate::summaries::solve_with(
-                analysis,
-                &self.config,
-                prev.as_deref(),
-                &fingerprints,
-            );
+            let (result, state, _report) =
+                crate::summaries::solve(analysis, &self.config, prev.as_deref());
             if !result.is_degraded() {
                 let _ = cache.store().put(&key, &encode_result(&result));
                 let _ = cache.store().put(&state_key, &state);

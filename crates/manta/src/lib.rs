@@ -397,64 +397,9 @@ impl Manta {
             Err(_) => unreachable!("non-strict engines convert failures to degradations"),
         }
     }
-
-    /// Runs the cascade under a cooperative budget with per-stage panic
-    /// isolation, degrading gracefully.
-    ///
-    /// When a refinement stage blows its budget, panics, or hits an armed
-    /// fault-injection site, the maps of the last *completed* sensitivity
-    /// tier are kept, a [`manta_resilience::Degradation`] record is
-    /// appended to [`InferenceResult::degradations`], and the cascade
-    /// stops there. When the base stage itself fails, an empty result
-    /// carrying the degradation record is returned. This method never
-    /// panics on stage failure and never returns an error.
-    #[deprecated(
-        note = "build an `Engine` (`EngineBuilder::budget`) and call `Engine::analyze`, or \
-                `Engine::analyze_with_budget` to share a running budget"
-    )]
-    pub fn infer_resilient(
-        &self,
-        analysis: &ModuleAnalysis,
-        budget: &manta_resilience::Budget,
-    ) -> InferenceResult {
-        match Engine::new(self.config).analyze_with_budget(analysis, budget) {
-            Ok(r) => r,
-            Err(_) => unreachable!("non-strict engines convert failures to degradations"),
-        }
-    }
-
-    /// Like [`Manta::infer_resilient`] but propagating the first stage
-    /// failure instead of degrading — the CLI's `--strict` behavior.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`manta_resilience::MantaError::Budget`] when `budget`
-    /// trips and [`manta_resilience::MantaError::Panic`] when a stage
-    /// panics.
-    #[deprecated(
-        note = "build an `Engine` with `EngineBuilder::strict(true)` and call \
-                `Engine::analyze` or `Engine::analyze_with_budget`"
-    )]
-    pub fn infer_strict(
-        &self,
-        analysis: &ModuleAnalysis,
-        budget: &manta_resilience::Budget,
-    ) -> Result<InferenceResult, manta_resilience::MantaError> {
-        let engine = Engine {
-            config: self.config,
-            budget: manta_resilience::BudgetSpec::default(),
-            strict: true,
-            provenance: false,
-            summaries: false,
-            partitioned_pointsto: false,
-            cache: None,
-        };
-        engine.analyze_with_budget(analysis, budget)
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod resilience_tests {
     use super::*;
     use manta_ir::{BinOp, ModuleBuilder, Width};
@@ -490,13 +435,20 @@ mod resilience_tests {
         mb.finish()
     }
 
+    /// A degrading (non-strict) engine's run under an external budget.
+    fn run(config: MantaConfig, analysis: &ModuleAnalysis, budget: &Budget) -> InferenceResult {
+        Engine::new(config)
+            .analyze_with_budget(analysis, budget)
+            .expect("non-strict engines convert failures to degradations")
+    }
+
     #[test]
     fn resilient_with_unlimited_budget_matches_plain_infer() {
         let analysis = ModuleAnalysis::build(polymorphic_module());
         for s in Sensitivity::WITH_REVERSED {
             let m = Manta::new(MantaConfig::with_sensitivity(s));
             let plain = m.infer(&analysis);
-            let resilient = m.infer_resilient(&analysis, &Budget::unlimited());
+            let resilient = run(*m.config(), &analysis, &Budget::unlimited());
             assert!(resilient.degradations.is_empty(), "{s:?} degraded");
             assert_eq!(plain.final_counts(), resilient.final_counts(), "{s:?}");
             assert_eq!(plain.stage_counts, resilient.stage_counts, "{s:?}");
@@ -506,8 +458,7 @@ mod resilience_tests {
     #[test]
     fn zero_fuel_degrades_base_stage_to_empty() {
         let analysis = ModuleAnalysis::build(polymorphic_module());
-        let m = Manta::new(MantaConfig::full());
-        let r = m.infer_resilient(&analysis, &Budget::with_fuel(0));
+        let r = run(MantaConfig::full(), &analysis, &Budget::with_fuel(0));
         assert!(r.is_degraded());
         assert_eq!(r.degradations.len(), 1);
         assert_eq!(r.degradations[0].stage, "infer.fi");
@@ -521,12 +472,15 @@ mod resilience_tests {
         // Measure the base stage's exact fuel use, then allow one unit
         // more: FI completes, CS trips on its first real work.
         let probe = Budget::with_fuel(1_000_000);
-        let fi = Manta::new(MantaConfig::with_sensitivity(Sensitivity::Fi));
-        let fi_result = fi.infer_resilient(&analysis, &probe);
+        let fi = MantaConfig::with_sensitivity(Sensitivity::Fi);
+        let fi_result = run(fi, &analysis, &probe);
         assert!(fi_result.degradations.is_empty());
         let fi_cost = 1_000_000 - probe.fuel_left();
-        let m = Manta::new(MantaConfig::full());
-        let r = m.infer_resilient(&analysis, &Budget::with_fuel(fi_cost + 1));
+        let r = run(
+            MantaConfig::full(),
+            &analysis,
+            &Budget::with_fuel(fi_cost + 1),
+        );
         assert_eq!(r.degradations.len(), 1, "{:?}", r.degradations);
         assert_eq!(r.degradations[0].stage, "infer.cs");
         assert_eq!(r.degradations[0].completed, "FI");
@@ -538,9 +492,13 @@ mod resilience_tests {
     #[test]
     fn strict_mode_propagates_the_budget_error() {
         let analysis = ModuleAnalysis::build(polymorphic_module());
-        let m = Manta::new(MantaConfig::full());
-        let e = m
-            .infer_strict(&analysis, &Budget::with_fuel(0))
+        let strict = Engine::builder()
+            .config(MantaConfig::full())
+            .strict(true)
+            .build()
+            .expect("cacheless build");
+        let e = strict
+            .analyze_with_budget(&analysis, &Budget::with_fuel(0))
             .unwrap_err();
         match e {
             manta_resilience::MantaError::Budget { stage, .. } => {
@@ -549,7 +507,9 @@ mod resilience_tests {
             other => panic!("expected budget error, got {other}"),
         }
         // And succeeds outright when unconstrained.
-        let r = m.infer_strict(&analysis, &Budget::unlimited()).unwrap();
+        let r = strict
+            .analyze_with_budget(&analysis, &Budget::unlimited())
+            .unwrap();
         assert!(r.degradations.is_empty());
     }
 }

@@ -38,11 +38,11 @@
 //! component sits at a topological level, and every level's chunks
 //! dispatch across the `manta-parallel` pool as one wavefront
 //! ([`manta_parallel::wavefront::wavefront_dispatch`] — the shared
-//! scheduler layer also used by the partitioned points-to solver and
-//! `Engine::analyze_batch`). Chunks are pure against the frozen
-//! pre-stage result, so wavefronts bound nothing semantically — they
-//! shape the schedule (summaries are the only cross-shard traffic) and
-//! feed the `summary.wavefront*` telemetry.
+//! scheduler layer also used by `Engine::analyze_batch`). Chunks are
+//! pure against the frozen pre-stage result, so wavefronts bound
+//! nothing semantically — they shape the schedule (summaries are the
+//! only cross-shard traffic) and feed the `summary.wavefront*`
+//! telemetry.
 //!
 //! ## What bypasses this path
 //!
@@ -70,9 +70,11 @@ use crate::{classify, flow_insensitive, InferenceResult, MantaConfig, Sensitivit
 
 /// Version of the persisted summary-state payload. Folded into every
 /// input fingerprint and checked on decode, so a codec change orphans
-/// (never misreads) older state. v3 added the per-function points-to
-/// boundary fingerprint table.
-pub const SUMMARY_STATE_VERSION: u32 = 3;
+/// (never misreads) older state. v4 dropped v3's per-function points-to
+/// boundary table: each function's static input fingerprint already
+/// hashes the points-to set of every value it owns, call results
+/// included.
+pub const SUMMARY_STATE_VERSION: u32 = 4;
 
 /// The store key holding a module's whole summary state for one config:
 /// one mutable entry per `(module name, config)` — edits update it in
@@ -160,15 +162,6 @@ struct ChunkEntry {
 #[derive(Default, Debug)]
 struct State {
     footprints: Vec<Vec<(u64, u64)>>,
-    /// Per-function points-to *boundary* fingerprints `(name hash, fp)`,
-    /// sorted by name hash: the points-to sets visible at the
-    /// function's interface (parameters and returns) in stable object
-    /// keys. A function whose boundary fingerprint changed since the
-    /// state was written has different cross-function points-to facts,
-    /// so its callers' chunks are force-dirtied — the summary-mode
-    /// analogue of the partitioned solver re-solving an edited
-    /// partition plus the callers its boundary deltas dirty.
-    boundary_fps: Vec<(u64, u64)>,
     stages: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
 }
 
@@ -209,10 +202,6 @@ fn encode_state(state: &State) -> Vec<u8> {
             w.u64(*h).u64(*fp);
         }
     }
-    w.usize(state.boundary_fps.len());
-    for (nh, fp) in &state.boundary_fps {
-        w.u64(*nh).u64(*fp);
-    }
     w.usize(state.stages.len());
     for (tag, entries) in &state.stages {
         w.u8(*tag);
@@ -249,11 +238,6 @@ fn decode_state(payload: &[u8]) -> Result<State, DecodeError> {
             list.push((r.u64("footprint name")?, r.u64("footprint fp")?));
         }
         footprints.push(list);
-    }
-    let n_bnd = r.len("summary boundary fps")?;
-    let mut boundary_fps = Vec::with_capacity(n_bnd.min(4096));
-    for _ in 0..n_bnd {
-        boundary_fps.push((r.u64("boundary name")?, r.u64("boundary fp")?));
     }
     let n_stages = r.len("summary stages")?;
     let mut stages = Vec::with_capacity(n_stages.min(4));
@@ -294,11 +278,7 @@ fn decode_state(payload: &[u8]) -> Result<State, DecodeError> {
         stages.push((tag, entries));
     }
     r.expect_end("summary state")?;
-    Ok(State {
-        footprints,
-        boundary_fps,
-        stages,
-    })
+    Ok(State { footprints, stages })
 }
 
 // ---------------------------------------------------------------------
@@ -313,8 +293,6 @@ struct Inputs {
     name_hash: Vec<u64>,
     by_name: HashMap<u64, FuncId>,
     static_fp: Vec<u64>,
-    /// Content-stable object keys, kept for the boundary fingerprints.
-    obj_keys: Vec<u64>,
 }
 
 impl Inputs {
@@ -424,48 +402,7 @@ impl Inputs {
             name_hash,
             by_name,
             static_fp,
-            obj_keys,
         }
-    }
-
-    /// Per-function points-to *boundary* fingerprints: the points-to
-    /// sets of the function's parameters and returned values, in stable
-    /// object keys. This is exactly the slice of points-to facts the
-    /// function exchanges with its callers — the summary-state analogue
-    /// of the partitioned solver's boundary slots.
-    fn boundary_fps(&self, analysis: &ModuleAnalysis) -> Vec<u64> {
-        let module = analysis.module();
-        let pts = &analysis.pointsto;
-        let mut out = Vec::with_capacity(self.static_fp.len());
-        for func in module.functions() {
-            let fid = func.id();
-            let mut h = Fingerprint::new();
-            h.write_u64(u64::from(SUMMARY_STATE_VERSION));
-            let eat_var = |h: &mut Fingerprint, v: manta_ir::ValueId| {
-                let mut ks: Vec<u64> = pts
-                    .pts_var(VarRef::new(fid, v))
-                    .iter()
-                    .map(|o| self.obj_keys[o.index()])
-                    .collect();
-                ks.sort_unstable();
-                h.write_usize(ks.len());
-                for k in ks {
-                    h.write_u64(k);
-                }
-            };
-            for &p in func.params() {
-                h.write_u64(0);
-                eat_var(&mut h, p);
-            }
-            for b in func.blocks() {
-                if let manta_ir::Terminator::Ret(Some(r)) = b.term {
-                    h.write_u64(1);
-                    eat_var(&mut h, r);
-                }
-            }
-            out.push(h.finish());
-        }
-        out
     }
 
     /// The per-function input fingerprints at one stage entry: the
@@ -643,20 +580,6 @@ pub fn solve(
     config: &MantaConfig,
     prev_state: Option<&[u8]>,
 ) -> (InferenceResult, Vec<u8>, SolveReport) {
-    let text_fps = function_fingerprints(analysis.module());
-    solve_with(analysis, config, prev_state, &text_fps)
-}
-
-/// [`solve`] with the canonical-text fingerprints precomputed by the
-/// caller. The engine already hashes every function for the module
-/// cache index; hashing again here would double the dominant fixed
-/// cost of a warm summary solve.
-pub(crate) fn solve_with(
-    analysis: &ModuleAnalysis,
-    config: &MantaConfig,
-    prev_state: Option<&[u8]>,
-    text_fps: &[(String, u64)],
-) -> (InferenceResult, Vec<u8>, SolveReport) {
     manta_telemetry::span!("infer.summary");
     let module = analysis.module();
     let prev = {
@@ -674,7 +597,7 @@ pub(crate) fn solve_with(
     };
     let inputs = {
         manta_telemetry::span!("summary.inputs");
-        Inputs::new(analysis, text_fps)
+        Inputs::new(analysis, &function_fingerprints(module))
     };
     let stages = stage_order(config.sensitivity);
     let mut report = SolveReport::default();
@@ -695,39 +618,6 @@ pub(crate) fn solve_with(
 
     let needs_fs = stages.contains(&StageKind::Fs);
     let cfgs = needs_fs.then(|| Cfgs::new(analysis));
-
-    // Points-to boundary fingerprints: a function whose interface-level
-    // points-to facts changed since the state was written exchanged
-    // different facts with its callers, so every caller's chunk is
-    // force-dirtied (in addition to ordinary footprint validation —
-    // forcing extra recomputes is always sound because recompute is
-    // deterministic and bit-identical). This mirrors the partitioned
-    // solver: an edited partition's boundary deltas dirty its callers.
-    let boundary_now = {
-        manta_telemetry::span!("summary.boundary_fps");
-        inputs.boundary_fps(analysis)
-    };
-    let force_dirty: std::collections::HashSet<u64> = {
-        let prev_bnd: HashMap<u64, u64> = prev.boundary_fps.iter().copied().collect();
-        let mut force = std::collections::HashSet::new();
-        if !prev_bnd.is_empty() {
-            for func in module.functions() {
-                let fid = func.id();
-                let nh = inputs.name_hash[fid.index()];
-                if prev_bnd.get(&nh) == Some(&boundary_now[fid.index()]) {
-                    continue;
-                }
-                // Changed (or new) boundary: the owner and every caller
-                // consume its interface facts.
-                force.insert(nh);
-                for e in analysis.callgraph.callers(fid) {
-                    force.insert(inputs.name_hash[e.caller.index()]);
-                }
-            }
-        }
-        manta_telemetry::counter("summary.boundary_dirty", force.len() as u64);
-        force
-    };
 
     let mut new_state = State::default();
     let mut interner = FpInterner::default();
@@ -759,22 +649,14 @@ pub(crate) fn solve_with(
             for chunk in chunks {
                 let f = chunk[0].func;
                 let nh = inputs.name_hash[f.index()];
-                // Boundary-forced chunks recompute even when their read
-                // footprint still validates: the interface-level points-to
-                // change is not guaranteed to show up in the stage
-                // fingerprints the footprint cites.
-                let valid = if force_dirty.contains(&nh) {
-                    None
-                } else {
-                    prev_by_name.get(&nh).copied().filter(|e| {
-                        let idx = e.footprint as usize;
-                        *fp_ok[idx].get_or_insert_with(|| {
-                            prev.footprints[idx].iter().all(|&(h, fp)| {
-                                inputs.by_name.get(&h).map(|g| in_fps[g.index()]) == Some(fp)
-                            })
+                let valid = prev_by_name.get(&nh).copied().filter(|e| {
+                    let idx = e.footprint as usize;
+                    *fp_ok[idx].get_or_insert_with(|| {
+                        prev.footprints[idx].iter().all(|&(h, fp)| {
+                            inputs.by_name.get(&h).map(|g| in_fps[g.index()]) == Some(fp)
                         })
                     })
-                };
+                });
                 match valid {
                     Some(e) => reused.push((f, e.clone())),
                     None => dirty.push((f, chunk)),
@@ -930,17 +812,6 @@ pub(crate) fn solve_with(
 
     result.config = *config;
     new_state.footprints = interner.table;
-    new_state.boundary_fps = {
-        let mut fps: Vec<(u64, u64)> = module
-            .functions()
-            .map(|f| {
-                let i = f.id().index();
-                (inputs.name_hash[i], boundary_now[i])
-            })
-            .collect();
-        fps.sort_unstable();
-        fps
-    };
     let encoded = {
         manta_telemetry::span!("summary.encode");
         encode_state(&new_state)
@@ -1023,6 +894,73 @@ mod tests {
             !report.recomputed.contains(&"use_ptr".to_string()),
             "untouched function recomputed: {report:?}"
         );
+    }
+
+    /// `src` returns the address of global `ga` or `gb`; nothing else
+    /// differs. Swapping the global changes only the points-to sets
+    /// flowing out of `src` — the value ids, DDG edges and every other
+    /// function's text stay the same.
+    fn pointee_module(first: bool) -> manta_ir::Module {
+        let mut mb = ModuleBuilder::new("pointee");
+        let ga = mb.global("ga", 16);
+        let gb = mb.global("gb", 16);
+        let (id_f, mut ib) = mb.function("id", &[Width::W64], Some(Width::W64));
+        let x = ib.param(0);
+        ib.ret(Some(x));
+        mb.finish_function(ib);
+        let (src_f, mut sb) = mb.function("src", &[], Some(Width::W64));
+        let g = sb.global_addr(if first { ga } else { gb });
+        sb.ret(Some(g));
+        mb.finish_function(sb);
+        let (_c1, mut cb1) = mb.function("use_int", &[Width::W64], None);
+        let n = cb1.param(0);
+        let n2 = cb1.binop(BinOp::Mul, n, n, Width::W64);
+        let r1 = cb1.call(id_f, &[n2], Some(Width::W64)).unwrap();
+        let s = cb1.alloca(8);
+        cb1.store(s, r1);
+        cb1.ret(None);
+        mb.finish_function(cb1);
+        let (_c2, mut cb2) = mb.function("use_ptr", &[], None);
+        let p = cb2.call(src_f, &[], Some(Width::W64)).unwrap();
+        let r2 = cb2.call(id_f, &[p], Some(Width::W64)).unwrap();
+        let _ = cb2.load(r2, Width::W64);
+        cb2.ret(None);
+        mb.finish_function(cb2);
+        mb.finish()
+    }
+
+    #[test]
+    fn callee_points_to_edit_recomputes_the_unedited_caller() {
+        let config = MantaConfig::full();
+        let before = manta_analysis::ModuleAnalysis::build(pointee_module(true));
+        let (_, state, cold) = solve(&before, &config, None);
+        assert!(
+            cold.recomputed.contains(&"use_ptr".to_string()),
+            "the caller must own a refinement chunk: {cold:?}"
+        );
+
+        let after = manta_analysis::ModuleAnalysis::build(pointee_module(false));
+        let caller = |a: &manta_analysis::ModuleAnalysis| {
+            let f = a.module().function_by_name("use_ptr").unwrap();
+            let text = manta_ir::printer::print_function_canonical(a.module(), f);
+            let static_fp = Inputs::new(a, &function_fingerprints(a.module())).static_fp;
+            (text, static_fp[f.id().index()])
+        };
+        let (text_before, fp_before) = caller(&before);
+        let (text_after, fp_after) = caller(&after);
+        assert_eq!(text_before, text_after, "the caller's text is unedited");
+        // The caller's own static input fingerprint hashes the points-to
+        // set of every value it owns, call results included, so a callee
+        // whose returned set changes dirties its callers directly.
+        assert_ne!(fp_before, fp_after, "the call result points elsewhere");
+
+        let (incr, _, report) = solve(&after, &config, Some(&state));
+        assert!(
+            report.recomputed.contains(&"use_ptr".to_string()),
+            "a caller whose call result points elsewhere must recompute: {report:?}"
+        );
+        let full = Manta::new(config).infer(&after);
+        assert!(results_identical(&full, &incr), "edit parity");
     }
 
     #[test]

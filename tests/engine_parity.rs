@@ -1,15 +1,13 @@
-//! Bit-identity of the staged [`Engine`] pipeline against the legacy
-//! `infer_*` entrypoint matrix it replaced.
+//! Bit-identity across the ways of running the staged [`Engine`].
 //!
-//! Every legacy path — plain, resilient, strict, cached, resilient
-//! cached — must produce exactly the bytes the engine produces for the
-//! same configuration: same variable/object/site maps, same stage
-//! counts, same degradation records. Identity is checked through
+//! `Manta::infer`, an attached cache (cold, warm and fuel-budgeted),
+//! batch and whole-module scheduling, and provenance recording must all
+//! produce exactly the bytes a plain engine produces for the same
+//! configuration: same variable/object/site maps, same stage counts,
+//! same degradation records. Identity is checked through
 //! [`manta::cache::results_identical`], i.e. over the full canonical
-//! encoding (which includes degradations), across sensitivities, fuel
-//! budgets, thread counts, and warm/cold caches.
-
-#![allow(deprecated)]
+//! encoding (which includes degradations), across sensitivities, thread
+//! counts, and warm/cold caches.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -17,7 +15,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use manta::cache::results_identical;
 use manta::{AnalysisCache, Engine, Manta, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
-use manta_resilience::{Budget, BudgetSpec, MantaError};
+use manta_resilience::BudgetSpec;
+use manta_store::TempDir;
 use manta_workloads::{PhenomenonMix, ProjectSpec};
 
 const SENSITIVITIES: [Sensitivity; 5] = [
@@ -43,10 +42,11 @@ impl Drop for ThreadGuard {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("manta-parity-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// A unique temp dir (removed when the guard drops) and its path.
+fn temp_dir(tag: &str) -> (TempDir, PathBuf) {
+    let tmp = TempDir::new(&format!("parity-it-{tag}"));
+    let dir = tmp.path().to_path_buf();
+    (tmp, dir)
 }
 
 /// A small multi-project suite: phenomenon-diverse generated programs,
@@ -68,147 +68,74 @@ fn suite() -> Vec<ModuleAnalysis> {
     load.projects.into_iter().map(|p| p.analysis).collect()
 }
 
-/// `Manta::infer` and the deprecated `infer_resilient` agree with the
-/// engine for every sensitivity over the whole suite.
+/// `Manta::infer` agrees with the engine for every sensitivity over the
+/// whole suite.
 #[test]
-fn plain_and_resilient_paths_match_the_engine() {
+fn plain_infer_matches_the_engine() {
     for analysis in &suite() {
         for sens in SENSITIVITIES {
             let config = MantaConfig::with_sensitivity(sens);
-            let manta = Manta::new(config);
-            let engine = Engine::new(config);
-            let via_engine = engine.analyze(analysis).expect("non-strict cannot fail");
-            assert!(
-                results_identical(&manta.infer(analysis), &via_engine),
-                "{sens:?}: infer != Engine::analyze"
-            );
-            assert!(
-                results_identical(
-                    &manta.infer_resilient(analysis, &Budget::unlimited()),
-                    &via_engine
-                ),
-                "{sens:?}: unlimited infer_resilient != Engine::analyze"
-            );
-        }
-    }
-}
-
-/// Fuel exhaustion degrades to exactly the same tier with exactly the
-/// same surviving maps through both entrypoints, at every fuel level.
-#[test]
-fn fuel_budgets_degrade_identically_through_both_paths() {
-    let manta = Manta::new(MantaConfig::full());
-    let engine = Engine::new(MantaConfig::full());
-    for analysis in &suite() {
-        for fuel in [0u64, 50, 500, 5_000, 50_000, u64::MAX] {
-            let legacy = manta.infer_resilient(analysis, &Budget::with_fuel(fuel));
-            let staged = engine
-                .analyze_with_budget(analysis, &Budget::with_fuel(fuel))
+            let via_engine = Engine::new(config)
+                .analyze(analysis)
                 .expect("non-strict cannot fail");
             assert!(
-                results_identical(&legacy, &staged),
-                "fuel {fuel}: infer_resilient != Engine::analyze_with_budget"
+                results_identical(&Manta::new(config).infer(analysis), &via_engine),
+                "{sens:?}: infer != Engine::analyze"
             );
         }
     }
 }
 
-/// `infer_strict` and a strict engine agree on both sides of the
-/// Ok/Err boundary: identical results with enough fuel, the same
-/// structured error without.
-#[test]
-fn strict_path_matches_a_strict_engine_on_success_and_failure() {
-    let analysis = &suite()[0];
-    let manta = Manta::new(MantaConfig::full());
-    let engine = Engine::builder()
-        .config(MantaConfig::full())
-        .strict(true)
-        .build()
-        .expect("cacheless engine cannot fail to build");
-
-    let legacy = manta
-        .infer_strict(analysis, &Budget::unlimited())
-        .expect("unlimited strict run succeeds");
-    let staged = engine
-        .analyze_with_budget(analysis, &Budget::unlimited())
-        .expect("unlimited strict run succeeds");
-    assert!(results_identical(&legacy, &staged));
-
-    let legacy_err = manta
-        .infer_strict(analysis, &Budget::with_fuel(0))
-        .expect_err("zero fuel must error");
-    let staged_err = engine
-        .analyze_with_budget(analysis, &Budget::with_fuel(0))
-        .expect_err("zero fuel must error");
-    match (&legacy_err, &staged_err) {
-        (MantaError::Budget { stage: a, kind: ka }, MantaError::Budget { stage: b, kind: kb }) => {
-            assert_eq!(a, b, "exhaustion attributed to the same stage");
-            assert_eq!(ka, kb);
-        }
-        other => panic!("expected two budget errors, got {other:?}"),
-    }
-}
-
-/// Cold and warm cached runs through the deprecated wrappers match the
-/// engine's cache path bit for bit, and both serve the second run from
-/// the store.
+/// A cached engine's cold and warm runs match the uncached engine bit
+/// for bit, and a fuel-budgeted cached run matches its uncached twin.
 #[test]
 fn cached_paths_match_cold_and_warm() {
     let analysis = &suite()[1];
-    let manta = Manta::new(MantaConfig::full());
-
-    let legacy_dir = temp_dir("legacy");
-    let staged_dir = temp_dir("staged");
-    let legacy_cache = AnalysisCache::open(&legacy_dir).expect("open cache");
-    let staged_cache = std::sync::Arc::new(AnalysisCache::open(&staged_dir).expect("open cache"));
+    let (_tmp, dir) = temp_dir("cached");
+    let cache = std::sync::Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let engine = Engine::builder()
         .config(MantaConfig::full())
-        .cache(staged_cache.clone())
+        .cache(cache.clone())
         .build()
         .expect("prebuilt cache cannot fail to attach");
+    let uncached = Engine::new(MantaConfig::full())
+        .analyze(analysis)
+        .expect("non-strict cannot fail");
 
-    let cold_legacy = manta.infer_cached(analysis, &legacy_cache);
-    let cold_staged = engine.analyze(analysis).expect("non-strict cannot fail");
+    let cold = engine.analyze(analysis).expect("non-strict cannot fail");
     assert!(
-        results_identical(&cold_legacy, &cold_staged),
-        "cold: infer_cached != cached Engine::analyze"
+        results_identical(&uncached, &cold),
+        "cold: cached Engine::analyze != uncached"
     );
+    let warm = engine.analyze(analysis).expect("non-strict cannot fail");
+    assert!(results_identical(&cold, &warm), "warm == cold");
 
-    let warm_legacy = manta.infer_cached(analysis, &legacy_cache);
-    let warm_staged = engine.analyze(analysis).expect("non-strict cannot fail");
-    assert!(results_identical(&warm_legacy, &warm_staged), "warm");
-    assert!(
-        results_identical(&cold_staged, &warm_staged),
-        "warm == cold"
-    );
-
-    // The resilient cached wrapper with a fuel budget agrees too (fuel
-    // is part of the key, so this computes a fresh entry).
+    // Fuel is part of the key, so this computes a fresh entry.
     let spec = BudgetSpec {
         fuel: Some(10_000_000),
         deadline_ms: None,
     };
-    let fueled_engine = Engine::builder()
-        .config(MantaConfig::full())
-        .budget(spec)
-        .cache(staged_cache.clone())
-        .build()
-        .expect("prebuilt cache cannot fail to attach");
-    let legacy_fueled = manta.infer_resilient_cached(analysis, &spec, &legacy_cache);
-    let staged_fueled = fueled_engine
+    let fueled_engine = |cache: Option<std::sync::Arc<AnalysisCache>>| {
+        let mut builder = Engine::builder().config(MantaConfig::full()).budget(spec);
+        if let Some(cache) = cache {
+            builder = builder.cache(cache);
+        }
+        builder.build().expect("engine build cannot fail")
+    };
+    let fueled_uncached = fueled_engine(None)
+        .analyze(analysis)
+        .expect("non-strict cannot fail");
+    let fueled_cached = fueled_engine(Some(cache))
         .analyze(analysis)
         .expect("non-strict cannot fail");
     assert!(
-        results_identical(&legacy_fueled, &staged_fueled),
-        "fueled: infer_resilient_cached != cached Engine::analyze"
+        results_identical(&fueled_uncached, &fueled_cached),
+        "fueled: cached Engine::analyze != uncached"
     );
-
-    let _ = std::fs::remove_dir_all(&legacy_dir);
-    let _ = std::fs::remove_dir_all(&staged_dir);
 }
 
 /// Engine results are invariant under the pool size, matching the
-/// legacy single-path results computed at the default thread count.
+/// `Manta::infer` results computed at the default thread count.
 #[test]
 fn engine_results_are_thread_count_invariant() {
     let _l = lock();
@@ -223,7 +150,7 @@ fn engine_results_are_thread_count_invariant() {
             let r = engine.analyze(analysis).expect("non-strict cannot fail");
             assert!(
                 results_identical(&r, baseline),
-                "threads={threads}: engine result diverges from legacy baseline"
+                "threads={threads}: engine result diverges from the baseline"
             );
         }
     }
@@ -291,7 +218,7 @@ fn provenance_recording_never_perturbs_results() {
 
     // Cached: the graph persists next to the result; a warm hit serves
     // byte-identical payloads for both.
-    let dir = temp_dir("prov");
+    let (_tmp, dir) = temp_dir("prov");
     let cache = std::sync::Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let engine = Engine::builder()
         .config(MantaConfig::full())
@@ -318,5 +245,4 @@ fn provenance_recording_never_perturbs_results() {
         results_identical(&plain, &cold_res),
         "cached provenance run must match the plain engine"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

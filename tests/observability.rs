@@ -259,9 +259,9 @@ fn summary_asm(constant: u32) -> String {
 #[test]
 fn summary_counters_record_replays_and_recomputes() {
     let _l = lock();
-    let dir = std::env::temp_dir().join(format!("manta-obs-summ-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = std::sync::Arc::new(manta::cache::AnalysisCache::open(&dir).expect("open cache"));
+    let dir = manta_store::TempDir::new("obs-summ");
+    let cache =
+        std::sync::Arc::new(manta::cache::AnalysisCache::open(dir.path()).expect("open cache"));
     let engine = Engine::builder()
         .config(MantaConfig::full())
         .cache(cache)
@@ -306,7 +306,6 @@ fn summary_counters_record_replays_and_recomputes() {
         "{:?}",
         warm.counters
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Provenance is explainable per *site* too: the union loads in

@@ -29,7 +29,7 @@ use manta_resilience::{BackoffPolicy, BudgetKind, Fault, FaultArming, FaultPlan,
 use manta_serve::client::{call_with_retry, Client};
 use manta_serve::proto::{Request, Response};
 use manta_serve::{ServeConfig, Server};
-use manta_store::{OpenOutcome, Store};
+use manta_store::{OpenOutcome, Store, TempDir};
 use manta_workloads::generator::{generate, GenSpec};
 use manta_workloads::PhenomenonMix;
 
@@ -40,10 +40,11 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("manta-serve-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// A unique temp dir (removed when the guard drops) and its path.
+fn temp_dir(tag: &str) -> (TempDir, PathBuf) {
+    let tmp = TempDir::new(&format!("serve-it-{tag}"));
+    let dir = tmp.path().to_path_buf();
+    (tmp, dir)
 }
 
 fn module_text(seed: u64, functions: usize) -> String {
@@ -97,7 +98,7 @@ fn expected_bytes(seed: u64, functions: usize) -> Vec<u8> {
 #[test]
 fn analyze_over_the_wire_matches_local_analysis_byte_for_byte() {
     let _guard = lock();
-    let dir = temp_dir("roundtrip");
+    let (_tmp, dir) = temp_dir("roundtrip");
     let server = spawn_server(&dir, ServeConfig::default());
     let addr = server.addr();
 
@@ -129,13 +130,12 @@ fn analyze_over_the_wire_matches_local_analysis_byte_for_byte() {
     }
 
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn fault_matrix_every_site_yields_a_structured_error_and_the_daemon_survives() {
     let _guard = lock();
-    let dir = temp_dir("matrix");
+    let (_tmp, dir) = temp_dir("matrix");
     let server = spawn_server(
         &dir,
         ServeConfig {
@@ -196,13 +196,12 @@ fn fault_matrix_every_site_yields_a_structured_error_and_the_daemon_survives() {
     }
 
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn malformed_and_truncated_frames_never_wedge_the_daemon() {
     let _guard = lock();
-    let dir = temp_dir("frames");
+    let (_tmp, dir) = temp_dir("frames");
     let server = spawn_server(&dir, ServeConfig::default());
     let addr = server.addr();
 
@@ -249,7 +248,6 @@ fn malformed_and_truncated_frames_never_wedge_the_daemon() {
     }
 
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -257,7 +255,7 @@ fn admission_control_rejects_deterministically_and_retry_succeeds() {
     let _guard = lock();
 
     // Phase 1: a zero-capacity queue rejects every analysis, always.
-    let dir = temp_dir("admission-zero");
+    let (_tmp, dir) = temp_dir("admission-zero");
     let server = spawn_server(
         &dir,
         ServeConfig {
@@ -288,12 +286,11 @@ fn admission_control_rejects_deterministically_and_retry_succeeds() {
         other => panic!("retries against a full queue must end Overloaded: {other:?}"),
     }
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 
     // Phase 2: a small but real queue under a concurrent burst — every
     // client must eventually succeed via retry, and all answers must be
     // byte-identical to the local result.
-    let dir = temp_dir("admission-burst");
+    let (_tmp, dir) = temp_dir("admission-burst");
     let server = spawn_server(
         &dir,
         ServeConfig {
@@ -326,13 +323,12 @@ fn admission_control_rejects_deterministically_and_retry_succeeds() {
         }
     }
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn over_budget_request_degrades_while_neighbours_complete() {
     let _guard = lock();
-    let dir = temp_dir("budget");
+    let (_tmp, dir) = temp_dir("budget");
     let server = spawn_server(&dir, ServeConfig::default());
     let addr = server.addr();
 
@@ -373,8 +369,7 @@ fn over_budget_request_degrades_while_neighbours_complete() {
     // Server-side clamp: a daemon with a fuel cap starves the request
     // even when the client asks for unlimited fuel.
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir = temp_dir("budget-cap");
+    let (_tmp, dir) = temp_dir("budget-cap");
     let server = spawn_server(
         &dir,
         ServeConfig {
@@ -392,13 +387,12 @@ fn over_budget_request_degrades_while_neighbours_complete() {
         other => panic!("server cap must bound every tenant: {other:?}"),
     }
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn graceful_shutdown_drains_inflight_requests() {
     let _guard = lock();
-    let dir = temp_dir("drain");
+    let (_tmp, dir) = temp_dir("drain");
     let server = spawn_server(&dir, ServeConfig::default());
     let addr = server.addr();
 
@@ -430,12 +424,11 @@ fn graceful_shutdown_drains_inflight_requests() {
         other => panic!("draining daemon must finish in-flight work: {other:?}"),
     }
     server.join();
-    let _ = std::fs::remove_dir_all(&dir);
 
     // `join()` entered *before* any Shutdown arrives (the CLI's
     // `manta serve` path) must still return once a client asks for one:
     // the drain has to wake the parked accept loop on its own.
-    let dir = temp_dir("drain-join-first");
+    let (_tmp, dir) = temp_dir("drain-join-first");
     let server = spawn_server(&dir, ServeConfig::default());
     let addr = server.addr();
     let stop = std::thread::spawn(move || {
@@ -448,7 +441,6 @@ fn graceful_shutdown_drains_inflight_requests() {
         Response::ShuttingDown => {}
         other => panic!("expected ShuttingDown, got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- SIGKILL crash recovery -------------------------------------------------
@@ -480,12 +472,12 @@ fn serve_torture_child_daemon() {
 #[test]
 fn sigkill_mid_request_loses_no_committed_entries_and_reopens_recovered() {
     let _guard = lock();
-    let dir = temp_dir("sigkill");
-    let addr_file = std::env::temp_dir().join(format!(
-        "manta-serve-it-{}-sigkill.addr",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&addr_file);
+    let (_tmp, dir) = temp_dir("sigkill");
+    // The child publishes its address in a temp dir of its own, so
+    // the store dir holds nothing but the store.
+    let (_addr_tmp, addr_dir) = temp_dir("sigkill-addr");
+    std::fs::create_dir_all(&addr_dir).expect("create addr dir");
+    let addr_file = addr_dir.join("addr");
 
     let exe = std::env::current_exe().expect("current test binary");
     let mut child = std::process::Command::new(exe)
@@ -579,9 +571,6 @@ fn sigkill_mid_request_loses_no_committed_entries_and_reopens_recovered() {
             "warm result after recovery must equal the daemon's answer"
         );
     }
-
-    let _ = std::fs::remove_file(&addr_file);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn count_entries(dir: &PathBuf) -> usize {

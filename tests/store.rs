@@ -17,6 +17,7 @@ use manta_analysis::ModuleAnalysis;
 use manta_eval::run_suite;
 use manta_resilience::BudgetSpec;
 use manta_store::hash::SplitMix64;
+use manta_store::TempDir;
 use manta_workloads::generator::{generate, GenSpec};
 use manta_workloads::{PhenomenonMix, ProjectSpec};
 
@@ -35,10 +36,11 @@ impl Drop for ThreadGuard {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("manta-store-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// A unique temp dir (removed when the guard drops) and its path.
+fn temp_dir(tag: &str) -> (TempDir, PathBuf) {
+    let tmp = TempDir::new(&format!("store-it-{tag}"));
+    let dir = tmp.path().to_path_buf();
+    (tmp, dir)
 }
 
 fn analysis(seed: u64, functions: usize) -> ModuleAnalysis {
@@ -74,17 +76,27 @@ fn tiny_specs() -> Vec<ProjectSpec> {
 #[test]
 fn corrupt_file_fuzz_always_recomputes_the_clean_answer() {
     let a = analysis(0xF422, 6);
-    let engine = Engine::new(MantaConfig::full());
-    let clean = encode_result(&engine.analyze(&a).expect("non-strict analyze cannot fail"));
+    let clean = encode_result(
+        &Engine::new(MantaConfig::full())
+            .analyze(&a)
+            .expect("non-strict analyze cannot fail"),
+    );
+    // Every open is a fresh process-like view of the store.
+    let open_engine = |dir: &PathBuf| {
+        Engine::builder()
+            .config(MantaConfig::full())
+            .cache_dir(dir)
+            .build()
+            .expect("open survives corruption")
+    };
 
-    let dir = temp_dir("fuzz");
+    let (_tmp, dir) = temp_dir("fuzz");
     let mut rng = SplitMix64(0x5EED_F00D);
     for round in 0..500 {
         // (Re)populate: open fresh, compute once so the entry exists.
         {
-            let cache = AnalysisCache::open(&dir).expect("open cache");
-            let r = engine
-                .analyze_with_cache(&a, &cache)
+            let r = open_engine(&dir)
+                .analyze(&a)
                 .expect("non-strict analyze cannot fail");
             assert_eq!(encode_result(&r), clean, "round {round}: populate");
         }
@@ -129,9 +141,8 @@ fn corrupt_file_fuzz_always_recomputes_the_clean_answer() {
 
         // Reopen and query: the only acceptable outcome is the clean
         // answer (served from an intact entry or recomputed).
-        let cache = AnalysisCache::open(&dir).expect("open survives corruption");
-        let r = engine
-            .analyze_with_cache(&a, &cache)
+        let r = open_engine(&dir)
+            .analyze(&a)
             .expect("non-strict analyze cannot fail");
         assert_eq!(
             encode_result(&r),
@@ -140,7 +151,6 @@ fn corrupt_file_fuzz_always_recomputes_the_clean_answer() {
             target.display()
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The inference-result codec round-trips bit-identically for every
@@ -175,7 +185,7 @@ fn inference_payload_roundtrips_for_every_sensitivity() {
 fn warm_eval_is_bit_identical_to_cold_at_every_thread_count() {
     let _l = lock();
     let _restore = ThreadGuard;
-    let dir = temp_dir("threads");
+    let (_tmp, dir) = temp_dir("threads");
     let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let engine = Engine::builder()
         .config(MantaConfig::full())
@@ -198,7 +208,6 @@ fn warm_eval_is_bit_identical_to_cold_at_every_thread_count() {
             "threads={threads}: warm rows must match cold bit for bit"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fuel budgets key separately from unbudgeted runs (a fuel-limited
@@ -206,7 +215,7 @@ fn warm_eval_is_bit_identical_to_cold_at_every_thread_count() {
 /// exactly its own cold result.
 #[test]
 fn fuel_budgets_key_separately_and_warm_to_their_own_cold_result() {
-    let dir = temp_dir("fuel");
+    let (_tmp, dir) = temp_dir("fuel");
     let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let plenty = BudgetSpec {
         fuel: Some(100_000_000),
@@ -235,7 +244,6 @@ fn fuel_budgets_key_separately_and_warm_to_their_own_cold_result() {
     // Generous fuel completes the full cascade, so the rows agree with
     // the unbudgeted ones even though they were computed separately.
     assert_eq!(warm_fueled.render_rows(), cold_unbudgeted.render_rows());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The config hash must not see the pool size: results are
@@ -255,31 +263,35 @@ fn config_hash_is_invariant_under_thread_count() {
     assert_ne!(config_hash(&config, Some(7)), at_1);
 }
 
-/// Editing one function invalidates its dependents' cached entries and
-/// the next cached inference matches a from-scratch computation.
+/// An edited module misses the entries of its previous version, and the
+/// next cached inference matches a from-scratch computation.
 #[test]
 fn module_edit_recomputes_exactly_the_fresh_answer() {
-    let dir = temp_dir("edit");
-    let cache = AnalysisCache::open(&dir).expect("open cache");
-    let engine = Engine::new(MantaConfig::full());
+    let (_tmp, dir) = temp_dir("edit");
+    let engine = Engine::builder()
+        .config(MantaConfig::full())
+        .cache_dir(&dir)
+        .build()
+        .expect("open cache");
+    let cache = engine.cache().expect("cache attached");
 
     let before = analysis(0xED17, 6);
-    cache.sync_module(&before);
-    let _ = engine.analyze_with_cache(&before, &cache);
+    let _ = engine.analyze(&before);
 
-    // A different seed regenerates every function body: the sync must
-    // notice the changes and the cached path must agree with a fresh,
-    // cache-free inference of the edited module.
+    // A different seed regenerates every function body: the edited
+    // module's content key must miss, and the cached path must agree
+    // with a fresh, cache-free inference of the edited module.
     let after = analysis(0xED18, 6);
-    let sync = cache.sync_module(&after);
-    assert!(
-        !sync.changed.is_empty(),
-        "regenerated functions must be detected as changed"
-    );
+    let misses = cache.store().stats().snapshot().misses;
     let via_cache = engine
-        .analyze_with_cache(&after, &cache)
+        .analyze(&after)
         .expect("non-strict analyze cannot fail");
-    let fresh = engine
+    assert_eq!(
+        cache.store().stats().snapshot().misses,
+        misses + 1,
+        "the regenerated module must be detected as changed"
+    );
+    let fresh = Engine::new(MantaConfig::full())
         .analyze(&after)
         .expect("non-strict analyze cannot fail");
     assert_eq!(
@@ -287,7 +299,6 @@ fn module_edit_recomputes_exactly_the_fresh_answer() {
         encode_result(&fresh),
         "cached inference after an edit must equal the uncached result"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite contract for the serve work: N sessions hammering one
@@ -305,7 +316,7 @@ fn concurrent_sessions_share_one_cache_without_cross_talk() {
     let config = MantaConfig::full();
 
     // Ground truth: a sequential engine with its own store.
-    let seq_dir = temp_dir("concurrent-seq");
+    let (_seq_dir_tmp, seq_dir) = temp_dir("concurrent-seq");
     let expected: Vec<Vec<u8>> = {
         let cache = Arc::new(AnalysisCache::open(&seq_dir).expect("open sequential cache"));
         let engine = Engine::builder()
@@ -330,7 +341,7 @@ fn concurrent_sessions_share_one_cache_without_cross_talk() {
 
     // Contended run: one cache, one engine, N OS threads analyzing all
     // modules each (every entry is raced by every session).
-    let dir = temp_dir("concurrent");
+    let (_tmp, dir) = temp_dir("concurrent");
     let cache = Arc::new(AnalysisCache::open(&dir).expect("open shared cache"));
     let engine = Arc::new(
         Engine::builder()
@@ -375,6 +386,4 @@ fn concurrent_sessions_share_one_cache_without_cross_talk() {
             "post-contention warm result for module {i}"
         );
     }
-    let _ = std::fs::remove_dir_all(&seq_dir);
-    let _ = std::fs::remove_dir_all(&dir);
 }

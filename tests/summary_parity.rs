@@ -19,6 +19,7 @@ use manta::{summaries, AnalysisCache, Engine, Manta, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
 use manta_ir::{BinOp, ModuleBuilder, Width};
 use manta_resilience::{Budget, BudgetSpec};
+use manta_store::TempDir;
 
 const SENSITIVITIES: [Sensitivity; 5] = [
     Sensitivity::Fi,
@@ -43,10 +44,11 @@ impl Drop for ThreadGuard {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("manta-summ-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// A unique temp dir (removed when the guard drops) and its path.
+fn temp_dir(tag: &str) -> (TempDir, PathBuf) {
+    let tmp = TempDir::new(&format!("summ-it-{tag}"));
+    let dir = tmp.path().to_path_buf();
+    (tmp, dir)
 }
 
 /// The same workload shape the summary benchmark uses, small: `CLUSTERS`
@@ -125,7 +127,7 @@ fn summary_engine(config: MantaConfig, dir: &PathBuf) -> Engine {
 fn summary_engine_matches_plain_solve_across_sensitivities() {
     for sens in SENSITIVITIES {
         let config = MantaConfig::with_sensitivity(sens);
-        let dir = temp_dir(&format!("sens-{sens:?}"));
+        let (_tmp, dir) = temp_dir(&format!("sens-{sens:?}"));
         let engine = summary_engine(config, &dir);
         let manta = Manta::new(config);
         for edit in [None, Some((0, 3)), Some((5, 9))] {
@@ -136,7 +138,6 @@ fn summary_engine_matches_plain_solve_across_sensitivities() {
                 "{sens:?} edit {edit:?}: summary engine diverged from Manta::infer"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -149,7 +150,7 @@ fn fuel_budgets_bypass_summaries_but_stay_correct() {
     let a = analysis(None);
     let plain = Engine::new(MantaConfig::full());
     for fuel in [0u64, 500, 50_000, u64::MAX] {
-        let dir = temp_dir(&format!("fuel-{fuel}"));
+        let (_tmp, dir) = temp_dir(&format!("fuel-{fuel}"));
         let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
         let engine = Engine::builder()
             .config(MantaConfig::full())
@@ -171,7 +172,6 @@ fn fuel_budgets_bypass_summaries_but_stay_correct() {
                 "fuel {fuel} ({round}): fueled summary engine diverged"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -183,7 +183,7 @@ fn summary_results_are_thread_count_invariant() {
     let _l = lock();
     let _restore = ThreadGuard;
     let config = MantaConfig::full();
-    let dir = temp_dir("threads");
+    let (_tmp, dir) = temp_dir("threads");
     let engine = summary_engine(config, &dir);
     let manta = Manta::new(config);
     let base = analysis(None);
@@ -197,7 +197,6 @@ fn summary_results_are_thread_count_invariant() {
             "threads={threads}: summary engine diverged after an edit"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The edit storm: 200 seeded single-function edits chained through one
