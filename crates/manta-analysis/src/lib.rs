@@ -110,7 +110,9 @@ impl ModuleAnalysis {
     }
 
     /// Runs the whole substrate pipeline under a cooperative budget, with
-    /// each stage behind a panic-isolation boundary.
+    /// each stage behind a panic-isolation boundary: the two halves
+    /// [`ModuleAnalysis::preprocess_budgeted`] and
+    /// [`ModuleAnalysis::finish_budgeted`] under one `analysis.build` span.
     ///
     /// Unlike the inference cascade there is no weaker tier to fall back
     /// to here — inference cannot run without the substrate — so a blown
@@ -130,28 +132,50 @@ impl ModuleAnalysis {
         config: PreprocessConfig,
         budget: &manta_resilience::Budget,
     ) -> Result<ModuleAnalysis, manta_resilience::MantaError> {
-        use manta_resilience::{fault_point_budgeted, isolate, MantaError};
         manta_telemetry::span!("analysis.build");
-        let budget_err = |stage: &str, e: manta_resilience::BudgetExceeded| {
-            manta_resilience::budget_exhausted(stage);
-            MantaError::Budget {
-                stage: stage.to_string(),
-                kind: e.kind,
-            }
-        };
+        let pre = Self::preprocess_budgeted(module, config, budget)?;
+        Self::finish_budgeted(pre, budget)
+    }
+
+    /// The first sub-pass of [`ModuleAnalysis::build_budgeted`]: §3
+    /// preprocessing at the `analysis.preprocess` site, charged one unit
+    /// of fuel per function. Its output is all a module fingerprint
+    /// needs, so a result cache can be probed before the rest is built.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ModuleAnalysis::build_budgeted`].
+    pub fn preprocess_budgeted(
+        module: manta_ir::Module,
+        config: PreprocessConfig,
+        budget: &manta_resilience::Budget,
+    ) -> Result<Preprocessed, manta_resilience::MantaError> {
+        use manta_resilience::{fault_point_budgeted, isolate};
+        manta_telemetry::span!("preprocess");
+        let fc = module.function_count() as u64;
         // Each stage runs fully inside its isolation boundary — including
         // the fault-injection point, so an injected panic is caught and
         // attributed to the stage it was armed on.
-        let pre = {
-            manta_telemetry::span!("preprocess");
-            let fc = module.function_count() as u64;
-            isolate("analysis.preprocess", || {
-                fault_point_budgeted("analysis.preprocess", budget);
-                budget.consume(fc)?;
-                Ok(preprocess(module, config))
-            })?
-            .map_err(|e| budget_err("analysis.preprocess", e))?
-        };
+        isolate("analysis.preprocess", || {
+            fault_point_budgeted("analysis.preprocess", budget);
+            budget.consume(fc)?;
+            Ok(preprocess(module, config))
+        })?
+        .map_err(|e| budget_error("analysis.preprocess", e))
+    }
+
+    /// The rest of [`ModuleAnalysis::build_budgeted`] after
+    /// preprocessing: call graph, points-to and DDG, each at its own
+    /// `analysis.*` site.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ModuleAnalysis::build_budgeted`].
+    pub fn finish_budgeted(
+        pre: Preprocessed,
+        budget: &manta_resilience::Budget,
+    ) -> Result<ModuleAnalysis, manta_resilience::MantaError> {
+        use manta_resilience::{fault_point_budgeted, isolate};
         let callgraph = {
             manta_telemetry::span!("callgraph");
             isolate("analysis.callgraph", || {
@@ -159,7 +183,7 @@ impl ModuleAnalysis {
                 budget.tick()?;
                 Ok(CallGraph::build(&pre))
             })?
-            .map_err(|e| budget_err("analysis.callgraph", e))?
+            .map_err(|e| budget_error("analysis.callgraph", e))?
         };
         let pointsto = {
             manta_telemetry::span!("pointsto");
@@ -167,7 +191,7 @@ impl ModuleAnalysis {
                 fault_point_budgeted("analysis.pointsto", budget);
                 PointsTo::solve_budgeted(&pre, &callgraph, budget)
             })?
-            .map_err(|e| budget_err("analysis.pointsto", e))?
+            .map_err(|e| budget_error("analysis.pointsto", e))?
         };
         let ddg = {
             manta_telemetry::span!("ddg");
@@ -175,7 +199,7 @@ impl ModuleAnalysis {
                 fault_point_budgeted("analysis.ddg", budget);
                 Ddg::build_budgeted(&pre, &pointsto, budget)
             })?
-            .map_err(|e| budget_err("analysis.ddg", e))?
+            .map_err(|e| budget_error("analysis.ddg", e))?
         };
         Ok(ModuleAnalysis {
             pre,
@@ -188,5 +212,17 @@ impl ModuleAnalysis {
     /// The analyzed (acyclic) module.
     pub fn module(&self) -> &manta_ir::Module {
         &self.pre.module
+    }
+}
+
+/// Converts a blown budget at a substrate site into a [`MantaError`],
+/// bumping the `resilience.budget_exhausted` counter once.
+///
+/// [`MantaError`]: manta_resilience::MantaError
+fn budget_error(stage: &str, e: manta_resilience::BudgetExceeded) -> manta_resilience::MantaError {
+    manta_resilience::budget_exhausted(stage);
+    manta_resilience::MantaError::Budget {
+        stage: stage.to_string(),
+        kind: e.kind,
     }
 }

@@ -369,7 +369,10 @@ fn decode_error(r: &mut ByteReader<'_>) -> Result<MantaError, DecodeError> {
     })
 }
 
-/// Writes one frame: 4-byte little-endian length, then the payload.
+/// Writes one frame: 4-byte little-endian length, then the payload, in
+/// a single write. Two writes would let Nagle's algorithm hold the
+/// payload back until the peer ACKs the 4-byte prefix, and a delayed
+/// ACK costs ~40 ms per frame.
 ///
 /// # Errors
 ///
@@ -382,8 +385,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -632,6 +637,36 @@ mod tests {
             read_frame(&mut huge).expect_err("huge frame").kind(),
             std::io::ErrorKind::InvalidData
         );
+    }
+
+    /// Counts `write` calls; accepts every byte it is offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [Request::Ping.encode(), vec![0x5A; 70_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "prefix and payload go out together");
+            let mut cursor = std::io::Cursor::new(&w.bytes);
+            assert_eq!(read_frame(&mut cursor).unwrap(), Some(payload));
+        }
     }
 
     /// Yields one byte per read, returning `WouldBlock` before every

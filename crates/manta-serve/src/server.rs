@@ -5,13 +5,16 @@
 //!
 //! ```text
 //! accept ── serve.accept ──► decode ── serve.decode ──► admission
-//!    (connection thread)                                   │ full → Overloaded
-//!                                                          ▼
-//!                              worker ── serve.dispatch ──► Engine::analyze_module
-//!                                 │                             (stages fan out on
-//!                                 │ serve.gc (periodic)          manta-parallel)
-//!                                 ▼
-//!                              respond ── serve.respond ──► frame on the wire
+//!    (connection thread,                                   │ full → Overloaded
+//!     TCP_NODELAY)                                         ▼ queue wait
+//!                              worker ── serve.dispatch ──► parse → Engine::infer_module:
+//!                                 │                           preprocess → fingerprint → probe
+//!                                 │                           hit: done (no substrate)
+//!                                 │ serve.gc (periodic)       miss: call graph, points-to,
+//!                                 │                           DDG, cascade (manta-parallel)
+//!                                 ▼ service time
+//!                              respond ── serve.respond ──► one write per frame
+//!                                                           (respond time)
 //! ```
 //!
 //! Every named site is a deterministic `manta-resilience` fault point:
@@ -19,12 +22,16 @@
 //! turned into a structured [`MantaError`] response, and an injected
 //! budget exhaustion becomes a structured `Budget { kind: Injected }`
 //! response — in both cases the worker and the daemon keep serving.
+//!
+//! Every admitted job records its queue wait, service time and respond
+//! time (encode plus write) in per-daemon power-of-two histograms,
+//! rendered by [`Request::Stats`] as count, p50 and p99 in microseconds.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use manta::cache::encode_result;
 use manta::Engine;
@@ -32,6 +39,7 @@ use manta_ir::Module;
 use manta_resilience::{
     fault_point, isolate, take_pending_exhaustion, BudgetKind, BudgetSpec, MantaError,
 };
+use manta_telemetry::HistogramCell;
 
 use crate::counters;
 use crate::proto::{read_frame, write_frame, FrameReader, Request, Response};
@@ -129,11 +137,27 @@ impl StatsCells {
     }
 }
 
-/// One queued analysis job: the request plus the slot its connection
-/// thread is blocked on.
+/// Per-daemon latency histograms over admitted jobs, in microseconds.
+#[derive(Default)]
+struct Latencies {
+    /// Submit to worker pickup.
+    queue_wait: HistogramCell,
+    /// The worker's job: parse, analyze, encode the result.
+    service: HistogramCell,
+    /// Encoding and writing the job's response frame.
+    respond: HistogramCell,
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// One queued analysis job: the request, the slot its connection
+/// thread is blocked on, and when it was admitted.
 struct Job {
     request: Request,
     slot: Arc<ResponseSlot>,
+    submitted: Instant,
 }
 
 /// A oneshot rendezvous between a connection thread and a worker.
@@ -197,6 +221,7 @@ struct Shared {
     analyze_count: AtomicU64,
     in_flight: AtomicU64,
     stats: StatsCells,
+    latency: Latencies,
     /// Live connection-handler count, so drain can wait for responders.
     conns: Mutex<usize>,
     conns_cv: Condvar,
@@ -227,6 +252,7 @@ impl Shared {
         q.push_back(Job {
             request,
             slot: Arc::clone(&slot),
+            submitted: Instant::now(),
         });
         drop(q);
         self.work_cv.notify_one();
@@ -267,6 +293,16 @@ impl Shared {
             ("serve.bytes_out", s.bytes_out),
         ] {
             out.push_str(&format!("{name} {v}\n"));
+        }
+        for (name, cell) in [
+            ("serve.queue_wait_us", &self.latency.queue_wait),
+            ("serve.service_us", &self.latency.service),
+            ("serve.respond_us", &self.latency.respond),
+        ] {
+            let h = cell.report();
+            out.push_str(&format!("{name}.count {}\n", h.count));
+            out.push_str(&format!("{name}.p50 {}\n", h.quantile(0.5)));
+            out.push_str(&format!("{name}.p99 {}\n", h.quantile(0.99)));
         }
         if let Some(cache) = self.engine.cache() {
             let st = cache.store().stats().snapshot();
@@ -310,6 +346,7 @@ impl Server {
             analyze_count: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             stats: StatsCells::default(),
+            latency: Latencies::default(),
             conns: Mutex::new(0),
             conns_cv: Condvar::new(),
         });
@@ -477,9 +514,16 @@ fn send(stream: &mut TcpStream, resp: Response, shared: &Shared) {
     let _ = write_frame(stream, &encoded);
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // Bounded reads so drain never waits on an idle client forever.
+/// Sets up an accepted connection: `TCP_NODELAY`, so a response frame
+/// goes out without waiting on the client's delayed ACK, and bounded
+/// reads, so drain never waits on an idle client forever.
+fn configure_connection(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+}
+
+fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    configure_connection(&stream);
     // Connection setup is itself a fault site: an injected failure here
     // still answers the client with a structured error before closing.
     // After writing the error, drain the client's (already in-flight)
@@ -609,7 +653,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 match shared.try_submit(req) {
                     Some(slot) => {
                         let resp = slot.wait(backstop);
+                        let start = Instant::now();
                         send(&mut stream, resp, shared);
+                        shared.latency.respond.record(micros(start.elapsed()));
                     }
                     None => {
                         shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -658,6 +704,11 @@ impl Drop for FinishJob<'_> {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.next_job() {
+        let start = Instant::now();
+        shared
+            .latency
+            .queue_wait
+            .record(micros(start.duration_since(job.submitted)));
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let mut finish = FinishJob {
             shared,
@@ -671,6 +722,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             isolate("serve.worker", || run_job(shared, &job.request))
                 .unwrap_or_else(|error| Response::Error { error }),
         );
+        // Recorded before `finish` drops and fills the slot, so a client
+        // holding its answer already sees it counted.
+        shared.latency.service.record(micros(start.elapsed()));
     }
 }
 
@@ -756,7 +810,7 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
         // boundary: a parser panic must answer this client, not unwind
         // the worker thread.
         let module = parse_module_text(module_text)?;
-        session.analyze_module(module).map(|(_, result)| result)
+        session.infer_module(module)
     });
     match outcome {
         Ok(Ok(result)) => {
@@ -825,5 +879,20 @@ fn maybe_gc(shared: &Shared, analyzed: u64) {
             .gc_evicted
             .fetch_add(report.evicted as u64, Ordering::Relaxed);
         counters::GC_EVICTED.add(report.evicted as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_connection(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        assert!(accepted.read_timeout().unwrap().is_some());
     }
 }

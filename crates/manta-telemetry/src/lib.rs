@@ -59,7 +59,7 @@ mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-pub use metrics::{counter, counter_set, Counter, Histogram};
+pub use metrics::{counter, counter_set, Counter, Histogram, HistogramCell};
 pub use report::{HistogramReport, Report, SpanReport};
 pub use sink::{JsonSink, NullSink, TelemetrySink, TextSink};
 pub use span::{scoped, span, SpanGuard};

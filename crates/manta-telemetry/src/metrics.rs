@@ -14,7 +14,7 @@ use crate::span::lock;
 /// Name → cell. Cells are leaked so handles can be `&'static` and survive
 /// [`crate::reset`] (which zeroes rather than drops them).
 static COUNTERS: Mutex<BTreeMap<String, &'static AtomicU64>> = Mutex::new(BTreeMap::new());
-static HISTOGRAMS: Mutex<BTreeMap<String, &'static HistCore>> = Mutex::new(BTreeMap::new());
+static HISTOGRAMS: Mutex<BTreeMap<String, &'static HistogramCell>> = Mutex::new(BTreeMap::new());
 
 fn counter_cell(name: &str) -> &'static AtomicU64 {
     let mut map = lock(&COUNTERS);
@@ -111,7 +111,11 @@ pub fn counter_set(name: &str, value: u64) {
 
 const BUCKETS: usize = 65;
 
-struct HistCore {
+/// An unnamed power-of-two histogram owned by whoever records into it —
+/// the cell behind every [`Histogram`], and on its own a per-instance
+/// distribution (one daemon's request latencies) that records whether
+/// or not collection is enabled and never touches the global registry.
+pub struct HistogramCell {
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -121,9 +125,17 @@ struct HistCore {
     buckets: [AtomicU64; BUCKETS],
 }
 
-impl HistCore {
-    fn new() -> HistCore {
-        HistCore {
+impl Default for HistogramCell {
+    fn default() -> HistogramCell {
+        HistogramCell::new()
+    }
+}
+
+impl HistogramCell {
+    /// An empty histogram.
+    #[must_use]
+    pub fn new() -> HistogramCell {
+        HistogramCell {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -132,7 +144,8 @@ impl HistCore {
         }
     }
 
-    fn record(&self, value: u64) {
+    /// Records one sample.
+    pub fn record(&self, value: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
@@ -151,7 +164,9 @@ impl HistCore {
         }
     }
 
-    fn report(&self) -> HistogramReport {
+    /// Snapshots the samples so far.
+    #[must_use]
+    pub fn report(&self) -> HistogramReport {
         let count = self.count.load(Ordering::Relaxed);
         let buckets = self
             .buckets
@@ -186,12 +201,12 @@ impl HistCore {
     }
 }
 
-fn histogram_cell(name: &str) -> &'static HistCore {
+fn histogram_cell(name: &str) -> &'static HistogramCell {
     let mut map = lock(&HISTOGRAMS);
     if let Some(&h) = map.get(name) {
         return h;
     }
-    let cell: &'static HistCore = Box::leak(Box::new(HistCore::new()));
+    let cell: &'static HistogramCell = Box::leak(Box::new(HistogramCell::new()));
     map.insert(name.to_string(), cell);
     cell
 }
@@ -199,7 +214,7 @@ fn histogram_cell(name: &str) -> &'static HistCore {
 /// A named power-of-two-bucketed distribution of `u64` samples.
 pub struct Histogram {
     name: &'static str,
-    cell: OnceLock<&'static HistCore>,
+    cell: OnceLock<&'static HistogramCell>,
 }
 
 impl Histogram {

@@ -46,6 +46,24 @@ pub struct HistogramReport {
     pub buckets: Vec<(u64, u64)>,
 }
 
+impl HistogramReport {
+    /// The `q`-quantile (`0.0..=1.0`) to bucket precision: the upper
+    /// bound of the bucket holding the sample of rank `⌈q·count⌉`,
+    /// capped at [`HistogramReport::max`]. 0 when empty.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> u64 {
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for &(bound, n) in &self.buckets {
+            seen += n;
+            if seen >= rank {
+                return bound.min(self.max);
+            }
+        }
+        self.max
+    }
+}
+
 /// A full telemetry snapshot: the merged span forest plus every counter
 /// and histogram.
 #[derive(Clone, Debug, PartialEq, Default)]

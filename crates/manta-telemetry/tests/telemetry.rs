@@ -8,7 +8,7 @@
 use std::sync::Mutex;
 
 use manta_store::json;
-use manta_telemetry::{Counter, Histogram, NullSink, Report, TelemetrySink};
+use manta_telemetry::{Counter, Histogram, HistogramCell, NullSink, Report, TelemetrySink};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -231,4 +231,24 @@ fn reset_clears_and_stale_guards_are_ignored() {
     assert!(report.span("held-across-reset").is_none());
     assert_eq!(report.counter("test.reset.pre"), 0);
     assert_eq!(report.span("post-reset").map(|s| s.count), Some(1));
+}
+
+#[test]
+fn histogram_cell_records_while_disabled_and_reads_quantiles_to_bucket_precision() {
+    // A per-instance cell needs no gate: it never touches the registry.
+    let cell = HistogramCell::new();
+    assert_eq!(cell.report().quantile(0.5), 0, "empty reads 0");
+    // 90 samples in the [8, 15] bucket, 10 in [512, 1023] with max 700.
+    for _ in 0..90 {
+        cell.record(9);
+    }
+    for _ in 0..10 {
+        cell.record(700);
+    }
+    let h = cell.report();
+    assert_eq!(h.count, 100);
+    assert_eq!(h.quantile(0.5), 15, "p50 is its bucket's upper bound");
+    assert_eq!(h.quantile(0.9), 15, "rank 90 is the last small sample");
+    assert_eq!(h.quantile(0.99), 700, "the top bucket is capped at max");
+    assert_eq!(h.quantile(0.0), 15, "rank 0 reads as the first sample");
 }

@@ -18,7 +18,10 @@
 //!
 //! [`Engine::analyze`] is the one way to run the cascade — plain,
 //! budgeted, strict or cached; [`Engine::analyze_batch`] adds
-//! whole-module scheduling across the work-stealing pool on top.
+//! whole-module scheduling across the work-stealing pool on top, and
+//! [`Engine::infer_module`] is the result-only form of
+//! [`Engine::analyze_module`] that probes the cache before building the
+//! rest of the substrate.
 //! [`crate::Manta::infer`] stays as one-shot sugar over it.
 
 use std::fmt;
@@ -647,8 +650,8 @@ impl Engine {
         }
     }
 
-    /// Analyzes one prepared module: cache lookup (when attached and
-    /// eligible), then the staged cascade under a fresh budget.
+    /// Analyzes one prepared module under a fresh budget: cache lookup
+    /// (when attached and eligible), then the staged cascade.
     ///
     /// # Errors
     ///
@@ -678,7 +681,9 @@ impl Engine {
     /// Like [`Engine::analyze`] but charging work to an external,
     /// possibly shared, running budget (the CLI shares one budget
     /// across a whole command). A cache-served result consumes no
-    /// budget.
+    /// budget; a fuel-limited result is keyed by the fuel left on
+    /// `budget` at lookup and computed on `budget`, so it equals what
+    /// the same call without a cache returns.
     ///
     /// # Errors
     ///
@@ -707,6 +712,46 @@ impl Engine {
         let analysis = self.build_substrate(module, &budget)?;
         let result = self.analyze_with_budget(&analysis, &budget)?;
         Ok((analysis, result))
+    }
+
+    /// [`Engine::analyze_module`] for a caller that only needs the
+    /// result (the daemon), with the same bytes. Where the cache policy
+    /// applies and the budget is unlimited, the cache is probed right
+    /// after preprocessing — the fingerprint needs only the preprocessed
+    /// module — so a hit never builds the call graph, points-to or DDG,
+    /// and a miss goes on without a second lookup. Strict engines, armed
+    /// fault plans, deadlines, fuel limits and provenance take
+    /// [`Engine::analyze_module`]'s path.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Engine::analyze_module`].
+    pub fn infer_module(&self, module: Module) -> Result<InferenceResult, MantaError> {
+        let budget = self.budget.start();
+        let probe = if budget.is_unlimited() && !self.provenance {
+            self.cache_policy(&budget)
+        } else {
+            None
+        };
+        let Some((cache, cfg)) = probe else {
+            let analysis = self.build_substrate(module, &budget)?;
+            return self.analyze_with_budget(&analysis, &budget);
+        };
+        let (analysis, fingerprint) = {
+            manta_telemetry::span!("analysis.build");
+            let pre = ModuleAnalysis::preprocess_budgeted(
+                module,
+                manta_analysis::PreprocessConfig::default(),
+                &budget,
+            )?;
+            let fingerprint = module_fingerprint(&pre.module);
+            if let Some((hit, _)) = self.lookup(cache, fingerprint, cfg) {
+                return Ok(hit);
+            }
+            (ModuleAnalysis::finish_budgeted(pre, &budget)?, fingerprint)
+        };
+        self.analyze_miss(&analysis, cache, fingerprint, cfg, &budget)
+            .map(|(result, _)| result)
     }
 
     /// Runs the substrate stage (preprocess → call graph → points-to →
@@ -753,68 +798,85 @@ impl Engine {
         analysis: &ModuleAnalysis,
         external: Option<&Budget>,
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
-        match &self.cache {
-            Some(cache) => self.analyze_cached(analysis, cache, external),
-            None => self.run_uncached(analysis, external),
+        let fresh;
+        let budget = match external {
+            Some(budget) => budget,
+            None => {
+                fresh = self.budget.start();
+                &fresh
+            }
+        };
+        let Some((cache, cfg)) = self.cache_policy(budget) else {
+            return self.run_pipeline(analysis, budget);
+        };
+        let fingerprint = module_fingerprint(analysis.module());
+        if let Some(hit) = self.lookup(cache, fingerprint, cfg) {
+            return Ok(hit);
         }
+        self.analyze_miss(analysis, cache, fingerprint, cfg, budget)
     }
 
-    fn run_uncached(
+    /// The cache policy, in one place for every analyze and for
+    /// [`Engine::infer_module`]'s early probe: the cache and the config
+    /// hash that results charged to `budget` are keyed by, or `None`
+    /// when the cache must be bypassed — no cache attached, a strict
+    /// engine, an armed fault plan, or a wall-clock deadline (faults and
+    /// deadlines make results nondeterministic). A fuel-limited key
+    /// hashes the fuel left on `budget` at lookup, which is what the run
+    /// can still spend; for a fresh budget that is the spec's fuel.
+    fn cache_policy(&self, budget: &Budget) -> Option<(&AnalysisCache, u64)> {
+        let cache = self.cache.as_deref()?;
+        if self.strict || plan_active() || self.budget.deadline_ms.is_some() {
+            return None;
+        }
+        let fuel = (!budget.is_unlimited()).then(|| budget.fuel_left());
+        Some((cache, config_hash(&self.config, fuel)))
+    }
+
+    /// One store lookup under the module fingerprint and config hash. A
+    /// provenance-recording engine also reads the graph persisted beside
+    /// the result under a `"prov"` key; a missing or undecodable graph
+    /// (an entry written by a provenance-off engine) reads as a miss, so
+    /// both are recomputed.
+    fn lookup(
         &self,
-        analysis: &ModuleAnalysis,
-        external: Option<&Budget>,
-    ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
-        match external {
-            Some(budget) => self.run_pipeline(analysis, budget),
-            None => self.run_pipeline(analysis, &self.budget.start()),
+        cache: &AnalysisCache,
+        fingerprint: u64,
+        cfg: u64,
+    ) -> Option<(InferenceResult, Option<ProvenanceGraph>)> {
+        let hit = cache.get_result(&Key::new("infer", fingerprint, cfg))?;
+        if !self.provenance {
+            return Some((hit, None));
         }
+        let graph = cache
+            .store()
+            .get(&Key::new("prov", fingerprint, cfg))
+            .and_then(|p| ProvenanceGraph::decode(&p).ok())?;
+        Some((hit, Some(graph)))
     }
 
-    /// The cache policy, applied in one place: bypass entirely under a
-    /// strict engine, an armed fault plan, or a wall-clock deadline
-    /// (faults and deadlines make results nondeterministic); otherwise
-    /// look up by module fingerprint and config hash, and persist only
-    /// non-degraded results. A provenance-recording engine persists the
-    /// graph next to the result under a `"prov"` key with the same
-    /// fingerprint and config hash — the result payload itself stays
-    /// bit-identical to a provenance-off run.
-    fn analyze_cached(
+    /// A cache miss: computes on `budget` and persists only non-degraded
+    /// results. The graph of a provenance-recording engine lands beside
+    /// the result; the result payload stays bit-identical to a
+    /// provenance-off run.
+    fn analyze_miss(
         &self,
         analysis: &ModuleAnalysis,
         cache: &AnalysisCache,
-        external: Option<&Budget>,
+        fingerprint: u64,
+        cfg: u64,
+        budget: &Budget,
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
-        if self.strict || plan_active() || self.budget.deadline_ms.is_some() {
-            return self.run_uncached(analysis, external);
-        }
-        let fingerprint = module_fingerprint(analysis.module());
-        let cfg = config_hash(&self.config, self.budget.fuel);
         let key = Key::new("infer", fingerprint, cfg);
-        let prov_key = Key::new("prov", fingerprint, cfg);
-        if let Some(hit) = cache.get_result(&key) {
-            if !self.provenance {
-                return Ok((hit, None));
-            }
-            // Serve the persisted graph with the hit; a missing or
-            // undecodable graph (entry written by a provenance-off
-            // engine) falls through to recompute both.
-            if let Some(graph) = cache
-                .store()
-                .get(&prov_key)
-                .and_then(|p| ProvenanceGraph::decode(&p).ok())
-            {
-                return Ok((hit, Some(graph)));
-            }
-        }
-        // Summary mode: on an infer-key miss, re-solve incrementally from
-        // the persisted per-function summary state instead of running the
-        // full pipeline. Fuel-limited budgets fall through (a blown
-        // budget must trip exactly where the full pipeline would), as do
-        // provenance engines (stage diffs need the pipeline driver) and
-        // ineligible sensitivities.
+        // Summary mode: re-solve incrementally from the persisted
+        // per-function summary state instead of running the full
+        // pipeline. Limited budgets fall through (a blown budget must
+        // trip exactly where the full pipeline would), as do provenance
+        // engines (stage diffs need the pipeline driver) and ineligible
+        // sensitivities.
         if self.summaries
             && !self.provenance
-            && self.budget.fuel.is_none()
+            && budget.is_unlimited()
             && crate::summaries::eligible(self.config.sensitivity)
         {
             let state_key = crate::summaries::state_key(analysis.module().name(), &self.config);
@@ -827,11 +889,13 @@ impl Engine {
             }
             return Ok((result, None));
         }
-        let (result, prov) = self.run_pipeline(analysis, &self.budget.start())?;
+        let (result, prov) = self.run_pipeline(analysis, budget)?;
         if !result.is_degraded() {
             let _ = cache.store().put(&key, &encode_result(&result));
             if let Some(graph) = &prov {
-                let _ = cache.store().put(&prov_key, &graph.encode());
+                let _ = cache
+                    .store()
+                    .put(&Key::new("prov", fingerprint, cfg), &graph.encode());
             }
         }
         Ok((result, prov))
@@ -1008,6 +1072,43 @@ mod tests {
         // Every FI fact chains back to reveal leaves or is hint-free.
         let malloc_ret = *r_on.var_types.keys().min().expect("typed vars");
         assert!(graph.explain(malloc_ret).is_some());
+    }
+
+    /// Every span name in a captured forest, depth first.
+    fn span_names(spans: &[manta_telemetry::SpanReport], out: &mut Vec<String>) {
+        for s in spans {
+            out.push(s.name.clone());
+            span_names(&s.children, out);
+        }
+    }
+
+    #[test]
+    fn infer_module_hit_builds_no_call_graph_pointsto_or_ddg() {
+        let tmp = manta_store::TempDir::new("engine-early-probe");
+        let engine = Engine::builder()
+            .config(MantaConfig::full())
+            .cache_dir(tmp.path())
+            .build()
+            .expect("cache dir opens");
+        // `scoped` captures this thread's spans only, even with global
+        // collection off, so no other test's telemetry can interleave.
+        let run = || {
+            let (result, spans) = manta_telemetry::scoped(|| engine.infer_module(module("probe")));
+            let mut names = Vec::new();
+            span_names(&spans, &mut names);
+            (result.expect("non-strict never errors"), names)
+        };
+        let (cold, cold_spans) = run();
+        let (warm, warm_spans) = run();
+        assert!(results_identical(&cold, &warm));
+        let ran = |spans: &[String], pass: &str| spans.iter().any(|s| s == pass);
+        for pass in ["callgraph", "pointsto", "ddg", "infer"] {
+            assert!(ran(&cold_spans, pass), "a miss runs {pass}");
+            assert!(!ran(&warm_spans, pass), "a hit skips {pass}");
+        }
+        assert!(ran(&warm_spans, "preprocess"), "the fingerprint needs it");
+        let s = engine.cache().expect("attached").store().stats().snapshot();
+        assert_eq!((s.hits, s.misses), (1, 1), "one lookup per call");
     }
 
     #[test]

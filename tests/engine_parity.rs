@@ -1,7 +1,8 @@
 //! Bit-identity across the ways of running the staged [`Engine`].
 //!
 //! `Manta::infer`, an attached cache (cold, warm and fuel-budgeted),
-//! batch and whole-module scheduling, and provenance recording must all
+//! batch and whole-module scheduling, the result-only `infer_module`
+//! with its early cache probe, and provenance recording must all
 //! produce exactly the bytes a plain engine produces for the same
 //! configuration: same variable/object/site maps, same stage counts,
 //! same degradation records. Identity is checked through
@@ -10,13 +11,14 @@
 //! counts, and warm/cold caches.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use manta::cache::results_identical;
-use manta::{AnalysisCache, Engine, Manta, MantaConfig, Sensitivity};
+use manta::cache::{encode_result, results_identical};
+use manta::{AnalysisCache, Engine, InferenceResult, Manta, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
-use manta_resilience::BudgetSpec;
+use manta_resilience::{BudgetSpec, MantaError};
 use manta_store::TempDir;
+use manta_workloads::generator::{generate, GenSpec};
 use manta_workloads::{PhenomenonMix, ProjectSpec};
 
 const SENSITIVITIES: [Sensitivity; 5] = [
@@ -245,4 +247,99 @@ fn provenance_recording_never_perturbs_results() {
         results_identical(&plain, &cold_res),
         "cached provenance run must match the plain engine"
     );
+}
+
+/// A raw (not yet preprocessed) generated module.
+fn raw_module(name: &str, functions: usize, seed: u64) -> manta_ir::Module {
+    generate(&GenSpec {
+        name: name.to_string(),
+        functions,
+        mix: PhenomenonMix::balanced(),
+        seed,
+    })
+    .module
+}
+
+/// `infer_module` — the result-only entry that probes the cache right
+/// after preprocessing — returns `analyze_module`'s bytes for every
+/// sensitivity, on the miss that fills the cache and on the hit, with
+/// one lookup per call.
+#[test]
+fn infer_module_matches_analyze_module_cold_and_warm() {
+    let module = raw_module("infer_module", 6, 41);
+    let (_tmp, dir) = temp_dir("infer-module");
+    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+    for sens in SENSITIVITIES {
+        let config = MantaConfig::with_sensitivity(sens);
+        let (_, want) = Engine::new(config)
+            .analyze_module(module.clone())
+            .expect("non-strict cannot fail");
+        let engine = Engine::builder()
+            .config(config)
+            .cache(Arc::clone(&cache))
+            .build()
+            .expect("prebuilt cache cannot fail to attach");
+        for pass in ["cold", "warm"] {
+            let got = engine
+                .infer_module(module.clone())
+                .expect("non-strict cannot fail");
+            assert_eq!(
+                encode_result(&got),
+                encode_result(&want),
+                "{sens:?} ({pass}): infer_module != analyze_module"
+            );
+        }
+    }
+    let s = cache.store().stats().snapshot();
+    assert_eq!((s.hits, s.misses), (5, 5), "one lookup per call");
+}
+
+/// A fuel-limited cached analyze charges the caller's running budget:
+/// `analyze_module` shares one budget between the substrate and the
+/// analyze, so the cache must key by the fuel left at lookup and run a
+/// miss on that budget. Cached and uncached runs then agree — results
+/// and errors alike — at every fuel value, cold and warm.
+#[test]
+fn fueled_analyze_module_matches_uncached_at_every_fuel() {
+    // Eight functions: the substrate takes 72 fuel and the full cascade
+    // 237, so the sweep crosses substrate errors, degraded tiers and
+    // complete results.
+    let module = raw_module("fuel_sweep", 2, 7);
+    let (_tmp, dir) = temp_dir("fuel-sweep");
+    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
+    let bytes = |out: Result<(ModuleAnalysis, InferenceResult), MantaError>| {
+        out.map(|(_, result)| (encode_result(&result), result.is_degraded()))
+    };
+    let mut seen = [false; 3];
+    for fuel in 1..400u64 {
+        let spec = BudgetSpec {
+            fuel: Some(fuel),
+            deadline_ms: None,
+        };
+        let plain = Engine::builder()
+            .config(MantaConfig::full())
+            .budget(spec)
+            .build()
+            .expect("cacheless build cannot fail");
+        let cached = Engine::builder()
+            .config(MantaConfig::full())
+            .budget(spec)
+            .cache(Arc::clone(&cache))
+            .build()
+            .expect("prebuilt cache cannot fail to attach");
+        let want = bytes(plain.analyze_module(module.clone()));
+        seen[match &want {
+            Err(_) => 0,
+            Ok((_, true)) => 1,
+            Ok((_, false)) => 2,
+        }] = true;
+        for pass in ["cold", "warm"] {
+            assert_eq!(
+                bytes(cached.analyze_module(module.clone())),
+                want,
+                "fuel {fuel} ({pass}): cached analyze_module != uncached"
+            );
+        }
+    }
+    assert_eq!(seen, [true; 3], "errors, degraded and complete results");
 }

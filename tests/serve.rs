@@ -3,11 +3,14 @@
 //! Contracts exercised here:
 //!
 //! * **Fault matrix** — every server-side fault site (`serve.accept`,
-//!   `serve.decode`, `serve.dispatch`, `serve.respond`, `serve.gc`) ×
-//!   every fault kind (panic, injected budget exhaustion) yields a
-//!   structured error on the client's wire (or, for the advisory GC
-//!   site, no client impact at all), and the daemon keeps serving
-//!   afterwards.
+//!   `serve.decode`, `serve.dispatch`, `serve.respond`, `serve.gc`) and
+//!   two substrate sites (`analysis.preprocess`, `analysis.pointsto`,
+//!   armed against an already-cached module) × every fault kind (panic,
+//!   injected budget exhaustion) yields a structured error on the
+//!   client's wire (or, for the advisory GC site, no client impact at
+//!   all), and the daemon keeps serving afterwards.
+//! * **Stats** — one store lookup per request, and one sample per
+//!   admitted job in each latency histogram.
 //! * **Wire robustness** — truncated frames, garbage payloads and
 //!   oversized length prefixes never wedge or kill the daemon.
 //! * **Admission control** — a full queue answers `Overloaded`
@@ -147,12 +150,21 @@ fn fault_matrix_every_site_yields_a_structured_error_and_the_daemon_survives() {
     );
     let addr = server.addr();
 
+    // Cache the module first: an armed plan bypasses the daemon's early
+    // cache probe, so the substrate sites below must still fire.
+    match call_once(addr, &analyze_req(23, 3)) {
+        Response::Analyzed { .. } => {}
+        other => panic!("warm-up: expected Analyzed, got {other:?}"),
+    }
+
     let sites = [
         "serve.accept",
         "serve.decode",
         "serve.dispatch",
         "serve.respond",
         "serve.gc",
+        "analysis.preprocess",
+        "analysis.pointsto",
     ];
     for site in sites {
         for fault in [Fault::Panic, Fault::ExhaustBudget] {
@@ -195,6 +207,59 @@ fn fault_matrix_every_site_yields_a_structured_error_and_the_daemon_survives() {
         }
     }
 
+    server.shutdown();
+}
+
+/// A cold then a warm analysis of one module on one connection: the
+/// store sees one lookup per request (a miss, then a hit; no second
+/// lookup after an early-probe miss), and every admitted job lands once
+/// in each latency histogram. Stats travel on the same connection, so
+/// its thread has recorded both respond times before it renders them.
+#[test]
+fn stats_show_one_lookup_per_request_and_a_latency_sample_per_job() {
+    let _guard = lock();
+    let (_tmp, dir) = temp_dir("stats");
+    let server = spawn_server(&dir, ServeConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for pass in ["cold", "warm"] {
+        match client.call(&analyze_req(17, 4)).expect("analyze call") {
+            Response::Analyzed {
+                degraded: false, ..
+            } => {}
+            other => panic!("{pass}: expected a clean Analyzed, got {other:?}"),
+        }
+    }
+    let text = match client.call(&Request::Stats).expect("stats call") {
+        Response::Stats { text } => text,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    let stat = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no `{name}` line in stats:\n{text}"))
+    };
+    assert_eq!(stat("serve.analyzed"), 2, "{text}");
+    assert_eq!(
+        (stat("store.misses"), stat("store.hits")),
+        (1, 1),
+        "one lookup per request:\n{text}"
+    );
+    for h in [
+        "serve.queue_wait_us",
+        "serve.service_us",
+        "serve.respond_us",
+    ] {
+        assert_eq!(
+            stat(&format!("{h}.count")),
+            stat("serve.analyzed"),
+            "{h}:\n{text}"
+        );
+        assert!(
+            stat(&format!("{h}.p50")) <= stat(&format!("{h}.p99")),
+            "{h}:\n{text}"
+        );
+    }
+    drop(client);
     server.shutdown();
 }
 
