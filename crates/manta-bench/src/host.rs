@@ -1,9 +1,8 @@
 //! Host metadata stamped into every `BENCH_*.json` baseline.
 //!
-//! The regression guards in `bench_perf --check` and
-//! `bench_incremental --check` skip thread-scaling comparisons on
-//! underpowered hosts; recording the core count and the exact skip
-//! reasons next to the numbers makes a committed baseline
+//! The regression guards in `bench_perf --check` skip thread-scaling
+//! comparisons on underpowered hosts; recording the core count and the
+//! exact skip reasons next to the numbers makes a committed baseline
 //! self-describing — a reader (or a later `--check` run) can tell which
 //! guards were live when it was recorded.
 

@@ -209,15 +209,7 @@ pub fn load_module_as(
             frontend_listing()
         ));
     };
-    // Textual IR uses `func name(w64, …)`; assembly uses `func name(2)`.
-    if text.lines().any(|l| {
-        let l = l.trim_start();
-        l.starts_with("func ") && (l.contains("(w") || l.contains("()"))
-    }) {
-        return manta_ir::parser::parse_module(&text).map_err(|e| CliError(e.to_string()));
-    }
-    let image = manta_isa::assemble(&text).map_err(|e| CliError(e.to_string()))?;
-    manta_isa::lift::lift(&image).map_err(|e| CliError(e.to_string()))
+    manta_isa::parse_source(&text).map_err(|e| CliError(e.message))
 }
 
 /// Like [`load_module`], but serves unchanged files from the cache:
@@ -520,7 +512,7 @@ fn make_engine(
         .expect("engine build cannot fail without a cache directory")
 }
 
-/// Builds the analysis substrate through the engine's substrate stage.
+/// Builds the analysis substrate through `Engine::build_substrate`.
 /// Returns `Ok(None)` when the substrate degraded in non-strict mode —
 /// the message is appended to `out` and the command finishes with
 /// whatever partial output it has.
@@ -844,8 +836,8 @@ fn run_command(
             if let Some(c) = &cache {
                 // Per-entry-kind traffic straight off the store: `infer`
                 // (inference results), `prov` (provenance graphs),
-                // `module` (lifted-module file cache), `row` (eval suite
-                // rows), `fsum` (per-function summary state).
+                // `module` (lifted-module file cache), `fsum`
+                // (per-function summary state).
                 for (kind, hits, misses) in c.store().kind_traffic() {
                     let _ = writeln!(out, "  cache[{kind}]: {hits} hits, {misses} misses");
                 }

@@ -14,7 +14,7 @@
 
 use manta::{FirstLayer, TypeQuery};
 use manta_analysis::{Ddg, DepKind, ModuleAnalysis, VarRef};
-use manta_ir::{BinOp, InstKind, Type, ValueId};
+use manta_ir::{BinOp, InstKind, ValueId};
 
 /// Counters from a pruning pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -117,12 +117,6 @@ pub fn pruned_ddg(analysis: &ModuleAnalysis, inference: &dyn TypeQuery) -> (Ddg,
     let mut ddg = Ddg::build(&analysis.pre, &analysis.pointsto);
     let stats = prune_infeasible_deps(analysis, inference, &mut ddg);
     (ddg, stats)
-}
-
-/// Checks whether `t` is a numeric type at any abstraction level — exposed
-/// for checker-side type guards.
-pub fn type_is_numeric(t: &Type) -> bool {
-    t.is_numeric()
 }
 
 #[cfg(test)]

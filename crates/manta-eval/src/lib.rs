@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod adapters;
-pub mod cached;
 pub mod experiments;
 pub mod metrics;
 pub mod runner;
@@ -24,20 +23,17 @@ pub mod table;
 
 pub use adapters::MantaTool;
 
-/// Serializes the unit tests that share process-global state: an
-/// installed [`manta_resilience::FaultPlan`] makes every cache-aware
-/// run bypass its cache, so a test asserting cache traffic must never
-/// overlap one that arms a fault.
+/// Serializes the runner tests that share the process-global fault
+/// plan: the fault-plan test arms `eval.project:beta`, and the other
+/// runner tests load a project named `beta`, which would trip it.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-pub use cached::{run_suite, spec_fingerprint, CachedSuite, EvalRow};
 pub use runner::{
     load_coreutils, load_coreutils_checked, load_firmware, load_firmware_checked, load_projects,
-    load_projects_checked, load_specs_checked, load_specs_encoded, load_suite, load_suite_checked,
-    solver_shape_table, stage_breakdown_table, Encoding, ProjectData, ProjectFailure, Suite,
-    SuiteLoad,
+    load_projects_checked, load_specs_checked, load_suite, load_suite_checked, solver_shape_table,
+    stage_breakdown_table, ProjectData, ProjectFailure, Suite, SuiteLoad,
 };

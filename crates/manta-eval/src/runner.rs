@@ -73,11 +73,6 @@ pub struct SuiteLoad {
     pub projects: Vec<ProjectData>,
     /// Projects that failed, in suite order.
     pub failures: Vec<ProjectFailure>,
-    /// Projects whose generation and parsing was skipped entirely
-    /// because an analysis cache already held their result (see
-    /// [`crate::cached::run_suite`]). Always 0 for the plain
-    /// uncached loaders.
-    pub skipped_parses: usize,
 }
 
 impl SuiteLoad {
@@ -150,47 +145,9 @@ impl SuiteUnit {
     }
 }
 
-/// How a generated project's module reaches the substrate build: taken
-/// directly from the generator, or round-tripped through a machine
-/// encoding and lifted back by the matching registered frontend — the
-/// path a real stripped binary takes into the evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Encoding {
-    /// Use the generator's IR module as-is (the historical path).
-    Direct,
-    /// Encode to an SB-ISA image and lift through `manta-isa`.
-    Sb,
-    /// Encode to an x86-64 image and lift through `manta-x86`.
-    X86,
-}
-
-/// Encodes `module` per `encoding` and lifts the bytes back through the
-/// matching frontend. [`Encoding::Direct`] returns the module untouched.
-fn reencode(module: manta_ir::Module, encoding: Encoding) -> Result<manta_ir::Module, MantaError> {
-    use manta_ir::Frontend;
-    if encoding == Encoding::Direct {
-        return Ok(module);
-    }
-    let dual = manta_workloads::emit_dual(&module).map_err(|e| MantaError::Verify {
-        message: format!("dual encoding failed: {e}"),
-    })?;
-    let (frontend, bytes): (&dyn Frontend, Vec<u8>) = match encoding {
-        Encoding::Direct => unreachable!(),
-        Encoding::Sb => (&manta_isa::lift::SbFrontend, dual.sb_bytes()),
-        Encoding::X86 => (&manta_x86::X86Frontend, dual.x86_bytes()),
-    };
-    frontend.lift_bytes(&bytes).map_err(|e| MantaError::Verify {
-        message: format!("{} lift failed: {e}", frontend.name()),
-    })
-}
-
 /// Generates and analyzes one unit behind the `eval.project` isolation
 /// boundary, under a fresh budget minted from `budget`.
-fn build_unit_checked(
-    unit: &SuiteUnit,
-    budget: BudgetSpec,
-    encoding: Encoding,
-) -> Result<ProjectData, MantaError> {
+fn build_unit_checked(unit: &SuiteUnit, budget: BudgetSpec) -> Result<ProjectData, MantaError> {
     let name = unit.name().to_string();
     let kloc = unit.kloc();
     let start = Instant::now();
@@ -199,8 +156,7 @@ fn build_unit_checked(
         isolate("eval.project", || {
             fault_point_keyed("eval.project", &name);
             let generated = unit.generate();
-            let module = reencode(generated.module, encoding)?;
-            ModuleAnalysis::build_budgeted(module, PreprocessConfig::default(), &budget)
+            ModuleAnalysis::build_budgeted(generated.module, PreprocessConfig::default(), &budget)
                 .map(|analysis| (analysis, generated.truth))
         })
     });
@@ -227,14 +183,9 @@ fn build_unit_checked(
 /// or blown budget becomes a [`ProjectFailure`] while the rest of the
 /// suite still loads.
 fn load_units_checked(units: Vec<SuiteUnit>, budget: BudgetSpec) -> SuiteLoad {
-    load_units_encoded(units, budget, Encoding::Direct)
-}
-
-/// [`load_units_checked`] with a frontend round-trip per project.
-fn load_units_encoded(units: Vec<SuiteUnit>, budget: BudgetSpec, encoding: Encoding) -> SuiteLoad {
     PARALLELISM.set(manta_parallel::threads() as u64);
     let slots = manta_parallel::par_map(units, |unit| {
-        build_unit_checked(&unit, budget, encoding).map_err(|error| {
+        build_unit_checked(&unit, budget).map_err(|error| {
             let name = unit.name().to_string();
             let degradation = Degradation::record(
                 "eval.project",
@@ -265,24 +216,6 @@ fn load_units_encoded(units: Vec<SuiteUnit>, budget: BudgetSpec, encoding: Encod
 /// the suite still loads.
 pub fn load_specs_checked(specs: Vec<ProjectSpec>, budget: BudgetSpec) -> SuiteLoad {
     load_units_checked(specs.into_iter().map(SuiteUnit::Project).collect(), budget)
-}
-
-/// [`load_specs_checked`], but every project's module is round-tripped
-/// through a machine `encoding` and its registered frontend before the
-/// substrates are built — the evaluation then measures what inference
-/// sees from an actual binary rather than from generator IR. Because the
-/// dual emitter and both lifters are deterministic and parity-tested,
-/// results are bit-identical across all three encodings.
-pub fn load_specs_encoded(
-    specs: Vec<ProjectSpec>,
-    budget: BudgetSpec,
-    encoding: Encoding,
-) -> SuiteLoad {
-    load_units_encoded(
-        specs.into_iter().map(SuiteUnit::Project).collect(),
-        budget,
-        encoding,
-    )
 }
 
 fn build_many(units: Vec<SuiteUnit>) -> Vec<ProjectData> {

@@ -35,7 +35,6 @@ use std::time::{Duration, Instant};
 
 use manta::cache::encode_result;
 use manta::Engine;
-use manta_ir::Module;
 use manta_resilience::{
     fault_point, isolate, take_pending_exhaustion, BudgetKind, BudgetSpec, MantaError,
 };
@@ -743,25 +742,6 @@ fn clamp_budget(requested: BudgetSpec, config: &ServeConfig) -> BudgetSpec {
     }
 }
 
-/// Parses module source the same way the CLI does: textual IR uses
-/// `func name(w64, …)`, assembly uses `func name(2)`.
-fn parse_module_text(text: &str) -> Result<Module, MantaError> {
-    let parse_err = |message: String| MantaError::Parse {
-        line: 0,
-        col: 0,
-        message,
-    };
-    let is_ir = text.lines().any(|l| {
-        let l = l.trim_start();
-        l.starts_with("func ") && (l.contains("(w") || l.contains("()"))
-    });
-    if is_ir {
-        return manta_ir::parser::parse_module(text).map_err(|e| parse_err(e.to_string()));
-    }
-    let image = manta_isa::assemble(text).map_err(|e| parse_err(e.to_string()))?;
-    manta_isa::lift::lift(&image).map_err(|e| parse_err(e.to_string()))
-}
-
 fn run_job(shared: &Shared, request: &Request) -> Response {
     let Request::Analyze {
         module_text,
@@ -809,7 +789,11 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
         // Parsing untrusted network bytes happens inside the isolation
         // boundary: a parser panic must answer this client, not unwind
         // the worker thread.
-        let module = parse_module_text(module_text)?;
+        let module = manta_isa::parse_source(module_text).map_err(|e| MantaError::Parse {
+            line: 0,
+            col: 0,
+            message: e.message,
+        })?;
         session.infer_module(module)
     });
     match outcome {

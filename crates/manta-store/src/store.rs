@@ -85,7 +85,7 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 /// The key of one cached entry: `(stage, content-hash, config-hash)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Key {
-    /// Pipeline stage tag (e.g. `infer`, `row`, `fsum`). Must be
+    /// Pipeline stage tag (e.g. `infer`, `module`, `fsum`). Must be
     /// non-empty ASCII alphanumerics (plus `_`); enforced on use.
     pub stage: &'static str,
     /// Content hash of the analyzed input.
@@ -726,7 +726,7 @@ mod tests {
     #[test]
     fn reopen_preserves_entries() {
         let (_tmp, dir) = temp_dir("reopen");
-        let key = Key::new("row", 1, 2);
+        let key = Key::new("module", 1, 2);
         {
             let store = Store::open(&dir).unwrap();
             store.put(&key, b"persisted").unwrap();

@@ -576,8 +576,8 @@ pub fn decode_one(bytes: &[u8]) -> Result<(Inst, usize), DecodeError> {
 
     let len = r.pos;
     // Canonical-form check: the bytes must be exactly what we would emit.
-    let reencoded = encode_to_vec(&inst);
-    if reencoded != bytes[..len] {
+    let canonical = encode_to_vec(&inst);
+    if canonical != bytes[..len] {
         return Err(DecodeError::new(format!(
             "non-canonical encoding of `{inst}`"
         )));

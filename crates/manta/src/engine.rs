@@ -7,10 +7,10 @@
 //! degradation records — re-implemented per variant. This module folds
 //! the matrix back into two pieces:
 //!
-//! * [`Stage`] — one pipeline pass (reveal, FI, CS, FS, or the whole
-//!   analysis substrate) with a name, a fault/isolation site, and a
-//!   completed-tier label. Stages know *what* to compute, nothing about
-//!   budgets, spans, faults, or caching.
+//! * `Stage` — one pass of the inference cascade (reveal, FI, CS or FS)
+//!   with a name, a fault/isolation site, and a completed-tier label.
+//!   Stages know *what* to compute, nothing about budgets, spans,
+//!   faults, or caching.
 //! * [`Engine`] — the driver. Built once via [`EngineBuilder`] from a
 //!   [`MantaConfig`], a [`BudgetSpec`], a strictness flag, a thread
 //!   count, and an optional [`AnalysisCache`], it applies every
@@ -28,7 +28,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use manta_analysis::ModuleAnalysis;
+use manta_analysis::{ModuleAnalysis, PreprocessConfig};
 use manta_ir::Module;
 use manta_resilience::{
     fault_point_budgeted, isolate, plan_active, Budget, BudgetExceeded, BudgetSpec, Degradation,
@@ -43,100 +43,34 @@ use crate::{
 };
 
 // ---------------------------------------------------------------------
-// Stage context
+// Stages
 // ---------------------------------------------------------------------
 
-/// Everything a [`Stage`] may read or write while it runs.
-///
-/// The context owns the evolving [`InferenceResult`] and the reveal map;
-/// the substrate slot lets the preprocessing stage run under the same
-/// driver even though it *produces* the [`ModuleAnalysis`] the later
-/// stages consume.
-pub struct StageCtx<'a> {
+/// Everything a [`Stage`] may read or write while it runs: the
+/// substrate, the reveal map once collected, and the evolving
+/// [`InferenceResult`].
+struct StageCtx<'a> {
     config: MantaConfig,
     budget: &'a Budget,
-    substrate: SubstrateSlot<'a>,
+    analysis: &'a ModuleAnalysis,
     reveals: Option<reveal::RevealMap>,
     result: InferenceResult,
 }
 
-enum SubstrateSlot<'a> {
-    /// The substrate stage has not run yet; holds the raw module.
-    Pending(Option<Module>),
-    /// The caller supplied a prebuilt analysis.
-    Ready(&'a ModuleAnalysis),
-    /// The substrate stage ran and built the analysis in place.
-    Built(Box<ModuleAnalysis>),
-}
-
-impl<'a> StageCtx<'a> {
-    fn over(analysis: &'a ModuleAnalysis, config: MantaConfig, budget: &'a Budget) -> StageCtx<'a> {
-        StageCtx {
-            config,
-            budget,
-            substrate: SubstrateSlot::Ready(analysis),
-            reveals: None,
-            result: InferenceResult::empty(config),
-        }
-    }
-
-    fn pending(module: Module, config: MantaConfig, budget: &'a Budget) -> StageCtx<'a> {
-        StageCtx {
-            config,
-            budget,
-            substrate: SubstrateSlot::Pending(Some(module)),
-            reveals: None,
-            result: InferenceResult::empty(config),
-        }
-    }
-
-    /// The inference configuration in effect.
-    pub fn config(&self) -> &MantaConfig {
-        &self.config
-    }
-
-    /// The cooperative budget every stage ticks against.
-    pub fn budget(&self) -> &Budget {
-        self.budget
-    }
-
-    /// The analysis substrate (panics if the substrate stage has not
-    /// run and no prebuilt analysis was supplied).
-    pub fn analysis(&self) -> &ModuleAnalysis {
-        match &self.substrate {
-            SubstrateSlot::Ready(a) => a,
-            SubstrateSlot::Built(a) => a,
-            SubstrateSlot::Pending(_) => panic!("substrate stage has not run yet"),
-        }
-    }
-
+impl StageCtx<'_> {
     /// The reveal map (panics if the reveal stage has not run).
-    pub fn reveals(&self) -> &reveal::RevealMap {
+    fn reveals(&self) -> &reveal::RevealMap {
         self.reveals.as_ref().expect("reveal stage has not run yet")
     }
-
-    /// The evolving inference result.
-    pub fn result(&self) -> &InferenceResult {
-        &self.result
-    }
-
-    /// Mutable access for refinement stages.
-    pub fn result_mut(&mut self) -> &mut InferenceResult {
-        &mut self.result
-    }
 }
 
-// ---------------------------------------------------------------------
-// Stages
-// ---------------------------------------------------------------------
-
-/// One pass of the pipeline, registered with the [`Engine`] driver.
+/// One pass of the inference cascade, run by the [`Engine`] driver.
 ///
 /// Implementations carry no resilience or telemetry logic of their own:
 /// the driver opens the span, arms the fault point, isolates panics,
 /// snapshots the result for rollback, and records degradations — once,
 /// identically, for every stage.
-pub trait Stage: Sync {
+trait Stage: Sync {
     /// Span name under the `infer` root (e.g. `"fi"`).
     fn name(&self) -> &'static str;
 
@@ -146,32 +80,17 @@ pub trait Stage: Sync {
 
     /// The completed-tier label this stage contributes on success:
     /// base tiers return `"FI"` / `"FS"`, refinements `"+CS"` / `"+FS"`,
-    /// stages outside the precision cascade (reveal, substrate) `None`.
+    /// reveal collection `None`.
     fn tier(&self) -> Option<&'static str> {
         None
-    }
-
-    /// Whether the driver wraps this stage in `isolate` + a budgeted
-    /// fault point. The substrate stage opts out: it guards its four
-    /// sub-passes (preprocess, callgraph, points-to, DDG) at its own
-    /// finer-grained `analysis.*` sites.
-    fn guarded(&self) -> bool {
-        true
-    }
-
-    /// Whether the driver opens a span named [`Stage::name`] around the
-    /// stage. The substrate stage opts out because it instruments
-    /// itself (`analysis.build` and children).
-    fn spanned(&self) -> bool {
-        true
     }
 
     /// Runs the pass, reading and writing through `ctx`.
     ///
     /// # Errors
     ///
-    /// Budget exhaustion and (for the substrate) inner-stage failures
-    /// surface as [`MantaError`]; panics are caught by the driver.
+    /// Budget exhaustion surfaces as [`MantaError`]; panics are caught
+    /// by the driver.
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError>;
 }
 
@@ -182,42 +101,6 @@ fn budget_error(site: &'static str, e: BudgetExceeded) -> MantaError {
     MantaError::Budget {
         stage: site.to_string(),
         kind: e.kind,
-    }
-}
-
-/// Builds the analysis substrate (preprocess → call graph → points-to →
-/// DDG) from a raw module.
-struct SubstrateStage;
-
-impl Stage for SubstrateStage {
-    fn name(&self) -> &'static str {
-        "analysis.build"
-    }
-
-    fn site(&self) -> &'static str {
-        "analysis.build"
-    }
-
-    fn guarded(&self) -> bool {
-        false
-    }
-
-    fn spanned(&self) -> bool {
-        false
-    }
-
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let module = match &mut ctx.substrate {
-            SubstrateSlot::Pending(m) => m.take().expect("substrate stage ran twice"),
-            _ => return Ok(()),
-        };
-        let analysis = ModuleAnalysis::build_budgeted(
-            module,
-            manta_analysis::PreprocessConfig::default(),
-            ctx.budget,
-        )?;
-        ctx.substrate = SubstrateSlot::Built(Box::new(analysis));
-        Ok(())
     }
 }
 
@@ -234,7 +117,7 @@ impl Stage for RevealStage {
     }
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        ctx.reveals = Some(reveal::RevealMap::collect(ctx.analysis()));
+        ctx.reveals = Some(reveal::RevealMap::collect(ctx.analysis));
         Ok(())
     }
 }
@@ -257,7 +140,7 @@ impl Stage for FiStage {
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
         let mut r =
-            flow_insensitive::run_budgeted(ctx.analysis(), ctx.reveals(), ctx.config, ctx.budget)
+            flow_insensitive::run_budgeted(ctx.analysis, ctx.reveals(), ctx.config, ctx.budget)
                 .map_err(|e| budget_error(self.site(), e))?;
         r.config = ctx.config;
         ctx.result = r;
@@ -284,7 +167,7 @@ impl Stage for StandaloneFsStage {
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
         let mut r = flow_refine::standalone_fs_budgeted(
-            ctx.analysis(),
+            ctx.analysis,
             ctx.reveals(),
             &ctx.config,
             ctx.budget,
@@ -313,21 +196,15 @@ impl Stage for CsStage {
     }
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let StageCtx {
-            config,
-            budget,
-            substrate,
+        let reveals = ctx.reveals.as_ref().expect("reveal stage has not run yet");
+        ctx_refine::refine_budgeted(
+            ctx.analysis,
             reveals,
-            result,
-        } = ctx;
-        let analysis: &ModuleAnalysis = match &*substrate {
-            SubstrateSlot::Ready(a) => a,
-            SubstrateSlot::Built(a) => a,
-            SubstrateSlot::Pending(_) => panic!("substrate stage has not run yet"),
-        };
-        let reveals = reveals.as_ref().expect("reveal stage has not run yet");
-        ctx_refine::refine_budgeted(analysis, reveals, config, result, budget)
-            .map_err(|e| budget_error(self.site(), e))
+            &ctx.config,
+            &mut ctx.result,
+            ctx.budget,
+        )
+        .map_err(|e| budget_error(self.site(), e))
     }
 }
 
@@ -349,21 +226,15 @@ impl Stage for FsRefineStage {
     }
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let StageCtx {
-            config,
-            budget,
-            substrate,
+        let reveals = ctx.reveals.as_ref().expect("reveal stage has not run yet");
+        flow_refine::refine_budgeted(
+            ctx.analysis,
             reveals,
-            result,
-        } = ctx;
-        let analysis: &ModuleAnalysis = match &*substrate {
-            SubstrateSlot::Ready(a) => a,
-            SubstrateSlot::Built(a) => a,
-            SubstrateSlot::Pending(_) => panic!("substrate stage has not run yet"),
-        };
-        let reveals = reveals.as_ref().expect("reveal stage has not run yet");
-        flow_refine::refine_budgeted(analysis, reveals, config, result, budget)
-            .map_err(|e| budget_error(self.site(), e))
+            &ctx.config,
+            &mut ctx.result,
+            ctx.budget,
+        )
+        .map_err(|e| budget_error(self.site(), e))
     }
 }
 
@@ -371,7 +242,7 @@ impl Stage for FsRefineStage {
 ///
 /// [`Sensitivity::FiFsCs`] lists FS before CS — §6.4's reversed-order
 /// ablation, the aggressive stage first.
-pub fn stages(sensitivity: Sensitivity) -> &'static [&'static dyn Stage] {
+fn stages(sensitivity: Sensitivity) -> &'static [&'static dyn Stage] {
     match sensitivity {
         Sensitivity::Fi => &[&RevealStage, &FiStage],
         Sensitivity::Fs => &[&RevealStage, &StandaloneFsStage],
@@ -637,19 +508,6 @@ impl Engine {
         self.cache.clone()
     }
 
-    /// A per-session view of this engine with its own budget: shares
-    /// the configuration, strictness and the attached cache (the `Arc`
-    /// is cloned, not the store), overriding only the budget spec. A
-    /// multi-tenant server derives one per request so an abusive
-    /// client's budget cannot leak into its neighbors'.
-    #[must_use]
-    pub fn with_budget_spec(&self, budget: BudgetSpec) -> Engine {
-        Engine {
-            budget,
-            ..self.clone()
-        }
-    }
-
     /// Analyzes one prepared module under a fresh budget: cache lookup
     /// (when attached and eligible), then the staged cascade.
     ///
@@ -739,11 +597,8 @@ impl Engine {
         };
         let (analysis, fingerprint) = {
             manta_telemetry::span!("analysis.build");
-            let pre = ModuleAnalysis::preprocess_budgeted(
-                module,
-                manta_analysis::PreprocessConfig::default(),
-                &budget,
-            )?;
+            let pre =
+                ModuleAnalysis::preprocess_budgeted(module, PreprocessConfig::default(), &budget)?;
             let fingerprint = module_fingerprint(&pre.module);
             if let Some((hit, _)) = self.lookup(cache, fingerprint, cfg) {
                 return Ok(hit);
@@ -754,24 +609,21 @@ impl Engine {
             .map(|(result, _)| result)
     }
 
-    /// Runs the substrate stage (preprocess → call graph → points-to →
-    /// DDG) under the same driver the inference stages use.
+    /// Builds the analysis substrate (preprocess → call graph →
+    /// points-to → DDG) on `budget`. The build instruments and guards
+    /// itself: one `analysis.build` span with a child per pass, and a
+    /// fault site per pass (`analysis.preprocess` … `analysis.ddg`).
     ///
     /// # Errors
     ///
-    /// Returns the first sub-stage failure: budget exhaustion at an
+    /// Returns the first pass failure: budget exhaustion at an
     /// `analysis.*` site or a caught panic.
     pub fn build_substrate(
         &self,
         module: Module,
         budget: &Budget,
     ) -> Result<ModuleAnalysis, MantaError> {
-        let mut ctx = StageCtx::pending(module, self.config, budget);
-        Self::run_stage(&SubstrateStage, &mut ctx)?;
-        match ctx.substrate {
-            SubstrateSlot::Built(analysis) => Ok(*analysis),
-            _ => unreachable!("substrate stage builds the analysis or errors"),
-        }
+        ModuleAnalysis::build_budgeted(module, PreprocessConfig::default(), budget)
     }
 
     /// Schedules whole-module analyses across the work-stealing pool,
@@ -914,7 +766,13 @@ impl Engine {
         if let (Some(graph), Some(p)) = (prov.as_mut(), analysis.pointsto.provenance.as_ref()) {
             graph.record_pointsto(p);
         }
-        let mut ctx = StageCtx::over(analysis, self.config, budget);
+        let mut ctx = StageCtx {
+            config: self.config,
+            budget,
+            analysis,
+            reveals: None,
+            result: InferenceResult::empty(self.config),
+        };
         let mut completed = String::from("none");
         for stage in stages(self.config.sensitivity) {
             // Stages mutate `ctx.result` in place but only commit after
@@ -965,10 +823,7 @@ impl Engine {
 
     /// Runs one stage under the uniform guards.
     fn run_stage(stage: &dyn Stage, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let _span = stage.spanned().then(|| manta_telemetry::span(stage.name()));
-        if !stage.guarded() {
-            return stage.run(ctx);
-        }
+        let _span = manta_telemetry::span(stage.name());
         let site = stage.site();
         let budget = ctx.budget;
         isolate(site, || {

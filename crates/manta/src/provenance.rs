@@ -6,8 +6,8 @@
 //! * **Leaves** are the type-revealing instructions of §4.1 (Table 1):
 //!   one fact per [`crate::reveal::Reveal`], carrying the revealing
 //!   instruction site and the revealed type as an exact interval.
-//! * After every completed **tier stage** (FI, CS, FS — the tier labels
-//!   of [`crate::engine::Stage::tier`]), the driver diffs the evolving
+//! * After every completed **tier stage** (FI, CS, FS — the engine's
+//!   completed-tier labels), the driver diffs the evolving
 //!   [`InferenceResult`] against the pre-stage snapshot it already takes
 //!   for rollback; every variable whose interval changed (and every
 //!   refined `v@s` site interval) becomes a fact whose predecessors are
@@ -44,8 +44,8 @@ use crate::reveal::RevealMap;
 use crate::InferenceResult;
 
 /// The tier label of leaf facts (type-revealing instructions). Stage
-/// facts use the labels of [`crate::engine::Stage::tier`]: `"FI"`,
-/// `"FS"`, `"+CS"`, `"+FS"`.
+/// facts use the engine's completed-tier labels: `"FI"`, `"FS"`,
+/// `"+CS"`, `"+FS"`.
 pub const TIER_REVEAL: &str = "reveal";
 
 /// One node of the provenance DAG: a type fact about `var`, produced by

@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use manta::cache::{config_hash, decode_result, encode_result};
 use manta::{AnalysisCache, Engine, Manta, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
-use manta_eval::run_suite;
 use manta_resilience::BudgetSpec;
 use manta_store::hash::SplitMix64;
 use manta_store::TempDir;
@@ -55,18 +54,39 @@ fn analysis(seed: u64, functions: usize) -> ModuleAnalysis {
     )
 }
 
-fn tiny_specs() -> Vec<ProjectSpec> {
+/// Three tiny generated programs, analyzed once.
+fn tiny_programs() -> Vec<ModuleAnalysis> {
     ["ash", "birch", "cedar"]
         .iter()
         .enumerate()
-        .map(|(i, name)| ProjectSpec {
-            name: (*name).to_string(),
-            kloc: 1.0,
-            functions: 4,
-            mix: PhenomenonMix::balanced(),
-            seed: 400 + i as u64,
+        .map(|(i, name)| {
+            let spec = ProjectSpec {
+                name: (*name).to_string(),
+                kloc: 1.0,
+                functions: 4,
+                mix: PhenomenonMix::balanced(),
+                seed: 400 + i as u64,
+            };
+            ModuleAnalysis::build(spec.generate().module)
         })
         .collect()
+}
+
+/// Analyzes every program through `engine`, returning each result's
+/// canonical encoding and the store hits and misses the calls caused.
+fn analyze_all(engine: &Engine, programs: &[ModuleAnalysis]) -> (Vec<Vec<u8>>, u64, u64) {
+    let store = engine.cache().expect("cache attached").store();
+    let stats = || {
+        let s = store.stats().snapshot();
+        (s.hits, s.misses)
+    };
+    let (hits, misses) = stats();
+    let encoded = programs
+        .iter()
+        .map(|a| encode_result(&engine.analyze(a).expect("non-strict analyze cannot fail")))
+        .collect();
+    let (hits_after, misses_after) = stats();
+    (encoded, hits_after - hits, misses_after - misses)
 }
 
 /// 500 seeds of file-level vandalism: truncation, single-bit flips,
@@ -179,33 +199,33 @@ fn inference_payload_roundtrips_for_every_sensitivity() {
     }
 }
 
-/// A warm suite evaluation is bit-identical to the cold run that
-/// populated the cache, at 1, 2 and 8 pool threads.
+/// A warm cached analyze is bit-identical to the cold run that
+/// populated the cache, at 1, 2 and 8 pool threads, and every warm call
+/// is served from the store.
 #[test]
 fn warm_eval_is_bit_identical_to_cold_at_every_thread_count() {
     let _l = lock();
     let _restore = ThreadGuard;
     let (_tmp, dir) = temp_dir("threads");
-    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
     let engine = Engine::builder()
         .config(MantaConfig::full())
-        .cache(cache.clone())
+        .cache_dir(&dir)
         .build()
-        .expect("prebuilt cache cannot fail to attach");
-    let cold = run_suite(tiny_specs(), &engine);
-    assert!(cold.failures.is_empty());
+        .expect("open cache");
+    let programs = tiny_programs();
+    let (cold, _, cold_misses) = analyze_all(&engine, &programs);
+    assert_eq!(cold_misses, 3, "a cold store misses every program");
     for threads in [1usize, 2, 8] {
         manta_parallel::set_threads(threads);
-        let warm = run_suite(tiny_specs(), &engine);
+        let (warm, hits, misses) = analyze_all(&engine, &programs);
         assert_eq!(
-            warm.skipped_builds,
-            cold.rows.len(),
-            "threads={threads}: every project must be served warm"
+            (hits, misses),
+            (3, 0),
+            "threads={threads}: every program must be served warm"
         );
         assert_eq!(
-            warm.render_rows(),
-            cold.render_rows(),
-            "threads={threads}: warm rows must match cold bit for bit"
+            warm, cold,
+            "threads={threads}: warm results must match cold bit for bit"
         );
     }
 }
@@ -229,21 +249,23 @@ fn fuel_budgets_key_separately_and_warm_to_their_own_cold_result() {
             .build()
             .expect("prebuilt cache cannot fail to attach")
     };
+    let programs = tiny_programs();
 
-    let cold_unbudgeted = run_suite(tiny_specs(), &engine_for(BudgetSpec::default()));
+    let (cold_unbudgeted, _, _) = analyze_all(&engine_for(BudgetSpec::default()), &programs);
     // A different fuel budget is a different key: nothing is served warm.
-    let cold_fueled = run_suite(tiny_specs(), &engine_for(plenty));
+    let (cold_fueled, hits, misses) = analyze_all(&engine_for(plenty), &programs);
     assert_eq!(
-        cold_fueled.skipped_builds, 0,
+        (hits, misses),
+        (0, 3),
         "a fuel budget must not reuse unbudgeted entries"
     );
-    // But each key warms to its own cold rows.
-    let warm_fueled = run_suite(tiny_specs(), &engine_for(plenty));
-    assert_eq!(warm_fueled.skipped_builds, cold_fueled.rows.len());
-    assert_eq!(warm_fueled.render_rows(), cold_fueled.render_rows());
-    // Generous fuel completes the full cascade, so the rows agree with
-    // the unbudgeted ones even though they were computed separately.
-    assert_eq!(warm_fueled.render_rows(), cold_unbudgeted.render_rows());
+    // But each key warms to its own cold result.
+    let (warm_fueled, hits, misses) = analyze_all(&engine_for(plenty), &programs);
+    assert_eq!((hits, misses), (3, 0), "the fueled entries must serve warm");
+    assert_eq!(warm_fueled, cold_fueled);
+    // Generous fuel completes the full cascade, so the results agree
+    // with the unbudgeted ones even though they were computed separately.
+    assert_eq!(warm_fueled, cold_unbudgeted);
 }
 
 /// The config hash must not see the pool size: results are
