@@ -215,15 +215,6 @@ impl Function {
         }
     }
 
-    /// All instructions that use `v`, in arena order (paper: `get_users`).
-    pub fn users(&self, v: ValueId) -> Vec<InstId> {
-        self.insts
-            .iter()
-            .filter(|i| i.kind.uses().contains(&v))
-            .map(|i| i.id)
-            .collect()
-    }
-
     // ---- mutation (used by the builder and by preprocessing) ----
 
     pub(crate) fn push_value(&mut self, value: Value) -> ValueId {
@@ -304,6 +295,51 @@ impl Function {
     }
 }
 
+/// Every value's users in one function (paper: `get_users`), built in a
+/// single pass so a walk that needs the users of many values pays for the
+/// function once rather than once per value.
+#[derive(Clone, Debug)]
+pub struct UseIndex {
+    /// `users[start[v]..start[v + 1]]` are the users of value `v`.
+    start: Vec<u32>,
+    users: Vec<InstId>,
+}
+
+impl UseIndex {
+    /// Indexes the users of every value of `func`.
+    pub fn new(func: &Function) -> UseIndex {
+        let mut pairs: Vec<(ValueId, InstId)> = Vec::new();
+        for inst in &func.insts {
+            let first = pairs.len();
+            for u in inst.kind.operands() {
+                // An instruction naming `u` twice is one user.
+                if !pairs[first..].iter().any(|&(v, _)| v == u) {
+                    pairs.push((u, inst.id));
+                }
+            }
+        }
+        // Stable, so each value's users stay in arena order.
+        pairs.sort_by_key(|&(v, _)| v);
+        let n = func.value_count();
+        let mut start = vec![0u32; n + 1];
+        for &(v, _) in &pairs {
+            start[v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        UseIndex {
+            start,
+            users: pairs.into_iter().map(|(_, inst)| inst).collect(),
+        }
+    }
+
+    /// All instructions that use `v`, in arena order.
+    pub fn users(&self, v: ValueId) -> &[InstId] {
+        &self.users[self.start[v.index()] as usize..self.start[v.index() + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,10 +396,34 @@ mod tests {
                 rhs: d1,
             },
         );
-        assert_eq!(f.users(p), vec![InstId(0), InstId(1)]);
-        assert_eq!(f.users(d1), vec![InstId(1)]);
-        assert!(f.users(d2).is_empty());
+        let index = UseIndex::new(&f);
+        assert_eq!(index.users(p), [InstId(0), InstId(1)]);
+        assert_eq!(index.users(d1), [InstId(1)]);
+        assert!(index.users(d2).is_empty());
         assert_eq!(f.def_inst(d2), Some(InstId(1)));
         assert_eq!(f.def_inst(p), None);
+    }
+
+    #[test]
+    fn use_index_lists_an_instruction_once_per_value() {
+        let mut f = Function::new(FuncId(0), "f".into(), &[Width::W64], Some(Width::W64));
+        let p = f.params()[0];
+        let sq = f.push_value(Value {
+            kind: ValueKind::Inst { def: InstId(0) },
+            width: Width::W64,
+        });
+        f.push_inst(
+            BlockId(0),
+            InstKind::BinOp {
+                op: crate::BinOp::Mul,
+                dst: sq,
+                lhs: p,
+                rhs: p,
+            },
+        );
+        f.push_inst(BlockId(0), InstKind::Store { addr: sq, val: p });
+        let index = UseIndex::new(&f);
+        assert_eq!(index.users(p), [InstId(0), InstId(1)]);
+        assert_eq!(index.users(sq), [InstId(1)]);
     }
 }

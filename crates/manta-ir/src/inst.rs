@@ -260,27 +260,33 @@ impl InstKind {
         }
     }
 
-    /// All values used (read) by this instruction, in operand order.
-    pub fn uses(&self) -> Vec<ValueId> {
-        match self {
-            InstKind::Copy { src, .. } => vec![*src],
-            InstKind::Phi { incomings, .. } => incomings.iter().map(|(_, v)| *v).collect(),
-            InstKind::Load { addr, .. } => vec![*addr],
-            InstKind::Store { addr, val } => vec![*addr, *val],
-            InstKind::Alloca { .. } => vec![],
-            InstKind::Gep { base, .. } => vec![*base],
+    /// All values used (read) by this instruction, in operand order: the
+    /// callee value of an indirect call comes before its arguments. Never
+    /// allocates, so walks may call it once per scanned instruction.
+    pub fn operands(&self) -> impl Iterator<Item = ValueId> + '_ {
+        let (fixed, args): ([Option<ValueId>; 2], &[ValueId]) = match self {
+            InstKind::Copy { src, .. } => ([Some(*src), None], &[]),
+            InstKind::Load { addr, .. } => ([Some(*addr), None], &[]),
+            InstKind::Store { addr, val } => ([Some(*addr), Some(*val)], &[]),
+            InstKind::Phi { .. } | InstKind::Alloca { .. } => ([None, None], &[]),
+            InstKind::Gep { base, .. } => ([Some(*base), None], &[]),
             InstKind::BinOp { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                vec![*lhs, *rhs]
+                ([Some(*lhs), Some(*rhs)], &[])
             }
-            InstKind::Call { callee, args, .. } => {
-                let mut uses = Vec::with_capacity(args.len() + 1);
-                if let Callee::Indirect(v) = callee {
-                    uses.push(*v);
-                }
-                uses.extend(args.iter().copied());
-                uses
-            }
-        }
+            InstKind::Call { callee, args, .. } => match callee {
+                Callee::Indirect(v) => ([Some(*v), None], args),
+                _ => ([None, None], args),
+            },
+        };
+        let incomings = match self {
+            InstKind::Phi { incomings, .. } => incomings.as_slice(),
+            _ => &[],
+        };
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(args.iter().copied())
+            .chain(incomings.iter().map(|&(_, v)| v))
     }
 }
 
@@ -297,14 +303,29 @@ mod tests {
             rhs: ValueId(2),
         };
         assert_eq!(k.def(), Some(ValueId(3)));
-        assert_eq!(k.uses(), vec![ValueId(1), ValueId(2)]);
+        assert_eq!(
+            k.operands().collect::<Vec<_>>(),
+            vec![ValueId(1), ValueId(2)]
+        );
 
         let s = InstKind::Store {
             addr: ValueId(0),
             val: ValueId(1),
         };
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses(), vec![ValueId(0), ValueId(1)]);
+        assert_eq!(
+            s.operands().collect::<Vec<_>>(),
+            vec![ValueId(0), ValueId(1)]
+        );
+
+        let p = InstKind::Phi {
+            dst: ValueId(7),
+            incomings: vec![(BlockId(1), ValueId(2)), (BlockId(2), ValueId(3))],
+        };
+        assert_eq!(
+            p.operands().collect::<Vec<_>>(),
+            vec![ValueId(2), ValueId(3)]
+        );
     }
 
     #[test]
@@ -314,7 +335,10 @@ mod tests {
             callee: Callee::Indirect(ValueId(4)),
             args: vec![ValueId(5), ValueId(6)],
         };
-        assert_eq!(c.uses(), vec![ValueId(4), ValueId(5), ValueId(6)]);
+        assert_eq!(
+            c.operands().collect::<Vec<_>>(),
+            vec![ValueId(4), ValueId(5), ValueId(6)]
+        );
         assert_eq!(c.def(), Some(ValueId(9)));
     }
 

@@ -52,7 +52,7 @@ pub mod verify;
 pub use builder::{FunctionBuilder, ModuleBuilder, SsaBuilder};
 pub use externs::{ExternDecl, ExternEffect, ExternRegistry};
 pub use frontend::{Frontend, FrontendError};
-pub use function::{Block, Function, Terminator};
+pub use function::{Block, Function, Terminator, UseIndex};
 pub use ids::{BlockId, ExternId, FuncId, GlobalId, InstId, ValueId};
 pub use inst::{BinOp, Callee, CmpPred, InstData, InstKind};
 pub use module::{Global, Module};

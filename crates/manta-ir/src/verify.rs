@@ -84,7 +84,7 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
                 }
             }
         }
-        for u in inst.kind.uses() {
+        for u in inst.kind.operands() {
             check_value(u)?;
         }
     }

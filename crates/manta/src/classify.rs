@@ -3,7 +3,7 @@
 use manta_analysis::{ModuleAnalysis, VarRef};
 use manta_ir::ValueKind;
 
-use crate::interval::Resolution;
+use crate::interval::{Resolution, TypeInterval};
 use crate::{ClassCounts, InferenceResult};
 
 /// The classification of one variable after a stage.
@@ -36,33 +36,73 @@ pub fn classify(analysis: &ModuleAnalysis, result: &mut InferenceResult) -> Clas
                 continue;
             }
             let v = VarRef::new(func.id(), value);
-            let class = match result.var_types.get(&v) {
-                None => VarClass::Unknown,
-                Some(i) => match i.resolution() {
-                    Resolution::Unknown => VarClass::Unknown,
-                    Resolution::Precise(_) => VarClass::Precise,
-                    Resolution::Over => VarClass::Over,
-                },
-            };
-            match class {
-                VarClass::Precise => counts.precise += 1,
-                VarClass::Over => counts.over += 1,
-                // §4.1 widens V_U to the any-type interval `(⊤, ⊥)`; here
-                // the `(⊥, ⊤)` sentinel is kept internally (so unknowns
-                // stay distinguishable from maximal hint conflicts) and
-                // the widening happens in [`InferenceResult::upper`] /
-                // [`InferenceResult::lower`].
-                VarClass::Unknown => counts.unknown += 1,
-            }
+            let class = class_of(result.var_types.get(&v));
+            *counts.of_mut(class) += 1;
             result.class.insert(v, class);
         }
     }
-    // The latest classification wins: counter_set so a report shows the
-    // final |V_P| / |V_O| / |V_U| split, not a sum over stages.
+    publish(counts);
+    counts
+}
+
+/// Writes a refinement stage's variable updates into `result` and
+/// re-classifies only the updated variables, starting from the counts of
+/// the stage before: every other variable keeps its interval and so its
+/// class. Gives exactly what [`classify`] would, without its scan of the
+/// whole module; falls back to that scan when no stage has classified yet.
+pub(crate) fn commit(
+    analysis: &ModuleAnalysis,
+    result: &mut InferenceResult,
+    updates: Vec<(VarRef, TypeInterval)>,
+) -> ClassCounts {
+    let Some(&(_, mut counts)) = result.stage_counts.last() else {
+        for (v, interval) in updates {
+            result.var_types.insert(v, interval);
+        }
+        return classify(analysis, result);
+    };
+    manta_telemetry::span!("classify");
+    for (v, interval) in updates {
+        let class = class_of(Some(&interval));
+        result.var_types.insert(v, interval);
+        if let Some(old) = result.class.insert(v, class) {
+            *counts.of_mut(old) -= 1;
+        }
+        *counts.of_mut(class) += 1;
+    }
+    publish(counts);
+    counts
+}
+
+/// The class of a variable with interval `interval` (`None`: no hint).
+fn class_of(interval: Option<&TypeInterval>) -> VarClass {
+    match interval.map(TypeInterval::resolution) {
+        // §4.1 widens V_U to the any-type interval `(⊤, ⊥)`; here the
+        // `(⊥, ⊤)` sentinel is kept internally (so unknowns stay
+        // distinguishable from maximal hint conflicts) and the widening
+        // happens in [`InferenceResult::upper`] / [`InferenceResult::lower`].
+        None | Some(Resolution::Unknown) => VarClass::Unknown,
+        Some(Resolution::Precise(_)) => VarClass::Precise,
+        Some(Resolution::Over) => VarClass::Over,
+    }
+}
+
+/// The latest classification wins: counter_set so a report shows the
+/// final |V_P| / |V_O| / |V_U| split, not a sum over stages.
+fn publish(counts: ClassCounts) {
     manta_telemetry::counter_set("classify.v_p", counts.precise as u64);
     manta_telemetry::counter_set("classify.v_o", counts.over as u64);
     manta_telemetry::counter_set("classify.v_u", counts.unknown as u64);
-    counts
+}
+
+impl ClassCounts {
+    fn of_mut(&mut self, class: VarClass) -> &mut usize {
+        match class {
+            VarClass::Precise => &mut self.precise,
+            VarClass::Over => &mut self.over,
+            VarClass::Unknown => &mut self.unknown,
+        }
+    }
 }
 
 /// The set of variables currently classified `V_O`, in deterministic order.

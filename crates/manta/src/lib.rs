@@ -56,6 +56,7 @@ pub mod ctx_refine;
 pub mod engine;
 pub mod flow_insensitive;
 pub mod flow_refine;
+mod idhash;
 pub mod interval;
 pub mod provenance;
 pub mod reveal;

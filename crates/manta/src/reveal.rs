@@ -62,7 +62,7 @@ impl RevealMap {
             for inst in func.insts() {
                 let s = inst.id;
                 // Constant operands reveal at each use site.
-                for u in inst.kind.uses() {
+                for u in inst.kind.operands() {
                     if let ValueKind::Const(c) = func.value(u).kind {
                         match c {
                             ConstKind::Int(v) if v != 0 => {
