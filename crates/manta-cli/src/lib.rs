@@ -57,7 +57,7 @@ use manta_clients::{
     detect_bugs, indirect_call_sites, resolve_targets_manta, BugKind, CheckerConfig,
 };
 use manta_ir::{Frontend, Module};
-use manta_resilience::{Budget, BudgetSpec};
+use manta_resilience::{Budget, BudgetSpec, MantaError};
 use manta_telemetry::{JsonSink, TelemetrySink, TextSink};
 
 /// A CLI failure, printed to stderr with exit code 1.
@@ -524,14 +524,20 @@ fn build_analysis(
 ) -> Result<Option<ModuleAnalysis>, CliError> {
     match engine.build_substrate(module, budget) {
         Ok(a) => Ok(Some(a)),
-        Err(e) if engine.strict() => Err(CliError(format!("analysis failed: {e}"))),
-        Err(e) => {
-            // The substrate has no weaker tier to fall back to; report
-            // the degradation and end the command without results.
-            let _ = writeln!(out, "degraded: {e}; no analysis results");
-            Ok(None)
-        }
+        Err(e) => analysis_failed(engine, &e, out).map(|()| None),
     }
+}
+
+/// Reports an analysis that produced no result: an error under a strict
+/// engine; otherwise a substrate failure, which has no weaker tier to
+/// fall back to, so the degradation goes on `out` and the command ends
+/// without results.
+fn analysis_failed(engine: &Engine, e: &MantaError, out: &mut String) -> Result<(), CliError> {
+    if engine.strict() {
+        return Err(CliError(format!("analysis failed: {e}")));
+    }
+    let _ = writeln!(out, "degraded: {e}; no analysis results");
+    Ok(())
 }
 
 /// Runs the inference cascade through the engine, charging work to the
@@ -679,12 +685,17 @@ fn run_command(
                 resilience,
                 cache.clone(),
             );
-            let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
-                return Ok(out);
+            // Only the module is printed, so a cache hit needs no call
+            // graph, points-to or DDG.
+            let (module, result) = match engine.infer_module(module) {
+                Ok(inferred) => inferred,
+                Err(e) => return analysis_failed(&engine, &e, &mut out).map(|()| out),
             };
-            let result = run_inference(&engine, &analysis, &budget, &mut out)?;
+            for d in &result.degradations {
+                let _ = writeln!(out, "degraded: {d}");
+            }
             let _ = writeln!(out, "types ({}):", sens.label());
-            for func in analysis.module().functions() {
+            for func in module.functions() {
                 for (i, &p) in func.params().iter().enumerate() {
                     let v = VarRef::new(func.id(), p);
                     let shown = match (result.class_of(v), result.precise_type(v)) {
@@ -1317,6 +1328,41 @@ func double(1) -> ret {
                 run(&s(&["infer", src.to_str().unwrap(), "--cache-dir"])).is_err(),
                 "--cache-dir needs a path"
             );
+        });
+    }
+
+    #[test]
+    fn warm_cached_infer_builds_no_call_graph_pointsto_or_ddg() {
+        fn names(spans: &[manta_telemetry::SpanReport], out: &mut Vec<String>) {
+            for s in spans {
+                out.push(s.name.clone());
+                names(&s.children, out);
+            }
+        }
+        with_files(|dir| {
+            let src = dir.join("p.s");
+            fs::write(&src, ASM).unwrap();
+            let cache_dir = dir.join("cache");
+            let args = s(&[
+                "infer",
+                src.to_str().unwrap(),
+                "--cache-dir",
+                cache_dir.to_str().unwrap(),
+            ]);
+            // `scoped` captures this thread's spans with collection off.
+            let infer = || {
+                let (out, spans) = manta_telemetry::scoped(|| run(&args));
+                let mut ran = Vec::new();
+                names(&spans, &mut ran);
+                (out.unwrap(), ran)
+            };
+            let (cold, cold_spans) = infer();
+            let (warm, warm_spans) = infer();
+            assert_eq!(warm, cold, "warm output must be bit-identical");
+            for pass in ["callgraph", "pointsto", "ddg", "infer"] {
+                assert!(cold_spans.iter().any(|s| s == pass), "a miss runs {pass}");
+                assert!(!warm_spans.iter().any(|s| s == pass), "a hit skips {pass}");
+            }
         });
     }
 

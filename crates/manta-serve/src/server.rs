@@ -7,9 +7,11 @@
 //! accept ── serve.accept ──► decode ── serve.decode ──► admission
 //!    (connection thread,                                   │ full → Overloaded
 //!     TCP_NODELAY)                                         ▼ queue wait
-//!                              worker ── serve.dispatch ──► parse → Engine::infer_module:
-//!                                 │                           preprocess → fingerprint → probe
-//!                                 │                           hit: done (no substrate)
+//!                              worker ── serve.dispatch ──► Engine::infer_source:
+//!                                 │                           hash text → src alias → infer entry
+//!                                 │                           hit: stored bytes (no parse)
+//!                                 │                           else parse → preprocess →
+//!                                 │                             fingerprint → probe
 //!                                 │ serve.gc (periodic)       miss: call graph, points-to,
 //!                                 │                           DDG, cascade (manta-parallel)
 //!                                 ▼ service time
@@ -33,7 +35,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use manta::cache::encode_result;
 use manta::Engine;
 use manta_resilience::{
     fault_point, isolate, take_pending_exhaustion, BudgetKind, BudgetSpec, MantaError,
@@ -141,7 +142,8 @@ impl StatsCells {
 struct Latencies {
     /// Submit to worker pickup.
     queue_wait: HistogramCell,
-    /// The worker's job: parse, analyze, encode the result.
+    /// The worker's job: on a source-alias hit, hashing the text and two
+    /// store reads; otherwise parse, analyze and encode the result.
     service: HistogramCell,
     /// Encoding and writing the job's response frame.
     respond: HistogramCell,
@@ -307,6 +309,10 @@ impl Shared {
             let st = cache.store().stats().snapshot();
             out.push_str(&format!("store.hits {}\n", st.hits));
             out.push_str(&format!("store.misses {}\n", st.misses));
+            for (kind, hits, misses) in cache.store().kind_traffic() {
+                out.push_str(&format!("store.{kind}.hits {hits}\n"));
+                out.push_str(&format!("store.{kind}.misses {misses}\n"));
+            }
             out.push_str(&format!("store.evictions {}\n", st.evictions));
             out.push_str(&format!("store.bytes {}\n", cache.store().disk_usage()));
         }
@@ -789,15 +795,16 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
         // Parsing untrusted network bytes happens inside the isolation
         // boundary: a parser panic must answer this client, not unwind
         // the worker thread.
-        let module = manta_isa::parse_source(module_text).map_err(|e| MantaError::Parse {
-            line: 0,
-            col: 0,
-            message: e.message,
-        })?;
-        session.infer_module(module)
+        session.infer_source(module_text, |text| {
+            manta_isa::parse_source(text).map_err(|e| MantaError::Parse {
+                line: 0,
+                col: 0,
+                message: e.message,
+            })
+        })
     });
     match outcome {
-        Ok(Ok(result)) => {
+        Ok(Ok(answer)) => {
             shared.stats.analyzed.fetch_add(1, Ordering::Relaxed);
             counters::ANALYZED.incr();
             // The GC trigger decision must come from the value this
@@ -805,18 +812,15 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
             // concurrent successes stride past the multiple and skip
             // the cycle.
             let analyzed = shared.analyze_count.fetch_add(1, Ordering::Relaxed) + 1;
-            let degraded = result.is_degraded();
+            let degraded = answer.degradations > 0;
             if degraded {
                 shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
                 counters::DEGRADED.incr();
             }
-            let counts = result.final_counts();
+            let counts = answer.counts;
             let summary = format!(
                 "sensitivity={sensitivity:?} precise={} over={} unknown={} degradations={}",
-                counts.precise,
-                counts.over,
-                counts.unknown,
-                result.degradations.len()
+                counts.precise, counts.over, counts.unknown, answer.degradations
             );
             // GC before the response is released to the connection
             // thread: a client observing its answer may rely on the
@@ -824,7 +828,7 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
             // suite asserts exactly that).
             maybe_gc(shared, analyzed);
             Response::Analyzed {
-                result: encode_result(&result),
+                result: answer.bytes,
                 summary,
                 degraded,
             }

@@ -3,10 +3,17 @@
 //! Everything keyed on disk must hash identically across runs, platforms
 //! and Rust versions, so `std::hash` (randomized, unspecified) is out.
 //! The store uses 64-bit FNV-1a with a splitmix64 finalizer: simple,
-//! dependency-free, stable by construction, and good enough for
-//! content-addressing (collisions only cost a spurious recomputation —
-//! correctness never depends on absence of collisions because payloads
-//! carry their own checksums).
+//! dependency-free and stable by construction.
+//!
+//! Content addressing assumes that distinct inputs never share a 64-bit
+//! key. An entry's checksum catches a damaged payload, not two inputs
+//! that hash alike: if two canonical module texts (the `infer` key) or
+//! two request texts (the `src` alias key) collided under one config
+//! hash, the second would be served the first one's result. At 64 bits
+//! that takes on the order of 2³² distinct inputs per config before it
+//! becomes likely; nothing here detects it. The hash is not
+//! cryptographic, so the assumption holds for honest inputs, not for
+//! inputs crafted to collide.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -404,11 +404,15 @@ impl Store {
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         file.extend_from_slice(&hash_bytes(payload).to_le_bytes());
         file.extend_from_slice(payload);
+        // One temp file per put, even for two puts of one key at once:
+        // a shared name would let one put rename the other's half-written
+        // file into place. The `.tmp-` prefix is what recovery sweeps.
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.path_of(key);
         let tmp = self.dir.join(format!(
-            ".tmp-{}-{:x}",
+            ".tmp-{}-{}",
             std::process::id(),
-            hash_bytes(path.as_os_str().as_encoded_bytes())
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         if let Err(e) = std::fs::write(&tmp, &file) {
             return store_err(format!("cannot write {}: {e}", tmp.display()));
@@ -897,6 +901,34 @@ mod tests {
         assert_eq!(wipe.evicted, 2);
         assert!(dir.join("MANIFEST").exists());
         assert!(dir.join(LOCK_FILE).exists());
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_never_fail_or_tear_a_read() {
+        let (_tmp, dir) = temp_dir("same-key");
+        let store = Store::open(&dir).unwrap();
+        let key = Key::new("src", 9, 9);
+        let payloads: [Vec<u8>; 2] = [vec![0xa5; 4096], vec![0x5a; 4096]];
+        store.put(&key, &payloads[0]).unwrap();
+        let rounds = 500;
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let (store, start) = (&store, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..rounds {
+                        store.put(&key, payload).expect("same-key put");
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..rounds {
+                let got = store.get(&key).expect("a committed entry is always there");
+                assert!(payloads.contains(&got), "a read saw a torn payload");
+            }
+        });
+        assert_eq!(store.stats().snapshot().corrupt, 0);
     }
 
     #[test]

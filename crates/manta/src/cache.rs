@@ -17,10 +17,17 @@
 //!   by *bypassing* the cache entirely (deadline-degraded results are
 //!   nondeterministic and must never be persisted).
 //!
-//! Stale data is impossible by construction: changed inputs hash to
-//! different keys, so an edited module simply misses. Superseded
-//! entries stay on disk until the store's size-capped LRU collection
-//! ([`Store::gc`]) reclaims them.
+//! A `"src"` alias maps a request's source text straight to the module
+//! fingerprint and the result's final class counts, keyed by
+//! [`source_fingerprint`] and the same config hash, so an exact repeat
+//! of a text skips parsing, preprocessing and the canonical print
+//! ([`crate::Engine::infer_source`]).
+//!
+//! Keys cover the inputs and the config; the version constants cover
+//! the code: [`CODEC_VERSION`] the payload encoding and
+//! [`SOURCE_VERSION`] the text → module mapping. A changed input or
+//! config misses, and superseded entries stay on disk until the store's
+//! size-capped LRU collection ([`Store::gc`]) reclaims them.
 //!
 //! ## Degradation, not failure
 //!
@@ -49,6 +56,13 @@ use crate::{ClassCounts, InferenceResult, MantaConfig, Sensitivity, Stage, VarCl
 /// written by older codecs.
 pub const CODEC_VERSION: u32 = 1;
 
+/// Version of the text → module mapping a `"src"` alias stands for:
+/// `manta_isa::parse_source` plus preprocessing. Folded into every
+/// [`source_fingerprint`]; bump it whenever either changes what a text
+/// fingerprints to, or old aliases would point at another module's
+/// result.
+pub const SOURCE_VERSION: u32 = 1;
+
 /// Maximum [`Type`] nesting depth accepted by the decoder — a corrupt
 /// payload must not be able to recurse the stack away. Generous: the
 /// type lattice itself widens beyond `manta_ir::types::MAX_TYPE_DEPTH`.
@@ -63,6 +77,16 @@ const MAX_DECODE_DEPTH: usize = 64;
 #[must_use]
 pub fn module_fingerprint(module: &manta_ir::Module) -> u64 {
     hash_str(&printer::print_module(module))
+}
+
+/// The content half of a `"src"` alias key: the hash of
+/// [`SOURCE_VERSION`] and the request text, byte for byte.
+#[must_use]
+pub fn source_fingerprint(text: &str) -> u64 {
+    Fingerprint::new()
+        .write_u64(u64::from(SOURCE_VERSION))
+        .write_str(text)
+        .finish()
 }
 
 /// Per-function content hashes `(name, fingerprint)`, in id order. Two
@@ -486,6 +510,31 @@ pub fn decode_result(payload: &[u8]) -> Result<InferenceResult, DecodeError> {
     })
 }
 
+/// Serializes a `"src"` alias: the module fingerprint whose `"infer"`
+/// entry answers the text, and that result's final class counts.
+pub(crate) fn encode_alias(fingerprint: u64, counts: ClassCounts) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(fingerprint)
+        .usize(counts.precise)
+        .usize(counts.over)
+        .usize(counts.unknown);
+    w.finish()
+}
+
+/// Decodes a payload written by [`encode_alias`]; any other length is
+/// an error.
+pub(crate) fn decode_alias(payload: &[u8]) -> Result<(u64, ClassCounts), DecodeError> {
+    let mut r = ByteReader::new(payload);
+    let fingerprint = r.u64("alias fingerprint")?;
+    let counts = ClassCounts {
+        precise: dec_usize(&mut r, "precise")?,
+        over: dec_usize(&mut r, "over")?,
+        unknown: dec_usize(&mut r, "unknown")?,
+    };
+    r.expect_end("source alias")?;
+    Ok((fingerprint, counts))
+}
+
 // ---------------------------------------------------------------------
 // The cache
 // ---------------------------------------------------------------------
@@ -562,13 +611,28 @@ impl AnalysisCache {
         manta_telemetry::counter_set("store.bytes_written", s.bytes_written);
     }
 
-    /// Fetches and decodes a cached inference result. Checksum-valid but
-    /// undecodable payloads (hash collision, codec bug) are discarded
+    /// Fetches and decodes a cached inference result, returned beside
+    /// its stored payload.
+    pub(crate) fn get_result(&self, key: &Key) -> Option<(InferenceResult, Vec<u8>)> {
+        self.get_decoded(key, decode_result)
+    }
+
+    /// Fetches and decodes a `"src"` alias (see [`encode_alias`]).
+    pub(crate) fn get_alias(&self, key: &Key) -> Option<(u64, ClassCounts)> {
+        self.get_decoded(key, decode_alias).map(|(alias, _)| alias)
+    }
+
+    /// Fetches an entry and decodes it. Checksum-valid but undecodable
+    /// payloads (hash collision, codec bug, wrong length) are discarded
     /// with a degradation record — never served, never panicked on.
-    pub(crate) fn get_result(&self, key: &Key) -> Option<InferenceResult> {
+    fn get_decoded<T>(
+        &self,
+        key: &Key,
+        decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+    ) -> Option<(T, Vec<u8>)> {
         let payload = self.store.get(key)?;
-        match decode_result(&payload) {
-            Ok(r) => Some(r),
+        match decode(&payload) {
+            Ok(v) => Some((v, payload)),
             Err(e) => {
                 self.store.invalidate(key);
                 self.note_degradation(Degradation::record(

@@ -18,11 +18,12 @@
 //!
 //! [`Engine::analyze`] is the one way to run the cascade — plain,
 //! budgeted, strict or cached; [`Engine::analyze_batch`] adds
-//! whole-module scheduling across the work-stealing pool on top, and
-//! [`Engine::infer_module`] is the result-only form of
-//! [`Engine::analyze_module`] that probes the cache before building the
-//! rest of the substrate.
-//! [`crate::Manta::infer`] stays as one-shot sugar over it.
+//! whole-module scheduling across the work-stealing pool on top,
+//! [`Engine::infer_module`] is the form of [`Engine::analyze_module`]
+//! that probes the cache before building the rest of the substrate, and
+//! [`Engine::infer_source`] answers a source text, from a text-keyed
+//! alias when it can. [`crate::Manta::infer`] stays as one-shot sugar
+//! over [`Engine::analyze`].
 
 use std::fmt;
 use std::path::PathBuf;
@@ -36,10 +37,13 @@ use manta_resilience::{
 };
 use manta_store::{Key, StoreError};
 
-use crate::cache::{config_hash, encode_result, module_fingerprint, AnalysisCache};
+use crate::cache::{
+    config_hash, encode_alias, encode_result, module_fingerprint, source_fingerprint, AnalysisCache,
+};
 use crate::provenance::ProvenanceGraph;
 use crate::{
-    ctx_refine, flow_insensitive, flow_refine, reveal, InferenceResult, MantaConfig, Sensitivity,
+    ctx_refine, flow_insensitive, flow_refine, reveal, ClassCounts, InferenceResult, MantaConfig,
+    Sensitivity,
 };
 
 // ---------------------------------------------------------------------
@@ -250,6 +254,35 @@ fn stages(sensitivity: Sensitivity) -> &'static [&'static dyn Stage] {
         Sensitivity::FiCsFs => &[&RevealStage, &FiStage, &CsStage, &FsRefineStage],
         Sensitivity::FiFsCs => &[&RevealStage, &FiStage, &FsRefineStage, &CsStage],
     }
+}
+
+/// [`Engine::infer_source`]'s answer: the result as a client receives
+/// it, and what a summary line of it needs.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SourceAnswer {
+    /// [`encode_result`] of the inference result, byte for byte.
+    pub bytes: Vec<u8>,
+    /// The result's [`InferenceResult::final_counts`].
+    pub counts: ClassCounts,
+    /// How many degradations the result records.
+    pub degradations: usize,
+}
+
+/// A computed cache miss: the result, its provenance graph when one is
+/// recorded, and the result's encoding as stored under its key (`None`
+/// for a degraded result, which is never stored).
+type Miss = (InferenceResult, Option<ProvenanceGraph>, Option<Vec<u8>>);
+
+/// What [`Engine::infer_module`] computes, with the encoding a source
+/// alias forwards.
+struct Inferred {
+    /// The preprocessed module the result describes.
+    module: Module,
+    result: InferenceResult,
+    /// Where the early probe ran and the result is stored: the module
+    /// fingerprint and the result's stored encoding, read on a hit or
+    /// written on a non-degraded miss.
+    stored: Option<(u64, Vec<u8>)>,
 }
 
 // ---------------------------------------------------------------------
@@ -572,10 +605,11 @@ impl Engine {
         Ok((analysis, result))
     }
 
-    /// [`Engine::analyze_module`] for a caller that only needs the
-    /// result (the daemon), with the same bytes. Where the cache policy
-    /// applies and the budget is unlimited, the cache is probed right
-    /// after preprocessing — the fingerprint needs only the preprocessed
+    /// [`Engine::analyze_module`] for a caller that needs only the
+    /// result and the preprocessed module it describes (the CLI's
+    /// `infer`), with the same bytes. Where the cache policy applies and
+    /// the budget is unlimited, the cache is probed right after
+    /// preprocessing — the fingerprint needs only the preprocessed
     /// module — so a hit never builds the call graph, points-to or DDG,
     /// and a miss goes on without a second lookup. Strict engines, armed
     /// fault plans, deadlines, fuel limits and provenance take
@@ -584,29 +618,115 @@ impl Engine {
     /// # Errors
     ///
     /// As for [`Engine::analyze_module`].
-    pub fn infer_module(&self, module: Module) -> Result<InferenceResult, MantaError> {
-        let budget = self.budget.start();
-        let probe = if budget.is_unlimited() && !self.provenance {
-            self.cache_policy(&budget)
-        } else {
-            None
+    pub fn infer_module(&self, module: Module) -> Result<(Module, InferenceResult), MantaError> {
+        let inferred = self.infer_probed(module, self.early_probe())?;
+        Ok((inferred.module, inferred.result))
+    }
+
+    /// [`Engine::infer_module`] for a module given as source text (the
+    /// daemon), answered as the encoded result. Under the same
+    /// conditions as its early probe, a `"src"` alias keyed by the text
+    /// ([`source_fingerprint`]) and the config hash names the module
+    /// fingerprint and final counts of an earlier answer; while that
+    /// answer's `"infer"` entry exists, its stored bytes are the answer
+    /// and `parse` never runs. Anything else — no alias, a malformed
+    /// one, an alias whose entry is gone, or a request the probe skips —
+    /// parses the text and takes [`Engine::infer_module`]'s path, which
+    /// writes the alias beside every result it finds or stores.
+    ///
+    /// `parse` must be the text → module mapping that
+    /// [`crate::cache::SOURCE_VERSION`] stands for.
+    ///
+    /// # Errors
+    ///
+    /// `parse`'s error, or as for [`Engine::analyze_module`].
+    pub fn infer_source(
+        &self,
+        text: &str,
+        parse: impl FnOnce(&str) -> Result<Module, MantaError>,
+    ) -> Result<SourceAnswer, MantaError> {
+        let probe = self.early_probe();
+        let alias = probe.map(|(cache, cfg)| {
+            let key = Key::new("src", source_fingerprint(text), cfg);
+            (cache, cfg, key)
+        });
+        if let Some((cache, cfg, key)) = &alias {
+            if let Some((fingerprint, counts)) = cache.get_alias(key) {
+                if let Some(bytes) = cache.store().get(&Key::new("infer", fingerprint, *cfg)) {
+                    // Only non-degraded results are ever stored.
+                    return Ok(SourceAnswer {
+                        bytes,
+                        counts,
+                        degradations: 0,
+                    });
+                }
+            }
+        }
+        let inferred = self.infer_probed(parse(text)?, probe)?;
+        let counts = inferred.result.final_counts();
+        let bytes = match (alias, inferred.stored) {
+            (Some((cache, _, key)), Some((fingerprint, bytes))) => {
+                let _ = cache.store().put(&key, &encode_alias(fingerprint, counts));
+                bytes
+            }
+            _ => encode_result(&inferred.result),
         };
+        Ok(SourceAnswer {
+            bytes,
+            counts,
+            degradations: inferred.result.degradations.len(),
+        })
+    }
+
+    /// The cache and config hash [`Engine::infer_module`] probes right
+    /// after preprocessing: the cache policy's, where the budget is
+    /// unlimited and provenance is off.
+    fn early_probe(&self) -> Option<(&AnalysisCache, u64)> {
+        if !self.budget.is_unlimited() || self.provenance {
+            return None;
+        }
+        self.cache_policy(&Budget::unlimited())
+    }
+
+    /// [`Engine::infer_module`]'s body, probing `probe` (its
+    /// [`Engine::early_probe`]) between preprocessing and the rest of
+    /// the substrate.
+    fn infer_probed(
+        &self,
+        module: Module,
+        probe: Option<(&AnalysisCache, u64)>,
+    ) -> Result<Inferred, MantaError> {
+        let budget = self.budget.start();
         let Some((cache, cfg)) = probe else {
             let analysis = self.build_substrate(module, &budget)?;
-            return self.analyze_with_budget(&analysis, &budget);
+            let result = self.analyze_with_budget(&analysis, &budget)?;
+            return Ok(Inferred {
+                module: analysis.pre.module,
+                result,
+                stored: None,
+            });
         };
         let (analysis, fingerprint) = {
             manta_telemetry::span!("analysis.build");
             let pre =
                 ModuleAnalysis::preprocess_budgeted(module, PreprocessConfig::default(), &budget)?;
             let fingerprint = module_fingerprint(&pre.module);
-            if let Some((hit, _)) = self.lookup(cache, fingerprint, cfg) {
-                return Ok(hit);
+            if let Some((result, bytes)) = cache.get_result(&Key::new("infer", fingerprint, cfg)) {
+                return Ok(Inferred {
+                    module: pre.module,
+                    result,
+                    stored: Some((fingerprint, bytes)),
+                });
             }
             (ModuleAnalysis::finish_budgeted(pre, &budget)?, fingerprint)
         };
-        self.analyze_miss(&analysis, cache, fingerprint, cfg, &budget)
-            .map(|(result, _)| result)
+        let (result, _, encoded) =
+            self.analyze_miss(&analysis, cache, fingerprint, cfg, &budget)?;
+        Ok(Inferred {
+            module: analysis.pre.module,
+            result,
+            stored: encoded.map(|bytes| (fingerprint, bytes)),
+        })
     }
 
     /// Builds the analysis substrate (preprocess → call graph →
@@ -666,6 +786,7 @@ impl Engine {
             return Ok(hit);
         }
         self.analyze_miss(analysis, cache, fingerprint, cfg, budget)
+            .map(|(result, prov, _)| (result, prov))
     }
 
     /// The cache policy, in one place for every analyze and for
@@ -696,7 +817,7 @@ impl Engine {
         fingerprint: u64,
         cfg: u64,
     ) -> Option<(InferenceResult, Option<ProvenanceGraph>)> {
-        let hit = cache.get_result(&Key::new("infer", fingerprint, cfg))?;
+        let (hit, _) = cache.get_result(&Key::new("infer", fingerprint, cfg))?;
         if !self.provenance {
             return Some((hit, None));
         }
@@ -718,7 +839,7 @@ impl Engine {
         fingerprint: u64,
         cfg: u64,
         budget: &Budget,
-    ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
+    ) -> Result<Miss, MantaError> {
         let key = Key::new("infer", fingerprint, cfg);
         // Summary mode: re-solve incrementally from the persisted
         // per-function summary state instead of running the full
@@ -735,22 +856,26 @@ impl Engine {
             let prev = cache.store().get(&state_key);
             let (result, state, _report) =
                 crate::summaries::solve(analysis, &self.config, prev.as_deref());
-            if !result.is_degraded() {
-                let _ = cache.store().put(&key, &encode_result(&result));
+            let encoded = (!result.is_degraded()).then(|| {
+                let bytes = encode_result(&result);
+                let _ = cache.store().put(&key, &bytes);
                 let _ = cache.store().put(&state_key, &state);
-            }
-            return Ok((result, None));
+                bytes
+            });
+            return Ok((result, None, encoded));
         }
         let (result, prov) = self.run_pipeline(analysis, budget)?;
-        if !result.is_degraded() {
-            let _ = cache.store().put(&key, &encode_result(&result));
+        let encoded = (!result.is_degraded()).then(|| {
+            let bytes = encode_result(&result);
+            let _ = cache.store().put(&key, &bytes);
             if let Some(graph) = &prov {
                 let _ = cache
                     .store()
                     .put(&Key::new("prov", fingerprint, cfg), &graph.encode());
             }
-        }
-        Ok((result, prov))
+            bytes
+        });
+        Ok((result, prov, encoded))
     }
 
     /// The driver loop: every cross-cutting concern — span, fault
@@ -838,6 +963,7 @@ mod tests {
     use super::*;
     use crate::cache::results_identical;
     use manta_ir::{ModuleBuilder, Width};
+    use manta_resilience::DegradationKind;
 
     fn module(tag: &str) -> Module {
         let mut mb = ModuleBuilder::new(tag);
@@ -948,10 +1074,11 @@ mod tests {
         // `scoped` captures this thread's spans only, even with global
         // collection off, so no other test's telemetry can interleave.
         let run = || {
-            let (result, spans) = manta_telemetry::scoped(|| engine.infer_module(module("probe")));
+            let (inferred, spans) =
+                manta_telemetry::scoped(|| engine.infer_module(module("probe")));
             let mut names = Vec::new();
             span_names(&spans, &mut names);
-            (result.expect("non-strict never errors"), names)
+            (inferred.expect("non-strict never errors").1, names)
         };
         let (cold, cold_spans) = run();
         let (warm, warm_spans) = run();
@@ -964,6 +1091,191 @@ mod tests {
         assert!(ran(&warm_spans, "preprocess"), "the fingerprint needs it");
         let s = engine.cache().expect("attached").store().stats().snapshot();
         assert_eq!((s.hits, s.misses), (1, 1), "one lookup per call");
+    }
+
+    /// A generated module's text, large enough that the sensitivities
+    /// disagree on its class counts.
+    fn source_text(seed: u64) -> String {
+        use manta_workloads::generator::{generate, GenSpec};
+        let project = generate(&GenSpec {
+            name: format!("alias_{seed}"),
+            functions: 6,
+            mix: manta_workloads::PhenomenonMix::balanced(),
+            seed,
+        });
+        manta_ir::printer::print_module(&project.module)
+    }
+
+    fn parse(text: &str) -> Result<Module, MantaError> {
+        manta_ir::parser::parse_module(text).map_err(|e| MantaError::Parse {
+            line: 0,
+            col: 0,
+            message: e.to_string(),
+        })
+    }
+
+    /// What `infer_source` must answer: a cacheless analysis, encoded.
+    fn cacheless(text: &str, sensitivity: Sensitivity) -> SourceAnswer {
+        let engine = Engine::new(MantaConfig::with_sensitivity(sensitivity));
+        let module = parse(text).expect("generated text parses");
+        let (_, result) = engine.analyze_module(module).expect("non-strict");
+        SourceAnswer {
+            bytes: encode_result(&result),
+            counts: result.final_counts(),
+            degradations: result.degradations.len(),
+        }
+    }
+
+    fn cached(cache: &Arc<AnalysisCache>, sensitivity: Sensitivity) -> Engine {
+        Engine::builder()
+            .sensitivity(sensitivity)
+            .cache(Arc::clone(cache))
+            .build()
+            .expect("prebuilt cache attaches")
+    }
+
+    /// One `infer_source` call: its answer, how often it parsed, and the
+    /// spans it recorded on this thread.
+    fn answer(engine: &Engine, text: &str) -> (SourceAnswer, usize, Vec<String>) {
+        let parses = std::cell::Cell::new(0);
+        let (answer, spans) = manta_telemetry::scoped(|| {
+            engine.infer_source(text, |t| {
+                parses.set(parses.get() + 1);
+                parse(t)
+            })
+        });
+        let mut names = Vec::new();
+        span_names(&spans, &mut names);
+        (
+            answer.expect("non-strict never errors"),
+            parses.get(),
+            names,
+        )
+    }
+
+    /// The one `{kind}-*.entry` file in the store.
+    fn entry_file(cache: &AnalysisCache, kind: &str) -> std::path::PathBuf {
+        let mut files: Vec<_> = std::fs::read_dir(cache.store().dir())
+            .expect("store dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(&format!("{kind}-")) && n.ends_with(".entry"))
+            })
+            .collect();
+        assert_eq!(files.len(), 1, "one {kind} entry");
+        files.pop().expect("one entry")
+    }
+
+    fn open_cache(tag: &str) -> (manta_store::TempDir, Arc<AnalysisCache>) {
+        let tmp = manta_store::TempDir::new(tag);
+        let cache = Arc::new(AnalysisCache::open(tmp.path()).expect("cache dir opens"));
+        (tmp, cache)
+    }
+
+    #[test]
+    fn infer_source_answers_repeats_from_the_alias_without_parsing() {
+        let (_tmp, cache) = open_cache("alias-repeat");
+        let engine = cached(&cache, Sensitivity::FiCsFs);
+        let text = source_text(3);
+        let want = cacheless(&text, Sensitivity::FiCsFs);
+        let (cold, parses, spans) = answer(&engine, &text);
+        assert_eq!(cold, want, "cold");
+        assert_eq!(parses, 1);
+        assert!(
+            spans.iter().any(|s| s == "preprocess"),
+            "a miss preprocesses"
+        );
+        for pass in ["warm", "third"] {
+            let (got, parses, spans) = answer(&engine, &text);
+            assert_eq!(got, want, "{pass}");
+            assert_eq!(parses, 0, "{pass}: an alias hit never parses");
+            assert!(
+                spans.is_empty(),
+                "{pass}: an alias hit runs no pass: {spans:?}"
+            );
+        }
+        assert_eq!(
+            cache.store().kind_traffic(),
+            [("infer", 2, 1), ("src", 2, 1)],
+            "a hit is one src and one infer read"
+        );
+    }
+
+    #[test]
+    fn a_corrupt_alias_reads_as_a_miss_and_is_rewritten() {
+        let (_tmp, cache) = open_cache("alias-corrupt");
+        let engine = cached(&cache, Sensitivity::FiCsFs);
+        let text = source_text(5);
+        let want = cacheless(&text, Sensitivity::FiCsFs);
+        assert_eq!(answer(&engine, &text).0, want);
+        let alias = entry_file(&cache, "src");
+        let mut raw = std::fs::read(&alias).expect("alias file");
+        let last = raw.len() - 1;
+        raw[last] ^= 0x01;
+        std::fs::write(&alias, raw).expect("flip a byte");
+        let (got, parses, _) = answer(&engine, &text);
+        assert_eq!((got, parses), (want.clone(), 1), "a corrupt alias misses");
+        assert_eq!(cache.store().stats().snapshot().corrupt, 1);
+        assert!(alias.exists(), "the answer rewrites the alias");
+        assert_eq!(answer(&engine, &text), (want, 0, Vec::new()));
+    }
+
+    #[test]
+    fn an_alias_whose_result_is_gone_takes_the_full_path() {
+        let (_tmp, cache) = open_cache("alias-orphan");
+        let engine = cached(&cache, Sensitivity::FiCsFs);
+        let text = source_text(7);
+        let want = cacheless(&text, Sensitivity::FiCsFs);
+        assert_eq!(answer(&engine, &text).0, want);
+        std::fs::remove_file(entry_file(&cache, "infer")).expect("delete the result");
+        let (got, parses, spans) = answer(&engine, &text);
+        assert_eq!((got, parses), (want.clone(), 1));
+        for pass in ["preprocess", "pointsto", "infer"] {
+            assert!(spans.iter().any(|s| s == pass), "the full path runs {pass}");
+        }
+        assert_eq!(answer(&engine, &text), (want, 0, Vec::new()));
+    }
+
+    #[test]
+    fn a_wrong_length_alias_is_invalidated() {
+        let (_tmp, cache) = open_cache("alias-short");
+        let engine = cached(&cache, Sensitivity::FiCsFs);
+        let text = source_text(9);
+        let want = cacheless(&text, Sensitivity::FiCsFs);
+        assert_eq!(answer(&engine, &text).0, want);
+        let cfg = config_hash(engine.config(), None);
+        let key = Key::new("src", source_fingerprint(&text), cfg);
+        cache
+            .store()
+            .put(&key, &[0xab; 7])
+            .expect("checksum-valid put");
+        let (got, parses, _) = answer(&engine, &text);
+        assert_eq!((got, parses), (want.clone(), 1), "a short alias misses");
+        assert_eq!(cache.store().stats().snapshot().invalidations, 1);
+        let degs = cache.take_degradations();
+        assert_eq!(degs.len(), 1);
+        assert_eq!(degs[0].kind, DegradationKind::StoreCorruption);
+        assert_eq!(answer(&engine, &text), (want, 0, Vec::new()));
+    }
+
+    #[test]
+    fn each_sensitivity_answers_from_its_own_alias() {
+        let (_tmp, cache) = open_cache("alias-sensitivity");
+        let text = source_text(11);
+        let sens = [Sensitivity::FiCsFs, Sensitivity::Fi];
+        let want = sens.map(|s| cacheless(&text, s));
+        assert_ne!(
+            want[0].counts, want[1].counts,
+            "the counts must tell them apart"
+        );
+        for pass in ["cold", "warm"] {
+            for (s, want) in sens.iter().zip(&want) {
+                let (got, _, _) = answer(&cached(&cache, *s), &text);
+                assert_eq!(&got, want, "{s:?} ({pass})");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Bit-identity across the ways of running the staged [`Engine`].
 //!
 //! `Manta::infer`, an attached cache (cold, warm and fuel-budgeted),
-//! batch and whole-module scheduling, the result-only `infer_module`
-//! with its early cache probe, and provenance recording must all
+//! batch and whole-module scheduling, `infer_module` with its early
+//! cache probe, and provenance recording must all
 //! produce exactly the bytes a plain engine produces for the same
 //! configuration: same variable/object/site maps, same stage counts,
 //! same degradation records. Identity is checked through
@@ -260,8 +260,8 @@ fn raw_module(name: &str, functions: usize, seed: u64) -> manta_ir::Module {
     .module
 }
 
-/// `infer_module` — the result-only entry that probes the cache right
-/// after preprocessing — returns `analyze_module`'s bytes for every
+/// `infer_module` — the entry that probes the cache right after
+/// preprocessing — returns `analyze_module`'s bytes for every
 /// sensitivity, on the miss that fills the cache and on the hit, with
 /// one lookup per call.
 #[test]
@@ -280,7 +280,7 @@ fn infer_module_matches_analyze_module_cold_and_warm() {
             .build()
             .expect("prebuilt cache cannot fail to attach");
         for pass in ["cold", "warm"] {
-            let got = engine
+            let (_, got) = engine
                 .infer_module(module.clone())
                 .expect("non-strict cannot fail");
             assert_eq!(

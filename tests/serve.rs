@@ -9,8 +9,10 @@
 //!   injected budget exhaustion) yields a structured error on the
 //!   client's wire (or, for the advisory GC site, no client impact at
 //!   all), and the daemon keeps serving afterwards.
-//! * **Stats** — one store lookup per request, and one sample per
-//!   admitted job in each latency histogram.
+//! * **Stats** — one source-alias and one result lookup per request,
+//!   and one sample per admitted job in each latency histogram.
+//! * **Source alias** — cold, warm and repeated requests get identical
+//!   bytes and summary lines.
 //! * **Wire robustness** — truncated frames, garbage payloads and
 //!   oversized length prefixes never wedge or kill the daemon.
 //! * **Admission control** — a full queue answers `Overloaded`
@@ -150,8 +152,9 @@ fn fault_matrix_every_site_yields_a_structured_error_and_the_daemon_survives() {
     );
     let addr = server.addr();
 
-    // Cache the module first: an armed plan bypasses the daemon's early
-    // cache probe, so the substrate sites below must still fire.
+    // Cache the module first: an armed plan bypasses the daemon's source
+    // alias and early cache probe, so the substrate sites below must
+    // still fire.
     match call_once(addr, &analyze_req(23, 3)) {
         Response::Analyzed { .. } => {}
         other => panic!("warm-up: expected Analyzed, got {other:?}"),
@@ -210,11 +213,12 @@ fn fault_matrix_every_site_yields_a_structured_error_and_the_daemon_survives() {
     server.shutdown();
 }
 
-/// A cold then a warm analysis of one module on one connection: the
-/// store sees one lookup per request (a miss, then a hit; no second
-/// lookup after an early-probe miss), and every admitted job lands once
-/// in each latency histogram. Stats travel on the same connection, so
-/// its thread has recorded both respond times before it renders them.
+/// A cold then a warm analysis of one module on one connection: each
+/// request reads the text's source alias once and the result once (a
+/// miss of each, then a hit of each; no second `infer` lookup after an
+/// early-probe miss), and every admitted job lands once in each latency
+/// histogram. Stats travel on the same connection, so its thread has
+/// recorded both respond times before it renders them.
 #[test]
 fn stats_show_one_lookup_per_request_and_a_latency_sample_per_job() {
     let _guard = lock();
@@ -239,11 +243,16 @@ fn stats_show_one_lookup_per_request_and_a_latency_sample_per_job() {
             .unwrap_or_else(|| panic!("no `{name}` line in stats:\n{text}"))
     };
     assert_eq!(stat("serve.analyzed"), 2, "{text}");
-    assert_eq!(
-        (stat("store.misses"), stat("store.hits")),
-        (1, 1),
-        "one lookup per request:\n{text}"
-    );
+    for kind in ["infer", "src"] {
+        assert_eq!(
+            (
+                stat(&format!("store.{kind}.misses")),
+                stat(&format!("store.{kind}.hits"))
+            ),
+            (1, 1),
+            "one {kind} lookup per request:\n{text}"
+        );
+    }
     for h in [
         "serve.queue_wait_us",
         "serve.service_us",
@@ -259,6 +268,37 @@ fn stats_show_one_lookup_per_request_and_a_latency_sample_per_job() {
             "{h}:\n{text}"
         );
     }
+    drop(client);
+    server.shutdown();
+}
+
+/// A repeated request text is answered from its source alias with the
+/// cold answer's bytes and summary line.
+#[test]
+fn repeated_texts_get_the_cold_bytes_and_summary_from_the_source_alias() {
+    let _guard = lock();
+    let (_tmp, dir) = temp_dir("alias");
+    let server = spawn_server(&dir, ServeConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let want = expected_bytes(19, 4);
+    let mut summaries = Vec::new();
+    for pass in ["cold", "warm", "third"] {
+        match client.call(&analyze_req(19, 4)).expect("analyze call") {
+            Response::Analyzed {
+                result,
+                summary,
+                degraded: false,
+            } => {
+                assert_eq!(result, want, "{pass}: wire bytes must equal local bytes");
+                summaries.push(summary);
+            }
+            other => panic!("{pass}: expected a clean Analyzed, got {other:?}"),
+        }
+    }
+    assert!(
+        summaries.iter().all(|s| s == &summaries[0]),
+        "{summaries:?}"
+    );
     drop(client);
     server.shutdown();
 }
