@@ -113,7 +113,6 @@ struct SummaryBench {
     edit_speedup: f64,
     replayed: usize,
     recomputed: usize,
-    max_wavefront_width: usize,
 }
 
 /// A module of `clusters` independent polymorphic call clusters. Each
@@ -228,7 +227,6 @@ fn bench_summaries(clusters: usize) -> SummaryBench {
     );
     let replayed = report.reused.len();
     let recomputed = report.recomputed.len();
-    let max_wavefront_width = report.wavefront_widths.iter().copied().max().unwrap_or(0);
 
     // Leg A — full pipeline on each edited module (what a non-summary
     // engine does on any edit: the module fingerprint changed, so the
@@ -280,7 +278,6 @@ fn bench_summaries(clusters: usize) -> SummaryBench {
         edit_speedup,
         replayed,
         recomputed,
-        max_wavefront_width,
     }
 }
 
@@ -306,8 +303,6 @@ fn render(b: &SummaryBench) -> String {
     w.uint(b.replayed as u64);
     w.key("recomputed_chunks");
     w.uint(b.recomputed as u64);
-    w.key("max_wavefront_width");
-    w.uint(b.max_wavefront_width as u64);
     w.end_object();
     w.finish()
 }

@@ -864,12 +864,9 @@ fn run_command(
             );
             let _ = writeln!(
                 out,
-                "summaries: {} chunk replays, {} recomputes, {} wavefronts \
-                 (max width {}), {} corrupt states",
+                "summaries: {} chunk replays, {} recomputes, {} corrupt states",
                 counter("summary.hits"),
                 counter("summary.recomputes"),
-                counter("summary.wavefronts"),
-                counter("summary.wavefront_width_max"),
                 counter("summary.state_corrupt"),
             );
             // Delta-solver shape: constraint graph size, worklist work,
@@ -1398,18 +1395,43 @@ func main(0) -> ret {
             let src = dir.join("p.s");
             fs::write(&src, ICALL_ASM).unwrap();
 
-            // The subcommand prints every pipeline stage with wall time.
+            // The subcommand prints every pipeline stage with wall time,
+            // and a summary-mode run (`--cache-dir`) prints the same
+            // stages: each must start a line of the span tree.
+            let span_names = |out: &str| -> Vec<String> {
+                out.lines()
+                    .skip_while(|l| *l != "spans:")
+                    .skip(1)
+                    .take_while(|l| l.starts_with(' '))
+                    .filter_map(|l| l.split_whitespace().next().map(str::to_string))
+                    .collect()
+            };
+            let cache_dir = dir.join("stats-cache");
+            let cached = run(&s(&[
+                "stats",
+                src.to_str().unwrap(),
+                "--cache-dir",
+                cache_dir.to_str().unwrap(),
+            ]))
+            .unwrap();
             let out = run(&s(&["stats", src.to_str().unwrap()])).unwrap();
-            for span in [
-                "preprocess",
-                "pointsto",
-                "ddg",
-                "fi",
-                "cs",
-                "fs",
-                "checkers",
-            ] {
-                assert!(out.contains(span), "stage `{span}` missing from:\n{out}");
+            for (mode, text) in [("cacheless", &out), ("--cache-dir", &cached)] {
+                let names = span_names(text);
+                for span in [
+                    "preprocess",
+                    "pointsto",
+                    "ddg",
+                    "reveal",
+                    "fi",
+                    "cs",
+                    "fs",
+                    "checkers",
+                ] {
+                    assert!(
+                        names.iter().any(|n| n == span),
+                        "{mode}: stage `{span}` missing from:\n{text}"
+                    );
+                }
             }
             assert!(out.contains("ms"), "spans carry wall time: {out}");
             assert!(out.contains("counters:"), "{out}");

@@ -7,12 +7,9 @@
 //! [`par_map`] is the one entry point: it maps a function over a `Vec`
 //! of items on a transient work-stealing pool and returns the results
 //! **in input order** (deterministic reduce). The pipeline uses it for
-//! its per-function stages; because every merge happens in input
-//! (function-id) order, parallel output is bit-identical to serial.
-//!
-//! The [`wavefront`] module layers dependency-ordered scheduling on top
-//! of `par_map`: SCC condensation plus level-by-level dispatch, shared
-//! by the summary solve and `Engine::analyze_batch`.
+//! its per-function stages, the refinement partitions (replayed or not)
+//! and whole-module batches; because every merge happens in input
+//! order, parallel output is bit-identical to serial.
 //!
 //! ## Determinism contract
 //!
@@ -48,8 +45,6 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-pub mod wavefront;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -24,77 +24,23 @@ use manta_analysis::cfl::{ctx_op, CtxStack, Direction};
 use manta_analysis::{DepKind, ModuleAnalysis, NodeId, VarRef};
 use manta_ir::FuncId;
 use manta_resilience::{Budget, BudgetExceeded};
+use manta_telemetry::Counter;
 
-use crate::classify;
 use crate::idhash::{IdMap, IdSet};
 use crate::interval::{FirstLayer, Resolution, TypeInterval};
 use crate::reveal::RevealMap;
 use crate::{InferenceResult, MantaConfig, Stage};
 
 /// Runs Algorithm 1 over the current `V_O` set, narrowing intervals in
-/// place and appending a [`Stage::ContextRefine`] classification.
+/// place and appending a [`Stage::ContextRefine`] classification: the
+/// engine's chunked refinement step, committed, on an unlimited budget.
 pub fn refine(
     analysis: &ModuleAnalysis,
     reveals: &RevealMap,
     config: &MantaConfig,
     result: &mut InferenceResult,
 ) {
-    match refine_budgeted(analysis, reveals, config, result, &Budget::unlimited()) {
-        Ok(()) => {}
-        Err(_) => unreachable!("unlimited budget tripped"),
-    }
-}
-
-/// [`refine`] under a cooperative budget: one fuel unit per candidate
-/// variable plus one per DDG node visited by its forward walk.
-///
-/// # Errors
-///
-/// Returns the tripped limit *before* committing any interval update, so
-/// `result` still reflects the previous tier exactly.
-pub fn refine_budgeted(
-    analysis: &ModuleAnalysis,
-    reveals: &RevealMap,
-    config: &MantaConfig,
-    result: &mut InferenceResult,
-    budget: &Budget,
-) -> Result<(), BudgetExceeded> {
-    let over = classify::over_approximated(analysis, result);
-    manta_telemetry::counter("cs.candidates", over.len() as u64);
-
-    // Candidates only read the pre-refinement `result` (updates are applied
-    // after the loop), so each per-function partition refines independently
-    // on the pool; partitions are merged back in candidate order, which is
-    // function order. The roots memo and the per-root-set walk memo live
-    // and die with one partition: their entries are pure functions of the
-    // frozen inputs, so recomputing one in another partition cannot change
-    // an answer, and the pool workers share nothing mutable.
-    let chunks = partition_by_func(over);
-    let shared: &InferenceResult = result;
-    let per_chunk: Vec<Result<CsChunkOut, BudgetExceeded>> =
-        manta_parallel::par_map(chunks, |chunk| {
-            refine_chunk(
-                analysis,
-                reveals,
-                config,
-                shared,
-                budget,
-                chunk,
-                &mut Footprint::off(),
-            )
-        });
-    let mut updates: Vec<(VarRef, TypeInterval)> = Vec::new();
-    let mut walks = CsWalks::default();
-    for chunk in per_chunk {
-        let (chunk_updates, chunk_walks) = chunk?;
-        updates.extend(chunk_updates);
-        walks.add(chunk_walks);
-    }
-    walks.emit();
-    manta_telemetry::counter("cs.refined", updates.len() as u64);
-    let counts = classify::commit(analysis, result, updates);
-    result.stage_counts.push((Stage::ContextRefine, counts));
-    Ok(())
+    crate::engine::refine_in_place(Stage::ContextRefine, analysis, reveals, config, result);
 }
 
 /// Records which functions' data a refinement walk read. The summary
@@ -236,15 +182,18 @@ pub(crate) struct CsWalks {
 }
 
 impl CsWalks {
+    #[cfg(test)]
     fn add(&mut self, other: CsWalks) {
         self.run += other.run;
         self.reused += other.reused;
     }
 
-    /// Emits the stage's `cs.walks_*` counters.
-    fn emit(self) {
-        manta_telemetry::counter("cs.walks_run", self.run);
-        manta_telemetry::counter("cs.walks_reused", self.reused);
+    /// Adds one partition's walks to the `cs.walks_*` counters.
+    pub(crate) fn emit(self) {
+        static RUN: Counter = Counter::new("cs.walks_run");
+        static REUSED: Counter = Counter::new("cs.walks_reused");
+        RUN.add(self.run);
+        REUSED.add(self.reused);
     }
 }
 
@@ -517,6 +466,7 @@ fn arith_feasible(result: &InferenceResult, operand: VarRef, res: VarRef) -> boo
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::classify;
     use crate::{Manta, MantaConfig, Sensitivity, VarClass};
     use manta_ir::{BinOp, ModuleBuilder, Width};
 

@@ -7,14 +7,23 @@
 //! degradation records — re-implemented per variant. This module folds
 //! the matrix back into two pieces:
 //!
-//! * `Stage` — one pass of the inference cascade (reveal, FI, CS or FS)
-//!   with a name, a fault/isolation site, and a completed-tier label.
+//! * The stages — reveal collection, then the tier stages of
+//!   [`crate::Stage`] (FI or standalone FS, then CS and FS refinement).
+//!   Each reads the frozen context and returns a delta: the reveal map,
+//!   a base-tier result, or a refinement's variable and site updates.
 //!   Stages know *what* to compute, nothing about budgets, spans,
 //!   faults, or caching.
 //! * [`Engine`] — the driver. Built once via [`EngineBuilder`] from a
 //!   [`MantaConfig`], a [`BudgetSpec`], a strictness flag, a thread
 //!   count, and an optional [`AnalysisCache`], it applies every
-//!   cross-cutting concern exactly once, in one loop, for every stage.
+//!   cross-cutting concern exactly once, in one loop, for every stage,
+//!   and commits a stage's delta only after the stage has returned.
+//!
+//! CS and FS are one chunked step: the driver partitions `V_O` by
+//! function, refines each partition on the pool and commits the merged
+//! updates. Summary mode ([`crate::summaries`]) runs the same loop with
+//! a chunk memo around that step, so full and summary solves share
+//! every span, fault site, isolation boundary and degradation record.
 //!
 //! [`Engine::analyze`] is the one way to run the cascade — plain,
 //! budgeted, strict or cached; [`Engine::analyze_batch`] adds
@@ -29,8 +38,8 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use manta_analysis::{ModuleAnalysis, PreprocessConfig};
-use manta_ir::Module;
+use manta_analysis::{ModuleAnalysis, PreprocessConfig, VarRef};
+use manta_ir::{InstId, Module};
 use manta_resilience::{
     fault_point_budgeted, isolate, plan_active, Budget, BudgetExceeded, BudgetSpec, Degradation,
     DegradationKind, MantaError,
@@ -40,62 +49,201 @@ use manta_store::{Key, StoreError};
 use crate::cache::{
     config_hash, encode_alias, encode_result, module_fingerprint, source_fingerprint, AnalysisCache,
 };
+use crate::ctx_refine::Footprint;
+use crate::interval::TypeInterval;
 use crate::provenance::ProvenanceGraph;
+use crate::reveal::RevealMap;
+use crate::summaries::{self, Memo};
 use crate::{
-    ctx_refine, flow_insensitive, flow_refine, reveal, ClassCounts, InferenceResult, MantaConfig,
-    Sensitivity,
+    classify, ctx_refine, flow_insensitive, flow_refine, ClassCounts, InferenceResult, MantaConfig,
+    Sensitivity, Stage,
 };
 
 // ---------------------------------------------------------------------
 // Stages
 // ---------------------------------------------------------------------
 
-/// Everything a [`Stage`] may read or write while it runs: the
-/// substrate, the reveal map once collected, and the evolving
-/// [`InferenceResult`].
-struct StageCtx<'a> {
-    config: MantaConfig,
-    budget: &'a Budget,
-    analysis: &'a ModuleAnalysis,
-    reveals: Option<reveal::RevealMap>,
-    result: InferenceResult,
+/// What one stage hands the driver. A stage reads the frozen context —
+/// the substrate, the reveal map and the result of the tiers before it
+/// — and writes nothing; the driver commits the delta only once the
+/// stage has returned `Ok`, so a stage cut short leaves nothing behind.
+enum Delta {
+    /// The type-revealing instructions (paper §4.1, Table 1 sources).
+    Reveals(RevealMap),
+    /// A base tier's whole result: FI or standalone FS.
+    Base(InferenceResult),
+    /// A refinement stage's updates (CS or FS).
+    Refine(Stage, Refinement),
 }
 
-impl StageCtx<'_> {
-    /// The reveal map (panics if the reveal stage has not run).
-    fn reveals(&self) -> &reveal::RevealMap {
-        self.reveals.as_ref().expect("reveal stage has not run yet")
-    }
+/// A refinement stage's delta: the variable and `v@s` site intervals its
+/// partitions produced, merged in function order.
+#[derive(Default)]
+pub(crate) struct Refinement {
+    pub(crate) vars: Vec<(VarRef, TypeInterval)>,
+    pub(crate) sites: Vec<((VarRef, InstId), TypeInterval)>,
 }
 
-/// One pass of the inference cascade, run by the [`Engine`] driver.
+/// The tier stages of one sensitivity, in execution order; reveal
+/// collection runs before them.
 ///
-/// Implementations carry no resilience or telemetry logic of their own:
-/// the driver opens the span, arms the fault point, isolates panics,
-/// snapshots the result for rollback, and records degradations — once,
-/// identically, for every stage.
-trait Stage: Sync {
-    /// Span name under the `infer` root (e.g. `"fi"`).
-    fn name(&self) -> &'static str;
-
-    /// Fault-injection / panic-isolation site and the `stage` label on
-    /// any [`Degradation`] this stage causes (e.g. `"infer.fi"`).
-    fn site(&self) -> &'static str;
-
-    /// The completed-tier label this stage contributes on success:
-    /// base tiers return `"FI"` / `"FS"`, refinements `"+CS"` / `"+FS"`,
-    /// reveal collection `None`.
-    fn tier(&self) -> Option<&'static str> {
-        None
+/// [`Sensitivity::FiFsCs`] lists FS before CS — §6.4's reversed-order
+/// ablation, the aggressive stage first.
+fn cascade(sensitivity: Sensitivity) -> &'static [Stage] {
+    match sensitivity {
+        Sensitivity::Fi => &[Stage::FlowInsensitive],
+        Sensitivity::Fs => &[Stage::StandaloneFs],
+        Sensitivity::FiFs => &[Stage::FlowInsensitive, Stage::FlowRefine],
+        Sensitivity::FiCsFs => &[
+            Stage::FlowInsensitive,
+            Stage::ContextRefine,
+            Stage::FlowRefine,
+        ],
+        Sensitivity::FiFsCs => &[
+            Stage::FlowInsensitive,
+            Stage::FlowRefine,
+            Stage::ContextRefine,
+        ],
     }
+}
 
-    /// Runs the pass, reading and writing through `ctx`.
-    ///
-    /// # Errors
-    ///
-    /// Budget exhaustion surfaces as [`MantaError`]; panics are caught
-    /// by the driver.
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError>;
+/// A step's span name under `infer`, its fault/isolation site (also the
+/// `stage` of any [`Degradation`] it causes) and the completed-tier
+/// label it contributes: reveal collection (`None`) none, base tiers
+/// `"FI"` / `"FS"`, refinements `"+CS"` / `"+FS"`.
+fn labels(step: Option<Stage>) -> (&'static str, &'static str, Option<&'static str>) {
+    match step {
+        None => ("reveal", "infer.reveal", None),
+        Some(Stage::FlowInsensitive) => ("fi", "infer.fi", Some("FI")),
+        Some(Stage::StandaloneFs) => ("fs", "infer.fs", Some("FS")),
+        Some(Stage::ContextRefine) => ("cs", "infer.cs", Some("+CS")),
+        Some(Stage::FlowRefine) => ("fs", "infer.fs", Some("+FS")),
+    }
+}
+
+/// Runs one step against the frozen context. Budget exhaustion surfaces
+/// as the error; panics are caught by the driver.
+fn run_step(
+    step: Option<Stage>,
+    config: &MantaConfig,
+    analysis: &ModuleAnalysis,
+    reveals: Option<&RevealMap>,
+    result: &InferenceResult,
+    budget: &Budget,
+    memo: Option<&mut Memo>,
+) -> Result<Delta, BudgetExceeded> {
+    let Some(stage) = step else {
+        return Ok(Delta::Reveals(RevealMap::collect(analysis)));
+    };
+    let reveals = reveals.expect("reveal collection runs first");
+    match stage {
+        Stage::FlowInsensitive => {
+            flow_insensitive::run_budgeted(analysis, reveals, *config, budget).map(Delta::Base)
+        }
+        Stage::StandaloneFs => {
+            flow_refine::standalone_fs_budgeted(analysis, reveals, config, budget).map(Delta::Base)
+        }
+        Stage::ContextRefine | Stage::FlowRefine => {
+            let delta = refine(stage, analysis, reveals, config, result, budget, memo)?;
+            Ok(Delta::Refine(stage, delta))
+        }
+    }
+}
+
+/// The CS / FS step (Algorithms 1 and 2): partitions `V_O` by function
+/// and refines each partition against the frozen `result` on the pool.
+/// What a partition memoizes (roots, root-set walks and alias answers,
+/// function views) is a pure function of the frozen inputs and lives
+/// only as long as the partition, so pool workers share nothing mutable,
+/// no answer depends on which partition computed it, and the updates
+/// merge back in partition (= function) order. With a `memo`, clean
+/// partitions replay from the summary state and only the dirty ones run
+/// (see [`Memo::refine`]).
+///
+/// # Errors
+///
+/// The first partition's (in function order) tripped limit.
+fn refine(
+    stage: Stage,
+    analysis: &ModuleAnalysis,
+    reveals: &RevealMap,
+    config: &MantaConfig,
+    result: &InferenceResult,
+    budget: &Budget,
+    memo: Option<&mut Memo>,
+) -> Result<Refinement, BudgetExceeded> {
+    let cs = stage == Stage::ContextRefine;
+    let over = classify::over_approximated(analysis, result);
+    let candidates = if cs { "cs.candidates" } else { "fs.candidates" };
+    manta_telemetry::counter(candidates, over.len() as u64);
+    let chunks = ctx_refine::partition_by_func(over);
+    let run = |chunk: Vec<VarRef>, fp: &mut Footprint| {
+        if !cs {
+            return flow_refine::refine_chunk(analysis, reveals, config, result, budget, chunk, fp);
+        }
+        let (vars, walks) =
+            ctx_refine::refine_chunk(analysis, reveals, config, result, budget, chunk, fp)?;
+        walks.emit();
+        Ok(Refinement {
+            vars,
+            sites: Vec::new(),
+        })
+    };
+    let outs = match memo {
+        Some(memo) => memo.refine(stage, analysis, result, chunks, run)?,
+        None => manta_parallel::par_map(chunks, |chunk| run(chunk, &mut Footprint::off()))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?,
+    };
+    let mut delta = Refinement::default();
+    for out in outs {
+        delta.vars.extend(out.vars);
+        delta.sites.extend(out.sites);
+    }
+    Ok(delta)
+}
+
+/// Commits a refinement delta: the site intervals, then the variable
+/// intervals, re-classifying only the updated variables, and the stage's
+/// classification counts.
+fn commit(
+    stage: Stage,
+    analysis: &ModuleAnalysis,
+    result: &mut InferenceResult,
+    delta: Refinement,
+) {
+    if stage == Stage::ContextRefine {
+        manta_telemetry::counter("cs.refined", delta.vars.len() as u64);
+    } else {
+        manta_telemetry::counter("fs.site_types", delta.sites.len() as u64);
+    }
+    result.site_types.extend(delta.sites);
+    let counts = classify::commit(analysis, result, delta.vars);
+    result.stage_counts.push((stage, counts));
+}
+
+/// Runs and commits one refinement stage in place, on an unlimited
+/// budget and without a memo: [`ctx_refine::refine`] and
+/// [`flow_refine::refine`].
+pub(crate) fn refine_in_place(
+    stage: Stage,
+    analysis: &ModuleAnalysis,
+    reveals: &RevealMap,
+    config: &MantaConfig,
+    result: &mut InferenceResult,
+) {
+    match refine(
+        stage,
+        analysis,
+        reveals,
+        config,
+        result,
+        &Budget::unlimited(),
+        None,
+    ) {
+        Ok(delta) => commit(stage, analysis, result, delta),
+        Err(_) => unreachable!("unlimited budget tripped"),
+    }
 }
 
 /// Converts a blown per-stage budget into a [`MantaError`], bumping the
@@ -105,154 +253,6 @@ fn budget_error(site: &'static str, e: BudgetExceeded) -> MantaError {
     MantaError::Budget {
         stage: site.to_string(),
         kind: e.kind,
-    }
-}
-
-/// Collects type-revealing instructions (paper §4.1, Table 1 sources).
-struct RevealStage;
-
-impl Stage for RevealStage {
-    fn name(&self) -> &'static str {
-        "reveal"
-    }
-
-    fn site(&self) -> &'static str {
-        "infer.reveal"
-    }
-
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        ctx.reveals = Some(reveal::RevealMap::collect(ctx.analysis));
-        Ok(())
-    }
-}
-
-/// Global flow-insensitive unification — the FI base tier.
-struct FiStage;
-
-impl Stage for FiStage {
-    fn name(&self) -> &'static str {
-        "fi"
-    }
-
-    fn site(&self) -> &'static str {
-        "infer.fi"
-    }
-
-    fn tier(&self) -> Option<&'static str> {
-        Some("FI")
-    }
-
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let mut r =
-            flow_insensitive::run_budgeted(ctx.analysis, ctx.reveals(), ctx.config, ctx.budget)
-                .map_err(|e| budget_error(self.site(), e))?;
-        r.config = ctx.config;
-        ctx.result = r;
-        Ok(())
-    }
-}
-
-/// Standalone flow-sensitive inference — the FS base tier
-/// ([`Sensitivity::Fs`]), no global unification at all.
-struct StandaloneFsStage;
-
-impl Stage for StandaloneFsStage {
-    fn name(&self) -> &'static str {
-        "fs"
-    }
-
-    fn site(&self) -> &'static str {
-        "infer.fs"
-    }
-
-    fn tier(&self) -> Option<&'static str> {
-        Some("FS")
-    }
-
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let mut r = flow_refine::standalone_fs_budgeted(
-            ctx.analysis,
-            ctx.reveals(),
-            &ctx.config,
-            ctx.budget,
-        )
-        .map_err(|e| budget_error(self.site(), e))?;
-        r.config = ctx.config;
-        ctx.result = r;
-        Ok(())
-    }
-}
-
-/// Context-sensitive CFL refinement (Algorithm 1).
-struct CsStage;
-
-impl Stage for CsStage {
-    fn name(&self) -> &'static str {
-        "cs"
-    }
-
-    fn site(&self) -> &'static str {
-        "infer.cs"
-    }
-
-    fn tier(&self) -> Option<&'static str> {
-        Some("+CS")
-    }
-
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let reveals = ctx.reveals.as_ref().expect("reveal stage has not run yet");
-        ctx_refine::refine_budgeted(
-            ctx.analysis,
-            reveals,
-            &ctx.config,
-            &mut ctx.result,
-            ctx.budget,
-        )
-        .map_err(|e| budget_error(self.site(), e))
-    }
-}
-
-/// Flow-sensitive refinement of the remaining over-approximated
-/// variables (Algorithm 2).
-struct FsRefineStage;
-
-impl Stage for FsRefineStage {
-    fn name(&self) -> &'static str {
-        "fs"
-    }
-
-    fn site(&self) -> &'static str {
-        "infer.fs"
-    }
-
-    fn tier(&self) -> Option<&'static str> {
-        Some("+FS")
-    }
-
-    fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let reveals = ctx.reveals.as_ref().expect("reveal stage has not run yet");
-        flow_refine::refine_budgeted(
-            ctx.analysis,
-            reveals,
-            &ctx.config,
-            &mut ctx.result,
-            ctx.budget,
-        )
-        .map_err(|e| budget_error(self.site(), e))
-    }
-}
-
-/// The inference cascade for one sensitivity, in execution order.
-///
-/// [`Sensitivity::FiFsCs`] lists FS before CS — §6.4's reversed-order
-/// ablation, the aggressive stage first.
-fn stages(sensitivity: Sensitivity) -> &'static [&'static dyn Stage] {
-    match sensitivity {
-        Sensitivity::Fi => &[&RevealStage, &FiStage],
-        Sensitivity::Fs => &[&RevealStage, &StandaloneFsStage],
-        Sensitivity::FiFs => &[&RevealStage, &FiStage, &FsRefineStage],
-        Sensitivity::FiCsFs => &[&RevealStage, &FiStage, &CsStage, &FsRefineStage],
-        Sensitivity::FiFsCs => &[&RevealStage, &FiStage, &FsRefineStage, &CsStage],
     }
 }
 
@@ -756,13 +756,7 @@ impl Engine {
         &self,
         analyses: &[ModuleAnalysis],
     ) -> Vec<Result<InferenceResult, MantaError>> {
-        // Modules are mutually independent, so the batch is one
-        // wavefront on the shared scheduler the summary solve uses for
-        // its per-level dispatch.
-        let jobs: Vec<&ModuleAnalysis> = analyses.iter().collect();
-        manta_parallel::wavefront::wavefront_dispatch(vec![jobs], "engine.batch_wavefronts", |a| {
-            self.analyze(a)
-        })
+        manta_parallel::par_map(analyses.iter().collect(), |a| self.analyze(a))
     }
 
     fn analyze_inner(
@@ -779,7 +773,7 @@ impl Engine {
             }
         };
         let Some((cache, cfg)) = self.cache_policy(budget) else {
-            return self.run_pipeline(analysis, budget);
+            return self.run_pipeline(analysis, budget, None);
         };
         let fingerprint = module_fingerprint(analysis.module());
         if let Some(hit) = self.lookup(cache, fingerprint, cfg) {
@@ -830,8 +824,9 @@ impl Engine {
 
     /// A cache miss: computes on `budget` and persists only non-degraded
     /// results. The graph of a provenance-recording engine lands beside
-    /// the result; the result payload stays bit-identical to a
-    /// provenance-off run.
+    /// the result, and a summary-mode engine's next summary state
+    /// replaces the previous one; the result payload stays bit-identical
+    /// to a provenance-off, summary-off run.
     fn analyze_miss(
         &self,
         analysis: &ModuleAnalysis,
@@ -841,30 +836,21 @@ impl Engine {
         budget: &Budget,
     ) -> Result<Miss, MantaError> {
         let key = Key::new("infer", fingerprint, cfg);
-        // Summary mode: re-solve incrementally from the persisted
-        // per-function summary state instead of running the full
-        // pipeline. Limited budgets fall through (a blown budget must
-        // trip exactly where the full pipeline would), as do provenance
-        // engines (stage diffs need the pipeline driver) and ineligible
-        // sensitivities.
-        if self.summaries
+        // Summary mode: refinement chunks replay from the persisted
+        // per-function summary state. Limited budgets run without it (a
+        // blown budget must trip exactly where the full pipeline would),
+        // as do provenance engines and ineligible sensitivities.
+        let state_key = (self.summaries
             && !self.provenance
             && budget.is_unlimited()
-            && crate::summaries::eligible(self.config.sensitivity)
-        {
-            let state_key = crate::summaries::state_key(analysis.module().name(), &self.config);
-            let prev = cache.store().get(&state_key);
-            let (result, state, _report) =
-                crate::summaries::solve(analysis, &self.config, prev.as_deref());
-            let encoded = (!result.is_degraded()).then(|| {
-                let bytes = encode_result(&result);
-                let _ = cache.store().put(&key, &bytes);
-                let _ = cache.store().put(&state_key, &state);
-                bytes
-            });
-            return Ok((result, None, encoded));
-        }
-        let (result, prov) = self.run_pipeline(analysis, budget)?;
+            && summaries::eligible(self.config.sensitivity))
+        .then(|| summaries::state_key(analysis.module().name(), &self.config));
+        let mut memo = state_key
+            .as_ref()
+            .map(|k| Memo::new(analysis, cache.store().get(k).as_deref()));
+        let (result, prov) = self.run_pipeline(analysis, budget, memo.as_mut())?;
+        // A degraded result is never persisted, nor is the summary state
+        // it leaves behind.
         let encoded = (!result.is_degraded()).then(|| {
             let bytes = encode_result(&result);
             let _ = cache.store().put(&key, &bytes);
@@ -873,88 +859,94 @@ impl Engine {
                     .store()
                     .put(&Key::new("prov", fingerprint, cfg), &graph.encode());
             }
+            if let (Some(state_key), Some(memo)) = (&state_key, memo) {
+                let _ = cache.store().put(state_key, &memo.finish().0);
+            }
             bytes
         });
         Ok((result, prov, encoded))
     }
 
     /// The driver loop: every cross-cutting concern — span, fault
-    /// point, budget attribution, panic isolation, tier snapshot /
-    /// rollback, degradation record — applied once per stage.
-    fn run_pipeline(
+    /// point, budget attribution, panic isolation, delta commit,
+    /// degradation record — applied once per stage. A stage's delta is
+    /// committed only after the stage returns `Ok`, so a failed stage
+    /// leaves the last completed tier as it was. With a `memo` (summary
+    /// mode), the refinement step replays and records chunks through it.
+    pub(crate) fn run_pipeline(
         &self,
         analysis: &ModuleAnalysis,
         budget: &Budget,
+        mut memo: Option<&mut Memo>,
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
         manta_telemetry::span!("infer");
+        let config = self.config;
         let mut prov = self.provenance.then(ProvenanceGraph::new);
         if let (Some(graph), Some(p)) = (prov.as_mut(), analysis.pointsto.provenance.as_ref()) {
             graph.record_pointsto(p);
         }
-        let mut ctx = StageCtx {
-            config: self.config,
-            budget,
-            analysis,
-            reveals: None,
-            result: InferenceResult::empty(self.config),
-        };
+        let mut reveals = None;
+        let mut result = InferenceResult::empty(config);
         let mut completed = String::from("none");
-        for stage in stages(self.config.sensitivity) {
-            // Stages mutate `ctx.result` in place but only commit after
-            // a full pass; the snapshot restores the last completed
-            // tier if the stage is cut short or panics midway — and,
-            // when provenance is on, is the pre-stage state the fact
-            // diff runs against.
-            let snapshot = (!self.strict || prov.is_some()).then(|| ctx.result.clone());
-            match Self::run_stage(*stage, &mut ctx) {
-                Ok(()) => {
-                    if let Some(graph) = prov.as_mut() {
-                        if stage.site() == "infer.reveal" {
-                            graph.record_reveals(ctx.reveals(), analysis.module());
-                        } else if let Some(tier) = stage.tier() {
-                            let before =
-                                snapshot.as_ref().expect("provenance snapshots every stage");
-                            graph.record_stage_diff(tier, before, &ctx.result);
-                        }
+        let tiers = cascade(config.sensitivity).iter().copied().map(Some);
+        for step in std::iter::once(None).chain(tiers) {
+            let (name, site, tier) = labels(step);
+            let _span = manta_telemetry::span(name);
+            let ran = isolate(site, || {
+                fault_point_budgeted(site, budget);
+                let memo = memo.as_deref_mut();
+                run_step(
+                    step,
+                    &config,
+                    analysis,
+                    reveals.as_ref(),
+                    &result,
+                    budget,
+                    memo,
+                )
+                .map_err(|e| budget_error(site, e))
+            });
+            let delta = match ran.and_then(|delta| delta) {
+                Ok(delta) => delta,
+                Err(e) if self.strict => return Err(e),
+                Err(e) => {
+                    let kind = DegradationKind::from_error(&e);
+                    let record = Degradation::record(site, completed, kind, e.to_string());
+                    result.degradations.push(record);
+                    break;
+                }
+            };
+            // Provenance reads the stage's facts from the delta, against
+            // the result it is about to be committed to.
+            if let Some(graph) = prov.as_mut() {
+                let tier = tier.unwrap_or_default();
+                match &delta {
+                    Delta::Reveals(map) => graph.record_reveals(map, analysis.module()),
+                    Delta::Base(base) => {
+                        graph.record_stage(tier, &result, &base.var_types, &base.site_types);
                     }
-                    if let Some(tier) = stage.tier() {
-                        if completed == "none" {
-                            completed = tier.trim_start_matches('+').to_string();
-                        } else {
-                            completed.push_str(tier);
-                        }
+                    Delta::Refine(_, delta) => {
+                        let vars = delta.vars.iter().map(|(v, i)| (v, i));
+                        let sites = delta.sites.iter().map(|(k, i)| (k, i));
+                        graph.record_stage(tier, &result, vars, sites);
                     }
                 }
-                Err(e) => {
-                    if self.strict {
-                        return Err(e);
-                    }
-                    let kind = DegradationKind::from_error(&e);
-                    let detail = e.to_string();
-                    ctx.result = snapshot.expect("non-strict stages snapshot before running");
-                    ctx.result.degradations.push(Degradation::record(
-                        stage.site(),
-                        completed,
-                        kind,
-                        detail,
-                    ));
-                    break;
+            }
+            match delta {
+                Delta::Reveals(map) => reveals = Some(map),
+                Delta::Base(base) => result = base,
+                Delta::Refine(stage, delta) => commit(stage, analysis, &mut result, delta),
+            }
+            if let Some(tier) = tier {
+                if completed == "none" {
+                    completed = tier.trim_start_matches('+').to_string();
+                } else {
+                    completed.push_str(tier);
                 }
             }
         }
-        ctx.result.config = self.config;
-        Ok((ctx.result, prov))
-    }
-
-    /// Runs one stage under the uniform guards.
-    fn run_stage(stage: &dyn Stage, ctx: &mut StageCtx<'_>) -> Result<(), MantaError> {
-        let _span = manta_telemetry::span(stage.name());
-        let site = stage.site();
-        let budget = ctx.budget;
-        isolate(site, || {
-            fault_point_budgeted(site, budget);
-            stage.run(ctx)
-        })?
+        result.config = config;
+        Ok((result, prov))
     }
 }
 
@@ -1018,12 +1010,15 @@ mod tests {
             Sensitivity::FiCsFs,
             Sensitivity::FiFsCs,
         ] {
-            let cascade = stages(s);
-            assert_eq!(cascade[0].site(), "infer.reveal");
-            let first_tier = cascade[1].tier().expect("base tier after reveal");
+            // Reveal collection runs before every cascade and completes
+            // no tier.
+            assert_eq!(labels(None), ("reveal", "infer.reveal", None));
+            let cascade = cascade(s);
+            let first_tier = labels(Some(cascade[0])).2.expect("base tier first");
             assert!(!first_tier.starts_with('+'), "base tier must not append");
-            for stage in &cascade[2..] {
-                assert!(stage.tier().expect("refinement tier").starts_with('+'));
+            for &stage in &cascade[1..] {
+                let tier = labels(Some(stage)).2.expect("refinement tier");
+                assert!(tier.starts_with('+'));
             }
         }
     }

@@ -22,85 +22,23 @@ use manta_resilience::{Budget, BudgetExceeded};
 
 use crate::classify;
 use crate::ctx_refine::{find_roots_traced, Footprint, RootsMemo};
+use crate::engine::Refinement;
 use crate::idhash::{IdMap, IdSet};
 use crate::interval::TypeInterval;
 use crate::reveal::RevealMap;
 use crate::{InferenceResult, MantaConfig, Stage};
 
 /// Runs Algorithm 2 over the current `V_O` set and appends a
-/// [`Stage::FlowRefine`] classification.
+/// [`Stage::FlowRefine`] classification: the engine's chunked
+/// refinement step, committed, on an unlimited budget.
 pub fn refine(
     analysis: &ModuleAnalysis,
     reveals: &RevealMap,
     config: &MantaConfig,
     result: &mut InferenceResult,
 ) {
-    match refine_budgeted(analysis, reveals, config, result, &Budget::unlimited()) {
-        Ok(()) => {}
-        Err(_) => unreachable!("unlimited budget tripped"),
-    }
+    crate::engine::refine_in_place(Stage::FlowRefine, analysis, reveals, config, result);
 }
-
-/// [`refine`] under a cooperative budget: one fuel unit per candidate
-/// variable and one per inspected def/use site.
-///
-/// # Errors
-///
-/// Returns the tripped limit *before* committing any interval update, so
-/// `result` still reflects the previous tier exactly.
-pub fn refine_budgeted(
-    analysis: &ModuleAnalysis,
-    reveals: &RevealMap,
-    config: &MantaConfig,
-    result: &mut InferenceResult,
-    budget: &Budget,
-) -> Result<(), BudgetExceeded> {
-    let over = classify::over_approximated(analysis, result);
-    manta_telemetry::counter("fs.candidates", over.len() as u64);
-
-    // As in the context-sensitive stage, candidates only read the
-    // pre-refinement `result`; per-function partitions run on the pool and
-    // merge back in candidate (= function) order. What a partition
-    // memoizes (roots, each root set's alias answers, the CFGs and reveal
-    // indexes of the functions its walks enter) is a pure function of the
-    // frozen inputs and lives only as long as the partition, so the pool
-    // workers share nothing mutable and no answer depends on which
-    // partition computed it.
-    let chunks = crate::ctx_refine::partition_by_func(over);
-    let shared: &InferenceResult = result;
-    let per_chunk: Vec<Result<FsChunkOut, BudgetExceeded>> =
-        manta_parallel::par_map(chunks, |chunk| {
-            refine_chunk(
-                analysis,
-                reveals,
-                config,
-                shared,
-                budget,
-                chunk,
-                &mut Footprint::off(),
-            )
-        });
-    let mut var_updates: Vec<(VarRef, TypeInterval)> = Vec::new();
-    let mut site_updates: Vec<((VarRef, InstId), TypeInterval)> = Vec::new();
-    for chunk in per_chunk {
-        let (vars, sites) = chunk?;
-        var_updates.extend(vars);
-        site_updates.extend(sites);
-    }
-    manta_telemetry::counter("fs.site_types", site_updates.len() as u64);
-    for (k, i) in site_updates {
-        result.site_types.insert(k, i);
-    }
-    let counts = classify::commit(analysis, result, var_updates);
-    result.stage_counts.push((Stage::FlowRefine, counts));
-    Ok(())
-}
-
-/// Variable- and site-level interval updates produced by one partition.
-pub(crate) type FsChunkOut = (
-    Vec<(VarRef, TypeInterval)>,
-    Vec<((VarRef, InstId), TypeInterval)>,
-);
 
 /// Runs Algorithm 2 over one per-function candidate partition. Fuel is
 /// charged exactly as the historical serial loop: one unit per candidate
@@ -119,11 +57,10 @@ pub(crate) fn refine_chunk(
     budget: &Budget,
     chunk: Vec<VarRef>,
     fp: &mut Footprint,
-) -> Result<FsChunkOut, BudgetExceeded> {
-    let mut var_updates: Vec<(VarRef, TypeInterval)> = Vec::new();
-    let mut site_updates: Vec<((VarRef, InstId), TypeInterval)> = Vec::new();
+) -> Result<Refinement, BudgetExceeded> {
+    let mut out = Refinement::default();
     let Some(first) = chunk.first() else {
-        return Ok((var_updates, site_updates));
+        return Ok(out);
     };
     let func = analysis.module().function(first.func);
     let uses = UseIndex::new(func);
@@ -161,7 +98,7 @@ pub(crate) fn refine_chunk(
                 continue;
             };
             if let Some(s) = site {
-                site_updates.push(((v, s), interval.clone()));
+                out.sites.push(((v, s), interval.clone()));
             }
             site_intervals.push((site, interval));
         }
@@ -181,9 +118,9 @@ pub(crate) fn refine_chunk(
         // When no hint is CFG-reachable at any site the type is lost: the
         // variable drops back to the unknown sentinel (the aggressive
         // behavior §6.4 attributes to flow-sensitive refinement).
-        var_updates.push((v, var_interval));
+        out.vars.push((v, var_interval));
     }
-    Ok((var_updates, site_updates))
+    Ok(out)
 }
 
 /// The sites of a variable: its def site (`None` for a parameter, whose
@@ -271,13 +208,12 @@ pub fn standalone_fs_budgeted(
     // pool; updates merge back in function order.
     let func_ids: Vec<FuncId> = analysis.module().functions().map(|f| f.id()).collect();
     let alias_ref = &alias_class;
-    let per_func: Vec<Result<FsChunkOut, BudgetExceeded>> =
+    let per_func: Vec<Result<Refinement, BudgetExceeded>> =
         manta_parallel::par_map(func_ids, |fid| {
             let func = analysis.module().function(fid);
             let uses = UseIndex::new(func);
             let mut walker = SiteWalker::new(analysis, reveals, config, false);
-            let mut var_updates: Vec<(VarRef, TypeInterval)> = Vec::new();
-            let mut site_updates: Vec<((VarRef, InstId), TypeInterval)> = Vec::new();
+            let mut out = Refinement::default();
             for (value, data) in func.values() {
                 if matches!(data.kind, ValueKind::Const(_)) {
                     continue;
@@ -294,7 +230,7 @@ pub fn standalone_fs_budgeted(
                         continue;
                     };
                     if let Some(s) = site {
-                        site_updates.push(((v, s), interval.clone()));
+                        out.sites.push(((v, s), interval.clone()));
                     }
                     match (&mut var_interval, site == def_site) {
                         (_, true) => var_interval = Some(interval),
@@ -303,19 +239,15 @@ pub fn standalone_fs_budgeted(
                     }
                 }
                 if let Some(i) = var_interval {
-                    var_updates.push((v, i));
+                    out.vars.push((v, i));
                 }
             }
-            Ok((var_updates, site_updates))
+            Ok(out)
         });
     for chunk in per_func {
-        let (vars, sites) = chunk?;
-        for (v, i) in vars {
-            result.var_types.insert(v, i);
-        }
-        for (k, i) in sites {
-            result.site_types.insert(k, i);
-        }
+        let chunk = chunk?;
+        result.var_types.extend(chunk.vars);
+        result.site_types.extend(chunk.sites);
     }
     let counts = classify::classify(analysis, &mut result);
     result.stage_counts.push((Stage::StandaloneFs, counts));
@@ -775,12 +707,15 @@ mod tests {
                     Stage::ContextRefine => crate::ctx_refine::refine_chunk(
                         analysis, &reveals, config, &result, budget, chunk, fp,
                     )
-                    .map(|(v, _)| (v, Vec::new())),
+                    .map(|(vars, _)| Refinement {
+                        vars,
+                        sites: Vec::new(),
+                    }),
                     _ => refine_chunk(analysis, &reveals, config, &result, budget, chunk, fp),
                 };
-                let (v, s) = out.expect("unlimited budget");
-                vars.extend(v);
-                sites.extend(s);
+                let out = out.expect("unlimited budget");
+                vars.extend(out.vars);
+                sites.extend(out.sites);
             }
             for (v, i) in vars {
                 result.var_types.insert(v, i);

@@ -7,11 +7,11 @@
 //!   one fact per [`crate::reveal::Reveal`], carrying the revealing
 //!   instruction site and the revealed type as an exact interval.
 //! * After every completed **tier stage** (FI, CS, FS — the engine's
-//!   completed-tier labels), the driver diffs the evolving
-//!   [`InferenceResult`] against the pre-stage snapshot it already takes
-//!   for rollback; every variable whose interval changed (and every
-//!   refined `v@s` site interval) becomes a fact whose predecessors are
-//!   the variable's most recent earlier facts.
+//!   completed-tier labels), the driver reads the stage's delta before
+//!   committing it to the [`InferenceResult`]: every variable whose
+//!   interval the delta changes (and every refined `v@s` site interval)
+//!   becomes a fact whose predecessors are the variable's most recent
+//!   earlier facts.
 //!
 //! The result is an append-only DAG — predecessor indices always point
 //! at earlier facts — so [`ProvenanceGraph::explain`] can materialize
@@ -168,44 +168,44 @@ impl ProvenanceGraph {
         }
     }
 
-    /// Records the facts a completed tier stage produced: every variable
-    /// whose interval differs from the pre-stage snapshot, then every
-    /// refined `v@s` site interval. Predecessors are the variable's
-    /// newest earlier fact — or all its reveal leaves when the stage is
-    /// the first to type it.
-    pub fn record_stage_diff(
+    /// Records the facts a completed tier stage's delta carries, read
+    /// against `current`, the result the delta is about to be committed
+    /// to: every variable whose interval the delta changes, then every
+    /// `v@s` site interval it changes, each in sorted order. A base
+    /// tier's delta is its whole result, committed to an empty one.
+    /// Predecessors are the variable's newest earlier fact — or all its
+    /// reveal leaves when the stage is the first to type it.
+    pub fn record_stage<'a>(
         &mut self,
         tier: &str,
-        before: &InferenceResult,
-        after: &InferenceResult,
+        current: &InferenceResult,
+        vars: impl IntoIterator<Item = (&'a VarRef, &'a TypeInterval)>,
+        sites: impl IntoIterator<Item = (&'a (VarRef, InstId), &'a TypeInterval)>,
     ) {
-        let mut changed: Vec<VarRef> = after
-            .var_types
-            .iter()
-            .filter(|(v, i)| before.var_types.get(v) != Some(i))
-            .map(|(v, _)| *v)
+        let mut changed: Vec<_> = vars
+            .into_iter()
+            .filter(|(v, i)| current.var_types.get(v) != Some(i))
             .collect();
-        changed.sort();
-        for v in changed {
+        changed.sort_by_key(|(v, _)| **v);
+        changed.dedup_by_key(|(v, _)| **v);
+        for (&v, interval) in changed {
             let preds = self.derive_preds(v);
-            let interval = after.var_types[&v].clone();
             self.push_fact(Fact {
                 var: v,
                 tier: tier.to_string(),
                 site: None,
-                interval,
+                interval: interval.clone(),
                 preds,
             });
         }
 
-        let mut changed_sites: Vec<(VarRef, InstId)> = after
-            .site_types
-            .iter()
-            .filter(|(k, i)| before.site_types.get(k) != Some(i))
-            .map(|(k, _)| *k)
+        let mut changed_sites: Vec<_> = sites
+            .into_iter()
+            .filter(|(k, i)| current.site_types.get(k) != Some(i))
             .collect();
-        changed_sites.sort();
-        for (v, s) in changed_sites {
+        changed_sites.sort_by_key(|(k, _)| **k);
+        changed_sites.dedup_by_key(|(k, _)| **k);
+        for (&(v, s), interval) in changed_sites {
             let mut preds = self.derive_preds(v);
             // A reveal at exactly `v@s` is direct evidence for the site
             // fact even when a newer stage fact supersedes it var-wide.
@@ -217,12 +217,11 @@ impl ProvenanceGraph {
                     preds.push(ri);
                 }
             }
-            let interval = after.site_types[&(v, s)].clone();
             self.push_fact(Fact {
                 var: v,
                 tier: tier.to_string(),
                 site: Some(s),
-                interval,
+                interval: interval.clone(),
                 preds,
             });
         }

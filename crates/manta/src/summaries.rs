@@ -1,5 +1,6 @@
 //! Compositional per-function summary cache: precise incremental
-//! re-inference after small edits, with wavefront-parallel recomputation.
+//! re-inference after small edits, as a chunk memo inside the engine's
+//! one stage loop.
 //!
 //! ## What is cached, and what is always fresh
 //!
@@ -9,7 +10,8 @@
 //! part is the refinement stages (CS, FS): per-candidate CFL walks that
 //! read only frozen inputs (DDG structure, reveals, CFGs, the call graph
 //! and the pre-stage result) and produce independent interval updates.
-//! Those per-function update chunks are what this module caches.
+//! The engine runs them as one chunked step, a partition of `V_O` per
+//! function; those per-function chunks are what this module caches.
 //!
 //! ## Invalidation: input fingerprints × recorded footprints
 //!
@@ -31,42 +33,41 @@
 //! inputs actually changed. A function whose recomputed inputs hash
 //! identically is transitively cut off.
 //!
-//! ## Wavefront scheduling
+//! ## The chunk memo
 //!
-//! Dirty chunks are grouped by the condensation of the call graph
-//! ([`manta_parallel::wavefront::condense`]): each strongly-connected
-//! component sits at a topological level, and every level's chunks
-//! dispatch across the `manta-parallel` pool as one wavefront
-//! ([`manta_parallel::wavefront::wavefront_dispatch`] — the shared
-//! scheduler layer also used by `Engine::analyze_batch`). Chunks are
-//! pure against the frozen pre-stage result, so wavefronts bound
-//! nothing semantically — they shape the schedule (summaries are the
-//! only cross-shard traffic) and feed the `summary.wavefront*`
-//! telemetry.
+//! [`solve`] is the engine's driver loop run with a `Memo` on an
+//! unlimited budget, so a summary solve has the same stage spans, fault
+//! sites, panic isolation and degradation records as a full one. The
+//! memo decodes the previous state and builds the static input
+//! fingerprints once per solve. Around each refinement step it computes
+//! the stage's input fingerprints, validates footprints sequentially,
+//! replays the clean chunks, sends only the dirty ones to the pool with
+//! footprint recording on, and records the next state's entries; the
+//! driver then commits the merged updates exactly as in a full solve.
+//! Chunks are pure functions of the frozen pre-stage result, so the
+//! dirty ones go to the pool in one flat `par_map`, in any order.
 //!
 //! ## What bypasses this path
 //!
 //! Fuel-limited budgets (a blown budget must trip at the same point the
 //! full pipeline would), strict engines, armed fault plans, wall-clock
-//! deadlines, provenance-recording engines (stage diffs need the full
-//! pipeline), and the standalone-FS sensitivity (its alias classes are a
-//! global union-find, not per-candidate walks). Degraded-tier results
-//! are never persisted.
+//! deadlines, provenance-recording engines, and the standalone-FS
+//! sensitivity (its alias classes are a global union-find, not
+//! per-candidate walks). Degraded results are never persisted, and
+//! neither is their summary state.
 
 use std::collections::HashMap;
 
 use manta_analysis::{DepKind, ModuleAnalysis, ObjectKind, VarRef};
 use manta_ir::{FuncId, InstId, ValueId};
-use manta_parallel::wavefront;
-use manta_resilience::Budget;
+use manta_resilience::{Budget, BudgetExceeded};
 use manta_store::{hash_str, ByteReader, ByteWriter, DecodeError, Fingerprint, Key};
 
 use crate::cache::{bad, config_hash, dec_interval, enc_interval, function_fingerprints};
-use crate::ctx_refine::{self, Footprint};
-use crate::flow_refine::{self, FsChunkOut};
+use crate::ctx_refine::Footprint;
+use crate::engine::{Engine, Refinement};
 use crate::interval::TypeInterval;
-use crate::reveal::RevealMap;
-use crate::{classify, flow_insensitive, InferenceResult, MantaConfig, Sensitivity, Stage};
+use crate::{InferenceResult, MantaConfig, Sensitivity, Stage};
 
 /// Version of the persisted summary-state payload. Folded into every
 /// input fingerprint and checked on decode, so a codec change orphans
@@ -92,45 +93,9 @@ pub fn eligible(sensitivity: Sensitivity) -> bool {
     !matches!(sensitivity, Sensitivity::Fs)
 }
 
-/// The refinement stages the summary driver replays, in cascade order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum StageKind {
-    Cs,
-    Fs,
-}
-
-impl StageKind {
-    fn tag(self) -> u8 {
-        match self {
-            StageKind::Cs => 0,
-            StageKind::Fs => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<StageKind> {
-        Some(match tag {
-            0 => StageKind::Cs,
-            1 => StageKind::Fs,
-            _ => return None,
-        })
-    }
-
-    fn stage(self) -> Stage {
-        match self {
-            StageKind::Cs => Stage::ContextRefine,
-            StageKind::Fs => Stage::FlowRefine,
-        }
-    }
-}
-
-fn stage_order(sensitivity: Sensitivity) -> &'static [StageKind] {
-    match sensitivity {
-        Sensitivity::Fi => &[],
-        Sensitivity::Fs => unreachable!("standalone FS is ineligible for the summary path"),
-        Sensitivity::FiFs => &[StageKind::Fs],
-        Sensitivity::FiCsFs => &[StageKind::Cs, StageKind::Fs],
-        Sensitivity::FiFsCs => &[StageKind::Fs, StageKind::Cs],
-    }
+/// The persisted tag of a refinement stage's chunks: CS is 0, FS is 1.
+fn tag(stage: Stage) -> u8 {
+    u8::from(stage == Stage::FlowRefine)
 }
 
 // ---------------------------------------------------------------------
@@ -163,12 +128,6 @@ struct ChunkEntry {
 struct State {
     footprints: Vec<Vec<(u64, u64)>>,
     stages: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
-}
-
-impl State {
-    fn entries(&self, tag: u8) -> Option<&Vec<(u64, ChunkEntry)>> {
-        self.stages.iter().find(|(t, _)| *t == tag).map(|(_, e)| e)
-    }
 }
 
 /// Builds the deduplicated footprint table of the *next* state: every
@@ -243,7 +202,9 @@ fn decode_state(payload: &[u8]) -> Result<State, DecodeError> {
     let mut stages = Vec::with_capacity(n_stages.min(4));
     for _ in 0..n_stages {
         let tag = r.u8("summary stage tag")?;
-        StageKind::from_tag(tag).ok_or(bad("summary stage tag"))?;
+        if tag > 1 {
+            return Err(bad("summary stage tag"));
+        }
         let n = r.len("summary entries")?;
         let mut entries = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
@@ -546,15 +507,7 @@ fn edge_hash(
 }
 
 // ---------------------------------------------------------------------
-// Wavefront scheduling
-// ---------------------------------------------------------------------
-//
-// The scheduler itself lives in `manta_parallel::wavefront` (SCC
-// condensation + level-by-level dispatch); this driver only maps
-// functions onto condensation levels and names the telemetry counter.
-
-// ---------------------------------------------------------------------
-// The solve driver
+// The chunk memo
 // ---------------------------------------------------------------------
 
 /// What one summary-mode solve reused and recomputed — the edit-storm
@@ -565,254 +518,245 @@ pub struct SolveReport {
     pub reused: Vec<String>,
     /// Functions whose chunks were recomputed, per stage, by name.
     pub recomputed: Vec<String>,
-    /// Width of each dispatched recompute wavefront.
-    pub wavefront_widths: Vec<usize>,
 }
 
-/// Runs the cascade in summary mode: reveal + FI + classification fresh,
-/// refinement chunks replayed from `prev_state` where their recorded
-/// footprints validate, recomputed (with footprint recording) otherwise.
-/// Returns the result — bit-identical to the full pipeline — plus the
-/// encoded new state and a reuse report.
+/// The summary cache as a memo around the engine's chunked refinement
+/// step ([`crate::engine::refine`]): built from the previous state, it
+/// replays every chunk whose footprint still validates, recomputes the
+/// rest, and accumulates the next state.
+pub(crate) struct Memo {
+    prev: State,
+    inputs: Inputs,
+    /// The next state's footprint table, and where each previous
+    /// footprint landed in it.
+    interner: FpInterner,
+    moved: Vec<Option<u32>>,
+    next: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
+    report: SolveReport,
+}
+
+impl Memo {
+    /// Decodes `prev_state` (an undecodable one counts
+    /// `summary.state_corrupt` and replays nothing) and builds the
+    /// static input fingerprints of `analysis`.
+    pub(crate) fn new(analysis: &ModuleAnalysis, prev_state: Option<&[u8]>) -> Memo {
+        let prev = {
+            manta_telemetry::span!("summary.decode");
+            prev_state
+                .map(|p| {
+                    decode_state(p).unwrap_or_else(|_| {
+                        manta_telemetry::counter("summary.state_corrupt", 1);
+                        State::default()
+                    })
+                })
+                .unwrap_or_default()
+        };
+        let inputs = {
+            manta_telemetry::span!("summary.inputs");
+            Inputs::new(analysis, &function_fingerprints(analysis.module()))
+        };
+        Memo {
+            moved: vec![None; prev.footprints.len()],
+            prev,
+            inputs,
+            interner: FpInterner::default(),
+            next: Vec::new(),
+            report: SolveReport::default(),
+        }
+    }
+
+    /// Runs one refinement stage's `chunks` (its partitions of `V_O`, in
+    /// function order) against the frozen `result`: validates each cached
+    /// chunk's footprint, replays the clean ones, sends only the dirty
+    /// ones through `run` on the pool with footprint recording on, and
+    /// records the next state's entries. Outputs come back in partition
+    /// order; nothing is recorded when a dirty chunk fails.
+    pub(crate) fn refine(
+        &mut self,
+        stage: Stage,
+        analysis: &ModuleAnalysis,
+        result: &InferenceResult,
+        chunks: Vec<Vec<VarRef>>,
+        run: impl Fn(Vec<VarRef>, &mut Footprint) -> Result<Refinement, BudgetExceeded> + Sync,
+    ) -> Result<Vec<Refinement>, BudgetExceeded> {
+        let module = analysis.module();
+        let tag = tag(stage);
+        let inputs = &self.inputs;
+        let in_fps = {
+            manta_telemetry::span!("summary.stage_fps");
+            inputs.stage_fps(analysis, result)
+        };
+        // This stage's previous entries, each taken when its function
+        // replays or recomputes; the rest carry forward.
+        let mut old: Vec<(u64, Option<ChunkEntry>)> =
+            match self.prev.stages.iter_mut().find(|(t, _)| *t == tag) {
+                Some((_, entries)) => std::mem::take(entries)
+                    .into_iter()
+                    .map(|(nh, e)| (nh, Some(e)))
+                    .collect(),
+                None => Vec::new(),
+            };
+
+        // Each partition's cached entry when it validates (its updates
+        // replay into `outs` right away), `None` when it recomputes.
+        let mut plan: Vec<(FuncId, Option<ChunkEntry>)> = Vec::with_capacity(chunks.len());
+        let mut outs: Vec<Option<Refinement>> = Vec::with_capacity(chunks.len());
+        let mut dirty: Vec<Vec<VarRef>> = Vec::new();
+        {
+            manta_telemetry::span!("summary.validate");
+            let at: HashMap<u64, usize> = old
+                .iter()
+                .enumerate()
+                .map(|(i, (nh, _))| (*nh, i))
+                .collect();
+            // Footprint validity memoized per interned list: chunks in
+            // one call cluster share a footprint, so each distinct read
+            // set is checked once per stage no matter how many chunks
+            // cite it.
+            let mut fp_ok: Vec<Option<bool>> = vec![None; self.prev.footprints.len()];
+            for chunk in chunks {
+                let f = chunk[0].func;
+                let entry = at
+                    .get(&inputs.name_hash[f.index()])
+                    .and_then(|&i| old[i].1.take());
+                let valid = entry.filter(|e| {
+                    let idx = e.footprint as usize;
+                    *fp_ok[idx].get_or_insert_with(|| {
+                        self.prev.footprints[idx].iter().all(|&(h, fp)| {
+                            inputs.by_name.get(&h).map(|g| in_fps[g.index()]) == Some(fp)
+                        })
+                    })
+                });
+                let name = module.function(f).name().to_string();
+                if valid.is_some() {
+                    self.report.reused.push(name);
+                } else {
+                    self.report.recomputed.push(name);
+                    dirty.push(chunk);
+                }
+                outs.push(valid.as_ref().map(|e| replay(f, e)));
+                plan.push((f, valid));
+            }
+        }
+        manta_telemetry::counter("summary.hits", (plan.len() - dirty.len()) as u64);
+        manta_telemetry::counter("summary.recomputes", dirty.len() as u64);
+
+        let computed = {
+            manta_telemetry::span!("summary.recompute");
+            manta_parallel::par_map(dirty, |chunk| {
+                let mut fp = Footprint::on(module.function_count());
+                let out = run(chunk, &mut fp)?;
+                let footprint: Vec<(u64, u64)> = fp
+                    .into_funcs()
+                    .into_iter()
+                    .map(|g| (inputs.name_hash[g.index()], in_fps[g.index()]))
+                    .collect();
+                Ok((out, footprint))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, BudgetExceeded>>()?
+        };
+
+        // Sequential bookkeeping: the next state's entries, footprints
+        // interned. Replayed and carried entries cite the *previous*
+        // footprint table.
+        manta_telemetry::span!("summary.record");
+        let mut computed = computed.into_iter();
+        let mut entries: Vec<(u64, ChunkEntry)> = Vec::with_capacity(old.len().max(plan.len()));
+        for ((f, entry), slot) in plan.into_iter().zip(&mut outs) {
+            let entry = match entry {
+                Some(mut e) => {
+                    e.footprint = self.reintern(e.footprint);
+                    e
+                }
+                None => {
+                    let Some((out, footprint)) = computed.next() else {
+                        unreachable!("one computed chunk per dirty partition");
+                    };
+                    let e = ChunkEntry {
+                        footprint: self.interner.intern(footprint),
+                        vars: out
+                            .vars
+                            .iter()
+                            .map(|(v, i)| (v.value.0, i.clone()))
+                            .collect(),
+                        sites: out
+                            .sites
+                            .iter()
+                            .map(|((v, s), i)| (v.value.0, s.0, i.clone()))
+                            .collect(),
+                    };
+                    *slot = Some(out);
+                    e
+                }
+            };
+            entries.push((self.inputs.name_hash[f.index()], entry));
+        }
+        // Functions that still exist but had no candidates this round
+        // keep their entries: a later edit may revive them.
+        for (nh, e) in old {
+            if let (Some(mut e), true) = (e, self.inputs.by_name.contains_key(&nh)) {
+                e.footprint = self.reintern(e.footprint);
+                entries.push((nh, e));
+            }
+        }
+        entries.sort_by_key(|(nh, _)| *nh);
+        self.next.push((tag, entries));
+        Ok(outs.into_iter().flatten().collect())
+    }
+
+    /// Where previous footprint `idx` lands in the next state's table.
+    fn reintern(&mut self, idx: u32) -> u32 {
+        let prev = &self.prev.footprints;
+        let interner = &mut self.interner;
+        *self.moved[idx as usize].get_or_insert_with(|| interner.intern(prev[idx as usize].clone()))
+    }
+
+    /// The encoded next state and the reuse report.
+    pub(crate) fn finish(self) -> (Vec<u8>, SolveReport) {
+        manta_telemetry::span!("summary.encode");
+        let state = State {
+            footprints: self.interner.table,
+            stages: self.next,
+        };
+        (encode_state(&state), self.report)
+    }
+}
+
+/// A cached chunk's updates, in the owning function `f`'s coordinates.
+fn replay(f: FuncId, e: &ChunkEntry) -> Refinement {
+    let var = |v: u32| VarRef::new(f, ValueId(v));
+    Refinement {
+        vars: e.vars.iter().map(|(v, i)| (var(*v), i.clone())).collect(),
+        sites: e
+            .sites
+            .iter()
+            .map(|(v, s, i)| ((var(*v), InstId(*s)), i.clone()))
+            .collect(),
+    }
+}
+
+/// Runs the cascade in summary mode: the engine's driver loop on an
+/// unlimited budget, with refinement chunks replayed from `prev_state`
+/// where their recorded footprints validate and recomputed (with
+/// footprint recording) otherwise. Returns the result — bit-identical to
+/// the full pipeline, degradations included — plus the encoded new
+/// state and a reuse report. The state of a degraded result is partial
+/// and must not be persisted.
 #[must_use]
 pub fn solve(
     analysis: &ModuleAnalysis,
     config: &MantaConfig,
     prev_state: Option<&[u8]>,
 ) -> (InferenceResult, Vec<u8>, SolveReport) {
-    manta_telemetry::span!("infer.summary");
-    let module = analysis.module();
-    let prev = {
-        manta_telemetry::span!("summary.decode");
-        match prev_state {
-            Some(p) => match decode_state(p) {
-                Ok(s) => s,
-                Err(_) => {
-                    manta_telemetry::counter("summary.state_corrupt", 1);
-                    State::default()
-                }
-            },
-            None => State::default(),
-        }
-    };
-    let inputs = {
-        manta_telemetry::span!("summary.inputs");
-        Inputs::new(analysis, &function_fingerprints(module))
-    };
-    let stages = stage_order(config.sensitivity);
-    let mut report = SolveReport::default();
-
-    let reveals = RevealMap::collect(analysis);
-    let mut result = flow_insensitive::run(analysis, &reveals, *config);
-
-    // Call-graph condensation: SCC topological levels drive the
-    // recompute wavefronts (callees' chunks before callers').
-    let call_edges: Vec<(u32, u32)> = analysis
-        .callgraph
-        .edges()
-        .iter()
-        .map(|e| (e.caller.0, e.callee.0))
-        .collect();
-    let cond = wavefront::condense(module.function_count(), &call_edges);
-    let level_of_func = cond.node_levels();
-
-    let mut new_state = State::default();
-    let mut interner = FpInterner::default();
-    for &stage in stages {
-        let in_fps = {
-            manta_telemetry::span!("summary.stage_fps");
-            inputs.stage_fps(analysis, &result)
+    let mut memo = Memo::new(analysis, prev_state);
+    let result =
+        match Engine::new(*config).run_pipeline(analysis, &Budget::unlimited(), Some(&mut memo)) {
+            Ok((result, _)) => result,
+            Err(_) => unreachable!("non-strict engines convert failures to degradations"),
         };
-        let over = classify::over_approximated(analysis, &result);
-        match stage {
-            StageKind::Cs => manta_telemetry::counter("cs.candidates", over.len() as u64),
-            StageKind::Fs => manta_telemetry::counter("fs.candidates", over.len() as u64),
-        }
-        let chunks = ctx_refine::partition_by_func(over);
-
-        let (reused, dirty) = {
-            manta_telemetry::span!("summary.validate");
-            let prev_by_name: HashMap<u64, &ChunkEntry> = prev
-                .entries(stage.tag())
-                .map(|es| es.iter().map(|(h, e)| (*h, e)).collect())
-                .unwrap_or_default();
-            // Footprint validity memoized per interned list: chunks in
-            // one call cluster share a footprint, so each distinct read
-            // set is checked once per stage no matter how many chunks
-            // cite it.
-            let mut fp_ok: Vec<Option<bool>> = vec![None; prev.footprints.len()];
-            let mut reused: Vec<(FuncId, ChunkEntry)> = Vec::new();
-            let mut dirty: Vec<(FuncId, Vec<VarRef>)> = Vec::new();
-            for chunk in chunks {
-                let f = chunk[0].func;
-                let nh = inputs.name_hash[f.index()];
-                let valid = prev_by_name.get(&nh).copied().filter(|e| {
-                    let idx = e.footprint as usize;
-                    *fp_ok[idx].get_or_insert_with(|| {
-                        prev.footprints[idx].iter().all(|&(h, fp)| {
-                            inputs.by_name.get(&h).map(|g| in_fps[g.index()]) == Some(fp)
-                        })
-                    })
-                });
-                match valid {
-                    Some(e) => reused.push((f, e.clone())),
-                    None => dirty.push((f, chunk)),
-                }
-            }
-            (reused, dirty)
-        };
-        manta_telemetry::counter("summary.hits", reused.len() as u64);
-        manta_telemetry::counter("summary.recomputes", dirty.len() as u64);
-        for (f, _) in &reused {
-            report.reused.push(module.function(*f).name().to_string());
-        }
-        for (f, _) in &dirty {
-            report
-                .recomputed
-                .push(module.function(*f).name().to_string());
-        }
-
-        // Recompute dirty chunks wavefront by wavefront against the
-        // frozen pre-stage result, recording footprints.
-        let levels = wavefront::group_by_level(dirty, |f: FuncId| level_of_func[f.index()]);
-        let mut width_max = 0u64;
-        for l in &levels {
-            report.wavefront_widths.push(l.len());
-            width_max = width_max.max(l.len() as u64);
-        }
-        if width_max > 0 {
-            manta_telemetry::counter_set("summary.wavefront_width_max", width_max);
-        }
-        let frozen: &InferenceResult = &result;
-        let raw = {
-            manta_telemetry::span!("summary.recompute");
-            wavefront::wavefront_dispatch(levels, "summary.wavefronts", |(f, chunk)| {
-                let mut fp = Footprint::on(module.function_count());
-                let (vars, sites) = match stage {
-                    StageKind::Cs => {
-                        let (updates, _) = match ctx_refine::refine_chunk(
-                            analysis,
-                            &reveals,
-                            config,
-                            frozen,
-                            &Budget::unlimited(),
-                            chunk,
-                            &mut fp,
-                        ) {
-                            Ok(out) => out,
-                            Err(_) => unreachable!("unlimited budget tripped"),
-                        };
-                        (updates, Vec::new())
-                    }
-                    StageKind::Fs => {
-                        let out: FsChunkOut = match flow_refine::refine_chunk(
-                            analysis,
-                            &reveals,
-                            config,
-                            frozen,
-                            &Budget::unlimited(),
-                            chunk,
-                            &mut fp,
-                        ) {
-                            Ok(o) => o,
-                            Err(_) => unreachable!("unlimited budget tripped"),
-                        };
-                        out
-                    }
-                };
-                let footprint: Vec<(u64, u64)> = fp
-                    .into_funcs()
-                    .into_iter()
-                    .map(|g| (inputs.name_hash[g.index()], in_fps[g.index()]))
-                    .collect();
-                let vars: Vec<(u32, TypeInterval)> =
-                    vars.into_iter().map(|(v, i)| (v.value.0, i)).collect();
-                let sites: Vec<(u32, u32, TypeInterval)> = sites
-                    .into_iter()
-                    .map(|((v, s), i)| (v.value.0, s.0, i))
-                    .collect();
-                (f, footprint, vars, sites)
-            })
-        };
-        // Interning is sequential bookkeeping, so it happens after the
-        // parallel dispatch rather than inside it.
-        let computed: Vec<(FuncId, ChunkEntry)> = raw
-            .into_iter()
-            .map(|(f, footprint, vars, sites)| {
-                let entry = ChunkEntry {
-                    footprint: interner.intern(footprint),
-                    vars,
-                    sites,
-                };
-                (f, entry)
-            })
-            .collect();
-
-        // Apply updates (keys are unique per chunk, so order between
-        // replayed and recomputed chunks cannot matter), then classify —
-        // exactly what `refine_budgeted` does after its own merge.
-        manta_telemetry::span!("summary.apply");
-        let mut applied_vars = 0u64;
-        let mut applied_sites = 0u64;
-        for (f, entry) in reused.iter().chain(computed.iter()) {
-            for (v, i) in &entry.vars {
-                result
-                    .var_types
-                    .insert(VarRef::new(*f, ValueId(*v)), i.clone());
-                applied_vars += 1;
-            }
-            for (v, s, i) in &entry.sites {
-                result
-                    .site_types
-                    .insert((VarRef::new(*f, ValueId(*v)), InstId(*s)), i.clone());
-                applied_sites += 1;
-            }
-        }
-        match stage {
-            StageKind::Cs => manta_telemetry::counter("cs.refined", applied_vars),
-            StageKind::Fs => manta_telemetry::counter("fs.site_types", applied_sites),
-        }
-        let counts = classify::classify(analysis, &mut result);
-        result.stage_counts.push((stage.stage(), counts));
-
-        // New state for this stage: replayed + recomputed entries, plus
-        // previous entries for functions that still exist but had no
-        // candidates this round (a later edit may revive them).
-        // Replayed and carried entries cite the *previous* footprint
-        // table, so their lists re-intern into the new one.
-        let mut entries: Vec<(u64, ChunkEntry)> = Vec::new();
-        let mut present: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (f, mut e) in reused {
-            let nh = inputs.name_hash[f.index()];
-            present.insert(nh);
-            e.footprint = interner.intern(prev.footprints[e.footprint as usize].clone());
-            entries.push((nh, e));
-        }
-        for (f, e) in computed {
-            let nh = inputs.name_hash[f.index()];
-            present.insert(nh);
-            entries.push((nh, e));
-        }
-        if let Some(old) = prev.entries(stage.tag()) {
-            for (nh, e) in old {
-                if inputs.by_name.contains_key(nh) && !present.contains(nh) {
-                    let mut e = e.clone();
-                    e.footprint = interner.intern(prev.footprints[e.footprint as usize].clone());
-                    entries.push((*nh, e));
-                }
-            }
-        }
-        entries.sort_by_key(|(nh, _)| *nh);
-        new_state.stages.push((stage.tag(), entries));
-    }
-
-    result.config = *config;
-    new_state.footprints = interner.table;
-    let encoded = {
-        manta_telemetry::span!("summary.encode");
-        encode_state(&new_state)
-    };
-    (result, encoded, report)
+    let (state, report) = memo.finish();
+    (result, state, report)
 }
 
 #[cfg(test)]

@@ -276,9 +276,9 @@ fn summary_asm(constant: u32) -> String {
 }
 
 /// Summary-mode engines must surface their replay/recompute traffic
-/// through the `summary.*` counters: a cold run records recomputes and
-/// at least one wavefront; an edited re-run records replays (`hits`)
-/// for untouched chunks alongside recomputes for the dirty ones.
+/// through the `summary.*` counters: a cold run records recomputes; an
+/// edited re-run records replays (`hits`) for untouched chunks
+/// alongside recomputes for the dirty ones.
 #[test]
 fn summary_counters_record_replays_and_recomputes() {
     let _l = lock();
@@ -308,7 +308,6 @@ fn summary_counters_record_replays_and_recomputes() {
         cold.counters
     );
     assert_eq!(get(&cold, "summary.hits"), 0, "no state to replay yet");
-    assert!(get(&cold, "summary.wavefronts") > 0, "{:?}", cold.counters);
 
     manta_telemetry::reset();
     let _ = engine.analyze(&build(43)).expect("non-strict cannot fail");
@@ -322,11 +321,6 @@ fn summary_counters_record_replays_and_recomputes() {
     assert!(
         get(&warm, "summary.recomputes") > 0,
         "the edited function's chunks must recompute: {:?}",
-        warm.counters
-    );
-    assert!(
-        get(&warm, "summary.wavefront_width_max") > 0,
-        "{:?}",
         warm.counters
     );
 }

@@ -18,7 +18,8 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use manta::{Engine, Manta, MantaConfig, Sensitivity};
+use manta::cache::results_identical;
+use manta::{summaries, Engine, Manta, MantaConfig, Sensitivity};
 use manta_analysis::{ModuleAnalysis, PreprocessConfig};
 use manta_ir::parser::{parse_module, parse_module_recovering};
 use manta_ir::printer::print_module;
@@ -237,8 +238,11 @@ fn injected_faults_in_every_analysis_stage_surface_as_structured_errors() {
 fn injected_faults_in_refinement_keep_the_last_completed_tier() {
     let _l = lock();
     let analysis = ModuleAnalysis::build(fuzz_program().module);
-    let engine = Engine::new(MantaConfig::full());
+    let config = MantaConfig::full();
+    let engine = Engine::new(config);
     let fi_baseline = Manta::new(MantaConfig::with_sensitivity(Sensitivity::Fi)).infer(&analysis);
+    // A clean summary solve's state, for the warm summary-mode runs.
+    let (_, clean_state, _) = summaries::solve(&analysis, &config, None);
     for (site, completed) in [("infer.cs", "FI"), ("infer.fs", "FI+CS")] {
         for fault in [Fault::Panic, Fault::ExhaustBudget] {
             let _guard = FaultPlan::new()
@@ -263,6 +267,23 @@ fn injected_faults_in_refinement_keep_the_last_completed_tier() {
                 // CS faulted on its first step: the kept maps are the
                 // flow-insensitive tier, bit for bit.
                 assert_eq!(result.stage_counts, fi_baseline.stage_counts);
+            }
+            // Summary mode runs the same stage loop, so a panic there
+            // degrades exactly as above, cold and warm. The engine's
+            // cache policy bypasses summary mode while a plan is armed,
+            // so the solve is called directly; replayed chunks consume no
+            // fuel, so budget exhaustion stays an engine-only case.
+            if fault == Fault::Panic {
+                for prev in [None, Some(clean_state.as_slice())] {
+                    let (summary, _, _) = summaries::solve(&analysis, &config, prev);
+                    let warm = prev.is_some();
+                    assert!(
+                        results_identical(&summary, &result),
+                        "{site}: summary solve (warm: {warm}) {:?}",
+                        summary.degradations
+                    );
+                    assert_eq!(summary.degradations[0].completed, completed);
+                }
             }
         }
     }

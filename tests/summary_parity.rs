@@ -175,7 +175,7 @@ fn fuel_budgets_bypass_summaries_but_stay_correct() {
     }
 }
 
-/// One summary engine carried across pool sizes: recompute wavefronts
+/// One summary engine carried across pool sizes: dirty chunks
 /// dispatched over 1, 2 and 8 threads must replay and recompute to the
 /// same bytes a fresh single-path solve produces.
 #[test]
