@@ -135,10 +135,10 @@ pub enum PtsSource {
     FieldOf(ObjectId),
 }
 
-/// First-derivation provenance of the points-to relation, recorded only
-/// while [`manta_telemetry::provenance_enabled`]. Facts whose node was
-/// merged into a copy-SCC representative are recorded under the
-/// representative's variable/object.
+/// First-derivation provenance of the points-to relation, recorded by
+/// [`PointsTo::derivations`]. Facts whose node was merged into a
+/// copy-SCC representative are recorded under the representative's
+/// variable/object.
 #[derive(Clone, Debug, Default)]
 pub struct PointsToProvenance {
     /// `(v, o)` → how `v ∋ o` was first derived.
@@ -166,9 +166,6 @@ pub struct PointsTo {
     pub scc_merges: usize,
     /// Largest points-to set cardinality at fixpoint.
     pub peak_pts: usize,
-    /// Derivation provenance; `Some` only when provenance recording was
-    /// on during the solve.
-    pub provenance: Option<PointsToProvenance>,
 }
 
 static EMPTY: BTreeSet<ObjectId> = BTreeSet::new();
@@ -200,6 +197,15 @@ impl PointsTo {
         budget: &manta_resilience::Budget,
     ) -> Result<PointsTo, manta_resilience::BudgetExceeded> {
         DeltaSolver::new(pre).run(budget)
+    }
+
+    /// Re-solves the preprocessed module's constraints, recording how
+    /// each fact of the points-to map [`PointsTo::solve`] returns was
+    /// first derived. It runs on an unlimited budget with no fault site,
+    /// so it charges no caller's fuel; only provenance recording needs
+    /// it.
+    pub fn derivations(pre: &Preprocessed) -> PointsToProvenance {
+        DeltaSolver::new(pre).derivations()
     }
 
     /// Solves with the historical whole-set fixpoint solver. Kept only as

@@ -49,9 +49,9 @@ pub(super) struct DeltaSolver<'a> {
     edges_since_scc: usize,
     total_edges: usize,
     scc_merges: u64,
-    /// `(node, obj)` → first derivation; allocated only when provenance
-    /// recording is on, so the off path costs one `Option` check per
-    /// newly inserted fact.
+    /// `(node, obj)` → first derivation; allocated only by
+    /// [`DeltaSolver::derivations`], so [`DeltaSolver::run`] costs one
+    /// `Option` check per newly inserted fact.
     prov: Option<HashMap<(u32, u32), Origin>>,
 }
 
@@ -88,7 +88,7 @@ impl<'a> DeltaSolver<'a> {
             edges_since_scc: 0,
             total_edges: 0,
             scc_merges: 0,
-            prov: manta_telemetry::provenance_enabled().then(HashMap::new),
+            prov: None,
         }
     }
 
@@ -137,7 +137,7 @@ impl<'a> DeltaSolver<'a> {
 
     /// Adds `objs` (deduplicated, any order) to `pts(n)`, extending the
     /// delta with the newly present ones. `origin` is recorded for each
-    /// newly inserted fact when provenance recording is on.
+    /// newly inserted fact when derivations are being recorded.
     fn add_objs(&mut self, n: u32, objs: &[u32], origin: Origin) {
         let n = self.find(n);
         let mut any = false;
@@ -296,10 +296,60 @@ impl<'a> DeltaSolver<'a> {
         f
     }
 
+    /// Solves the constraints and exports the points-to map.
     pub(super) fn run(
         mut self,
         budget: &manta_resilience::Budget,
     ) -> Result<PointsTo, manta_resilience::BudgetExceeded> {
+        self.fixpoint(budget)?;
+        manta_telemetry::counter("pointsto.worklist_iters", self.iterations as u64);
+        manta_telemetry::counter("pointsto.objects", self.objects.len() as u64);
+        manta_telemetry::counter("pointsto.scc_merges", self.scc_merges);
+        let out = self.export();
+        manta_telemetry::counter("pointsto.constraint_nodes", out.constraint_nodes as u64);
+        manta_telemetry::counter("pointsto.constraint_edges", out.constraint_edges as u64);
+        PEAK_PTS.record_max(out.peak_pts as u64);
+        Ok(out)
+    }
+
+    /// Solves the constraints on an unlimited budget, recording how each
+    /// fact was first derived, and returns those derivations. It makes
+    /// [`DeltaSolver::run`]'s solve, visit for visit, but reports none of
+    /// its counters; the `pointsto.delta_size` histogram sees its visits.
+    pub(super) fn derivations(mut self) -> PointsToProvenance {
+        self.prov = Some(HashMap::new());
+        let unlimited = manta_resilience::Budget::unlimited();
+        if self.fixpoint(&unlimited).is_err() {
+            unreachable!("unlimited budget tripped");
+        }
+        let raw = self.prov.take().unwrap_or_default();
+        let mut p = PointsToProvenance::default();
+        for ((n, o), origin) in raw {
+            let source = match origin {
+                Origin::Seed => PtsSource::Seed,
+                Origin::Copy(m) => match self.node_key(m) {
+                    Node::Var(v) => PtsSource::CopiedFromVar(v),
+                    Node::Obj(obj) => PtsSource::CopiedFromObj(obj),
+                },
+                Origin::Field(parent) => PtsSource::FieldOf(ObjectId(parent)),
+            };
+            match self.node_key(n) {
+                Node::Var(v) => {
+                    p.var_origins.insert((v, ObjectId(o)), source);
+                }
+                Node::Obj(obj) => {
+                    p.obj_origins.insert((obj, ObjectId(o)), source);
+                }
+            }
+        }
+        p
+    }
+
+    /// Runs the worklist to fixpoint on `budget`.
+    fn fixpoint(
+        &mut self,
+        budget: &manta_resilience::Budget,
+    ) -> Result<(), manta_resilience::BudgetExceeded> {
         budget.tick()?;
         let constraints = Constraints::collect(self.pre);
         for kind in &constraints.objects {
@@ -412,20 +462,24 @@ impl<'a> DeltaSolver<'a> {
             }
         }
 
-        manta_telemetry::counter("pointsto.worklist_iters", self.iterations as u64);
-        manta_telemetry::counter("pointsto.objects", self.objects.len() as u64);
-        manta_telemetry::counter("pointsto.scc_merges", self.scc_merges);
-        let out = self.export();
-        manta_telemetry::counter("pointsto.constraint_nodes", out.constraint_nodes as u64);
-        manta_telemetry::counter("pointsto.constraint_edges", out.constraint_edges as u64);
-        PEAK_PTS.record_max(out.peak_pts as u64);
-        Ok(out)
+        Ok(())
     }
 
     fn node_of(&self, n: Node) -> u32 {
         match n {
             Node::Var(v) => self.var_node(v),
             Node::Obj(o) => self.obj_node(o),
+        }
+    }
+
+    /// The variable or object a dense node index names. Every index names
+    /// one even after SCC collapse (representatives are cycle members,
+    /// not synthetics).
+    fn node_key(&self, raw: u32) -> Node {
+        if (raw as usize) < self.nv {
+            Node::Var(self.vars[raw as usize])
+        } else {
+            Node::Obj(ObjectId(raw - self.nv as u32))
         }
     }
 
@@ -443,47 +497,8 @@ impl<'a> DeltaSolver<'a> {
             }
             let set: BTreeSet<ObjectId> = self.pts[rep as usize].iter().map(ObjectId).collect();
             peak = peak.max(set.len());
-            let key = if (n as usize) < self.nv {
-                Node::Var(self.vars[n as usize])
-            } else {
-                Node::Obj(ObjectId(n - self.nv as u32))
-            };
-            pts.insert(key, set);
+            pts.insert(self.node_key(n), set);
         }
-        // Resolve raw dense node ids to public references. Every dense
-        // node index names a concrete variable or object even after SCC
-        // collapse (representatives are cycle members, not synthetics).
-        let nv = self.nv;
-        let vars = std::mem::take(&mut self.vars);
-        let node_key = |raw: u32| -> Node {
-            if (raw as usize) < nv {
-                Node::Var(vars[raw as usize])
-            } else {
-                Node::Obj(ObjectId(raw - nv as u32))
-            }
-        };
-        let provenance = self.prov.take().map(|raw| {
-            let mut p = PointsToProvenance::default();
-            for ((n, o), origin) in raw {
-                let source = match origin {
-                    Origin::Seed => PtsSource::Seed,
-                    Origin::Copy(m) => match node_key(m) {
-                        Node::Var(v) => PtsSource::CopiedFromVar(v),
-                        Node::Obj(obj) => PtsSource::CopiedFromObj(obj),
-                    },
-                    Origin::Field(parent) => PtsSource::FieldOf(ObjectId(parent)),
-                };
-                match node_key(n) {
-                    Node::Var(v) => {
-                        p.var_origins.insert((v, ObjectId(o)), source);
-                    }
-                    Node::Obj(obj) => {
-                        p.obj_origins.insert((obj, ObjectId(o)), source);
-                    }
-                }
-            }
-            p
-        });
         PointsTo {
             objects: self.objects,
             field_intern: self.field_intern,
@@ -493,7 +508,6 @@ impl<'a> DeltaSolver<'a> {
             constraint_edges: self.total_edges,
             scc_merges: self.scc_merges as usize,
             peak_pts: peak,
-            provenance,
         }
     }
 }
@@ -651,7 +665,7 @@ pub(super) mod reference {
                 }
             }
             // The oracle has no dense arena or SCC machinery; shape
-            // introspection and provenance are delta-solver features.
+            // introspection is a delta-solver feature.
             let peak = self.pts.values().map(BTreeSet::len).max().unwrap_or(0);
             Ok(PointsTo {
                 objects: self.objects,
@@ -662,7 +676,6 @@ pub(super) mod reference {
                 constraint_edges: 0,
                 scc_merges: 0,
                 peak_pts: peak,
-                provenance: None,
             })
         }
     }

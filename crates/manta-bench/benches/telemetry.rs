@@ -10,18 +10,23 @@
 //!   the early-return branch from run-to-run pipeline noise.
 //!
 //! The estimated disabled overhead must stay under 2% of the pipeline.
+//! A provenance leg bounds what a provenance-off run pays the same way.
 
-use manta::{Manta, MantaConfig};
-use manta_analysis::ModuleAnalysis;
+use std::collections::HashMap;
+
+use manta::{Engine, MantaConfig};
+use manta_analysis::{ModuleAnalysis, PointsTo};
 use manta_bench::harness;
 use manta_telemetry::{Counter, SpanReport};
 use manta_workloads::{generator, PhenomenonMix};
 
-fn pipeline(spec: &generator::GenSpec) -> usize {
+fn pipeline(spec: &generator::GenSpec, engine: &Engine) -> usize {
     let g = generator::generate(spec);
     let analysis = ModuleAnalysis::build(g.module);
-    let result = Manta::new(MantaConfig::full()).infer(&analysis);
-    result.final_counts().total()
+    let (result, graph) = engine
+        .analyze_explained(&analysis)
+        .expect("non-strict engines never error");
+    result.final_counts().total() + graph.map_or(0, |g| g.facts().len())
 }
 
 fn span_hits(spans: &[SpanReport]) -> u64 {
@@ -35,13 +40,14 @@ fn main() {
         mix: PhenomenonMix::balanced(),
         seed: 7,
     };
+    let plain = Engine::new(MantaConfig::full());
 
     manta_telemetry::set_enabled(false);
-    let disabled_ns = harness::time(|| pipeline(&spec));
+    let disabled_ns = harness::time(|| pipeline(&spec, &plain));
 
     manta_telemetry::set_enabled(true);
     manta_telemetry::reset();
-    let enabled_ns = harness::time(|| pipeline(&spec));
+    let enabled_ns = harness::time(|| pipeline(&spec, &plain));
 
     // One clean run to count how often each kind of instrumentation site
     // fires; each firing is one early-return branch when collection is off.
@@ -49,7 +55,7 @@ fn main() {
     // one call (e.g. `ddg.edges`), which only makes the estimate more
     // conservative.
     manta_telemetry::reset();
-    pipeline(&spec);
+    pipeline(&spec, &plain);
     let report = manta_telemetry::report();
     let span_count = span_hits(&report.spans);
     let counter_count: u64 = report.counters.values().sum();
@@ -89,23 +95,32 @@ fn main() {
     );
     println!("telemetry overhead OK (<2% disabled)");
 
-    // Provenance-off leg. The hybrid solver consults the process-global
-    // provenance switch once per solve (then branches on a resident
-    // `Option` per inserted pair), so the off-path cost is the switch
-    // probe itself; the same estimate discipline as above bounds it.
-    // The on/off wall delta is printed for information only — recording
-    // derivations is allowed to cost, the off path is not.
-    manta_telemetry::set_provenance_enabled(false);
-    let prov_off_ns = harness::time(|| pipeline(&spec));
-    manta_telemetry::set_provenance_enabled(true);
-    let prov_on_ns = harness::time(|| pipeline(&spec));
-    manta_telemetry::set_provenance_enabled(false);
-    let prov_check_ns =
-        (harness::time(|| std::hint::black_box(manta_telemetry::provenance_enabled()))
-            - baseline_ns)
-            .max(0.0);
+    // Provenance leg. A provenance-off run records nothing; what it still
+    // pays is the points-to solver's `Option` check on every newly
+    // inserted fact. A recording solve records each such fact once, so
+    // its derivations count the checks, and the same estimate discipline
+    // as above bounds them. The on/off wall delta — a plain engine
+    // against a provenance engine — is printed for information only:
+    // recording is allowed to cost, the off path is not.
+    let prov = Engine::builder()
+        .config(MantaConfig::full())
+        .provenance(true)
+        .build()
+        .expect("cacheless engine cannot fail to build");
+    let prov_off_ns = harness::time(|| pipeline(&spec, &plain));
+    let prov_on_ns = harness::time(|| pipeline(&spec, &prov));
+    let analysis = ModuleAnalysis::build(generator::generate(&spec).module);
+    let derivations = PointsTo::derivations(&analysis.pre);
+    let checks = (derivations.var_origins.len() + derivations.obj_origins.len()) as u64;
+    let mut off: Option<HashMap<(u32, u32), u8>> = None;
+    let check_ns = (harness::time(|| {
+        if let Some(m) = std::hint::black_box(&mut off) {
+            m.insert((0, 0), 0);
+        }
+    }) - baseline_ns)
+        .max(0.0);
     let prov_meas_pct = 100.0 * (prov_on_ns - prov_off_ns) / prov_off_ns;
-    let prov_est_pct = 100.0 * prov_check_ns / prov_off_ns;
+    let prov_est_pct = 100.0 * checks as f64 * check_ns / prov_off_ns;
     println!(
         "bench telemetry/provenance-off             {:>12.3} ms",
         prov_off_ns / 1e6
@@ -115,7 +130,8 @@ fn main() {
         prov_on_ns / 1e6
     );
     println!("bench telemetry/provenance-on-delta        {prov_meas_pct:>11.2} %");
-    println!("bench telemetry/provenance-check           {prov_check_ns:>12.3} ns");
+    println!("bench telemetry/provenance-check           {check_ns:>12.3} ns");
+    println!("bench telemetry/provenance-checks          {checks:>12}");
     println!("bench telemetry/est-provenance-off-ovh     {prov_est_pct:>11.3} %");
     assert!(
         prov_est_pct < 2.0,

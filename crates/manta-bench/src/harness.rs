@@ -1,191 +1,46 @@
-//! A minimal stand-in for the `criterion` API surface the benches use
-//! (the build environment cannot fetch crates). Same shape — `Criterion`,
-//! `benchmark_group`, `bench_function`, `bench_with_input`, `Bencher::iter`
-//! — with adaptive iteration counts and median-of-batches reporting.
+//! Timing helpers for the bench mains (the build environment cannot
+//! fetch crates): [`time`] measures a closure's median ns/iter with
+//! adaptive iteration counts, and [`median`] is the one shared median.
 
-use std::fmt::Display;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Target wall time per measured benchmark.
+/// Target wall time per measurement.
 const TARGET: Duration = Duration::from_millis(300);
 /// Batches the measurement is split into (median is reported).
 const BATCHES: usize = 5;
 
-/// Bench registry/driver, compatible with `criterion::Criterion`.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
-
-impl Criterion {
-    /// Runs one benchmark.
-    pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let mut b = Bencher::default();
-        f(&mut b);
-        b.report(name);
-        self
-    }
-
-    /// Opens a named group; member benches print as `group/member`.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            _c: self,
-            name: name.to_string(),
-        }
-    }
-}
-
-/// A bench group, compatible with `criterion::BenchmarkGroup`.
-pub struct BenchmarkGroup<'a> {
-    _c: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Runs one member benchmark.
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let id = id.into();
-        let mut b = Bencher::default();
-        f(&mut b);
-        b.report(&format!("{}/{}", self.name, id.0));
-        self
-    }
-
-    /// Runs one member benchmark with a borrowed input.
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        let mut b = Bencher::default();
-        f(&mut b, input);
-        b.report(&format!("{}/{}", self.name, id.0));
-        self
-    }
-
-    /// Ends the group (no-op; parity with criterion).
-    pub fn finish(self) {}
-}
-
-/// A bench label, compatible with `criterion::BenchmarkId`.
-pub struct BenchmarkId(String);
-
-impl BenchmarkId {
-    /// Labels a bench by its parameter value.
-    pub fn from_parameter(p: impl Display) -> BenchmarkId {
-        BenchmarkId(p.to_string())
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> BenchmarkId {
-        BenchmarkId(s.to_string())
-    }
-}
-
-/// Per-bench measurement state, compatible with `criterion::Bencher`.
-#[derive(Debug, Default)]
-pub struct Bencher {
-    /// Median ns/iter, filled by [`Bencher::iter`].
-    median_ns: f64,
-    iters: u64,
-}
-
-impl Bencher {
-    /// Measures `f`: warm-up, pick an iteration count aiming at
-    /// [`TARGET`], then report the median over [`BATCHES`] batches.
-    pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
-        // Warm-up + calibration.
-        let start = Instant::now();
-        let mut calibration_iters = 0u64;
-        while start.elapsed() < TARGET / 10 || calibration_iters < 3 {
-            black_box(f());
-            calibration_iters += 1;
-            if calibration_iters >= 1_000_000 {
-                break;
-            }
-        }
-        let per_iter = start.elapsed().as_secs_f64() / calibration_iters as f64;
-        let per_batch = ((TARGET.as_secs_f64() / BATCHES as f64) / per_iter.max(1e-9)) as u64;
-        let per_batch = per_batch.clamp(1, 10_000_000);
-        let mut samples: Vec<f64> = (0..BATCHES)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..per_batch {
-                    black_box(f());
-                }
-                t.elapsed().as_nanos() as f64 / per_batch as f64
-            })
-            .collect();
-        self.median_ns = median(&mut samples);
-        self.iters = per_batch * BATCHES as u64;
-    }
-
-    fn report(&self, name: &str) {
-        println!(
-            "bench {name:<40} {}  ({} iters)",
-            fmt_ns(self.median_ns),
-            self.iters
-        );
-    }
-
-    /// Median nanoseconds per iteration of the last [`Bencher::iter`].
-    pub fn median_ns(&self) -> f64 {
-        self.median_ns
-    }
-}
-
 /// Median of a sample set (sorts in place). The one shared copy used by
-/// [`Bencher::iter`] and the standalone bench binaries.
+/// [`time`] and the standalone bench binaries.
 pub fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:>9.3} s/iter ", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:>9.3} ms/iter", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:>9.3} µs/iter", ns / 1e3)
-    } else {
-        format!("{ns:>9.1} ns/iter")
-    }
-}
-
-/// Runs a closure once and returns its median ns/iter — the standalone
-/// form of [`Bencher::iter`] for custom bench mains.
+/// Measures `f`: warm-up, pick an iteration count aiming at `TARGET`,
+/// then return the median ns/iter over `BATCHES` batches.
 pub fn time<T>(mut f: impl FnMut() -> T) -> f64 {
-    let mut b = Bencher::default();
-    b.iter(&mut f);
-    b.median_ns
-}
-
-/// Declares a bench entry point, compatible with `criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($bench:path),+ $(,)?) => {
-        fn $name() {
-            let mut c = $crate::harness::Criterion::default();
-            $( $bench(&mut c); )+
-            let _ = &mut c;
+    // Warm-up + calibration.
+    let start = Instant::now();
+    let mut calibration_iters = 0u64;
+    while start.elapsed() < TARGET / 10 || calibration_iters < 3 {
+        black_box(f());
+        calibration_iters += 1;
+        if calibration_iters >= 1_000_000 {
+            break;
         }
-    };
-}
-
-/// Declares the bench `main`, compatible with `criterion_main!`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
+    }
+    let per_iter = start.elapsed().as_secs_f64() / calibration_iters as f64;
+    let per_batch = ((TARGET.as_secs_f64() / BATCHES as f64) / per_iter.max(1e-9)) as u64;
+    let per_batch = per_batch.clamp(1, 10_000_000);
+    let mut samples: Vec<f64> = (0..BATCHES)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..per_batch {
+                black_box(f());
+            }
+            t.elapsed().as_nanos() as f64 / per_batch as f64
+        })
+        .collect();
+    median(&mut samples)
 }

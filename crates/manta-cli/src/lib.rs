@@ -50,7 +50,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use manta::{
-    AnalysisCache, Engine, InferenceResult, MantaConfig, Sensitivity, TypeQuery, VarClass,
+    AnalysisCache, Engine, EngineBuilder, InferenceResult, Sensitivity, TypeQuery, VarClass,
 };
 use manta_analysis::{ModuleAnalysis, VarRef};
 use manta_clients::{
@@ -490,20 +490,18 @@ fn client_analyze_request(
     })
 }
 
-/// Composes the command's engine from the parsed flags: config,
-/// budget/strict policy, and the shared cache (when one is open). The
-/// engine applies the cache policy itself — `--fuel` is part of the
-/// result key, `--budget-ms` and `--strict` bypass the cache — so the
-/// command arms stay policy-free.
+/// Composes the command's engine: `builder` carries the command's own
+/// settings (`Engine::builder()` alone is the full cascade), the parsed
+/// flags add the budget/strict policy, and the shared cache attaches
+/// when one is open. The engine applies the cache policy itself —
+/// `--fuel` is part of the result key, `--budget-ms` and `--strict`
+/// bypass the cache — so the command arms stay policy-free.
 fn make_engine(
-    config: MantaConfig,
+    builder: EngineBuilder,
     opts: &ResilienceOpts,
     cache: Option<Arc<AnalysisCache>>,
 ) -> Engine {
-    let mut builder = Engine::builder()
-        .config(config)
-        .budget(opts.spec())
-        .strict(opts.strict);
+    let mut builder = builder.budget(opts.spec()).strict(opts.strict);
     if let Some(c) = cache {
         builder = builder.cache(c);
     }
@@ -681,7 +679,7 @@ fn run_command(
             };
             let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
             let engine = make_engine(
-                MantaConfig::with_sensitivity(sens),
+                Engine::builder().sensitivity(sens),
                 resilience,
                 cache.clone(),
             );
@@ -722,7 +720,7 @@ fn run_command(
                 _ => return err(USAGE),
             };
             let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
-            let engine = make_engine(MantaConfig::full(), resilience, cache.clone());
+            let engine = make_engine(Engine::builder(), resilience, cache.clone());
             let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
             };
@@ -750,7 +748,7 @@ fn run_command(
         Some("icall") => {
             let [_, input] = args else { return err(USAGE) };
             let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
-            let engine = make_engine(MantaConfig::full(), resilience, cache.clone());
+            let engine = make_engine(Engine::builder(), resilience, cache.clone());
             let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
             };
@@ -782,17 +780,8 @@ fn run_command(
             // print the per-stage cost breakdown they recorded. With a cache
             // directory the engine runs in summary mode so the `summary.*`
             // counters below reflect real replay/recompute traffic.
-            let mut builder = Engine::builder()
-                .config(MantaConfig::full())
-                .budget(resilience.spec())
-                .strict(resilience.strict)
-                .summaries(cache.is_some());
-            if let Some(c) = cache.clone() {
-                builder = builder.cache(c);
-            }
-            let engine = builder
-                .build()
-                .expect("engine build cannot fail without a cache directory");
+            let builder = Engine::builder().summaries(cache.is_some());
+            let engine = make_engine(builder, resilience, cache.clone());
             let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
             };
@@ -888,36 +877,20 @@ fn run_command(
                 return err(USAGE);
             };
             let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
-            // Provenance must be on before the substrate builds so the
-            // points-to solver records its derivations too; the builder
-            // flips the process-global switch, restored below.
-            let mut builder = Engine::builder()
-                .config(MantaConfig::full())
-                .budget(resilience.spec())
-                .strict(resilience.strict)
-                .provenance(true);
-            if let Some(c) = cache.clone() {
-                builder = builder.cache(c);
-            }
-            let engine = builder
-                .build()
-                .expect("engine build cannot fail without a cache directory");
-            let explained = (|| {
-                let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
-                    return Ok(None);
-                };
-                let (result, graph) = engine
-                    .analyze_explained(&analysis)
-                    .map_err(|e| CliError(format!("inference failed: {e}")))?;
-                for d in &result.degradations {
-                    let _ = writeln!(out, "degraded: {d}");
-                }
-                Ok(Some((analysis, graph)))
-            })();
-            manta_telemetry::set_provenance_enabled(false);
-            let Some((analysis, graph)) = explained? else {
+            let engine = make_engine(
+                Engine::builder().provenance(true),
+                resilience,
+                cache.clone(),
+            );
+            let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
             };
+            let (result, graph) = engine
+                .analyze_explained(&analysis)
+                .map_err(|e| CliError(format!("inference failed: {e}")))?;
+            for d in &result.degradations {
+                let _ = writeln!(out, "degraded: {d}");
+            }
             let graph = graph
                 .ok_or_else(|| CliError("provenance-enabled engine produced no graph".into()))?;
             let Some(v) = manta::provenance::resolve_var(analysis.module(), func, var) else {
@@ -938,7 +911,7 @@ fn run_command(
             let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
             // Same full drive as `stats`, but summarized from the trace
             // buffer: per-span cumulative wall time across all threads.
-            let engine = make_engine(MantaConfig::full(), resilience, cache.clone());
+            let engine = make_engine(Engine::builder(), resilience, cache.clone());
             let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
             };
@@ -987,7 +960,7 @@ fn run_command(
                 return err(USAGE);
             };
             let config = parse_serve_flags(addr, flags)?;
-            let engine = make_engine(MantaConfig::full(), resilience, cache.clone());
+            let engine = make_engine(Engine::builder(), resilience, cache.clone());
             let server = manta_serve::Server::spawn(engine, config)
                 .map_err(|e| CliError(format!("cannot start daemon: {e}")))?;
             // Print the bound address eagerly: with port 0 the caller
@@ -1096,9 +1069,9 @@ func main(0) -> ret {
 
     /// Runs `f` in a temp dir of its own (unique per call, removed
     /// afterwards), one test at a time: `run` drives process-global
-    /// state — the telemetry collector and its counters, the pool size,
-    /// the provenance switch — so a test asserting on `stats` output
-    /// must not overlap another command.
+    /// state — the telemetry collector and its counters, the pool size —
+    /// so a test asserting on `stats` output must not overlap another
+    /// command.
     fn with_files<T>(f: impl FnOnce(&Path) -> T) -> T {
         static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _serial = SERIAL

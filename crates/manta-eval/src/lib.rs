@@ -33,7 +33,6 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 pub use runner::{
-    load_coreutils, load_coreutils_checked, load_firmware, load_firmware_checked, load_projects,
-    load_projects_checked, load_specs_checked, load_suite, load_suite_checked, solver_shape_table,
-    stage_breakdown_table, ProjectData, ProjectFailure, Suite, SuiteLoad,
+    load_coreutils, load_firmware, load_projects, load_specs_checked, load_suite,
+    solver_shape_table, stage_breakdown_table, ProjectData, ProjectFailure, Suite, SuiteLoad,
 };

@@ -3,8 +3,8 @@
 //!
 //! Every project build runs behind a panic-isolation boundary
 //! (`eval.project`): a crash or blown budget in one project is converted
-//! into a [`ProjectFailure`] and the remaining projects still load. The
-//! `*_checked` loaders expose both halves as a [`SuiteLoad`]; the plain
+//! into a [`ProjectFailure`] and the remaining projects still load.
+//! [`load_specs_checked`] exposes both halves as a [`SuiteLoad`]; the plain
 //! loaders keep their historical all-or-nothing contract.
 
 use std::time::Instant;
@@ -232,19 +232,9 @@ pub fn load_suite(suite: Suite) -> Vec<ProjectData> {
     build_many(suite.units())
 }
 
-/// Fault-tolerant variant of [`load_suite`].
-pub fn load_suite_checked(suite: Suite, budget: BudgetSpec) -> SuiteLoad {
-    load_units_checked(suite.units(), budget)
-}
-
 /// Generates and analyzes the 14-project suite.
 pub fn load_projects() -> Vec<ProjectData> {
     load_suite(Suite::Projects)
-}
-
-/// Fault-tolerant variant of [`load_projects`].
-pub fn load_projects_checked(budget: BudgetSpec) -> SuiteLoad {
-    load_suite_checked(Suite::Projects, budget)
 }
 
 /// Generates and analyzes the 104-binary coreutils-like suite.
@@ -252,19 +242,9 @@ pub fn load_coreutils() -> Vec<ProjectData> {
     load_suite(Suite::Coreutils)
 }
 
-/// Fault-tolerant variant of [`load_coreutils`].
-pub fn load_coreutils_checked(budget: BudgetSpec) -> SuiteLoad {
-    load_suite_checked(Suite::Coreutils, budget)
-}
-
 /// Generates and analyzes the nine firmware images.
 pub fn load_firmware() -> Vec<ProjectData> {
     load_suite(Suite::Firmware)
-}
-
-/// Fault-tolerant variant of [`load_firmware`].
-pub fn load_firmware_checked(budget: BudgetSpec) -> SuiteLoad {
-    load_suite_checked(Suite::Firmware, budget)
 }
 
 /// Renders the per-project, per-stage substrate cost table that replaces

@@ -69,7 +69,6 @@ pub use trace::{
 };
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static PROVENANCE: AtomicBool = AtomicBool::new(false);
 
 /// Turns global collection on or off. Off (the default) makes every
 /// instrument a near-free no-op.
@@ -81,20 +80,6 @@ pub fn set_enabled(on: bool) {
 #[inline(always)]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns type-provenance recording on or off (the switch lives here so
-/// the analysis crates can gate their recording without depending on
-/// the engine crate). Off — the default — keeps every provenance hook
-/// down to one relaxed load and a branch.
-pub fn set_provenance_enabled(on: bool) {
-    PROVENANCE.store(on, Ordering::Relaxed);
-}
-
-/// Whether type-provenance recording is on.
-#[inline(always)]
-pub fn provenance_enabled() -> bool {
-    PROVENANCE.load(Ordering::Relaxed)
 }
 
 /// Clears all recorded spans, counters, histograms and buffered trace

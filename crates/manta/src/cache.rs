@@ -625,7 +625,7 @@ impl AnalysisCache {
     /// Fetches an entry and decodes it. Checksum-valid but undecodable
     /// payloads (hash collision, codec bug, wrong length) are discarded
     /// with a degradation record — never served, never panicked on.
-    fn get_decoded<T>(
+    pub(crate) fn get_decoded<T>(
         &self,
         key: &Key,
         decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
@@ -755,23 +755,47 @@ mod tests {
 
     #[test]
     fn corrupt_payload_degrades_and_recomputes() {
-        let (_tmp, engine) = cached_engine("corrupt");
-        let cache = engine.cache().unwrap();
         let analysis = ModuleAnalysis::build(sample_module(true));
-        let cold = engine.analyze(&analysis).unwrap();
-
-        // Rewrite the entry with a checksum-valid but undecodable
-        // payload: the store serves it, the codec must reject it.
-        let key = Key::new(
-            "infer",
-            module_fingerprint(analysis.module()),
-            config_hash(engine.config(), None),
-        );
-        cache.store().put(&key, b"not an inference result").unwrap();
-        let warm = engine.analyze(&analysis).unwrap();
-        assert!(results_identical(&cold, &warm), "recomputed, not stale");
-        let degs = cache.take_degradations();
-        assert_eq!(degs.len(), 1);
-        assert_eq!(degs[0].kind, DegradationKind::StoreCorruption);
+        let config = MantaConfig::full();
+        let clean = Engine::new(config).analyze(&analysis).unwrap();
+        let fingerprint = module_fingerprint(analysis.module());
+        let infer = Key::new("infer", fingerprint, config_hash(&config, None));
+        // Each entry kind with an engine that reads it: a plain engine its
+        // result, a provenance engine the graph beside a result hit, a
+        // summary engine its state on a result miss.
+        let cases = [
+            (Engine::builder(), infer),
+            (
+                Engine::builder().provenance(true),
+                Key::new("prov", fingerprint, config_hash(&config, None)),
+            ),
+            (
+                Engine::builder().summaries(true),
+                crate::summaries::state_key(analysis.module().name(), &config),
+            ),
+        ];
+        for (builder, key) in cases {
+            let kind = key.stage;
+            let tmp = TempDir::new(&format!("cache-test-corrupt-{kind}"));
+            let engine = builder
+                .config(config)
+                .cache_dir(tmp.path())
+                .build()
+                .unwrap();
+            let cache = engine.cache().unwrap();
+            if kind == "prov" {
+                cache.store().put(&infer, &encode_result(&clean)).unwrap();
+            }
+            // A checksum-valid but undecodable payload: the store serves
+            // it, the codec must reject it.
+            cache.store().put(&key, b"not a valid payload").unwrap();
+            let warm = engine.analyze(&analysis).unwrap();
+            assert!(results_identical(&clean, &warm), "{kind}: recomputed");
+            let degs = cache.take_degradations();
+            assert_eq!(degs.len(), 1, "{kind}: {degs:?}");
+            assert_eq!(degs[0].kind, DegradationKind::StoreCorruption, "{kind}");
+            let s = cache.store().stats().snapshot();
+            assert_eq!(s.invalidations, 1, "{kind}: the entry is invalidated");
+        }
     }
 }

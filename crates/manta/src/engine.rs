@@ -14,10 +14,11 @@
 //!   Stages know *what* to compute, nothing about budgets, spans,
 //!   faults, or caching.
 //! * [`Engine`] — the driver. Built once via [`EngineBuilder`] from a
-//!   [`MantaConfig`], a [`BudgetSpec`], a strictness flag, a thread
-//!   count, and an optional [`AnalysisCache`], it applies every
-//!   cross-cutting concern exactly once, in one loop, for every stage,
-//!   and commits a stage's delta only after the stage has returned.
+//!   [`MantaConfig`], a [`BudgetSpec`], a strictness flag, the
+//!   provenance and summary switches, and an optional [`AnalysisCache`],
+//!   all held on the engine, it applies every cross-cutting concern
+//!   exactly once, in one loop, for every stage, and commits a stage's
+//!   delta only after the stage has returned.
 //!
 //! CS and FS are one chunked step: the driver partitions `V_O` by
 //! function, refines each partition on the pool and commits the merged
@@ -38,7 +39,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use manta_analysis::{ModuleAnalysis, PreprocessConfig, VarRef};
+use manta_analysis::{ModuleAnalysis, PointsTo, PreprocessConfig, VarRef};
 use manta_ir::{InstId, Module};
 use manta_resilience::{
     fault_point_budgeted, isolate, plan_active, Budget, BudgetExceeded, BudgetSpec, Degradation,
@@ -289,16 +290,23 @@ struct Inferred {
 // Builder
 // ---------------------------------------------------------------------
 
-/// Composes sensitivity config, budget, strictness, thread pool, cache,
-/// and telemetry into an [`Engine`].
+/// Composes the inference config, budget, strictness, provenance
+/// recording, summary mode and cache into an [`Engine`]. Every setting
+/// lands on the engine; building one writes no process-global state.
+/// The pool size and telemetry collection are process-wide settings of
+/// `manta-parallel` and `manta-telemetry`, which the caller makes.
 ///
 /// ```
 /// use manta::engine::EngineBuilder;
 /// use manta::Sensitivity;
+/// use manta_resilience::BudgetSpec;
 ///
 /// let engine = EngineBuilder::new()
 ///     .sensitivity(Sensitivity::FiCsFs)
-///     .fuel(1_000_000)
+///     .budget(BudgetSpec {
+///         fuel: Some(1_000_000),
+///         deadline_ms: None,
+///     })
 ///     .build()
 ///     .unwrap();
 /// # let _ = engine;
@@ -308,17 +316,15 @@ pub struct EngineBuilder {
     config: MantaConfig,
     budget: BudgetSpec,
     strict: bool,
-    threads: Option<usize>,
-    telemetry: Option<bool>,
-    provenance: Option<bool>,
+    provenance: bool,
     summaries: bool,
     cache_dir: Option<PathBuf>,
     cache: Option<Arc<AnalysisCache>>,
 }
 
 impl EngineBuilder {
-    /// Starts from the default configuration (full sensitivity is
-    /// [`MantaConfig::full`], the default config is FI-only).
+    /// Starts from the default configuration ([`MantaConfig::full`]), an
+    /// unlimited budget, graceful degradation and no cache.
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -344,20 +350,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Caps cooperative fuel (abstract work units) per analysis.
-    #[must_use]
-    pub fn fuel(mut self, fuel: u64) -> Self {
-        self.budget.fuel = Some(fuel);
-        self
-    }
-
-    /// Caps wall-clock time per analysis, in milliseconds.
-    #[must_use]
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.budget.deadline_ms = Some(ms);
-        self
-    }
-
     /// Propagate the first stage failure as an error instead of
     /// degrading gracefully (the CLI's `--strict`).
     #[must_use]
@@ -366,33 +358,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Sizes the process-global work-stealing pool (0 = one worker per
-    /// core). Applied at [`EngineBuilder::build`] time.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Enables or disables telemetry collection process-wide. When not
-    /// called, the current telemetry state is left untouched.
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = Some(enabled);
-        self
-    }
-
-    /// Enables or disables type-provenance recording: the engine builds
-    /// a [`ProvenanceGraph`] alongside each analysis (retrieved through
-    /// [`Engine::analyze_explained`]) and the points-to solver records
-    /// first-derivation origins. Off — the default — costs one branch
-    /// per potential recording point and leaves results bit-identical
-    /// to a build without the feature. Applied process-wide at
-    /// [`EngineBuilder::build`] time, like [`EngineBuilder::telemetry`];
-    /// when not called, the current process state is left untouched.
+    /// Enables or disables type-provenance recording for this engine's
+    /// runs: each analysis builds a [`ProvenanceGraph`] (retrieved
+    /// through [`Engine::analyze_explained`]) that also holds the
+    /// points-to derivations, however and whenever the substrate was
+    /// built. Off — the default — records nothing and leaves results
+    /// bit-identical; on, results stay bit-identical too.
     #[must_use]
     pub fn provenance(mut self, enabled: bool) -> Self {
-        self.provenance = Some(enabled);
+        self.provenance = enabled;
         self
     }
 
@@ -427,23 +401,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine, applying the thread-pool size and telemetry
-    /// switch and opening the cache directory if one was given.
+    /// Builds the engine, opening the cache directory if one was given.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] only when a cache directory was
     /// requested and cannot be opened; cacheless builds are infallible.
     pub fn build(self) -> Result<Engine, StoreError> {
-        if let Some(threads) = self.threads {
-            manta_parallel::set_threads(threads);
-        }
-        if let Some(enabled) = self.telemetry {
-            manta_telemetry::set_enabled(enabled);
-        }
-        if let Some(enabled) = self.provenance {
-            manta_telemetry::set_provenance_enabled(enabled);
-        }
         let cache = match (self.cache, self.cache_dir) {
             (Some(cache), _) => Some(cache),
             (None, Some(dir)) => Some(Arc::new(AnalysisCache::open(dir)?)),
@@ -453,7 +417,7 @@ impl EngineBuilder {
             config: self.config,
             budget: self.budget,
             strict: self.strict,
-            provenance: self.provenance.unwrap_or(false),
+            provenance: self.provenance,
             summaries: self.summaries,
             cache,
         })
@@ -802,9 +766,10 @@ impl Engine {
 
     /// One store lookup under the module fingerprint and config hash. A
     /// provenance-recording engine also reads the graph persisted beside
-    /// the result under a `"prov"` key; a missing or undecodable graph
-    /// (an entry written by a provenance-off engine) reads as a miss, so
-    /// both are recomputed.
+    /// the result under a `"prov"` key; a missing graph (the result was
+    /// written by a provenance-off engine) reads as a miss, and so does
+    /// an undecodable one, which is invalidated and recorded as store
+    /// corruption; either way both are recomputed.
     fn lookup(
         &self,
         cache: &AnalysisCache,
@@ -815,10 +780,8 @@ impl Engine {
         if !self.provenance {
             return Some((hit, None));
         }
-        let graph = cache
-            .store()
-            .get(&Key::new("prov", fingerprint, cfg))
-            .and_then(|p| ProvenanceGraph::decode(&p).ok())?;
+        let (graph, _) =
+            cache.get_decoded(&Key::new("prov", fingerprint, cfg), ProvenanceGraph::decode)?;
         Some((hit, Some(graph)))
     }
 
@@ -845,9 +808,10 @@ impl Engine {
             && budget.is_unlimited()
             && summaries::eligible(self.config.sensitivity))
         .then(|| summaries::state_key(analysis.module().name(), &self.config));
-        let mut memo = state_key
-            .as_ref()
-            .map(|k| Memo::new(analysis, cache.store().get(k).as_deref()));
+        let mut memo = state_key.as_ref().map(|k| {
+            let prev = cache.get_decoded(k, summaries::decode_prev);
+            Memo::new(analysis, prev.map(|(state, _)| state).unwrap_or_default())
+        });
         let (result, prov) = self.run_pipeline(analysis, budget, memo.as_mut())?;
         // A degraded result is never persisted, nor is the summary state
         // it leaves behind.
@@ -881,10 +845,15 @@ impl Engine {
     ) -> Result<(InferenceResult, Option<ProvenanceGraph>), MantaError> {
         manta_telemetry::span!("infer");
         let config = self.config;
-        let mut prov = self.provenance.then(ProvenanceGraph::new);
-        if let (Some(graph), Some(p)) = (prov.as_mut(), analysis.pointsto.provenance.as_ref()) {
-            graph.record_pointsto(p);
-        }
+        let mut prov = self.provenance.then(|| {
+            // The substrate's solve recorded nothing; re-solve with
+            // recording on, outside the run's budget and fault sites, so
+            // a provenance run trips exactly where a plain one does.
+            manta_telemetry::span!("provenance.pointsto");
+            let mut graph = ProvenanceGraph::new();
+            graph.record_pointsto(&PointsTo::derivations(&analysis.pre));
+            graph
+        });
         let mut reveals = None;
         let mut result = InferenceResult::empty(config);
         let mut completed = String::from("none");
@@ -1030,12 +999,11 @@ mod tests {
         let (r_off, g_off) = off.analyze_explained(&analysis).expect("analyze");
         assert!(g_off.is_none(), "provenance off yields no graph");
 
-        // Engine constructed literally so the process-global provenance
-        // switch (which other tests observe) stays untouched.
-        let on = Engine {
-            provenance: true,
-            ..Engine::new(MantaConfig::full())
-        };
+        let on = Engine::builder()
+            .config(MantaConfig::full())
+            .provenance(true)
+            .build()
+            .expect("cacheless build");
         let (r_on, g_on) = on.analyze_explained(&analysis).expect("analyze");
         let graph = g_on.expect("provenance on yields a graph");
         assert!(
@@ -1278,7 +1246,10 @@ mod tests {
         let analysis = ModuleAnalysis::build(module("strict"));
         let engine = Engine::builder()
             .config(MantaConfig::full())
-            .fuel(0)
+            .budget(BudgetSpec {
+                fuel: Some(0),
+                deadline_ms: None,
+            })
             .strict(true)
             .build()
             .expect("cacheless build");

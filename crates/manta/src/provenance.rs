@@ -20,10 +20,12 @@
 //! fact, FI facts to the reveal leaves that seeded the unification.
 //!
 //! Points-to propagation is recorded separately (its facts are `n ∋ o`
-//! memberships, not intervals): the solver's first-derivation origins
-//! ([`manta_analysis::PointsToProvenance`]) are flattened into
-//! [`PtsDerivation`] records and attached to the same graph, so an
-//! explanation can also say *how* a pointer came to point at an object.
+//! memberships, not intervals): the driver re-solves the substrate's
+//! points-to constraints with recording on
+//! ([`manta_analysis::PointsTo::derivations`]) and flattens the
+//! first-derivation origins into [`PtsDerivation`] records on the same
+//! graph, so an explanation can also say *how* a pointer came to point
+//! at an object.
 //!
 //! The graph serializes through the same `manta-store` byte codec as
 //! cached inference results and is persisted next to them under a

@@ -125,7 +125,7 @@ struct ChunkEntry {
 /// validation run once per distinct footprint instead of once per
 /// chunk.
 #[derive(Default, Debug)]
-struct State {
+pub(crate) struct State {
     footprints: Vec<Vec<(u64, u64)>>,
     stages: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
 }
@@ -181,6 +181,13 @@ fn encode_state(state: &State) -> Vec<u8> {
         }
     }
     w.finish()
+}
+
+/// Decodes a persisted state under the `summary.decode` span; an
+/// undecodable one counts `summary.state_corrupt`.
+pub(crate) fn decode_prev(payload: &[u8]) -> Result<State, DecodeError> {
+    manta_telemetry::span!("summary.decode");
+    decode_state(payload).inspect_err(|_| manta_telemetry::counter("summary.state_corrupt", 1))
 }
 
 fn decode_state(payload: &[u8]) -> Result<State, DecodeError> {
@@ -536,21 +543,10 @@ pub(crate) struct Memo {
 }
 
 impl Memo {
-    /// Decodes `prev_state` (an undecodable one counts
-    /// `summary.state_corrupt` and replays nothing) and builds the
-    /// static input fingerprints of `analysis`.
-    pub(crate) fn new(analysis: &ModuleAnalysis, prev_state: Option<&[u8]>) -> Memo {
-        let prev = {
-            manta_telemetry::span!("summary.decode");
-            prev_state
-                .map(|p| {
-                    decode_state(p).unwrap_or_else(|_| {
-                        manta_telemetry::counter("summary.state_corrupt", 1);
-                        State::default()
-                    })
-                })
-                .unwrap_or_default()
-        };
+    /// Starts from the previous state `prev` ([`decode_prev`]; the
+    /// default state replays nothing) and builds the static input
+    /// fingerprints of `analysis`.
+    pub(crate) fn new(analysis: &ModuleAnalysis, prev: State) -> Memo {
         let inputs = {
             manta_telemetry::span!("summary.inputs");
             Inputs::new(analysis, &function_fingerprints(analysis.module()))
@@ -749,7 +745,8 @@ pub fn solve(
     config: &MantaConfig,
     prev_state: Option<&[u8]>,
 ) -> (InferenceResult, Vec<u8>, SolveReport) {
-    let mut memo = Memo::new(analysis, prev_state);
+    let prev = prev_state.and_then(|p| decode_prev(p).ok());
+    let mut memo = Memo::new(analysis, prev.unwrap_or_default());
     let result =
         match Engine::new(*config).run_pipeline(analysis, &Budget::unlimited(), Some(&mut memo)) {
             Ok((result, _)) => result,

@@ -207,9 +207,9 @@ fn provenance_recording_never_perturbs_results() {
             .provenance(true)
             .build()
             .expect("cacheless engine cannot fail to build");
-        let outcome = engine.analyze_explained(analysis);
-        manta_telemetry::set_provenance_enabled(false);
-        let (observed, graph) = outcome.expect("non-strict cannot fail");
+        let (observed, graph) = engine
+            .analyze_explained(analysis)
+            .expect("non-strict cannot fail");
         assert!(
             results_identical(&base, &observed),
             "project {i}: provenance recording changed the result bytes"
@@ -229,11 +229,12 @@ fn provenance_recording_never_perturbs_results() {
         .build()
         .expect("prebuilt cache cannot fail to attach");
     let analysis = &suite()[0];
-    let cold = engine.analyze_explained(analysis);
-    let warm = engine.analyze_explained(analysis);
-    manta_telemetry::set_provenance_enabled(false);
-    let (cold_res, cold_graph) = cold.expect("non-strict cannot fail");
-    let (warm_res, warm_graph) = warm.expect("non-strict cannot fail");
+    let (cold_res, cold_graph) = engine
+        .analyze_explained(analysis)
+        .expect("non-strict cannot fail");
+    let (warm_res, warm_graph) = engine
+        .analyze_explained(analysis)
+        .expect("non-strict cannot fail");
     assert!(results_identical(&cold_res, &warm_res));
     assert_eq!(
         cold_graph.expect("cold graph").encode(),

@@ -201,14 +201,6 @@ fn figure4_type_pruning_removes_the_false_npd() {
     );
 }
 
-/// Serializes the provenance-enabled runs below — they flip a
-/// process-global recording switch.
-fn prov_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Runs the full cascade with provenance recording and returns the graph.
 fn prov_graph(analysis: &ModuleAnalysis) -> manta::provenance::ProvenanceGraph {
     let engine = manta::Engine::builder()
@@ -216,9 +208,9 @@ fn prov_graph(analysis: &ModuleAnalysis) -> manta::provenance::ProvenanceGraph {
         .provenance(true)
         .build()
         .expect("cacheless engine cannot fail to build");
-    let outcome = engine.analyze_explained(analysis);
-    manta_telemetry::set_provenance_enabled(false);
-    let (_, graph) = outcome.expect("non-strict cannot fail");
+    let (_, graph) = engine
+        .analyze_explained(analysis)
+        .expect("non-strict cannot fail");
     graph.expect("provenance-enabled engine returns a graph")
 }
 
@@ -226,7 +218,6 @@ fn prov_graph(analysis: &ModuleAnalysis) -> manta::provenance::ProvenanceGraph {
 /// variables carry derivation trees that bottom out at reveal leaves.
 #[test]
 fn figure3_explain_derives_the_union_variables() {
-    let _l = prov_lock();
     let analysis = fig3_analysis();
     let graph = prov_graph(&analysis);
     let module = analysis.module();
@@ -268,7 +259,6 @@ fn figure3_explain_derives_the_union_variables() {
 /// `printf_s` reveal even though the hint sits on the opposite branch.
 #[test]
 fn figure4_explain_derives_the_parsestr_argument() {
-    let _l = prov_lock();
     let analysis = ModuleAnalysis::build(fig4_module());
     let graph = prov_graph(&analysis);
     let module = analysis.module();

@@ -11,7 +11,7 @@ use manta_telemetry::{JsonSink, SpanReport, TelemetrySink};
 use manta_workloads::{PhenomenonMix, ProjectSpec};
 
 /// Serializes tests that flip process-global switches (pool size,
-/// telemetry collection, provenance recording).
+/// telemetry collection).
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -224,9 +224,9 @@ fn derivation_chains_cross_the_cascade_tiers() {
         .provenance(true)
         .build()
         .expect("cacheless engine cannot fail to build");
-    let outcome = engine.analyze_explained(&analysis);
-    manta_telemetry::set_provenance_enabled(false);
-    let (result, graph) = outcome.expect("non-strict cannot fail");
+    let (result, graph) = engine
+        .analyze_explained(&analysis)
+        .expect("non-strict cannot fail");
     assert!(result.degradations.is_empty(), "{:?}", result.degradations);
     let graph = graph.expect("provenance-enabled engine returns a graph");
 
@@ -237,6 +237,23 @@ fn derivation_chains_cross_the_cascade_tiers() {
             "tier `{tier}` missing from the graph: {tiers:?}"
         );
     }
+
+    // The substrate was built before the engine, and the points-to
+    // derivations are in the graph all the same.
+    assert!(
+        !graph.pts_derivations().is_empty(),
+        "the graph must hold points-to derivations"
+    );
+    let module = analysis.module();
+    let malloc = manta::provenance::resolve_var(module, "driver", "v1").expect("malloc result");
+    let tree = graph
+        .render_explain(module, malloc, None)
+        .expect("the malloc result must explain");
+    assert!(
+        tree.lines()
+            .any(|l| l.starts_with("points-to obj") && l.ends_with("seeded at its allocation site")),
+        "the malloc result must point at its allocation site: {tree}"
+    );
 
     // Search every variable's explain tree for the deepest tier chain.
     let vars: std::collections::BTreeSet<_> = graph.facts().iter().map(|f| f.var).collect();
@@ -337,9 +354,9 @@ fn site_level_explanations_render() {
         .provenance(true)
         .build()
         .expect("cacheless engine cannot fail to build");
-    let outcome = engine.analyze_explained(&analysis);
-    manta_telemetry::set_provenance_enabled(false);
-    let (_, graph) = outcome.expect("non-strict cannot fail");
+    let (_, graph) = engine
+        .analyze_explained(&analysis)
+        .expect("non-strict cannot fail");
     let graph = graph.expect("graph");
     let module = analysis.module();
     let mut rendered = 0usize;
