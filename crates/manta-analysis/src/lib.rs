@@ -79,15 +79,10 @@ impl ModuleAnalysis {
     /// Runs the whole substrate pipeline on `module` with default
     /// preprocessing configuration.
     pub fn build(module: manta_ir::Module) -> ModuleAnalysis {
-        Self::build_with(module, PreprocessConfig::default())
-    }
-
-    /// Runs the whole substrate pipeline with an explicit configuration.
-    pub fn build_with(module: manta_ir::Module, config: PreprocessConfig) -> ModuleAnalysis {
         manta_telemetry::span!("analysis.build");
         let pre = {
             manta_telemetry::span!("preprocess");
-            preprocess(module, config)
+            preprocess(module, PreprocessConfig::default())
         };
         let callgraph = {
             manta_telemetry::span!("callgraph");

@@ -145,8 +145,8 @@ SERVING:
     manta serve       run the analysis daemon on <addr> (e.g. 127.0.0.1:7777;
                       port 0 picks an ephemeral port, printed on startup).
                       --cache-dir gives every session one shared store;
-                      --workers sizes the analysis pool, --queue bounds
-                      admission (a full queue answers Overloaded),
+                      --workers bounds concurrent analyses, --queue bounds
+                      how many wait (a full queue answers Overloaded),
                       --gc-bytes/--gc-every run size-capped LRU store GC,
                       --fuel-cap/--deadline-cap-ms clamp tenant budgets
     manta client      talk to a daemon: ping, stats, shutdown (graceful

@@ -7,10 +7,12 @@
 //!
 //! 1. **Fault isolation** — a panic or injected fault while handling one
 //!    request becomes a structured [`manta_resilience::MantaError`] on
-//!    that client's wire; the worker and the daemon keep serving.
-//! 2. **Admission control** — a bounded job queue; when it is full the
-//!    daemon answers [`proto::Response::Overloaded`] immediately instead
-//!    of queueing unboundedly, and clients retry with seeded,
+//!    that client's wire; the connection and the daemon keep serving.
+//! 2. **Admission control** — each analysis runs on the connection
+//!    thread that read it, once one of `workers` run slots is free. When
+//!    `queue_cap` analyses already wait, the daemon answers
+//!    [`proto::Response::Overloaded`] immediately instead of queueing
+//!    unboundedly, and clients retry with seeded,
 //!    capped-exponential backoff ([`manta_resilience::Backoff`]).
 //! 3. **Tenant budgets** — each request carries an optional fuel /
 //!    deadline budget; the server clamps it under its own caps, so an
@@ -30,28 +32,3 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use server::{ServeConfig, ServeStats, Server};
-
-/// Telemetry counters published by the daemon (visible in `manta stats`
-/// when telemetry is enabled in-process).
-pub mod counters {
-    use manta_telemetry::Counter;
-
-    /// Frames decoded into well-formed requests.
-    pub static REQUESTS: Counter = Counter::new("serve.requests");
-    /// Analyses completed (including degraded ones).
-    pub static ANALYZED: Counter = Counter::new("serve.analyzed");
-    /// Analyses that completed degraded.
-    pub static DEGRADED: Counter = Counter::new("serve.degraded");
-    /// Jobs rejected by admission control.
-    pub static OVERLOADED: Counter = Counter::new("serve.overloaded");
-    /// Frames that failed to read or decode.
-    pub static FRAME_ERRORS: Counter = Counter::new("serve.frame_errors");
-    /// Store GC passes run by the daemon.
-    pub static GC_RUNS: Counter = Counter::new("serve.gc_runs");
-    /// Entries evicted by daemon GC passes.
-    pub static GC_EVICTED: Counter = Counter::new("serve.gc_evicted");
-    /// Payload bytes received from clients.
-    pub static BYTES_IN: Counter = Counter::new("serve.bytes_in");
-    /// Payload bytes sent to clients.
-    pub static BYTES_OUT: Counter = Counter::new("serve.bytes_out");
-}

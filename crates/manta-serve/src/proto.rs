@@ -23,7 +23,7 @@
 use std::io::{Read, Write};
 
 use manta::Sensitivity;
-use manta_resilience::{BudgetKind, BudgetSpec, MantaError};
+use manta_resilience::{BudgetKind, MantaError};
 use manta_store::{ByteReader, ByteWriter, DecodeError};
 
 /// Wire protocol version; bump on any frame-layout change.
@@ -56,21 +56,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// The per-request budget carried by an `Analyze`, defaults for the
-    /// other variants.
-    #[must_use]
-    pub fn budget(&self) -> BudgetSpec {
-        match self {
-            Request::Analyze {
-                fuel, deadline_ms, ..
-            } => BudgetSpec {
-                fuel: *fuel,
-                deadline_ms: *deadline_ms,
-            },
-            _ => BudgetSpec::default(),
-        }
-    }
-
     /// Encodes this request as one frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -152,14 +137,15 @@ pub enum Response {
         /// Whether any stage degraded (budget, panic, injected fault).
         degraded: bool,
     },
-    /// The request failed with a structured pipeline error; the worker
+    /// The request failed with a structured pipeline error; the daemon
     /// that produced it is alive and serving.
     Error {
         /// The structured failure.
         error: MantaError,
     },
-    /// Admission control rejected the job: the queue is full. Retry
-    /// after a backoff (see `manta_resilience::Backoff`).
+    /// Admission control rejected the job: too many analyses already
+    /// wait for a run slot. Retry after a backoff (see
+    /// `manta_resilience::Backoff`).
     Overloaded {
         /// Server's hint for the first retry delay.
         retry_after_ms: u64,

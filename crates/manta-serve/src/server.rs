@@ -1,13 +1,16 @@
-//! The analysis daemon: accept loop, admission control, worker pool,
-//! per-request fault isolation, store GC, and graceful drain.
+//! The analysis daemon: accept loop, admission control, per-request
+//! fault isolation, store GC, and graceful drain.
 //!
 //! ## Request lifecycle and fault sites
 //!
+//! Each connection has one thread, and that thread runs its own
+//! analyses: the protocol is one request at a time per connection.
+//!
 //! ```text
-//! accept ── serve.accept ──► decode ── serve.decode ──► admission
-//!    (connection thread,                                   │ full → Overloaded
-//!     TCP_NODELAY)                                         ▼ queue wait
-//!                              worker ── serve.dispatch ──► Engine::infer_source:
+//! accept ── serve.accept ──► decode ── serve.decode ──► admission gate
+//!    (connection thread,                                   │ queue_cap waiting → Overloaded
+//!     TCP_NODELAY)                                         ▼ queue wait (for a run slot)
+//!                            run slot ── serve.dispatch ──► Engine::infer_source:
 //!                                 │                           hash text → src alias → infer entry
 //!                                 │                           hit: stored bytes (no parse)
 //!                                 │                           else parse → preprocess →
@@ -23,35 +26,38 @@
 //! an injected panic is caught at the site's isolation boundary and
 //! turned into a structured [`MantaError`] response, and an injected
 //! budget exhaustion becomes a structured `Budget { kind: Injected }`
-//! response — in both cases the worker and the daemon keep serving.
+//! response — in both cases the connection and the daemon keep serving.
 //!
 //! Every admitted job records its queue wait, service time and respond
 //! time (encode plus write) in per-daemon power-of-two histograms,
 //! rendered by [`Request::Stats`] as count, p50 and p99 in microseconds.
 
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use manta::Engine;
+use manta::{Engine, Sensitivity};
 use manta_resilience::{
     fault_point, isolate, take_pending_exhaustion, BudgetKind, BudgetSpec, MantaError,
 };
 use manta_telemetry::HistogramCell;
 
-use crate::counters;
 use crate::proto::{read_frame, write_frame, FrameReader, Request, Response};
+
+/// Retry hint carried on `Overloaded` responses, in milliseconds.
+pub const RETRY_AFTER_MS: u64 = 25;
 
 /// Tuning knobs for one daemon instance.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:0` (0 = ephemeral port).
     pub addr: String,
-    /// Analysis worker threads (admission-controlled jobs run here).
+    /// Analyses allowed to run at once, each on the connection thread
+    /// that read it.
     pub workers: usize,
-    /// Bounded job-queue depth; a full queue rejects with `Overloaded`.
+    /// Analyses allowed to wait for a run slot; one more is refused
+    /// with `Overloaded`.
     pub queue_cap: usize,
     /// Server-side ceiling on per-request fuel. A request asking for
     /// more (or for none) is clamped down to this.
@@ -62,8 +68,6 @@ pub struct ServeConfig {
     pub gc_max_bytes: Option<u64>,
     /// Analyses between GC passes.
     pub gc_every: u64,
-    /// Retry hint carried on `Overloaded` responses.
-    pub retry_after_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -76,7 +80,6 @@ impl Default for ServeConfig {
             deadline_cap_ms: None,
             gc_max_bytes: None,
             gc_every: 32,
-            retry_after_ms: 25,
         }
     }
 }
@@ -140,10 +143,10 @@ impl StatsCells {
 /// Per-daemon latency histograms over admitted jobs, in microseconds.
 #[derive(Default)]
 struct Latencies {
-    /// Submit to worker pickup.
+    /// Admission to the run slot.
     queue_wait: HistogramCell,
-    /// The worker's job: on a source-alias hit, hashing the text and two
-    /// store reads; otherwise parse, analyze and encode the result.
+    /// The job: on a source-alias hit, hashing the text and two store
+    /// reads; otherwise parse, analyze and encode the result.
     service: HistogramCell,
     /// Encoding and writing the job's response frame.
     respond: HistogramCell,
@@ -153,60 +156,74 @@ fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// One queued analysis job: the request, the slot its connection
-/// thread is blocked on, and when it was admitted.
-struct Job {
-    request: Request,
-    slot: Arc<ResponseSlot>,
-    submitted: Instant,
-}
-
-/// A oneshot rendezvous between a connection thread and a worker.
-#[derive(Default)]
-struct ResponseSlot {
-    value: Mutex<Option<Response>>,
+/// Admission control for analyses: two counters under one lock. An
+/// admission is refused when `queue_cap` analyses are already waiting,
+/// checked before the caller starts waiting, so `queue_cap == 0` refuses
+/// every analysis; otherwise the caller waits for one of `workers` run
+/// slots.
+struct Gate {
+    workers: usize,
+    queue_cap: usize,
+    counts: Mutex<GateCounts>,
     cv: Condvar,
 }
 
-impl ResponseSlot {
-    fn fill(&self, resp: Response) {
-        if let Ok(mut guard) = self.value.lock() {
-            *guard = Some(resp);
+#[derive(Default)]
+struct GateCounts {
+    waiting: usize,
+    running: usize,
+}
+
+impl Gate {
+    fn new(workers: usize, queue_cap: usize) -> Gate {
+        Gate {
+            workers: workers.max(1),
+            queue_cap,
+            counts: Mutex::default(),
+            cv: Condvar::new(),
         }
-        self.cv.notify_all();
     }
 
-    /// Blocks until a worker fills the slot, up to `backstop`. The
-    /// worker's drop guard makes an unanswered slot nearly impossible;
-    /// the bound means even an unforeseen worker failure cannot leak
-    /// this connection thread forever.
-    fn wait(&self, backstop: Duration) -> Response {
-        let deadline = std::time::Instant::now() + backstop;
-        let Ok(mut guard) = self.value.lock() else {
-            return Response::Error {
-                error: MantaError::Panic {
-                    stage: "serve.slot".to_string(),
-                    message: "response slot poisoned".to_string(),
-                },
-            };
-        };
-        loop {
-            if let Some(resp) = guard.take() {
-                return resp;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Response::Error {
-                    error: MantaError::Verify {
-                        message: "no worker response within the backstop window".to_string(),
-                    },
-                };
-            }
-            guard = match self.cv.wait_timeout(guard, deadline - now) {
-                Ok((g, _)) => g,
-                Err(poison) => poison.into_inner().0,
-            };
+    /// Blocks until the caller may run its analysis, or `None` at once
+    /// when the queue is full — the caller answers `Overloaded`.
+    fn admit(&self) -> Option<RunSlot<'_>> {
+        let mut counts = lock(&self.counts);
+        if counts.waiting >= self.queue_cap {
+            return None;
         }
+        counts.waiting += 1;
+        while counts.running >= self.workers {
+            counts = self.cv.wait(counts).unwrap_or_else(PoisonError::into_inner);
+        }
+        counts.waiting -= 1;
+        counts.running += 1;
+        Some(RunSlot(self))
+    }
+
+    /// Analyses waiting for a run slot, and analyses running.
+    fn counts(&self) -> (usize, usize) {
+        let counts = lock(&self.counts);
+        (counts.waiting, counts.running)
+    }
+
+    /// Blocks until no analysis is waiting or running.
+    fn wait_idle(&self) {
+        let mut counts = lock(&self.counts);
+        while counts.waiting + counts.running > 0 {
+            counts = self.cv.wait(counts).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One of the gate's run slots, released on drop — on every exit path,
+/// an unwind that escapes the isolation layers included.
+struct RunSlot<'a>(&'a Gate);
+
+impl Drop for RunSlot<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.counts).running -= 1;
+        // Both admissions and the drain wait on this condvar.
+        self.0.cv.notify_all();
     }
 }
 
@@ -216,11 +233,9 @@ struct Shared {
     /// The bound address, so a remote `Shutdown` can poke the accept
     /// loop out of its blocking `accept()` with a self-connection.
     addr: SocketAddr,
-    queue: Mutex<VecDeque<Job>>,
-    work_cv: Condvar,
+    gate: Gate,
     draining: AtomicBool,
     analyze_count: AtomicU64,
-    in_flight: AtomicU64,
     stats: StatsCells,
     latency: Latencies,
     /// Live connection-handler count, so drain can wait for responders.
@@ -228,8 +243,8 @@ struct Shared {
     conns_cv: Condvar,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
@@ -239,43 +254,6 @@ impl Shared {
 
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        self.work_cv.notify_all();
-    }
-
-    /// Admission control: accepts the job if the bounded queue has
-    /// room, else `None` — the caller answers `Overloaded`.
-    fn try_submit(&self, request: Request) -> Option<Arc<ResponseSlot>> {
-        let mut q = lock(&self.queue);
-        if q.len() >= self.config.queue_cap {
-            return None;
-        }
-        let slot = Arc::new(ResponseSlot::default());
-        q.push_back(Job {
-            request,
-            slot: Arc::clone(&slot),
-            submitted: Instant::now(),
-        });
-        drop(q);
-        self.work_cv.notify_one();
-        Some(slot)
-    }
-
-    /// Worker loop: pop until the daemon is draining *and* the queue is
-    /// empty (drain finishes queued work, it does not drop it).
-    fn next_job(&self) -> Option<Job> {
-        let mut q = lock(&self.queue);
-        loop {
-            if let Some(job) = q.pop_front() {
-                return Some(job);
-            }
-            if self.draining() {
-                return None;
-            }
-            q = match self.work_cv.wait(q) {
-                Ok(g) => g,
-                Err(poison) => poison.into_inner(),
-            };
-        }
     }
 
     fn render_stats(&self) -> String {
@@ -320,50 +298,38 @@ impl Shared {
     }
 }
 
-/// A running daemon: owns the accept loop and worker threads.
+/// A running daemon: owns the accept loop, which gives every
+/// connection a thread that also runs that connection's analyses.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `config.addr` and starts the accept loop and
-    /// `config.workers` analysis workers. The engine's attached cache
+    /// Binds `config.addr` and starts the accept loop. At most
+    /// `config.workers` analyses run at once. The engine's attached cache
     /// (if any) is shared by every session; requests run on per-request
     /// engine clones so one tenant's budget never leaks into another's.
     ///
     /// # Errors
     ///
-    /// I/O errors binding the listener or spawning threads.
+    /// I/O errors binding the listener or spawning the accept thread.
     pub fn spawn(engine: Engine, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             engine,
+            gate: Gate::new(config.workers, config.queue_cap),
             config,
             addr,
-            queue: Mutex::new(VecDeque::new()),
-            work_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             analyze_count: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
             stats: StatsCells::default(),
             latency: Latencies::default(),
             conns: Mutex::new(0),
             conns_cv: Condvar::new(),
         });
-
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("manta-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))?;
-            worker_handles.push(handle);
-        }
 
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -374,7 +340,6 @@ impl Server {
             addr,
             shared,
             accept: Some(accept),
-            workers: worker_handles,
         })
     }
 
@@ -396,21 +361,21 @@ impl Server {
         self.shared.draining()
     }
 
-    /// Jobs currently waiting in the admission queue.
+    /// Admitted analyses currently waiting for a run slot.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.queue).len()
+        self.shared.gate.counts().0
     }
 
-    /// Jobs currently executing on workers.
+    /// Analyses currently running.
     #[must_use]
     pub fn in_flight(&self) -> u64 {
-        self.shared.in_flight.load(Ordering::SeqCst)
+        self.shared.gate.counts().1 as u64
     }
 
     /// Initiates a graceful drain: stop admitting new work, finish the
-    /// queued jobs, answer in-flight connections, then return. Also
-    /// triggered remotely by [`Request::Shutdown`]; [`Server::join`]
+    /// admitted analyses, answer in-flight connections, then return.
+    /// Also triggered remotely by [`Request::Shutdown`]; [`Server::join`]
     /// alone waits for that.
     pub fn shutdown(mut self) {
         self.shared.begin_drain();
@@ -418,7 +383,7 @@ impl Server {
     }
 
     /// Blocks until the daemon drains (a client sent
-    /// [`Request::Shutdown`]) and every worker exits.
+    /// [`Request::Shutdown`]) and every admitted analysis has finished.
     pub fn join(mut self) {
         self.finish();
     }
@@ -429,20 +394,18 @@ impl Server {
             let _ = TcpStream::connect(self.addr);
             let _ = handle.join();
         }
-        self.shared.work_cv.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        // Every admitted analysis runs to its answer, however long.
+        self.shared.gate.wait_idle();
         // Give in-flight connection handlers a bounded window to write
         // their final responses before the caller exits the process.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         let mut conns = lock(&self.shared.conns);
-        while *conns > 0 && std::time::Instant::now() < deadline {
+        while *conns > 0 && Instant::now() < deadline {
             let (guard, _) = self
                 .shared
                 .conns_cv
                 .wait_timeout(conns, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
             conns = guard;
         }
     }
@@ -515,7 +478,6 @@ fn send(stream: &mut TcpStream, resp: Response, shared: &Shared) {
         .stats
         .bytes_out
         .fetch_add(encoded.len() as u64, Ordering::Relaxed);
-    counters::BYTES_OUT.add(encoded.len() as u64);
     let _ = write_frame(stream, &encoded);
 }
 
@@ -569,7 +531,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // Truncated or malformed framing: nothing sensible can
                 // be parsed from this stream anymore.
                 shared.stats.frame_errors.fetch_add(1, Ordering::Relaxed);
-                counters::FRAME_ERRORS.incr();
                 return;
             }
         };
@@ -577,7 +538,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             .stats
             .bytes_in
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        counters::BYTES_IN.add(payload.len() as u64);
 
         let decoded = isolate("serve.decode", || {
             fault_point("serve.decode");
@@ -591,7 +551,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             Ok(Err(decode_err)) => {
                 shared.stats.frame_errors.fetch_add(1, Ordering::Relaxed);
-                counters::FRAME_ERRORS.incr();
                 shared.stats.errors.fetch_add(1, Ordering::Relaxed);
                 send(
                     &mut stream,
@@ -624,7 +583,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         }
 
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        counters::REQUESTS.incr();
         match request {
             Request::Ping => send(&mut stream, Response::Pong, shared),
             Request::Stats => {
@@ -640,96 +598,53 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let _ = TcpStream::connect(shared.addr);
                 return;
             }
-            req @ Request::Analyze { .. } => {
+            Request::Analyze {
+                module_text,
+                sensitivity,
+                fuel,
+                deadline_ms,
+            } => {
                 if shared.draining() {
                     send(&mut stream, Response::ShuttingDown, shared);
                     continue;
                 }
-                // Worst-case honest wait: every queue slot ahead of us
-                // running to its full deadline, plus slack. Undeadlined
-                // requests get a generous fixed backstop.
-                let backstop = match req.budget().deadline_ms {
-                    Some(d) => Duration::from_millis(
-                        d.saturating_mul(shared.config.queue_cap as u64 + 1)
-                            .saturating_add(60_000),
-                    ),
-                    None => Duration::from_secs(600),
+                let admitted = Instant::now();
+                let Some(slot) = shared.gate.admit() else {
+                    shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
+                    send(
+                        &mut stream,
+                        Response::Overloaded {
+                            retry_after_ms: RETRY_AFTER_MS,
+                        },
+                        shared,
+                    );
+                    continue;
                 };
-                match shared.try_submit(req) {
-                    Some(slot) => {
-                        let resp = slot.wait(backstop);
-                        let start = Instant::now();
-                        send(&mut stream, resp, shared);
-                        shared.latency.respond.record(micros(start.elapsed()));
-                    }
-                    None => {
-                        shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                        counters::OVERLOADED.incr();
-                        send(
-                            &mut stream,
-                            Response::Overloaded {
-                                retry_after_ms: shared.config.retry_after_ms,
-                            },
-                            shared,
-                        );
-                    }
+                let start = Instant::now();
+                shared
+                    .latency
+                    .queue_wait
+                    .record(micros(start.duration_since(admitted)));
+                // The whole job — including parsing the untrusted module
+                // text — runs inside an isolation boundary: a panic
+                // anywhere becomes a structured error on this client's
+                // wire, never a dead connection.
+                let requested = BudgetSpec { fuel, deadline_ms };
+                let resp = isolate("serve.worker", || {
+                    run_job(shared, &module_text, sensitivity, requested)
+                })
+                .unwrap_or_else(|error| Response::Error { error });
+                shared.latency.service.record(micros(start.elapsed()));
+                // A slow client's write holds no run slot.
+                drop(slot);
+                if matches!(resp, Response::Error { .. }) {
+                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
                 }
+                let start = Instant::now();
+                send(&mut stream, resp, shared);
+                shared.latency.respond.record(micros(start.elapsed()));
             }
         }
-    }
-}
-
-/// Guarantees every dequeued job is answered and accounted: dropped on
-/// every exit path from a worker iteration — including an unwind that
-/// somehow escapes the isolation layers — it balances the in-flight
-/// gauge and fills the job's slot, so the parked connection thread
-/// always wakes with a response and the worker pool never shrinks
-/// silently.
-struct FinishJob<'a> {
-    shared: &'a Shared,
-    slot: &'a ResponseSlot,
-    resp: Option<Response>,
-}
-
-impl Drop for FinishJob<'_> {
-    fn drop(&mut self) {
-        self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let resp = self.resp.take().unwrap_or_else(|| Response::Error {
-            error: MantaError::Panic {
-                stage: "serve.worker".to_string(),
-                message: "worker unwound mid-request".to_string(),
-            },
-        });
-        if matches!(resp, Response::Error { .. }) {
-            self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        self.slot.fill(resp);
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.next_job() {
-        let start = Instant::now();
-        shared
-            .latency
-            .queue_wait
-            .record(micros(start.duration_since(job.submitted)));
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let mut finish = FinishJob {
-            shared,
-            slot: &job.slot,
-            resp: None,
-        };
-        // The whole job — including parsing the untrusted module text —
-        // runs inside an isolation boundary: a panic anywhere becomes a
-        // structured error on this client's wire, never a dead worker.
-        finish.resp = Some(
-            isolate("serve.worker", || run_job(shared, &job.request))
-                .unwrap_or_else(|error| Response::Error { error }),
-        );
-        // Recorded before `finish` drops and fills the slot, so a client
-        // holding its answer already sees it counted.
-        shared.latency.service.record(micros(start.elapsed()));
     }
 }
 
@@ -748,26 +663,18 @@ fn clamp_budget(requested: BudgetSpec, config: &ServeConfig) -> BudgetSpec {
     }
 }
 
-fn run_job(shared: &Shared, request: &Request) -> Response {
-    let Request::Analyze {
-        module_text,
-        sensitivity,
-        ..
-    } = request
-    else {
-        // Only Analyze jobs are ever enqueued.
-        return Response::Error {
-            error: MantaError::Verify {
-                message: "non-analyze job reached a worker".to_string(),
-            },
-        };
-    };
-    let budget = clamp_budget(request.budget(), &shared.config);
+fn run_job(
+    shared: &Shared,
+    module_text: &str,
+    sensitivity: Sensitivity,
+    requested: BudgetSpec,
+) -> Response {
+    let budget = clamp_budget(requested, &shared.config);
     // A per-request engine: same config and shared cache, this
     // request's sensitivity and clamped budget.
     let mut builder = Engine::builder()
         .config(*shared.engine.config())
-        .sensitivity(*sensitivity)
+        .sensitivity(sensitivity)
         .budget(budget)
         .strict(shared.engine.strict());
     if let Some(cache) = shared.engine.cache_handle() {
@@ -794,7 +701,7 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
         }
         // Parsing untrusted network bytes happens inside the isolation
         // boundary: a parser panic must answer this client, not unwind
-        // the worker thread.
+        // the connection thread.
         session.infer_source(module_text, |text| {
             manta_isa::parse_source(text).map_err(|e| MantaError::Parse {
                 line: 0,
@@ -806,7 +713,6 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
     match outcome {
         Ok(Ok(answer)) => {
             shared.stats.analyzed.fetch_add(1, Ordering::Relaxed);
-            counters::ANALYZED.incr();
             // The GC trigger decision must come from the value this
             // increment produced: a separate load would let two
             // concurrent successes stride past the multiple and skip
@@ -815,17 +721,15 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
             let degraded = answer.degradations > 0;
             if degraded {
                 shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                counters::DEGRADED.incr();
             }
             let counts = answer.counts;
             let summary = format!(
                 "sensitivity={sensitivity:?} precise={} over={} unknown={} degradations={}",
                 counts.precise, counts.over, counts.unknown, answer.degradations
             );
-            // GC before the response is released to the connection
-            // thread: a client observing its answer may rely on the
-            // post-analysis sweep having happened (the fault-matrix
-            // suite asserts exactly that).
+            // GC before the response is written: a client observing its
+            // answer may rely on the post-analysis sweep having happened
+            // (the fault-matrix suite asserts exactly that).
             maybe_gc(shared, analyzed);
             Response::Analyzed {
                 result: answer.bytes,
@@ -839,7 +743,7 @@ fn run_job(shared: &Shared, request: &Request) -> Response {
 
 /// Runs a GC pass every `gc_every` analyses when a byte budget is
 /// configured; `analyzed` is the 1-based success count produced by the
-/// caller's own increment, so concurrent workers each decide from a
+/// caller's own increment, so concurrent analyses each decide from a
 /// distinct value and no cycle is skipped (and failed jobs never
 /// trigger a pass). The pass is fault-isolated: an injected `serve.gc`
 /// failure is swallowed (GC is advisory) and the daemon keeps serving.
@@ -861,18 +765,88 @@ fn maybe_gc(shared: &Shared, analyzed: u64) {
     let _ = take_pending_exhaustion();
     if let Ok(report) = swept {
         shared.stats.gc_runs.fetch_add(1, Ordering::Relaxed);
-        counters::GC_RUNS.incr();
         shared
             .stats
             .gc_evicted
             .fetch_add(report.evicted as u64, Ordering::Relaxed);
-        counters::GC_EVICTED.add(report.evicted as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+
+    /// Spins until the gate reads `(waiting, running)`: other threads'
+    /// progress is observed through the counters, never through timing.
+    fn await_counts(gate: &Gate, want: (usize, usize)) {
+        while gate.counts() != want {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_runs_one_queues_one_and_refuses_the_next() {
+        let gate = &Gate::new(1, 1);
+        let first = gate.admit().expect("a free run slot admits");
+        assert_eq!(gate.counts(), (0, 1));
+        std::thread::scope(|s| {
+            let (ran_tx, ran_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let second = s.spawn(move || {
+                let _slot = gate.admit().expect("one waiting analysis fits the queue");
+                ran_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+            await_counts(gate, (1, 1));
+            assert!(gate.admit().is_none(), "a full queue refuses at once");
+            assert!(
+                ran_rx.try_recv().is_err(),
+                "the second runs only after the first"
+            );
+            drop(first);
+            ran_rx.recv().unwrap();
+            assert_eq!(gate.counts(), (0, 1));
+            release_tx.send(()).unwrap();
+            second.join().unwrap();
+        });
+        assert_eq!(gate.counts(), (0, 0));
+    }
+
+    #[test]
+    fn gate_without_a_queue_refuses_even_with_a_free_run_slot() {
+        let gate = Gate::new(4, 0);
+        assert!(gate.admit().is_none());
+        assert_eq!(gate.counts(), (0, 0));
+    }
+
+    #[test]
+    fn drain_waits_for_every_waiting_and_running_analysis() {
+        let gate = &Gate::new(1, 1);
+        // Each analysis bumps this just before its slot is released, so a
+        // drain that returned early would read less than 2.
+        let released = &AtomicUsize::new(0);
+        let running = gate.admit().expect("a free run slot admits");
+        std::thread::scope(|s| {
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            s.spawn(move || {
+                let _slot = gate.admit().expect("one waiting analysis fits the queue");
+                release_rx.recv().unwrap();
+                released.fetch_add(1, Ordering::SeqCst);
+            });
+            await_counts(gate, (1, 1));
+            let drain = s.spawn(move || {
+                gate.wait_idle();
+                released.load(Ordering::SeqCst)
+            });
+            released.fetch_add(1, Ordering::SeqCst);
+            drop(running);
+            release_tx.send(()).unwrap();
+            assert_eq!(drain.join().unwrap(), 2);
+        });
+        assert_eq!(gate.counts(), (0, 0));
+    }
 
     #[test]
     fn accepted_connections_disable_nagle() {

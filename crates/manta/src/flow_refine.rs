@@ -150,19 +150,7 @@ fn absorb_all(types: &[&Type]) -> Option<TypeInterval> {
 /// strong updates for *every* variable, no global unification, and —
 /// matching classic flow-sensitive binary type recovery — no crossing of
 /// function boundaries. Aliasing is the intraprocedural copy/memory
-/// closure.
-pub fn standalone_fs(
-    analysis: &ModuleAnalysis,
-    reveals: &RevealMap,
-    config: &MantaConfig,
-) -> InferenceResult {
-    match standalone_fs_budgeted(analysis, reveals, config, &Budget::unlimited()) {
-        Ok(r) => r,
-        Err(_) => unreachable!("unlimited budget tripped"),
-    }
-}
-
-/// [`standalone_fs`] under a cooperative budget: one fuel unit per DDG
+/// closure. It runs under a cooperative budget: one fuel unit per DDG
 /// node during alias-class construction and one per inspected variable
 /// site.
 ///

@@ -33,6 +33,7 @@ use manta::{AnalysisCache, Engine, MantaConfig, Sensitivity};
 use manta_resilience::{BackoffPolicy, BudgetKind, Fault, FaultArming, FaultPlan, MantaError};
 use manta_serve::client::{call_with_retry, Client};
 use manta_serve::proto::{Request, Response};
+use manta_serve::server::RETRY_AFTER_MS;
 use manta_serve::{ServeConfig, Server};
 use manta_store::{OpenOutcome, Store, TempDir};
 use manta_workloads::generator::{generate, GenSpec};
@@ -365,14 +366,13 @@ fn admission_control_rejects_deterministically_and_retry_succeeds() {
         &dir,
         ServeConfig {
             queue_cap: 0,
-            retry_after_ms: 5,
             ..ServeConfig::default()
         },
     );
     let addr = server.addr();
     for _ in 0..3 {
         match call_once(addr, &analyze_req(41, 3)) {
-            Response::Overloaded { retry_after_ms } => assert_eq!(retry_after_ms, 5),
+            Response::Overloaded { retry_after_ms } => assert_eq!(retry_after_ms, RETRY_AFTER_MS),
             other => panic!("zero-capacity queue must reject, got {other:?}"),
         }
     }
@@ -401,7 +401,6 @@ fn admission_control_rejects_deterministically_and_retry_succeeds() {
         ServeConfig {
             workers: 1,
             queue_cap: 1,
-            retry_after_ms: 5,
             ..ServeConfig::default()
         },
     );
