@@ -6,10 +6,13 @@
 //!
 //! Four building blocks, layered bottom-up:
 //!
-//! * [`hash`] — deterministic 64-bit hashing ([`hash::Fingerprint`],
-//!   FNV-1a + splitmix64). Also the one shared home of `splitmix64`,
-//!   previously duplicated across the workload generator and the ISA
-//!   property tests.
+//! * [`hash`] — deterministic 64-bit hashing: [`hash::Fingerprint`], a
+//!   word-at-a-time folded multiply with a splitmix64 finalizer, behind
+//!   every store key and entry checksum. Its byte-serial FNV-1a
+//!   one-shot hashes remain only as bench_e2e's output digest. Also
+//!   the one shared home of `splitmix64`, previously
+//!   duplicated across the workload generator and the ISA property
+//!   tests.
 //! * [`bytes`] — length-prefixed binary codecs ([`bytes::ByteWriter`] /
 //!   [`bytes::ByteReader`]) with panic-free, allocation-bounded
 //!   decoding. Every cached payload uses these.
@@ -39,7 +42,7 @@ pub mod store;
 mod tempdir;
 
 pub use bytes::{ByteReader, ByteWriter, DecodeError};
-pub use hash::{combine, hash_bytes, hash_str, splitmix64, Fingerprint};
+pub use hash::{hash_bytes, hash_str, splitmix64, Fingerprint};
 pub use store::{
     GcReport, Key, OpenOutcome, StatsSnapshot, Store, StoreError, StoreStats, DEFAULT_LOCK_WAIT,
     FORMAT_VERSION, LOCK_FILE,

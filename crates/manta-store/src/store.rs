@@ -15,7 +15,7 @@
 //! 0       8     entry magic  "MANTAENT"
 //! 8       4     format version (little-endian u32)
 //! 12      8     payload length (little-endian u64)
-//! 20      8     payload checksum (fnv64 of the payload bytes)
+//! 20      8     payload checksum (`Fingerprint` of the payload bytes)
 //! 28      n     payload
 //! ```
 //!
@@ -66,15 +66,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::hash::hash_bytes;
+use crate::hash::Fingerprint;
 
 /// Store-level magic, first bytes of `MANIFEST`.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"MSTORE1\n";
 /// Per-entry magic.
 pub const ENTRY_MAGIC: &[u8; 8] = b"MANTAENT";
-/// On-disk format version. Bump on any layout or payload-codec change:
-/// old stores are then discarded wholesale on open.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version. Bump on any layout, payload-codec or checksum
+/// change: old stores are then discarded wholesale on open. Version 2
+/// checksums with the word-at-a-time [`Fingerprint`] instead of FNV-1a.
+pub const FORMAT_VERSION: u32 = 2;
 /// Name of the advisory lock file inside the store directory.
 pub const LOCK_FILE: &str = "LOCK";
 /// How long [`Store::open`] waits for a live lock holder before failing.
@@ -402,7 +403,7 @@ impl Store {
         file.extend_from_slice(ENTRY_MAGIC);
         file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&hash_bytes(payload).to_le_bytes());
+        file.extend_from_slice(&checksum(payload).to_le_bytes());
         file.extend_from_slice(payload);
         // One temp file per put, even for two puts of one key at once:
         // a shared name would let one put rename the other's half-written
@@ -693,12 +694,17 @@ fn decode_entry(raw: &[u8]) -> Option<Vec<u8>> {
         return None;
     }
     let len = u64::from_le_bytes(raw[12..20].try_into().ok()?);
-    let checksum = u64::from_le_bytes(raw[20..28].try_into().ok()?);
+    let stored = u64::from_le_bytes(raw[20..28].try_into().ok()?);
     let payload = &raw[HEADER_LEN..];
-    if payload.len() as u64 != len || hash_bytes(payload) != checksum {
+    if payload.len() as u64 != len || checksum(payload) != stored {
         return None;
     }
     Some(payload.to_vec())
+}
+
+/// An entry payload's checksum: its [`Fingerprint`].
+fn checksum(payload: &[u8]) -> u64 {
+    Fingerprint::new().write(payload).finish()
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use manta_analysis::{ObjectId, VarRef};
 use manta_ir::{printer, FuncId, InstId, Type, ValueId, Width};
 use manta_resilience::{Degradation, DegradationKind};
 use manta_store::{
-    hash_str, ByteReader, ByteWriter, DecodeError, Fingerprint, Key, OpenOutcome, Store, StoreError,
+    ByteReader, ByteWriter, DecodeError, Fingerprint, Key, OpenOutcome, Store, StoreError,
 };
 
 use crate::interval::TypeInterval;
@@ -57,11 +57,12 @@ use crate::{ClassCounts, InferenceResult, MantaConfig, Sensitivity, Stage, VarCl
 pub const CODEC_VERSION: u32 = 1;
 
 /// Version of the text → module mapping a `"src"` alias stands for:
-/// `manta_isa::parse_source` plus preprocessing. Folded into every
-/// [`source_fingerprint`]; bump it whenever either changes what a text
-/// fingerprints to, or old aliases would point at another module's
-/// result.
-pub const SOURCE_VERSION: u32 = 1;
+/// `manta_isa::parse_source` plus preprocessing, and the hash. Folded
+/// into every [`source_fingerprint`]; bump it whenever any of them
+/// changes what a text fingerprints to, or old aliases would point at
+/// another module's result. Version 2 hashes with the word-at-a-time
+/// [`Fingerprint`].
+pub const SOURCE_VERSION: u32 = 2;
 
 /// Maximum [`Type`] nesting depth accepted by the decoder — a corrupt
 /// payload must not be able to recurse the stack away. Generous: the
@@ -72,11 +73,16 @@ const MAX_DECODE_DEPTH: usize = 64;
 // Fingerprints
 // ---------------------------------------------------------------------
 
+/// The [`Fingerprint`] of one text field.
+pub(crate) fn text_hash(text: &str) -> u64 {
+    Fingerprint::new().write_str(text).finish()
+}
+
 /// Deterministic content hash of a module: the hash of its canonical
 /// printed text.
 #[must_use]
 pub fn module_fingerprint(module: &manta_ir::Module) -> u64 {
-    hash_str(&printer::print_module(module))
+    text_hash(&printer::print_module(module))
 }
 
 /// The content half of a `"src"` alias key: the hash of
@@ -89,19 +95,18 @@ pub fn source_fingerprint(text: &str) -> u64 {
         .finish()
 }
 
-/// Per-function content hashes `(name, fingerprint)`, in id order. Two
-/// functions with identical canonical text hash identically — the text
-/// part of each function's summary input fingerprint
-/// ([`crate::summaries`]).
+/// Per-function content hashes, in id order. Two functions with
+/// identical canonical text hash identically — the text part of each
+/// function's summary input fingerprint ([`crate::summaries`]).
 #[must_use]
-pub fn function_fingerprints(module: &manta_ir::Module) -> Vec<(String, u64)> {
+pub fn function_fingerprints(module: &manta_ir::Module) -> Vec<u64> {
+    let mut text = String::new();
     module
         .functions()
         .map(|f| {
-            (
-                f.name().to_string(),
-                hash_str(&printer::print_function_canonical(module, f)),
-            )
+            text.clear();
+            printer::write_function_canonical(module, f, &mut text);
+            text_hash(&text)
         })
         .collect()
 }

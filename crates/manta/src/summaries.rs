@@ -61,9 +61,11 @@ use std::collections::HashMap;
 use manta_analysis::{DepKind, ModuleAnalysis, ObjectKind, VarRef};
 use manta_ir::{FuncId, InstId, ValueId};
 use manta_resilience::{Budget, BudgetExceeded};
-use manta_store::{hash_str, ByteReader, ByteWriter, DecodeError, Fingerprint, Key};
+use manta_store::{ByteReader, ByteWriter, DecodeError, Fingerprint, Key};
 
-use crate::cache::{bad, config_hash, dec_interval, enc_interval, function_fingerprints};
+use crate::cache::{
+    bad, config_hash, dec_interval, enc_interval, function_fingerprints, text_hash,
+};
 use crate::ctx_refine::Footprint;
 use crate::engine::{Engine, Refinement};
 use crate::interval::TypeInterval;
@@ -82,7 +84,7 @@ pub const SUMMARY_STATE_VERSION: u32 = 4;
 /// place rather than orphaning per-fingerprint entries.
 #[must_use]
 pub fn state_key(module_name: &str, config: &MantaConfig) -> Key {
-    Key::new("fsum", hash_str(module_name), config_hash(config, None))
+    Key::new("fsum", text_hash(module_name), config_hash(config, None))
 }
 
 /// Whether the summary path supports this sensitivity. Standalone FS
@@ -264,12 +266,12 @@ struct Inputs {
 }
 
 impl Inputs {
-    fn new(analysis: &ModuleAnalysis, text_fps: &[(String, u64)]) -> Inputs {
+    fn new(analysis: &ModuleAnalysis, text_fps: &[u64]) -> Inputs {
         let module = analysis.module();
-        let name_hash: Vec<u64> = module.functions().map(|f| hash_str(f.name())).collect();
+        let name_hash: Vec<u64> = module.functions().map(|f| text_hash(f.name())).collect();
         let by_name: HashMap<u64, FuncId> = module
             .functions()
-            .map(|f| (hash_str(f.name()), f.id()))
+            .map(|f| (name_hash[f.id().index()], f.id()))
             .collect();
 
         // Extern signatures feed reveal rules without appearing in any
@@ -303,7 +305,7 @@ impl Inputs {
             let mut h = Fingerprint::new();
             h.write_u64(u64::from(SUMMARY_STATE_VERSION));
             h.write_u64(extern_digest);
-            h.write_u64(text_fps[fid.index()].1);
+            h.write_u64(text_fps[fid.index()]);
 
             // Points-to slice: per value, the sorted stable object keys.
             for (value, _) in func.values() {
@@ -481,7 +483,7 @@ fn edge_hash(
         DepKind::Arith { op, operand } => {
             let oh = *op_hash
                 .entry(op)
-                .or_insert_with(|| hash_str(&format!("{op:?}")));
+                .or_insert_with(|| text_hash(&format!("{op:?}")));
             h.write_u64(1).write_u64(oh).write_u64(u64::from(operand));
         }
         DepKind::Cmp => {

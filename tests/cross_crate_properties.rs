@@ -9,6 +9,7 @@
 use manta::{Manta, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
 use manta_ir::{parser::parse_module, printer::print_module, Type, Width};
+use manta_store::{hash_str, Fingerprint};
 use manta_workloads::rng::ChaCha8Rng;
 use manta_workloads::{generator, PhenomenonMix};
 
@@ -91,8 +92,45 @@ fn subtyping_partial_order() {
     }
 }
 
-/// Generated programs survive a textual print → parse → print fixpoint
-/// and stay verifier-clean.
+/// `hash_str` of each seed's printed module. Cache keys hash the
+/// canonical text, so its bytes must not drift.
+const PRINTED_MODULE_HASHES: [u64; 32] = [
+    0xd2ba_7a7b_865b_290f,
+    0x9045_ad3c_7abc_9117,
+    0xbe80_c706_50c2_ea5f,
+    0xe966_6575_8926_81f0,
+    0x160e_6616_8168_e210,
+    0x5c08_f4bd_09b7_cfe6,
+    0x26ef_8b3b_22a5_8910,
+    0x4909_f7f2_81ba_9fdd,
+    0x305b_4d6c_d663_0ace,
+    0xca53_0765_d0bb_ec05,
+    0xaf76_3e1d_977d_27c8,
+    0x68d5_2f23_395d_9b26,
+    0xceb1_c6e6_17f2_42ab,
+    0x3d9d_8266_08ab_bae0,
+    0xbbd5_0cee_934e_dc62,
+    0x48ad_4f3c_65d1_4ab9,
+    0xea9d_719a_0dcb_9336,
+    0x901e_01ed_bb09_a2ea,
+    0x626b_ca11_0f56_d0a0,
+    0x74d5_e5a6_d7a8_56c0,
+    0x0eca_1eab_4c9a_59e1,
+    0xfe8b_47b2_7fdc_297a,
+    0x038d_e53a_1562_125f,
+    0x07bf_b9a4_5c7a_dcd8,
+    0xa1b5_0631_f8db_144f,
+    0x8899_b3a6_f505_b0ff,
+    0xdd96_7d17_c570_c847,
+    0x778b_1aae_00e5_c9be,
+    0x9bad_5e59_940c_02f1,
+    0x7cee_5fb1_d5bf_5796,
+    0xe2ff_0605_d707_c0e8,
+    0xbd1f_66a1_07e5_a46a,
+];
+
+/// Generated programs survive a textual print → parse → print fixpoint,
+/// stay verifier-clean, and print byte-identically to the pinned texts.
 #[test]
 fn generated_ir_text_roundtrip() {
     for seed in 0..32u64 {
@@ -106,7 +144,34 @@ fn generated_ir_text_roundtrip() {
         let parsed = parse_module(&p1).expect("printer output parses");
         manta_ir::verify::verify_module(&parsed).expect("parsed module verifies");
         assert_eq!(p1, print_module(&parsed), "seed {seed}");
+        assert_eq!(
+            hash_str(&p1),
+            PRINTED_MODULE_HASHES[seed as usize],
+            "seed {seed}"
+        );
     }
+}
+
+/// The store's hasher keeps 200 distinct generated module texts apart.
+/// (`manta-store` sits below the generator, so this lives here rather
+/// than beside the hasher's own tests.)
+#[test]
+fn generated_module_texts_fingerprint_distinctly() {
+    let mut seen: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
+    for seed in 0..200u64 {
+        let g = generator::generate(&generator::GenSpec {
+            name: "prop".into(),
+            functions: 2 + (seed as usize % 8),
+            mix: PhenomenonMix::balanced(),
+            seed,
+        });
+        let text = print_module(&g.module);
+        let fp = Fingerprint::new().write_str(&text).finish();
+        if let Some(earlier) = seen.insert(fp, text.clone()) {
+            assert_eq!(earlier, text, "seed {seed}: distinct texts collide");
+        }
+    }
+    assert!(seen.len() > 190, "the generator repeats itself");
 }
 
 /// Inference is deterministic and classification counts are consistent
