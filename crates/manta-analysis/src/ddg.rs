@@ -80,7 +80,7 @@ impl DepKind {
 }
 
 /// The data-dependence graph of a module.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Ddg {
     node_base: Vec<u32>,
     vars: Vec<VarRef>,

@@ -114,7 +114,7 @@ pub fn prune_infeasible_deps(
 /// Convenience: clones the analysis DDG and prunes the clone, returning it
 /// with the stats. (The original analysis stays untouched for ablations.)
 pub fn pruned_ddg(analysis: &ModuleAnalysis, inference: &dyn TypeQuery) -> (Ddg, PruneStats) {
-    let mut ddg = Ddg::build(&analysis.pre, &analysis.pointsto);
+    let mut ddg = analysis.ddg.clone();
     let stats = prune_infeasible_deps(analysis, inference, &mut ddg);
     (ddg, stats)
 }

@@ -38,7 +38,6 @@
 //! fault-injection plan is active are neither served from nor written to
 //! the cache.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use manta_analysis::{ObjectId, VarRef};
@@ -49,7 +48,9 @@ use manta_store::{
 };
 
 use crate::interval::TypeInterval;
-use crate::{ClassCounts, InferenceResult, MantaConfig, Sensitivity, Stage, VarClass};
+use crate::{
+    ClassCounts, InferenceResult, MantaConfig, Sensitivity, Stage, VarClass, VarIndex, NONE,
+};
 
 /// Version of the payload encoding in this module. Folded into every
 /// config hash, so bumping it orphans (rather than misreads) entries
@@ -364,46 +365,40 @@ pub(crate) fn dec_usize(
     usize::try_from(r.u64(context)?).map_err(|_| bad(context))
 }
 
-/// Serializes a full [`InferenceResult`] to bytes. Deterministic: map
-/// entries are emitted in sorted key order, so the same result always
-/// produces the same bytes (the differential tests compare payloads
-/// byte for byte across thread counts).
+/// Serializes a full [`InferenceResult`] to bytes. Deterministic: each
+/// table is written in key order (variables and sites in [`VarRef`]
+/// order, objects by id), walking the dense layout as it lies, so the
+/// same result always produces the same bytes (the differential tests
+/// compare payloads byte for byte across thread counts).
 #[must_use]
 pub fn encode_result(result: &InferenceResult) -> Vec<u8> {
+    manta_telemetry::span!("cache.encode");
     let mut w = ByteWriter::new();
     w.u32(CODEC_VERSION);
 
-    let mut vars: Vec<(&VarRef, &TypeInterval)> = result.var_types.iter().collect();
-    vars.sort_by_key(|(v, _)| **v);
-    w.usize(vars.len());
-    for (v, i) in vars {
-        enc_varref(&mut w, *v);
+    w.usize(result.slot.iter().filter(|&&i| i != NONE).count());
+    for (v, i) in result.var_entries() {
+        enc_varref(&mut w, v);
         enc_interval(&mut w, i);
     }
 
-    let mut objs: Vec<(&ObjectId, &TypeInterval)> = result.obj_types.iter().collect();
-    objs.sort_by_key(|(o, _)| **o);
-    w.usize(objs.len());
-    for (o, i) in objs {
+    w.usize(result.obj.iter().filter(|&&i| i != NONE).count());
+    for (o, i) in result.obj_entries() {
         w.u32(o.0);
         enc_interval(&mut w, i);
     }
 
-    let mut sites: Vec<(&(VarRef, InstId), &TypeInterval)> = result.site_types.iter().collect();
-    sites.sort_by_key(|(k, _)| **k);
-    w.usize(sites.len());
-    for ((v, s), i) in sites {
-        enc_varref(&mut w, *v);
+    w.usize(result.sites.len());
+    for ((v, s), i) in result.site_entries() {
+        enc_varref(&mut w, v);
         w.u32(s.0);
         enc_interval(&mut w, i);
     }
 
-    let mut classes: Vec<(&VarRef, &VarClass)> = result.class.iter().collect();
-    classes.sort_by_key(|(v, _)| **v);
-    w.usize(classes.len());
-    for (v, c) in classes {
-        enc_varref(&mut w, *v);
-        w.u8(class_tag(*c));
+    w.usize(result.class.iter().flatten().count());
+    for (v, c) in result.class_entries() {
+        enc_varref(&mut w, v);
+        w.u8(class_tag(c));
     }
 
     w.usize(result.stage_counts.len());
@@ -428,46 +423,117 @@ pub fn encode_result(result: &InferenceResult) -> Vec<u8> {
     w.finish()
 }
 
+/// Rejects a key that does not follow `prev` in strictly ascending
+/// order: [`encode_result`] writes every table sorted, so any other
+/// order is corruption.
+fn ascending<K: Ord>(prev: Option<&K>, key: &K, context: &'static str) -> Result<(), DecodeError> {
+    match prev {
+        Some(p) if p >= key => Err(bad(context)),
+        _ => Ok(()),
+    }
+}
+
+/// Each function the ascending variable keys `a` and `b` name, with its
+/// slot count: one past the highest value either names.
+fn slot_counts(
+    a: impl Iterator<Item = VarRef>,
+    b: impl Iterator<Item = VarRef>,
+) -> Vec<(FuncId, usize)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    let mut out: Vec<(FuncId, usize)> = Vec::new();
+    loop {
+        let v = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if x <= y => a.next(),
+            (Some(_), None) => a.next(),
+            (_, Some(_)) => b.next(),
+            (None, None) => break,
+        };
+        let Some(v) = v else { break };
+        let n = v.value.index() + 1;
+        match out.last_mut() {
+            Some((f, count)) if *f == v.func => *count = (*count).max(n),
+            _ => out.push((v.func, n)),
+        }
+    }
+    out
+}
+
+/// The slots of ascending variables under `index`, found by one forward
+/// walk over its functions.
+fn slots_in_order<'a>(
+    index: &'a VarIndex,
+    vars: impl Iterator<Item = VarRef> + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut funcs = index.functions().peekable();
+    vars.map(move |v| {
+        while funcs.peek().is_some_and(|(f, _)| *f < v.func) {
+            funcs.next();
+        }
+        let (_, slots) = funcs.peek().expect("the index lists every named function");
+        slots.start + v.value.index()
+    })
+}
+
 /// Decodes a payload written by [`encode_result`].
+///
+/// The dense tables are sized from indices read off the payload, so
+/// before sizing any, the decoder rejects a payload that names more
+/// variable slots, or more objects, than it has bytes: every real
+/// payload carries a class entry of at least 9 bytes per non-constant
+/// variable. Functions that own no value cost nothing, because the
+/// decoded layout lists only the functions the payload names.
 ///
 /// # Errors
 ///
-/// Any malformed byte yields a [`DecodeError`]; the function never
-/// panics (payloads come from disk).
+/// Any malformed byte — including a table out of key order, or one
+/// larger than the payload can justify — yields a [`DecodeError`]; the
+/// function never panics (payloads come from disk).
 pub fn decode_result(payload: &[u8]) -> Result<InferenceResult, DecodeError> {
+    manta_telemetry::span!("cache.decode");
     let mut r = ByteReader::new(payload);
     if r.u32("codec version")? != CODEC_VERSION {
         return Err(bad("codec version"));
     }
 
+    // Each table is allocated once, for the entries its count names, but
+    // for no more than the payload could hold at an entry's smallest
+    // size: a larger count fails while reading.
+    let fits = |n: usize, entry_bytes: usize| n.min(payload.len() / entry_bytes);
     let n = r.len("var count")?;
-    let mut var_types = HashMap::with_capacity(n.min(4096));
+    let mut vars: Vec<(VarRef, u32)> = Vec::with_capacity(fits(n, 10));
+    let mut intervals = Vec::with_capacity(fits(n, 10));
     for _ in 0..n {
         let v = dec_varref(&mut r)?;
-        var_types.insert(v, dec_interval(&mut r)?);
+        ascending(vars.last().map(|(p, _)| p), &v, "var order")?;
+        vars.push((v, intervals.len() as u32));
+        intervals.push(dec_interval(&mut r)?);
     }
 
     let n = r.len("obj count")?;
-    let mut obj_types = HashMap::with_capacity(n.min(4096));
+    let mut objs: Vec<(ObjectId, u32)> = Vec::with_capacity(fits(n, 6));
+    intervals.reserve_exact(fits(n, 6));
     for _ in 0..n {
         let o = ObjectId(r.u32("object id")?);
-        obj_types.insert(o, dec_interval(&mut r)?);
+        ascending(objs.last().map(|(p, _)| p), &o, "object order")?;
+        objs.push((o, intervals.len() as u32));
+        intervals.push(dec_interval(&mut r)?);
     }
 
     let n = r.len("site count")?;
-    let mut site_types = HashMap::with_capacity(n.min(4096));
+    let mut sites = Vec::with_capacity(fits(n, 14));
     for _ in 0..n {
-        let v = dec_varref(&mut r)?;
-        let s = InstId(r.u32("site inst")?);
-        site_types.insert((v, s), dec_interval(&mut r)?);
+        let key = (dec_varref(&mut r)?, InstId(r.u32("site inst")?));
+        ascending(sites.last().map(|(p, _)| p), &key, "site order")?;
+        sites.push((key, dec_interval(&mut r)?));
     }
 
     let n = r.len("class count")?;
-    let mut class = HashMap::with_capacity(n.min(4096));
+    let mut classes: Vec<(VarRef, VarClass)> = Vec::with_capacity(fits(n, 9));
     for _ in 0..n {
         let v = dec_varref(&mut r)?;
+        ascending(classes.last().map(|(p, _)| p), &v, "class order")?;
         let c = class_from_tag(r.u8("class tag")?).ok_or(bad("class tag"))?;
-        class.insert(v, c);
+        classes.push((v, c));
     }
 
     let n = r.len("stage count")?;
@@ -504,15 +570,35 @@ pub fn decode_result(payload: &[u8]) -> Result<InferenceResult, DecodeError> {
     }
     r.expect_end("inference result")?;
 
-    Ok(InferenceResult {
-        var_types,
-        obj_types,
-        site_types,
-        class,
-        stage_counts,
-        config,
-        degradations,
-    })
+    let counts = slot_counts(
+        vars.iter().map(|(v, _)| *v),
+        classes.iter().map(|(v, _)| *v),
+    );
+    // Slot numbers are `u32`s.
+    let bound = payload.len().min(u32::MAX as usize);
+    if counts.iter().map(|(_, n)| n).sum::<usize>() > bound {
+        return Err(bad("variable slots"));
+    }
+    let objects = objs.last().map_or(0, |(o, _)| o.index() + 1);
+    if objects > bound {
+        return Err(bad("object slots"));
+    }
+    let mut result =
+        InferenceResult::with_layout(VarIndex::from_counts(counts.into_iter()), objects, config);
+    for (s, (_, i)) in slots_in_order(&result.vars, vars.iter().map(|(v, _)| *v)).zip(&vars) {
+        result.slot[s] = *i;
+    }
+    for (s, (_, c)) in slots_in_order(&result.vars, classes.iter().map(|(v, _)| *v)).zip(&classes) {
+        result.class[s] = Some(*c);
+    }
+    for (o, i) in objs {
+        result.obj[o.index()] = i;
+    }
+    result.intervals = intervals;
+    result.sites = sites;
+    result.stage_counts = stage_counts;
+    result.degradations = degradations;
+    Ok(result)
 }
 
 /// Serializes a `"src"` alias: the module fingerprint whose `"infer"`
@@ -709,6 +795,73 @@ mod tests {
             let back = decode_result(&bytes).unwrap();
             assert!(results_identical(&r, &back), "{s:?}");
             assert_eq!(bytes, encode_result(&back), "{s:?} re-encode");
+        }
+    }
+
+    /// A payload of one variable or object entry, under the full config.
+    fn one_entry_payload(var: Option<VarRef>, obj: Option<ObjectId>) -> Vec<u8> {
+        let interval = TypeInterval::exact(Type::Float);
+        let mut w = ByteWriter::new();
+        w.u32(CODEC_VERSION);
+        w.usize(usize::from(var.is_some()));
+        if let Some(v) = var {
+            enc_varref(&mut w, v);
+            enc_interval(&mut w, &interval);
+        }
+        w.usize(usize::from(obj.is_some()));
+        if let Some(o) = obj {
+            w.u32(o.0);
+            enc_interval(&mut w, &interval);
+        }
+        // No sites, classes or stage counts.
+        w.usize(0).usize(0).usize(0);
+        w.u8(sensitivity_tag(Sensitivity::FiCsFs))
+            .usize(32)
+            .usize(4096)
+            .bool(true);
+        w.usize(0);
+        w.finish()
+    }
+
+    #[test]
+    fn decode_rejects_tables_the_payload_cannot_justify() {
+        let far = VarRef::new(FuncId(0), ValueId(10_000));
+        let payload = one_entry_payload(Some(far), None);
+        assert!(payload.len() <= 100, "{} bytes", payload.len());
+        let e = decode_result(&payload).expect_err("10001 slots from a short payload");
+        assert_eq!(e.context, "variable slots");
+        let e = decode_result(&one_entry_payload(None, Some(ObjectId(10_000))))
+            .expect_err("10001 objects from a short payload");
+        assert_eq!(e.context, "object slots");
+        // The same entries at index 0 decode and re-encode.
+        let near = one_entry_payload(Some(VarRef::new(FuncId(0), ValueId(0))), Some(ObjectId(0)));
+        let back = decode_result(&near).expect("one slot, one object");
+        assert_eq!(encode_result(&back), near);
+    }
+
+    #[test]
+    fn payloads_of_many_value_less_functions_decode() {
+        let mut mb = ModuleBuilder::new("stubs");
+        let malloc = mb.extern_fn("malloc", &[], None);
+        for i in 0..1000 {
+            let (_, mut fb) = mb.function(&format!("stub{i}"), &[], None);
+            fb.ret(None);
+            mb.finish_function(fb);
+        }
+        let (_, mut fb) = mb.function("grab", &[Width::W64], Some(Width::W64));
+        let n = fb.param(0);
+        let buf = fb.call_extern(malloc, &[n], Some(Width::W64)).unwrap();
+        fb.ret(Some(buf));
+        mb.finish_function(fb);
+        let analysis = ModuleAnalysis::build(mb.finish());
+        for s in Sensitivity::WITH_REVERSED {
+            let r = Manta::new(MantaConfig::with_sensitivity(s)).infer(&analysis);
+            let bytes = encode_result(&r);
+            // Fewer bytes than functions: only the functions an entry
+            // names are laid out.
+            assert!(bytes.len() < 1000, "{s:?}: {} bytes", bytes.len());
+            let back = decode_result(&bytes).expect("a real payload decodes");
+            assert_eq!(encode_result(&back), bytes, "{s:?}");
         }
     }
 

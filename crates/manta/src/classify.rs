@@ -3,8 +3,8 @@
 use manta_analysis::{ModuleAnalysis, VarRef};
 use manta_ir::ValueKind;
 
-use crate::interval::{Resolution, TypeInterval};
-use crate::{ClassCounts, InferenceResult};
+use crate::interval::TypeInterval;
+use crate::{ClassCounts, InferenceResult, NONE};
 
 /// The classification of one variable after a stage.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -22,23 +22,42 @@ pub enum VarClass {
 }
 
 /// Recomputes the classification of every non-constant variable from the
-/// intervals in `result`, updates `result.class`, widens unknowns to the
-/// any-type interval, and returns the counts.
+/// intervals in `result`, updates its class bytes, and returns the
+/// counts. Each interval's class is decided once, however many variables
+/// share it.
 ///
 /// Constants are excluded: their types are trivially known and the paper's
 /// metrics count program variables.
+///
+/// §4.1 widens `V_U` to the any-type interval `(⊤, ⊥)`; here the `(⊥, ⊤)`
+/// sentinel is kept internally (so unknowns stay distinguishable from
+/// maximal hint conflicts) and the widening happens in
+/// [`InferenceResult::upper`] / [`InferenceResult::lower`].
 pub fn classify(analysis: &ModuleAnalysis, result: &mut InferenceResult) -> ClassCounts {
     manta_telemetry::span!("classify");
+    let module = analysis.module();
+    let mut of_interval: Vec<Option<VarClass>> = vec![None; result.intervals.len()];
     let mut counts = ClassCounts::default();
-    for func in analysis.module().functions() {
-        for (value, data) in func.values() {
+    let InferenceResult {
+        vars,
+        slot,
+        class,
+        intervals,
+        ..
+    } = result;
+    for (f, slots) in vars.functions() {
+        let func = module.function(f);
+        for ((_, data), s) in func.values().zip(slots) {
             if matches!(data.kind, ValueKind::Const(_)) {
+                class[s] = None;
                 continue;
             }
-            let v = VarRef::new(func.id(), value);
-            let class = class_of(result.var_types.get(&v));
-            *counts.of_mut(class) += 1;
-            result.class.insert(v, class);
+            let c = match slot[s] {
+                NONE => VarClass::Unknown,
+                i => *of_interval[i as usize].get_or_insert_with(|| intervals[i as usize].class()),
+            };
+            *counts.of_mut(c) += 1;
+            class[s] = Some(c);
         }
     }
     publish(counts);
@@ -55,36 +74,24 @@ pub(crate) fn commit(
     result: &mut InferenceResult,
     updates: Vec<(VarRef, TypeInterval)>,
 ) -> ClassCounts {
+    result.intervals.reserve(updates.len());
     let Some(&(_, mut counts)) = result.stage_counts.last() else {
         for (v, interval) in updates {
-            result.var_types.insert(v, interval);
+            result.set_var(v, interval);
         }
         return classify(analysis, result);
     };
     manta_telemetry::span!("classify");
     for (v, interval) in updates {
-        let class = class_of(Some(&interval));
-        result.var_types.insert(v, interval);
-        if let Some(old) = result.class.insert(v, class) {
+        let class = interval.class();
+        let s = result.set_var(v, interval);
+        if let Some(old) = result.class[s].replace(class) {
             *counts.of_mut(old) -= 1;
         }
         *counts.of_mut(class) += 1;
     }
     publish(counts);
     counts
-}
-
-/// The class of a variable with interval `interval` (`None`: no hint).
-fn class_of(interval: Option<&TypeInterval>) -> VarClass {
-    match interval.map(TypeInterval::resolution) {
-        // §4.1 widens V_U to the any-type interval `(⊤, ⊥)`; here the
-        // `(⊥, ⊤)` sentinel is kept internally (so unknowns stay
-        // distinguishable from maximal hint conflicts) and the widening
-        // happens in [`InferenceResult::upper`] / [`InferenceResult::lower`].
-        None | Some(Resolution::Unknown) => VarClass::Unknown,
-        Some(Resolution::Precise(_)) => VarClass::Precise,
-        Some(Resolution::Over) => VarClass::Over,
-    }
 }
 
 /// The latest classification wins: counter_set so a report shows the
@@ -105,19 +112,16 @@ impl ClassCounts {
     }
 }
 
-/// The set of variables currently classified `V_O`, in deterministic order.
-pub fn over_approximated(analysis: &ModuleAnalysis, result: &InferenceResult) -> Vec<VarRef> {
-    let mut out = Vec::new();
-    for func in analysis.module().functions() {
-        for (value, data) in func.values() {
-            if matches!(data.kind, ValueKind::Const(_)) {
-                continue;
-            }
-            let v = VarRef::new(func.id(), value);
-            if result.class.get(&v) == Some(&VarClass::Over) {
-                out.push(v);
-            }
-        }
-    }
+/// The set of variables currently classified `V_O`, in deterministic
+/// ([`VarRef`]) order.
+pub fn over_approximated(result: &InferenceResult) -> Vec<VarRef> {
+    let over = result.class.iter().filter(|&&c| c == Some(VarClass::Over));
+    let mut out = Vec::with_capacity(over.count());
+    out.extend(
+        result
+            .vars
+            .vars()
+            .filter_map(|(s, v)| (result.class[s] == Some(VarClass::Over)).then_some(v)),
+    );
     out
 }

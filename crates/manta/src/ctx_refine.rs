@@ -27,7 +27,7 @@ use manta_resilience::{Budget, BudgetExceeded};
 use manta_telemetry::Counter;
 
 use crate::idhash::{IdMap, IdSet};
-use crate::interval::{FirstLayer, Resolution, TypeInterval};
+use crate::interval::{FirstLayer, TypeInterval};
 use crate::reveal::RevealMap;
 use crate::{InferenceResult, MantaConfig, Stage};
 
@@ -120,15 +120,8 @@ impl Footprint {
 
 /// Splits an already function-ordered candidate list into runs sharing a
 /// function — the unit of work the refinement stages hand to the pool.
-pub(crate) fn partition_by_func(over: Vec<VarRef>) -> Vec<Vec<VarRef>> {
-    let mut chunks: Vec<Vec<VarRef>> = Vec::new();
-    for v in over {
-        match chunks.last_mut() {
-            Some(chunk) if chunk[0].func == v.func => chunk.push(v),
-            _ => chunks.push(vec![v]),
-        }
-    }
-    chunks
+pub(crate) fn partition_by_func(over: &[VarRef]) -> Vec<&[VarRef]> {
+    over.chunk_by(|a, b| a.func == b.func).collect()
 }
 
 /// Identifies one interned root set of a [`RootsMemo`].
@@ -223,7 +216,7 @@ pub(crate) fn refine_chunk(
     config: &MantaConfig,
     result: &InferenceResult,
     budget: &Budget,
-    chunk: Vec<VarRef>,
+    chunk: &[VarRef],
     fp: &mut Footprint,
 ) -> Result<CsChunkOut, BudgetExceeded> {
     let mut roots = RootsMemo::default();
@@ -231,7 +224,7 @@ pub(crate) fn refine_chunk(
     let mut visited: IdSet<NodeId> = IdSet::default();
     let mut walks = CsWalks::default();
     let mut updates: Vec<(VarRef, TypeInterval)> = Vec::new();
-    for v in chunk {
+    for &v in chunk {
         budget.tick()?;
         fp.touch(v.func);
         let set = find_roots_traced(analysis, result, config, v, &mut roots, fp);
@@ -396,8 +389,8 @@ fn collect_types(
     }
     let v = analysis.ddg.var(node);
     fp.touch(v.func);
-    for (_, t) in reveals.of_var(v) {
-        out.get_or_insert_with(TypeInterval::unknown).absorb(t);
+    for r in reveals.of_var(v) {
+        out.get_or_insert_with(TypeInterval::unknown).absorb(&r.ty);
     }
     for &(child, kind) in analysis.ddg.children(node) {
         if !edge_carries_type(kind) {
@@ -437,12 +430,9 @@ fn edge_carries_type(kind: DepKind) -> bool {
 /// only alias when their currently-known types are compatible.
 fn arith_feasible(result: &InferenceResult, operand: VarRef, res: VarRef) -> bool {
     let layer_of = |v: VarRef| -> Option<FirstLayer> {
-        match result.var_types.get(&v)?.resolution() {
-            Resolution::Precise(t) => Some(FirstLayer::of(&t)),
-            _ => None,
-        }
+        result.interval(v)?.representative().map(FirstLayer::of)
     };
-    let may_be_ptr = |v: VarRef| match result.var_types.get(&v) {
+    let may_be_ptr = |v: VarRef| match result.interval(v) {
         None => true,
         Some(i) => {
             i.is_any()
@@ -467,6 +457,7 @@ fn arith_feasible(result: &InferenceResult, operand: VarRef, res: VarRef) -> boo
 pub(crate) mod tests {
     use super::*;
     use crate::classify;
+    use crate::interval::Resolution;
     use crate::{Manta, MantaConfig, Sensitivity, VarClass};
     use manta_ir::{BinOp, ModuleBuilder, Width};
 
@@ -552,8 +543,8 @@ pub(crate) mod tests {
         let r2 = VarRef::new(c2.id(), call_dst(c2));
         // After context-sensitive refinement, the two call results are
         // precisely typed per their own contexts.
-        let t1 = result.var_types[&r1].resolution();
-        let t2 = result.var_types[&r2].resolution();
+        let t1 = result.interval(r1).unwrap().resolution();
+        let t2 = result.interval(r2).unwrap().resolution();
         assert!(
             t1.is_precise(),
             "use_int result should be precise, got {t1:?}"
@@ -597,9 +588,9 @@ pub(crate) mod tests {
         let reveals = RevealMap::collect(&analysis);
         let config = MantaConfig::full();
         let result = crate::flow_insensitive::run(&analysis, &reveals, config);
-        let over = classify::over_approximated(&analysis, &result);
+        let over = classify::over_approximated(&result);
         let mut walks = CsWalks::default();
-        for chunk in partition_by_func(over.clone()) {
+        for chunk in partition_by_func(&over) {
             let (_, chunk_walks) = refine_chunk(
                 &analysis,
                 &reveals,

@@ -174,11 +174,11 @@ fn refine(
     memo: Option<&mut Memo>,
 ) -> Result<Refinement, BudgetExceeded> {
     let cs = stage == Stage::ContextRefine;
-    let over = classify::over_approximated(analysis, result);
+    let over = classify::over_approximated(result);
     let candidates = if cs { "cs.candidates" } else { "fs.candidates" };
     manta_telemetry::counter(candidates, over.len() as u64);
-    let chunks = ctx_refine::partition_by_func(over);
-    let run = |chunk: Vec<VarRef>, fp: &mut Footprint| {
+    let chunks = ctx_refine::partition_by_func(&over);
+    let run = |chunk: &[VarRef], fp: &mut Footprint| {
         if !cs {
             return flow_refine::refine_chunk(analysis, reveals, config, result, budget, chunk, fp);
         }
@@ -196,7 +196,10 @@ fn refine(
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?,
     };
-    let mut delta = Refinement::default();
+    let mut delta = Refinement {
+        vars: Vec::with_capacity(outs.iter().map(|o| o.vars.len()).sum()),
+        sites: Vec::with_capacity(outs.iter().map(|o| o.sites.len()).sum()),
+    };
     for out in outs {
         delta.vars.extend(out.vars);
         delta.sites.extend(out.sites);
@@ -218,7 +221,7 @@ fn commit(
     } else {
         manta_telemetry::counter("fs.site_types", delta.sites.len() as u64);
     }
-    result.site_types.extend(delta.sites);
+    result.add_sites(delta.sites);
     let counts = classify::commit(analysis, result, delta.vars);
     result.stage_counts.push((stage, counts));
 }
@@ -892,11 +895,11 @@ impl Engine {
                 match &delta {
                     Delta::Reveals(map) => graph.record_reveals(map, analysis.module()),
                     Delta::Base(base) => {
-                        graph.record_stage(tier, &result, &base.var_types, &base.site_types);
+                        graph.record_stage(tier, &result, base.var_entries(), base.site_entries());
                     }
                     Delta::Refine(_, delta) => {
-                        let vars = delta.vars.iter().map(|(v, i)| (v, i));
-                        let sites = delta.sites.iter().map(|(k, i)| (k, i));
+                        let vars = delta.vars.iter().map(|(v, i)| (*v, i));
+                        let sites = delta.sites.iter().map(|(k, i)| (*k, i));
                         graph.record_stage(tier, &result, vars, sites);
                     }
                 }
@@ -951,7 +954,7 @@ mod tests {
         let (analysis, result) = engine.analyze_module(module("m")).expect("analyze");
         assert_eq!(analysis.module().name(), "m");
         assert!(!result.is_degraded());
-        assert!(!result.var_types.is_empty());
+        assert!(result.var_entries().next().is_some());
     }
 
     #[test]
@@ -1014,7 +1017,7 @@ mod tests {
         assert!(tiers.contains_key(crate::provenance::TIER_REVEAL));
         assert!(tiers.contains_key("FI"));
         // Every FI fact chains back to reveal leaves or is hint-free.
-        let malloc_ret = *r_on.var_types.keys().min().expect("typed vars");
+        let (malloc_ret, _) = r_on.var_entries().next().expect("typed vars");
         assert!(graph.explain(malloc_ret).is_some());
     }
 

@@ -12,16 +12,16 @@
 //! `cmp` contributes a pure unification of its operands — the "two compared
 //! variables have the same type" indirect hint of §6.4.
 
-use std::collections::HashSet;
-
 use manta_analysis::{ModuleAnalysis, ObjectId, VarRef};
-use manta_ir::{Callee, InstKind, Terminator, ValueId};
+use manta_ir::{Callee, FuncId, InstKind, Module, Terminator, ValueId};
 use manta_resilience::{Budget, BudgetExceeded};
 
 use crate::classify;
+use crate::idhash::IdSet;
+use crate::interval::TypeInterval;
 use crate::reveal::RevealMap;
 use crate::unify::UnionFind;
-use crate::{InferenceResult, MantaConfig, Stage};
+use crate::{InferenceResult, MantaConfig, Stage, NONE};
 
 /// Maximum recursion when unifying object field trees.
 const MAX_OBJ_UNIFY_DEPTH: usize = 4;
@@ -53,6 +53,35 @@ impl<'a> Keys<'a> {
     }
 }
 
+/// Every function's returned values (`ret v` terminators, in block
+/// order), found once per run rather than once per call.
+struct Returns {
+    /// `values[at[f]..at[f + 1]]` are function `f`'s.
+    at: Vec<u32>,
+    values: Vec<ValueId>,
+}
+
+impl Returns {
+    fn of(module: &Module) -> Returns {
+        let mut at = Vec::with_capacity(module.function_count() + 1);
+        at.push(0);
+        let mut values = Vec::new();
+        for func in module.functions() {
+            for b in func.blocks() {
+                if let Terminator::Ret(Some(r)) = b.term {
+                    values.push(r);
+                }
+            }
+            at.push(values.len() as u32);
+        }
+        Returns { at, values }
+    }
+
+    fn of_func(&self, f: FuncId) -> &[ValueId] {
+        &self.values[self.at[f.index()] as usize..self.at[f.index() + 1] as usize]
+    }
+}
+
 /// Runs the global flow-insensitive inference and classifies every
 /// variable.
 pub fn run(analysis: &ModuleAnalysis, reveals: &RevealMap, config: MantaConfig) -> InferenceResult {
@@ -78,15 +107,17 @@ pub fn run_budgeted(
 ) -> Result<InferenceResult, BudgetExceeded> {
     let keys = Keys::new(analysis);
     let module = analysis.module();
-    let pts = &analysis.pointsto;
+    let returns = Returns::of(module);
 
     // The unification ops an instruction emits depend only on the
     // (immutable) points-to relation, never on union-find state, so the
     // per-function op lists are collected across the pool and replayed in
     // function order — exactly the serial op sequence.
-    let func_ids: Vec<manta_ir::FuncId> = module.functions().map(|f| f.id()).collect();
+    let func_ids: Vec<FuncId> = module.functions().map(|f| f.id()).collect();
     let per_func: Vec<Result<Vec<(usize, usize)>, BudgetExceeded>> =
-        manta_parallel::par_map(func_ids, |fid| collect_fi_ops(analysis, &keys, fid, budget));
+        manta_parallel::par_map(func_ids, |fid| {
+            collect_fi_ops(analysis, &keys, &returns, fid, budget)
+        });
 
     let mut uf = UnionFind::new(keys.total());
     for ops in per_func {
@@ -103,28 +134,43 @@ pub fn run_budgeted(
         }
     }
 
-    // Materialize the type maps.
-    let mut result = InferenceResult::empty(config);
-    for func in module.functions() {
-        for (value, _) in func.values() {
-            budget.tick()?;
-            let v = VarRef::new(func.id(), value);
-            let interval = uf.interval(keys.var(v)).clone();
-            if !interval.is_unknown() {
-                result.var_types.insert(v, interval);
-            }
-        }
+    // Materialize: each class's interval moves out of the union-find into
+    // one table entry, which the slot of every member names. The result's
+    // slots are the DDG node numbering the union-find's variable half uses.
+    let mut result = InferenceResult::over(analysis, config);
+    debug_assert_eq!(result.slot.len(), keys.var_count);
+    let mut entry = vec![NONE; keys.total()];
+    for node in 0..keys.var_count {
+        budget.tick()?;
+        result.slot[node] = share(&mut uf, node, &mut entry, &mut result.intervals);
     }
-    for (o, _) in pts.objects() {
-        let interval = uf.interval(keys.obj(o)).clone();
-        if !interval.is_unknown() {
-            result.obj_types.insert(o, interval);
-        }
+    for o in 0..result.obj.len() {
+        result.obj[o] = share(
+            &mut uf,
+            keys.var_count + o,
+            &mut entry,
+            &mut result.intervals,
+        );
     }
 
     let counts = classify::classify(analysis, &mut result);
     result.stage_counts.push((Stage::FlowInsensitive, counts));
     Ok(result)
+}
+
+/// The table entry of `x`'s class: the first member to ask moves the
+/// class's interval out of `uf` into `table`. A class no hint reached
+/// gets none ([`NONE`]).
+fn share(uf: &mut UnionFind, x: usize, entry: &mut [u32], table: &mut Vec<TypeInterval>) -> u32 {
+    let root = uf.find(x);
+    if entry[root] == NONE {
+        let interval = uf.take_interval(root);
+        if !interval.is_unknown() {
+            entry[root] = table.len() as u32;
+            table.push(interval);
+        }
+    }
+    entry[root]
 }
 
 /// Collects the union ops of one function's instructions (Table 1 rules
@@ -133,7 +179,8 @@ pub fn run_budgeted(
 fn collect_fi_ops(
     analysis: &ModuleAnalysis,
     keys: &Keys<'_>,
-    fid: manta_ir::FuncId,
+    returns: &Returns,
+    fid: FuncId,
     budget: &Budget,
 ) -> Result<Vec<(usize, usize)>, BudgetExceeded> {
     let module = analysis.module();
@@ -141,18 +188,19 @@ fn collect_fi_ops(
     let func = module.function(fid);
     let var = |v: ValueId| VarRef::new(fid, v);
     let mut ops: Vec<(usize, usize)> = Vec::new();
+    let mut seen = IdSet::default();
     for inst in func.insts() {
         budget.tick()?;
         match &inst.kind {
             // Rule ①: value copies.
             InstKind::Copy { dst, src } => {
                 ops.push((keys.var(var(*dst)), keys.var(var(*src))));
-                unify_pointees(&mut ops, keys, pts, var(*dst), var(*src));
+                unify_pointees(&mut ops, keys, var(*dst), var(*src), &mut seen);
             }
             InstKind::Phi { dst, incomings } => {
                 for (_, v) in incomings {
                     ops.push((keys.var(var(*dst)), keys.var(var(*v))));
-                    unify_pointees(&mut ops, keys, pts, var(*dst), var(*v));
+                    unify_pointees(&mut ops, keys, var(*dst), var(*v), &mut seen);
                 }
             }
             // Rule ② LOAD.
@@ -184,15 +232,14 @@ fn collect_fi_ops(
                 let tf = module.function(*target);
                 for (i, &a) in args.iter().enumerate() {
                     if let Some(&p) = tf.params().get(i) {
-                        ops.push((keys.var(var(a)), keys.var(VarRef::new(*target, p))));
-                        unify_pointees(&mut ops, keys, pts, var(a), VarRef::new(*target, p));
+                        let param = VarRef::new(*target, p);
+                        ops.push((keys.var(var(a)), keys.var(param)));
+                        unify_pointees(&mut ops, keys, var(a), param, &mut seen);
                     }
                 }
                 if let Some(d) = dst {
-                    for b in tf.blocks() {
-                        if let Terminator::Ret(Some(r)) = b.term {
-                            ops.push((keys.var(var(*d)), keys.var(VarRef::new(*target, r))));
-                        }
+                    for &r in returns.of_func(*target) {
+                        ops.push((keys.var(var(*d)), keys.var(VarRef::new(*target, r))));
                     }
                 }
             }
@@ -202,33 +249,23 @@ fn collect_fi_ops(
     Ok(ops)
 }
 
-/// Rule ①'s `UnifyObjType` over the pointees of two unified pointers.
+/// Rule ①'s `UnifyObjType` over the pointees of two unified pointers:
+/// the first pointee with each other one, `seen` cleared per pair.
 fn unify_pointees(
     ops: &mut Vec<(usize, usize)>,
     keys: &Keys<'_>,
-    pts: &manta_analysis::PointsTo,
     p: VarRef,
     q: VarRef,
+    seen: &mut IdSet<(ObjectId, ObjectId)>,
 ) {
-    let all: Vec<ObjectId> = pts
-        .pts_var(p)
-        .iter()
-        .chain(pts.pts_var(q).iter())
-        .copied()
-        .collect();
-    if all.len() < 2 {
+    let pts = &keys.analysis.pointsto;
+    let mut all = pts.pts_var(p).iter().chain(pts.pts_var(q)).copied();
+    let Some(first) = all.next() else {
         return;
-    }
-    let first = all[0];
-    for &o in &all[1..] {
-        unify_obj_types(
-            ops,
-            keys,
-            first,
-            o,
-            MAX_OBJ_UNIFY_DEPTH,
-            &mut HashSet::new(),
-        );
+    };
+    for o in all {
+        seen.clear();
+        unify_obj_types(ops, keys, first, o, MAX_OBJ_UNIFY_DEPTH, seen);
     }
 }
 
@@ -240,7 +277,7 @@ fn unify_obj_types(
     a: ObjectId,
     b: ObjectId,
     depth: usize,
-    seen: &mut HashSet<(ObjectId, ObjectId)>,
+    seen: &mut IdSet<(ObjectId, ObjectId)>,
 ) {
     if a == b || depth == 0 || !seen.insert((a.min(b), a.max(b))) {
         return;

@@ -12,12 +12,10 @@
 //! entirely (`v` becomes unknown) — the phenomenon that makes FI+FS weaker
 //! than FI+CS+FS (§6.1, Ablation Analysis; §6.4, Type Refinement Order).
 
-use std::collections::HashMap;
-
 use manta_analysis::cfl::{CtxOp, CtxStack};
 use manta_analysis::{CallSite, DepKind, ModuleAnalysis, NodeId, VarRef};
 use manta_ir::cfg::Cfg;
-use manta_ir::{BlockId, FuncId, InstId, Type, UseIndex, ValueId, ValueKind};
+use manta_ir::{BlockId, FuncId, InstId, Type, UseIndex, ValueKind};
 use manta_resilience::{Budget, BudgetExceeded};
 
 use crate::classify;
@@ -25,7 +23,7 @@ use crate::ctx_refine::{find_roots_traced, Footprint, RootsMemo};
 use crate::engine::Refinement;
 use crate::idhash::{IdMap, IdSet};
 use crate::interval::TypeInterval;
-use crate::reveal::RevealMap;
+use crate::reveal::{Reveal, RevealMap};
 use crate::{InferenceResult, MantaConfig, Stage};
 
 /// Runs Algorithm 2 over the current `V_O` set and appends a
@@ -55,7 +53,7 @@ pub(crate) fn refine_chunk(
     config: &MantaConfig,
     result: &InferenceResult,
     budget: &Budget,
-    chunk: Vec<VarRef>,
+    chunk: &[VarRef],
     fp: &mut Footprint,
 ) -> Result<Refinement, BudgetExceeded> {
     let mut out = Refinement::default();
@@ -68,13 +66,14 @@ pub(crate) fn refine_chunk(
     // The alias answers against each root set, by queried node.
     let mut answers: Vec<IdMap<NodeId, bool>> = Vec::new();
     let mut walker = SiteWalker::new(analysis, reveals, config, true);
-    for v in chunk {
+    for &v in chunk {
         budget.tick()?;
         fp.touch(v.func);
         let set = find_roots_traced(analysis, result, config, v, &mut roots, fp);
         answers.resize_with(roots.len(), IdMap::default);
         // Def site plus each use site (Algorithm 2 line 7).
         let def_site = func.def_inst(v.value);
+        let first_site = out.sites.len();
         let mut site_intervals: Vec<(Option<InstId>, TypeInterval)> = Vec::new();
         for site in sites(def_site, uses.users(v.value)) {
             budget.tick()?;
@@ -102,6 +101,8 @@ pub(crate) fn refine_chunk(
             }
             site_intervals.push((site, interval));
         }
+        // In site order, so the stage's delta comes out sorted.
+        out.sites[first_site..].sort_by_key(|(k, _)| *k);
         // Variable-level: prefer the def-site result; otherwise merge all
         // site results; with no reachable hint anywhere the type is lost.
         let def_result = site_intervals
@@ -163,12 +164,10 @@ pub fn standalone_fs_budgeted(
     config: &MantaConfig,
     budget: &Budget,
 ) -> Result<InferenceResult, BudgetExceeded> {
-    let mut result = InferenceResult::empty(*config);
-    // Intraprocedural alias classes: values connected by copy/phi or by
-    // same-function memory dependencies.
-    let mut alias_class: HashMap<VarRef, usize> = HashMap::new();
-    {
-        let ddg = &analysis.ddg;
+    let ddg = &analysis.ddg;
+    // Intraprocedural alias classes, by DDG node: values connected by
+    // copy/phi or by same-function memory dependencies.
+    let alias_class: Vec<usize> = {
         let n = ddg.node_count();
         let mut uf = crate::unify::UnionFind::new(n);
         for idx in 0..n {
@@ -185,17 +184,14 @@ pub fn standalone_fs_budgeted(
                 }
             }
         }
-        for idx in 0..n {
-            let v = analysis.ddg.var(NodeId(idx as u32));
-            alias_class.insert(v, uf.find(idx));
-        }
-    }
+        (0..n).map(|idx| uf.find(idx)).collect()
+    };
 
     // Each function's variables consult only the (frozen) alias classes and
     // the reveal map, so the per-function site walks fan out across the
     // pool; updates merge back in function order.
     let func_ids: Vec<FuncId> = analysis.module().functions().map(|f| f.id()).collect();
-    let alias_ref = &alias_class;
+    let alias_of = |v: VarRef| alias_class[ddg.node(v).index()];
     let per_func: Vec<Result<Refinement, BudgetExceeded>> =
         manta_parallel::par_map(func_ids, |fid| {
             let func = analysis.module().function(fid);
@@ -207,13 +203,14 @@ pub fn standalone_fs_budgeted(
                     continue;
                 }
                 let v = VarRef::new(fid, value);
-                let class = alias_ref[&v];
+                let class = alias_of(v);
                 let def_site = func.def_inst(value);
+                let first_site = out.sites.len();
                 let mut var_interval: Option<TypeInterval> = None;
                 for site in sites(def_site, uses.users(value)) {
                     budget.tick()?;
                     let Some(interval) = walker.walk(fid, site, &mut Footprint::off(), &mut |u| {
-                        alias_ref.get(&u) == Some(&class)
+                        alias_of(u) == class
                     }) else {
                         continue;
                     };
@@ -226,17 +223,26 @@ pub fn standalone_fs_budgeted(
                         (None, false) => var_interval = Some(interval),
                     }
                 }
+                out.sites[first_site..].sort_by_key(|(k, _)| *k);
                 if let Some(i) = var_interval {
                     out.vars.push((v, i));
                 }
             }
             Ok(out)
         });
+    let per_func = per_func.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut result = InferenceResult::over(analysis, *config);
+    result
+        .intervals
+        .reserve(per_func.iter().map(|c| c.vars.len()).sum());
+    let mut sites = Vec::with_capacity(per_func.iter().map(|c| c.sites.len()).sum());
     for chunk in per_func {
-        let chunk = chunk?;
-        result.var_types.extend(chunk.vars);
-        result.site_types.extend(chunk.sites);
+        for (v, i) in chunk.vars {
+            result.set_var(v, i);
+        }
+        sites.extend(chunk.sites);
     }
+    result.add_sites(sites);
     let counts = classify::classify(analysis, &mut result);
     result.stage_counts.push((Stage::StandaloneFs, counts));
     Ok(result)
@@ -249,10 +255,10 @@ struct FuncView<'a> {
     /// Instruction index → (block, index in block).
     position: Vec<(BlockId, usize)>,
     /// `revealed[at[i]..at[i + 1]]` are the reveals at instruction `i`,
-    /// in [`RevealMap`] order, so the first one naming a value is the one
-    /// [`RevealMap::at_site`] returns.
+    /// in [`RevealMap`] order, so the first one naming a value is that
+    /// value's first reveal at the instruction (`type_annotation(v@s)`).
     at: Vec<u32>,
-    revealed: Vec<(ValueId, &'a Type)>,
+    revealed: &'a [Reveal],
 }
 
 impl<'a> FuncView<'a> {
@@ -265,11 +271,12 @@ impl<'a> FuncView<'a> {
                 position[inst.index()] = (b.id, i);
             }
         }
-        let mut by_site: Vec<_> = reveals.in_func(f).iter().collect();
-        // Stable: reveals at one site keep their collection order.
-        by_site.sort_by_key(|r| r.site);
+        // A function's reveals are in instruction order, which is site
+        // order: each site's run is contiguous.
+        let revealed = reveals.in_func(f);
+        debug_assert!(revealed.windows(2).all(|w| w[0].site <= w[1].site));
         let mut at = vec![0u32; n + 1];
-        for r in &by_site {
+        for r in revealed {
             at[r.site.index() + 1] += 1;
         }
         for i in 0..n {
@@ -279,11 +286,11 @@ impl<'a> FuncView<'a> {
             cfg: Cfg::new(func),
             position,
             at,
-            revealed: by_site.into_iter().map(|r| (r.value, &r.ty)).collect(),
+            revealed,
         }
     }
 
-    fn revealed_at(&self, inst: InstId) -> &[(ValueId, &'a Type)] {
+    fn revealed_at(&self, inst: InstId) -> &'a [Reveal] {
         &self.revealed[self.at[inst.index()] as usize..self.at[inst.index() + 1] as usize]
     }
 }
@@ -419,9 +426,9 @@ impl<'a> SiteWalker<'a> {
                 if prev.replace(u) == Some(u) {
                     continue;
                 }
-                if let Some(&(_, t)) = here.iter().find(|(value, _)| *value == u) {
+                if let Some(r) = here.iter().find(|r| r.value == u) {
                     if alias(VarRef::new(func, u)) {
-                        self.out.push(t);
+                        self.out.push(&r.ty);
                     }
                 }
             }
@@ -689,8 +696,8 @@ mod tests {
             let (budget, fp) = (&Budget::unlimited(), &mut Footprint::off());
             let mut vars = Vec::new();
             let mut sites = Vec::new();
-            for v in classify::over_approximated(analysis, &result) {
-                let chunk = vec![v];
+            for v in classify::over_approximated(&result) {
+                let chunk = &[v][..];
                 let out = match stage {
                     Stage::ContextRefine => crate::ctx_refine::refine_chunk(
                         analysis, &reveals, config, &result, budget, chunk, fp,
@@ -706,11 +713,9 @@ mod tests {
                 sites.extend(out.sites);
             }
             for (v, i) in vars {
-                result.var_types.insert(v, i);
+                result.set_var(v, i);
             }
-            for (k, i) in sites {
-                result.site_types.insert(k, i);
-            }
+            result.add_sites(sites);
             let counts = classify::classify(analysis, &mut result);
             result.stage_counts.push((stage, counts));
         }

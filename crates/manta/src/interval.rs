@@ -9,6 +9,8 @@
 
 use manta_ir::{Type, Width};
 
+use crate::classify::VarClass;
+
 /// The first layer of a type — what §6.1 evaluates for function
 /// parameters, and what classification compares.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -181,12 +183,34 @@ impl TypeInterval {
         if self.is_unknown() {
             return Resolution::Unknown;
         }
+        match self.representative() {
+            Some(t) => Resolution::Precise(t.clone()),
+            None => Resolution::Over,
+        }
+    }
+
+    /// The class [`TypeInterval::resolution`] names, decided without
+    /// cloning the representative type.
+    pub fn class(&self) -> VarClass {
+        if self.is_unknown() {
+            VarClass::Unknown
+        } else if self.representative().is_some() {
+            VarClass::Precise
+        } else {
+            VarClass::Over
+        }
+    }
+
+    /// The representative type of a precise interval, borrowed: what
+    /// [`TypeInterval::resolution`] returns a clone of. `None` for an
+    /// over-approximated or unknown interval.
+    pub(crate) fn representative(&self) -> Option<&Type> {
         if self.upper == self.lower {
-            return Resolution::Precise(self.upper.clone());
+            return Some(&self.upper);
         }
         let (fu, fl) = (FirstLayer::of(&self.upper), FirstLayer::of(&self.lower));
         if fu == fl && fu.is_concrete() {
-            return Resolution::Precise(self.lower.clone());
+            return Some(&self.lower);
         }
         // An interval wholly inside one width's numeric class — e.g.
         // `[int64, num64]` after mixing a concrete hint with an abstract
@@ -194,10 +218,10 @@ impl TypeInterval {
         // other concrete member of the class fails `lower <: t`.
         if let FirstLayer::Num(w) = fu {
             if fl.is_concrete() && self.lower.is_numeric() && self.lower.width() == Some(w) {
-                return Resolution::Precise(self.lower.clone());
+                return Some(&self.lower);
             }
         }
-        Resolution::Over
+        None
     }
 }
 
@@ -232,6 +256,35 @@ mod tests {
         assert!(i.resolution().is_precise());
         // The representative is the lower (more specific) bound.
         assert_eq!(i.resolution(), Resolution::Precise(Type::ptr(Type::Bottom)));
+    }
+
+    #[test]
+    fn class_names_the_resolution() {
+        let types = [
+            Type::Top,
+            Type::Bottom,
+            Type::Int(Width::W64),
+            Type::Int(Width::W32),
+            Type::Num(Width::W64),
+            Type::Reg(Width::W64),
+            Type::Float,
+            Type::byte_ptr(),
+            Type::ptr(Type::Bottom),
+        ];
+        for upper in &types {
+            for lower in &types {
+                let i = TypeInterval {
+                    upper: upper.clone(),
+                    lower: lower.clone(),
+                };
+                let want = match i.resolution() {
+                    Resolution::Unknown => VarClass::Unknown,
+                    Resolution::Precise(_) => VarClass::Precise,
+                    Resolution::Over => VarClass::Over,
+                };
+                assert_eq!(i.class(), want, "{i:?}");
+            }
+        }
     }
 
     #[test]

@@ -64,9 +64,10 @@ pub mod summaries;
 mod unify;
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use manta_analysis::{ModuleAnalysis, ObjectId, VarRef};
-use manta_ir::{InstId, Type};
+use manta_ir::{FuncId, InstId, Type, ValueId};
 
 pub use cache::AnalysisCache;
 pub use classify::VarClass;
@@ -197,14 +198,112 @@ pub enum Stage {
     StandaloneFs,
 }
 
+/// "No entry" in [`InferenceResult`]'s slot tables: a variable or object
+/// that no hint reached.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// A per-function value-offset numbering: function `funcs[k]` owns the
+/// slots `base[k]..base[k + 1]`, one per value, in value order, with
+/// `funcs` ascending. Built from a module it lists every function, so the
+/// slots are the DDG's node numbering ([`manta_analysis::Ddg::node`]) and
+/// `funcs[f.index()] == f` makes a lookup one index. A decoded result
+/// lists only the functions its payload names, and a lookup falls back to
+/// a binary search.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct VarIndex {
+    funcs: Vec<FuncId>,
+    base: Vec<u32>,
+}
+
+impl VarIndex {
+    /// The numbering of every value of every function of `module`.
+    pub(crate) fn of_module(module: &manta_ir::Module) -> VarIndex {
+        VarIndex::from_counts(module.functions().map(|f| (f.id(), f.value_count())))
+    }
+
+    /// The numbering of `(function, value count)` runs, functions
+    /// ascending.
+    pub(crate) fn from_counts(counts: impl Iterator<Item = (FuncId, usize)>) -> VarIndex {
+        let mut index = VarIndex {
+            funcs: Vec::with_capacity(counts.size_hint().0),
+            base: vec![0],
+        };
+        let mut next = 0u32;
+        for (f, n) in counts {
+            next += n as u32;
+            index.funcs.push(f);
+            index.base.push(next);
+        }
+        index
+    }
+
+    /// Total slots.
+    pub(crate) fn len(&self) -> usize {
+        self.base.last().map_or(0, |&n| n as usize)
+    }
+
+    /// The slots of function `f` (empty when it owns none).
+    pub(crate) fn slots(&self, f: FuncId) -> Range<usize> {
+        let k = match self.funcs.get(f.index()) {
+            Some(&g) if g == f => f.index(),
+            _ => match self.funcs.binary_search(&f) {
+                Ok(k) => k,
+                Err(_) => return 0..0,
+            },
+        };
+        self.base[k] as usize..self.base[k + 1] as usize
+    }
+
+    /// The slot of variable `v`, if the numbering covers it.
+    pub(crate) fn slot(&self, v: VarRef) -> Option<usize> {
+        let slots = self.slots(v.func);
+        let s = slots.start + v.value.index();
+        (s < slots.end).then_some(s)
+    }
+
+    /// Every function with its slots, ascending.
+    pub(crate) fn functions(&self) -> impl Iterator<Item = (FuncId, Range<usize>)> + '_ {
+        self.funcs
+            .iter()
+            .zip(self.base.windows(2))
+            .map(|(&f, w)| (f, w[0] as usize..w[1] as usize))
+    }
+
+    /// Every slot with its variable, in [`VarRef`] order.
+    pub(crate) fn vars(&self) -> impl Iterator<Item = (usize, VarRef)> + '_ {
+        self.functions().flat_map(|(f, slots)| {
+            let base = slots.start;
+            slots.map(move |s| (s, VarRef::new(f, ValueId((s - base) as u32))))
+        })
+    }
+}
+
 /// The output of the inference: interval type maps for variables, objects
 /// and use sites, plus per-stage statistics.
+///
+/// The state lives on the per-function value-offset numbering that the
+/// DDG ([`manta_analysis::Ddg::node`]) and the points-to solver use: one
+/// interval slot and one class byte per variable, with the intervals in
+/// one shared table. Every member of a flow-insensitive class names its
+/// class's one interval, and a refinement writes a fresh entry for each
+/// slot it updates. Objects are indexed by [`ObjectId`], and `v@s` site
+/// intervals sit in one table sorted by `(v, s)`. The accessors below are
+/// the whole read surface. The result codec ([`cache::encode_result`])
+/// walks the layout in [`VarRef`] order.
 #[derive(Clone, Debug)]
 pub struct InferenceResult {
-    pub(crate) var_types: HashMap<VarRef, TypeInterval>,
-    pub(crate) obj_types: HashMap<ObjectId, TypeInterval>,
-    pub(crate) site_types: HashMap<(VarRef, InstId), TypeInterval>,
-    pub(crate) class: HashMap<VarRef, VarClass>,
+    pub(crate) vars: VarIndex,
+    /// Per variable slot, its interval's index in `intervals`, or
+    /// [`NONE`].
+    pub(crate) slot: Vec<u32>,
+    /// Per variable slot, its class after the last stage; `None` for
+    /// constants and for a result no stage classified.
+    pub(crate) class: Vec<Option<VarClass>>,
+    /// Per object, its interval's index in `intervals`, or [`NONE`].
+    pub(crate) obj: Vec<u32>,
+    pub(crate) intervals: Vec<TypeInterval>,
+    /// `v@s` intervals, ascending by `(v, s)`.
+    pub(crate) sites: Vec<((VarRef, InstId), TypeInterval)>,
     /// Classification after each executed stage, in execution order.
     pub stage_counts: Vec<(Stage, ClassCounts)>,
     /// The configuration that produced this result.
@@ -216,16 +315,117 @@ pub struct InferenceResult {
 }
 
 impl InferenceResult {
+    /// A result with no entries and no layout: what a run whose base
+    /// stage fails keeps.
     pub(crate) fn empty(config: MantaConfig) -> InferenceResult {
+        InferenceResult::with_layout(VarIndex::default(), 0, config)
+    }
+
+    /// A result with no entries, laid out over `analysis`'s variables and
+    /// objects.
+    pub(crate) fn over(analysis: &ModuleAnalysis, config: MantaConfig) -> InferenceResult {
+        let vars = VarIndex::of_module(analysis.module());
+        InferenceResult::with_layout(vars, analysis.pointsto.object_count(), config)
+    }
+
+    /// A result with no entries, laid out over the variables `vars`
+    /// numbers and `objects` objects.
+    pub(crate) fn with_layout(
+        vars: VarIndex,
+        objects: usize,
+        config: MantaConfig,
+    ) -> InferenceResult {
         InferenceResult {
-            var_types: HashMap::new(),
-            obj_types: HashMap::new(),
-            site_types: HashMap::new(),
-            class: HashMap::new(),
+            slot: vec![NONE; vars.len()],
+            class: vec![None; vars.len()],
+            vars,
+            obj: vec![NONE; objects],
+            intervals: Vec::new(),
+            sites: Vec::new(),
             stage_counts: Vec::new(),
             config,
             degradations: Vec::new(),
         }
+    }
+
+    /// The interval a slot-table entry names.
+    fn entry(&self, index: u32) -> Option<&TypeInterval> {
+        (index != NONE).then(|| &self.intervals[index as usize])
+    }
+
+    /// Points `v`'s slot at `interval`, as a new table entry; returns the
+    /// slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout does not cover `v`.
+    pub(crate) fn set_var(&mut self, v: VarRef, interval: TypeInterval) -> usize {
+        let s = self.vars.slot(v).expect("the layout covers every variable");
+        self.slot[s] = self.intervals.len() as u32;
+        self.intervals.push(interval);
+        s
+    }
+
+    /// Adds `v@s` intervals, a later one for a site replacing an earlier.
+    /// A refinement's delta arrives sorted, and the first one to write
+    /// sites becomes the table as it is.
+    pub(crate) fn add_sites(&mut self, mut sites: Vec<((VarRef, InstId), TypeInterval)>) {
+        if sites.is_empty() {
+            return;
+        }
+        // Stable sorts: each run of equal keys keeps its write order.
+        if !sites.is_sorted_by_key(|(k, _)| *k) {
+            sites.sort_by_key(|(k, _)| *k);
+        }
+        if self.sites.is_empty() {
+            self.sites = sites;
+        } else {
+            self.sites.append(&mut sites);
+            self.sites.sort_by_key(|(k, _)| *k);
+        }
+        // The last write of each run wins, in the run's first slot.
+        self.sites.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+    }
+
+    /// Every variable that has an interval, in [`VarRef`] order.
+    pub(crate) fn var_entries(&self) -> impl Iterator<Item = (VarRef, &TypeInterval)> + '_ {
+        self.vars
+            .vars()
+            .filter_map(|(s, v)| Some((v, self.entry(self.slot[s])?)))
+    }
+
+    /// Every classified variable, in [`VarRef`] order.
+    pub(crate) fn class_entries(&self) -> impl Iterator<Item = (VarRef, VarClass)> + '_ {
+        self.vars
+            .vars()
+            .filter_map(|(s, v)| Some((v, self.class[s]?)))
+    }
+
+    /// Every object that has an interval, in id order.
+    pub(crate) fn obj_entries(&self) -> impl Iterator<Item = (ObjectId, &TypeInterval)> + '_ {
+        self.obj
+            .iter()
+            .enumerate()
+            .filter_map(|(o, &i)| Some((ObjectId(o as u32), self.entry(i)?)))
+    }
+
+    /// Every `v@s` interval, in `(v, s)` order.
+    pub(crate) fn site_entries(
+        &self,
+    ) -> impl Iterator<Item = ((VarRef, InstId), &TypeInterval)> + '_ {
+        self.sites.iter().map(|(k, i)| (*k, i))
+    }
+
+    /// The interval recorded for exactly `v@s`, with no fallback.
+    pub(crate) fn site(&self, v: VarRef, s: InstId) -> Option<&TypeInterval> {
+        let at = self.sites.binary_search_by_key(&(v, s), |(k, _)| *k).ok()?;
+        Some(&self.sites[at].1)
     }
 
     /// Whether the run completed at its full configured sensitivity.
@@ -235,27 +435,25 @@ impl InferenceResult {
 
     /// The inferred interval for variable `v`, if any hint reached it.
     pub fn interval(&self, v: VarRef) -> Option<&TypeInterval> {
-        self.var_types.get(&v)
+        self.entry(self.slot[self.vars.slot(v)?])
     }
 
     /// The inferred interval for object `o`.
     pub fn obj_interval(&self, o: ObjectId) -> Option<&TypeInterval> {
-        self.obj_types.get(&o)
+        self.entry(*self.obj.get(o.index())?)
     }
 
     /// The inferred interval for `v` at site `s` (`v@s`). Falls back to the
     /// variable-level interval: per §4.2.2, `F(v@s) = F(v)` for variables
     /// that needed no flow-sensitive refinement.
     pub fn interval_at(&self, v: VarRef, s: InstId) -> Option<&TypeInterval> {
-        self.site_types
-            .get(&(v, s))
-            .or_else(|| self.var_types.get(&v))
+        self.site(v, s).or_else(|| self.interval(v))
     }
 
     /// Upper-bound type `F↑(v)`. Unknown variables read as `⊤` — the
     /// conservative any-type widening of §4.1.
     pub fn upper(&self, v: VarRef) -> Type {
-        match self.var_types.get(&v) {
+        match self.interval(v) {
             Some(i) if !i.is_unknown() => i.upper.clone(),
             _ => Type::Top,
         }
@@ -264,7 +462,7 @@ impl InferenceResult {
     /// Lower-bound type `F↓(v)`. Unknown variables read as `⊥` — the
     /// conservative any-type widening of §4.1.
     pub fn lower(&self, v: VarRef) -> Type {
-        match self.var_types.get(&v) {
+        match self.interval(v) {
             Some(i) if !i.is_unknown() => i.lower.clone(),
             _ => Type::Bottom,
         }
@@ -272,7 +470,10 @@ impl InferenceResult {
 
     /// The classification of `v` after the final executed stage.
     pub fn class_of(&self, v: VarRef) -> VarClass {
-        self.class.get(&v).copied().unwrap_or(VarClass::Unknown)
+        self.vars
+            .slot(v)
+            .and_then(|s| self.class[s])
+            .unwrap_or(VarClass::Unknown)
     }
 
     /// Classification counts after the final stage.
@@ -285,7 +486,7 @@ impl InferenceResult {
 
     /// The resolved singleton type of `v`, if precise.
     pub fn precise_type(&self, v: VarRef) -> Option<Type> {
-        match self.var_types.get(&v)?.resolution() {
+        match self.interval(v)?.resolution() {
             Resolution::Precise(t) => Some(t),
             _ => None,
         }
@@ -353,7 +554,7 @@ pub trait TypeQuery {
 
 impl TypeQuery for InferenceResult {
     fn var_interval(&self, v: VarRef) -> Option<&TypeInterval> {
-        self.var_types.get(&v)
+        self.interval(v)
     }
 
     fn site_interval(&self, v: VarRef, s: InstId) -> Option<&TypeInterval> {

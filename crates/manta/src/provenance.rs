@@ -181,16 +181,16 @@ impl ProvenanceGraph {
         &mut self,
         tier: &str,
         current: &InferenceResult,
-        vars: impl IntoIterator<Item = (&'a VarRef, &'a TypeInterval)>,
-        sites: impl IntoIterator<Item = (&'a (VarRef, InstId), &'a TypeInterval)>,
+        vars: impl IntoIterator<Item = (VarRef, &'a TypeInterval)>,
+        sites: impl IntoIterator<Item = ((VarRef, InstId), &'a TypeInterval)>,
     ) {
         let mut changed: Vec<_> = vars
             .into_iter()
-            .filter(|(v, i)| current.var_types.get(v) != Some(i))
+            .filter(|&(v, i)| current.interval(v) != Some(i))
             .collect();
-        changed.sort_by_key(|(v, _)| **v);
-        changed.dedup_by_key(|(v, _)| **v);
-        for (&v, interval) in changed {
+        changed.sort_by_key(|&(v, _)| v);
+        changed.dedup_by_key(|&mut (v, _)| v);
+        for (v, interval) in changed {
             let preds = self.derive_preds(v);
             self.push_fact(Fact {
                 var: v,
@@ -203,11 +203,11 @@ impl ProvenanceGraph {
 
         let mut changed_sites: Vec<_> = sites
             .into_iter()
-            .filter(|(k, i)| current.site_types.get(k) != Some(i))
+            .filter(|&((v, s), i)| current.site(v, s) != Some(i))
             .collect();
-        changed_sites.sort_by_key(|(k, _)| **k);
-        changed_sites.dedup_by_key(|(k, _)| **k);
-        for (&(v, s), interval) in changed_sites {
+        changed_sites.sort_by_key(|&(k, _)| k);
+        changed_sites.dedup_by_key(|&mut (k, _)| k);
+        for ((v, s), interval) in changed_sites {
             let mut preds = self.derive_preds(v);
             // A reveal at exactly `v@s` is direct evidence for the site
             // fact even when a newer stage fact supersedes it var-wide.

@@ -23,12 +23,12 @@
 //! constant reveals this reproduces the paper's documented recall loss:
 //! `if (p == (void*)-1)` unifies a pointer with a revealed `int64`.
 
-use std::collections::HashMap;
-
 use manta_analysis::{ModuleAnalysis, VarRef};
 use manta_ir::{
     Callee, ConstKind, ExternEffect, FuncId, InstId, InstKind, Type, ValueId, ValueKind, Width,
 };
+
+use crate::VarIndex;
 
 /// One type-revealing event.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -42,22 +42,38 @@ pub struct Reveal {
 }
 
 /// All reveals of a module, indexed by function and by variable.
+///
+/// Each reveal is stored once, in one table: function by function, and
+/// within a function in instruction order, which is site order. The
+/// by-variable index holds positions into that table, grouped by the
+/// per-function value numbering [`crate::InferenceResult`] uses, so
+/// [`RevealMap::of_var`] copies no type.
 #[derive(Clone, Debug, Default)]
 pub struct RevealMap {
-    per_func: HashMap<FuncId, Vec<Reveal>>,
-    by_var: HashMap<VarRef, Vec<(InstId, Type)>>,
+    reveals: Vec<Reveal>,
+    /// `reveals[func_at[f]..func_at[f + 1]]` are function `f`'s.
+    func_at: Vec<u32>,
+    vars: VarIndex,
+    /// `by_var[var_at[s]..var_at[s + 1]]` are the positions of slot
+    /// `s`'s reveals, in instruction order.
+    var_at: Vec<u32>,
+    by_var: Vec<u32>,
 }
 
 impl RevealMap {
     /// Extracts every reveal in the analyzed module.
     pub fn collect(analysis: &ModuleAnalysis) -> RevealMap {
         let module = analysis.module();
-        let mut map = RevealMap::default();
+        let vars = VarIndex::of_module(module);
+        let mut reveals: Vec<Reveal> = Vec::new();
+        let mut func_at = Vec::with_capacity(module.function_count() + 1);
+        func_at.push(0);
+        // Every load, store, gep, alloca and indirect callee reveals a
+        // pointer to something: one shared type, cloned by reference.
+        let ptr_bottom = Type::ptr(Type::Bottom);
         for func in module.functions() {
-            let fid = func.id();
-            let mut out: Vec<Reveal> = Vec::new();
             let mut push = |value: ValueId, site: InstId, ty: Type| {
-                out.push(Reveal { value, site, ty });
+                reveals.push(Reveal { value, site, ty });
             };
             for inst in func.insts() {
                 let s = inst.id;
@@ -81,12 +97,12 @@ impl RevealMap {
                     }
                 }
                 match &inst.kind {
-                    InstKind::Load { addr, .. } => push(*addr, s, Type::ptr(Type::Bottom)),
-                    InstKind::Store { addr, .. } => push(*addr, s, Type::ptr(Type::Bottom)),
-                    InstKind::Alloca { dst, .. } => push(*dst, s, Type::ptr(Type::Bottom)),
+                    InstKind::Load { addr, .. } => push(*addr, s, ptr_bottom.clone()),
+                    InstKind::Store { addr, .. } => push(*addr, s, ptr_bottom.clone()),
+                    InstKind::Alloca { dst, .. } => push(*dst, s, ptr_bottom.clone()),
                     InstKind::Gep { dst, base, .. } => {
-                        push(*base, s, Type::ptr(Type::Bottom));
-                        push(*dst, s, Type::ptr(Type::Bottom));
+                        push(*base, s, ptr_bottom.clone());
+                        push(*dst, s, ptr_bottom.clone());
                     }
                     InstKind::BinOp { op, dst, lhs, rhs } if op.is_numeric_only() => {
                         let w = func.value(*dst).width;
@@ -111,52 +127,71 @@ impl RevealMap {
                                 // loss source).
                             }
                         }
-                        Callee::Indirect(fp) => push(*fp, s, Type::ptr(Type::Bottom)),
+                        Callee::Indirect(fp) => push(*fp, s, ptr_bottom.clone()),
                         Callee::Direct(_) => {}
                     },
                     _ => {}
                 }
             }
-            for r in &out {
-                map.by_var
-                    .entry(VarRef::new(fid, r.value))
-                    .or_default()
-                    .push((r.site, r.ty.clone()));
-            }
-            map.per_func.insert(fid, out);
+            func_at.push(reveals.len() as u32);
         }
-        map
+
+        // The by-variable index, a counting sort of reveal positions by
+        // slot: stable, so each variable's stay in instruction order.
+        let mut var_at = vec![0u32; vars.len() + 1];
+        let mut slots = Vec::with_capacity(reveals.len());
+        for ((_, slots_of_f), run) in vars.functions().zip(func_at.windows(2)) {
+            let base = slots_of_f.start;
+            for r in &reveals[run[0] as usize..run[1] as usize] {
+                let s = base + r.value.index();
+                var_at[s + 1] += 1;
+                slots.push(s);
+            }
+        }
+        for s in 0..vars.len() {
+            var_at[s + 1] += var_at[s];
+        }
+        let mut next = var_at.clone();
+        let mut by_var = vec![0u32; reveals.len()];
+        for (at, s) in slots.into_iter().enumerate() {
+            by_var[next[s] as usize] = at as u32;
+            next[s] += 1;
+        }
+        RevealMap {
+            reveals,
+            func_at,
+            vars,
+            var_at,
+            by_var,
+        }
     }
 
     /// Reveals inside function `f`, in instruction order.
     pub fn in_func(&self, f: FuncId) -> &[Reveal] {
-        self.per_func.get(&f).map(Vec::as_slice).unwrap_or(&[])
+        match (self.func_at.get(f.index()), self.func_at.get(f.index() + 1)) {
+            (Some(&lo), Some(&hi)) => &self.reveals[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// The reveals of a specific variable (`type_annotations(v)` in
-    /// Algorithm 1).
-    pub fn of_var(&self, v: VarRef) -> &[(InstId, Type)] {
-        self.by_var.get(&v).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The reveal of `v` at exactly site `s` (`type_annotation(v@s)` in
-    /// Algorithm 2), if any.
-    pub fn at_site(&self, v: VarRef, s: InstId) -> Option<&Type> {
-        self.by_var
-            .get(&v)?
-            .iter()
-            .find(|(site, _)| *site == s)
-            .map(|(_, t)| t)
+    /// Algorithm 1), in instruction order.
+    pub fn of_var(&self, v: VarRef) -> impl ExactSizeIterator<Item = &Reveal> + '_ {
+        let positions = match self.vars.slot(v) {
+            Some(s) => &self.by_var[self.var_at[s] as usize..self.var_at[s + 1] as usize],
+            None => &[],
+        };
+        positions.iter().map(|&at| &self.reveals[at as usize])
     }
 
     /// Total number of reveals.
     pub fn len(&self) -> usize {
-        self.per_func.values().map(Vec::len).sum()
+        self.reveals.len()
     }
 
     /// Whether no reveal exists.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.reveals.is_empty()
     }
 }
 
@@ -182,10 +217,10 @@ mod tests {
         fb.ret(Some(buf));
         mb.finish_function(fb);
         let (_, r) = collect(mb.finish());
-        let n_hints = r.of_var(VarRef::new(fid, n));
-        assert!(n_hints.iter().any(|(_, t)| *t == Type::Int(Width::W64)));
-        let b_hints = r.of_var(VarRef::new(fid, buf));
-        assert!(b_hints.iter().any(|(_, t)| t.is_pointer()));
+        let mut n_hints = r.of_var(VarRef::new(fid, n));
+        assert!(n_hints.any(|h| h.ty == Type::Int(Width::W64)));
+        let mut b_hints = r.of_var(VarRef::new(fid, buf));
+        assert!(b_hints.any(|h| h.ty.is_pointer()));
     }
 
     #[test]
@@ -197,11 +232,11 @@ mod tests {
         fb.ret(Some(v));
         mb.finish_function(fb);
         let (_, r) = collect(mb.finish());
-        let hints = r.of_var(VarRef::new(fid, p));
+        let hints: Vec<&Reveal> = r.of_var(VarRef::new(fid, p)).collect();
         assert_eq!(hints.len(), 1);
-        assert!(hints[0].1.is_pointer());
+        assert!(hints[0].ty.is_pointer());
         // The loaded value itself reveals nothing.
-        assert!(r.of_var(VarRef::new(fid, v)).is_empty());
+        assert_eq!(r.of_var(VarRef::new(fid, v)).len(), 0);
     }
 
     #[test]
@@ -215,19 +250,18 @@ mod tests {
         fb.ret(Some(m));
         mb.finish_function(fb);
         let (_, r) = collect(mb.finish());
-        assert!(
-            r.of_var(VarRef::new(fid, a)).is_empty(),
+        assert_eq!(
+            r.of_var(VarRef::new(fid, a)).len(),
+            0,
             "add must not reveal"
         );
         // `s` is revealed numeric by its use in mul, not by add itself.
         assert!(r
             .of_var(VarRef::new(fid, s))
-            .iter()
-            .any(|(_, t)| matches!(t, Type::Num(_))));
+            .any(|h| matches!(h.ty, Type::Num(_))));
         assert!(r
             .of_var(VarRef::new(fid, b))
-            .iter()
-            .any(|(_, t)| matches!(t, Type::Num(_))));
+            .any(|h| matches!(h.ty, Type::Num(_))));
     }
 
     #[test]
@@ -243,14 +277,10 @@ mod tests {
         fb.ret(Some(c2));
         mb.finish_function(fb);
         let (_, r) = collect(mb.finish());
-        assert!(
-            r.of_var(VarRef::new(fid, z)).is_empty(),
-            "zero is ambiguous"
-        );
+        assert_eq!(r.of_var(VarRef::new(fid, z)).len(), 0, "zero is ambiguous");
         assert!(
             r.of_var(VarRef::new(fid, neg))
-                .iter()
-                .any(|(_, t)| *t == Type::Int(Width::W64)),
+                .any(|h| h.ty == Type::Int(Width::W64)),
             "-1 reveals int64 (the error-code idiom)"
         );
     }
@@ -269,8 +299,7 @@ mod tests {
         let f = an.module().function(fid);
         let sites: Vec<InstId> = f.insts().map(|i| i.id).collect();
         let v = VarRef::new(fid, p);
-        assert!(r.at_site(v, sites[0]).is_some());
-        assert!(r.at_site(v, sites[1]).is_some());
-        assert_eq!(r.of_var(v).len(), 2);
+        let at: Vec<InstId> = r.of_var(v).map(|h| h.site).collect();
+        assert_eq!(at, sites[..2]);
     }
 }

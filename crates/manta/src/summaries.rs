@@ -69,7 +69,7 @@ use crate::cache::{
 use crate::ctx_refine::Footprint;
 use crate::engine::{Engine, Refinement};
 use crate::interval::TypeInterval;
-use crate::{InferenceResult, MantaConfig, Sensitivity, Stage};
+use crate::{InferenceResult, MantaConfig, Sensitivity, Stage, NONE};
 
 /// Version of the persisted summary-state payload. Folded into every
 /// input fingerprint and checked on decode, so a codec change orphans
@@ -377,22 +377,22 @@ impl Inputs {
 
     /// The per-function input fingerprints at one stage entry: the
     /// static part plus the current per-value interval slice (the only
-    /// live input the walks read).
+    /// live input the walks read), read off each function's contiguous
+    /// slots.
     fn stage_fps(&self, analysis: &ModuleAnalysis, result: &InferenceResult) -> Vec<u64> {
         let module = analysis.module();
         let mut out = Vec::with_capacity(self.static_fp.len());
         for func in module.functions() {
             let fid = func.id();
+            let slots = result.vars.slots(fid);
+            debug_assert_eq!(slots.len(), func.value_count());
             let mut w = ByteWriter::new();
-            for (value, _) in func.values() {
-                match result.var_types.get(&VarRef::new(fid, value)) {
-                    None => {
-                        w.u8(0);
-                    }
-                    Some(i) => {
-                        w.u8(1);
-                        enc_interval(&mut w, i);
-                    }
+            for &entry in &result.slot[slots] {
+                if entry == NONE {
+                    w.u8(0);
+                } else {
+                    w.u8(1);
+                    enc_interval(&mut w, &result.intervals[entry as usize]);
                 }
             }
             let mut h = Fingerprint::new();
@@ -574,8 +574,8 @@ impl Memo {
         stage: Stage,
         analysis: &ModuleAnalysis,
         result: &InferenceResult,
-        chunks: Vec<Vec<VarRef>>,
-        run: impl Fn(Vec<VarRef>, &mut Footprint) -> Result<Refinement, BudgetExceeded> + Sync,
+        chunks: Vec<&[VarRef]>,
+        run: impl Fn(&[VarRef], &mut Footprint) -> Result<Refinement, BudgetExceeded> + Sync,
     ) -> Result<Vec<Refinement>, BudgetExceeded> {
         let module = analysis.module();
         let tag = tag(stage);
@@ -599,7 +599,7 @@ impl Memo {
         // replay into `outs` right away), `None` when it recomputes.
         let mut plan: Vec<(FuncId, Option<ChunkEntry>)> = Vec::with_capacity(chunks.len());
         let mut outs: Vec<Option<Refinement>> = Vec::with_capacity(chunks.len());
-        let mut dirty: Vec<Vec<VarRef>> = Vec::new();
+        let mut dirty: Vec<&[VarRef]> = Vec::new();
         {
             manta_telemetry::span!("summary.validate");
             let at: HashMap<u64, usize> = old

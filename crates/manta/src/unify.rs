@@ -77,6 +77,12 @@ impl UnionFind {
         self.interval[r].absorb(t);
     }
 
+    /// Moves the interval of `x`'s class out, leaving the class unknown.
+    pub fn take_interval(&mut self, x: usize) -> TypeInterval {
+        let r = self.find(x);
+        std::mem::take(&mut self.interval[r])
+    }
+
     /// The interval of `x`'s class.
     pub fn interval(&mut self, x: usize) -> &TypeInterval {
         let r = self.find(x);

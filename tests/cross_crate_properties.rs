@@ -6,10 +6,11 @@
 //! deterministic seeded type/program stream instead (the workload RNG,
 //! so every failure reproduces from its printed seed).
 
+use manta::cache::{decode_result, encode_result};
 use manta::{Manta, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
 use manta_ir::{parser::parse_module, printer::print_module, Type, Width};
-use manta_store::{hash_str, Fingerprint};
+use manta_store::{hash_bytes, hash_str, Fingerprint};
 use manta_workloads::rng::ChaCha8Rng;
 use manta_workloads::{generator, PhenomenonMix};
 
@@ -250,5 +251,186 @@ fn sbf_bytes_roundtrip() {
         assert_eq!(&img, &back, "case {case}");
         let lifted = manta_isa::lift::lift(&back).expect("lifts");
         manta_ir::verify::verify_module(&lifted).expect("verifies");
+    }
+}
+
+/// The generated modules [`RESULT_HASHES`] pins, by seed.
+fn result_module(seed: u64) -> ModuleAnalysis {
+    let g = generator::generate(&generator::GenSpec {
+        name: "bytes".into(),
+        functions: 4 + (seed as usize % 8),
+        mix: PhenomenonMix::balanced(),
+        seed,
+    });
+    ModuleAnalysis::build(g.module)
+}
+
+/// `hash_bytes` of each seed's encoded inference result, one per
+/// sensitivity in `Sensitivity::WITH_REVERSED` order. Cached results,
+/// the daemon's answers and the summary state all carry these bytes, so
+/// the result encoding must not drift.
+const RESULT_HASHES: [[u64; 5]; 20] = [
+    [
+        0x2fa5_2a16_6ca8_b1ca,
+        0xcdf8_5f05_7be7_0c8d,
+        0x05a4_f93b_c75f_9ffa,
+        0x2f9f_8943_c349_76d0,
+        0xd0ec_43e7_3dce_f6b0,
+    ],
+    [
+        0x6a0d_2d5b_d24d_5b3a,
+        0xa213_2631_43c3_067b,
+        0x5677_5aaf_6ca2_a334,
+        0x7051_ee0d_d8cc_50b1,
+        0x3d62_52a5_ac90_878e,
+    ],
+    [
+        0xcbd9_2958_7bb1_d609,
+        0x4d17_8396_b04a_4cc1,
+        0x1d89_cdee_459c_2468,
+        0xfc50_5064_a1bf_e458,
+        0x112b_54ed_fb86_04b8,
+    ],
+    [
+        0x4d80_88fb_9191_bfe9,
+        0x4bd1_c584_fad6_42a2,
+        0x4da3_1f11_6000_c670,
+        0x6a0e_a917_c3b2_c642,
+        0xe248_8cac_be14_4f57,
+    ],
+    [
+        0xa9df_1af1_7b49_1d58,
+        0xe671_eb6d_d801_6944,
+        0x5f58_72c3_f187_3e68,
+        0x7762_2155_b875_e22e,
+        0x9f12_a2af_9dd4_f084,
+    ],
+    [
+        0xa429_ae3f_20f2_afbd,
+        0x7512_ac2e_853d_74d6,
+        0xef8c_2446_ec87_1f9d,
+        0xba8e_5f70_8b73_1058,
+        0xbb0c_a5ca_2c87_1d69,
+    ],
+    [
+        0x2264_b63e_2207_40ef,
+        0xa6ff_981d_94e5_da73,
+        0x705a_a713_3bcf_91fb,
+        0x0132_d98b_c488_e9b8,
+        0xe33d_e5f9_267e_c3c2,
+    ],
+    [
+        0x8641_a3fd_dd89_cf5a,
+        0x8035_2fc6_103b_0e56,
+        0x6cda_7be2_8c71_d75c,
+        0xd4c2_d6ea_47b6_4920,
+        0x55da_3b51_8bd8_9e69,
+    ],
+    [
+        0xb943_dfd7_1348_7ee6,
+        0x1bba_c207_a1b9_9963,
+        0x6a38_7069_9e5d_53bd,
+        0x5f02_aa99_daeb_0d99,
+        0x3e73_b25c_1fd0_31ba,
+    ],
+    [
+        0xf4f5_72d4_dc6a_d93d,
+        0x1e11_ce52_1eea_4370,
+        0x7bbe_de23_2698_0693,
+        0xc1ce_eeff_e38e_b1ca,
+        0x1d07_7ab0_2da7_2bfd,
+    ],
+    [
+        0x1872_588e_3cfe_09dc,
+        0xe66f_cf1b_42bc_23ce,
+        0x3859_e3c8_1738_5deb,
+        0x3dd5_0092_2433_e8b6,
+        0x3061_acb1_fda6_b7f7,
+    ],
+    [
+        0x5eeb_8892_f9b3_8d40,
+        0x704f_75ff_6b3b_9de8,
+        0xfcf7_4d83_53af_5d2b,
+        0xcfbe_c81e_f70a_3b29,
+        0x8a22_fa12_9ecd_151e,
+    ],
+    [
+        0x6124_b7a4_99a5_a58a,
+        0xe873_d49a_517f_7ef5,
+        0x0603_c8a2_934f_27db,
+        0x82ce_3c40_6259_2265,
+        0xa286_09a1_b416_e97a,
+    ],
+    [
+        0xf5b2_7852_9cf0_ed8e,
+        0x0c59_ce94_fbbb_7c25,
+        0x73ad_7f9b_1c09_e9a1,
+        0xbf91_7a62_4de4_0d2b,
+        0x28c3_e47d_c4ab_5472,
+    ],
+    [
+        0xfd7a_d651_3626_ba5b,
+        0x7c78_bacf_1256_92af,
+        0x5bbb_cf15_647e_ca7d,
+        0x8c38_de7d_50cc_ac12,
+        0x9c71_ad7f_3634_0ea2,
+    ],
+    [
+        0x7309_ccf1_d7bd_3c0b,
+        0x7073_2a56_11a8_011a,
+        0x70d4_0669_144b_4316,
+        0x3cf3_b338_7c0b_49a5,
+        0x62b3_a55b_2ddf_acf9,
+    ],
+    [
+        0xba2d_37e2_b683_7e10,
+        0x0737_6f7f_39d0_11cd,
+        0x9ef0_50ab_df06_c1f0,
+        0x4ffc_5819_8342_7506,
+        0xb3dd_99ce_aeeb_c37f,
+    ],
+    [
+        0x9afd_8724_7c1a_4e8c,
+        0x78ea_2b1f_7c5c_e401,
+        0xbe20_a3a2_be07_2ecc,
+        0xc9a4_312e_2b15_b32b,
+        0x4bbf_5d47_7eb2_e34b,
+    ],
+    [
+        0x4c7f_e080_eb8f_556d,
+        0x4aad_bd91_fe3a_c09f,
+        0x65fa_32f1_84b0_2b0f,
+        0xa704_e155_8fd1_92aa,
+        0x3c73_ff6a_956e_20bd,
+    ],
+    [
+        0xbc7a_37e0_a794_5100,
+        0xf456_bf22_e411_a779,
+        0x50e1_6452_1a68_d974,
+        0x5428_99d2_fbb9_d3c3,
+        0x1475_3a86_570d_6f8b,
+    ],
+];
+
+/// Every sensitivity's result encodes to the pinned bytes on generated
+/// modules, and decoding then re-encoding reproduces them exactly.
+#[test]
+fn result_bytes_are_pinned_and_survive_a_decode() {
+    for seed in 0..20u64 {
+        let analysis = result_module(seed);
+        for (k, s) in Sensitivity::WITH_REVERSED.into_iter().enumerate() {
+            let result = Manta::new(MantaConfig::with_sensitivity(s)).infer(&analysis);
+            let bytes = encode_result(&result);
+            assert_eq!(
+                hash_bytes(&bytes),
+                RESULT_HASHES[seed as usize][k],
+                "seed {seed} {s:?}"
+            );
+            let back = decode_result(&bytes).expect("an encoded result decodes");
+            assert!(
+                encode_result(&back) == bytes,
+                "seed {seed} {s:?}: re-encode"
+            );
+        }
     }
 }

@@ -116,6 +116,36 @@ fn pool_telemetry_aggregates_deterministically_across_thread_counts() {
     }
 }
 
+/// The checkers prune a copy of the substrate's DDG: detecting bugs
+/// with inference builds no second graph, so it adds nothing to the
+/// `ddg.*` counters the substrate's build recorded.
+#[test]
+fn bug_detection_builds_no_second_ddg() {
+    let _l = lock();
+    let analysis = workload_analysis();
+    let result = Engine::new(MantaConfig::full())
+        .analyze(&analysis)
+        .expect("non-strict cannot fail");
+    manta_telemetry::set_enabled(true);
+    manta_telemetry::reset();
+    let _ = manta_clients::detect_bugs(
+        &analysis,
+        Some(&result as &dyn manta::TypeQuery),
+        &manta_clients::BugKind::ALL,
+        manta_clients::CheckerConfig::default(),
+    );
+    let report = manta_telemetry::report();
+    manta_telemetry::set_enabled(false);
+    assert_eq!(
+        count_span(&report.spans, "ddg_prune"),
+        1,
+        "the checkers pruned"
+    );
+    for counter in ["ddg.nodes", "ddg.edges"] {
+        assert_eq!(report.counters.get(counter), None, "{counter}");
+    }
+}
+
 /// The walk-reuse counters account for every CS candidate: each either
 /// runs its root set's forward walk or reuses it, and a suite module has
 /// candidates whose roots coincide.
