@@ -3,7 +3,8 @@
 //! Indirect calls are *not* edges here: the paper resolves them only through
 //! the type-based client (§5.1), and function pointers are deliberately not
 //! modeled by the points-to analysis (§3). Calls whose edge was broken by
-//! [`crate::preprocess`] are likewise excluded, so the graph is acyclic.
+//! [`crate::preprocess`](mod@crate::preprocess) are likewise excluded, so
+//! the graph is acyclic.
 
 use std::collections::HashMap;
 

@@ -2,10 +2,10 @@
 //!
 //! The binary static-analysis substrate the Manta type inference runs on:
 //!
-//! * [`preprocess`] — the paper's §3 pre-processing: every loop in each
-//!   function's CFG is unrolled (twice by default) and back edges on the
-//!   call graph are broken, so all later analyses operate on acyclic
-//!   structures.
+//! * [`preprocess`](mod@preprocess) — the paper's §3 pre-processing:
+//!   every loop in each function's CFG is unrolled (twice by default) and
+//!   back edges on the call graph are broken, so all later analyses
+//!   operate on acyclic structures.
 //! * [`callgraph`] — direct-call graph with bottom-up ordering.
 //! * [`pointsto`] — a field-sensitive, inclusion-based points-to analysis
 //!   over the block memory model with allocation-site heap abstraction,

@@ -16,10 +16,10 @@
 //!
 //! ## Solving
 //!
-//! The production solver ([`DeltaSolver`]) is a delta-propagation worklist
+//! The production solver (`DeltaSolver`) is a delta-propagation worklist
 //! solver in the difference-propagation tradition: nodes live in a dense
 //! `u32` arena (per-function variable bases, then object nodes), points-to
-//! sets are hybrid sorted-vec/bitset [`ObjSet`]s with a `diff`/`union`
+//! sets are hybrid sorted-vec/bitset `ObjSet`s with a `diff`/`union`
 //! API, and each node carries a *delta* — the objects added since the node
 //! was last visited — so the copy/load/store/gep rules only ever process
 //! new objects. Copy edges are deduplicated at insertion, and copy-SCCs
@@ -29,7 +29,7 @@
 //! The historical whole-set fixpoint solver is kept behind
 //! `#[cfg(any(test, feature = "reference-solver"))]` as
 //! [`PointsTo::solve_reference`] for differential testing: both solvers
-//! consume the same [`Constraints`] and must agree on every points-to
+//! consume the same `Constraints` and must agree on every points-to
 //! relation (object *numbering* of field objects may differ — fields
 //! materialize in solver-visit order — so comparisons go through
 //! [`ObjectKind`] chains, not raw ids).

@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::externs::ExternRegistry;
 use crate::function::{Function, Terminator};
 use crate::ids::{BlockId, ExternId, FuncId, GlobalId, InstId, ValueId};
 use crate::inst::{BinOp, Callee, CmpPred, InstKind};
@@ -82,20 +81,16 @@ impl ModuleBuilder {
     }
 
     /// Declares an external function. Well-known names get their modeled
-    /// signature and effect from [`ExternRegistry`]; unknown names fall back
-    /// to the given widths with no signature.
+    /// signature and effect from [`ExternRegistry`](crate::ExternRegistry);
+    /// unknown names fall back to the given widths with no signature.
     pub fn extern_fn(
         &mut self,
         name: &str,
         fallback_params: &[Width],
         fallback_ret: Option<Width>,
     ) -> ExternId {
-        if let Some(e) = self.module.extern_by_name(name) {
-            return e;
-        }
-        let id = self.module.next_extern_id();
-        let decl = ExternRegistry::declare(id, name, fallback_params, fallback_ret);
-        self.module.push_extern(decl)
+        self.module
+            .declare_extern(name, fallback_params, fallback_ret)
     }
 
     /// Finishes the module.
@@ -367,12 +362,13 @@ impl FunctionBuilder {
 /// (Braun et al., *Simple and Efficient Construction of Static Single
 /// Assignment Form*, CC 2013).
 ///
-/// Frontends lifting machine code into [`Function`]s share this machinery:
-/// the register key `R` is whatever a frontend renames (SB-ISA registers,
+/// The lifting skeleton ([`crate::lift`]) drives it for every ISA: the
+/// register key `R` is whatever a frontend renames (SB-ISA registers,
 /// x86-64 GPRs, …). The protocol per function:
 ///
-/// 1. construct with the full machine-CFG predecessor map (all blocks are
-///    known up front, so every block is *sealed*);
+/// 1. construct with the machine-CFG predecessors of every block, indexed
+///    by block (all blocks are known up front, so every block is
+///    *sealed*);
 /// 2. for each block in layout order: [`begin_block`](Self::begin_block)
 ///    (seeding the entry with parameter bindings), translate instructions
 ///    using [`read`](Self::read)/[`write`](Self::write), then
@@ -386,9 +382,9 @@ impl FunctionBuilder {
 /// Phi placeholder values are created with a dummy defining instruction and
 /// re-pointed via [`Function::fix_value_def`] when the phi is prepended.
 #[derive(Debug)]
-pub struct SsaBuilder<R> {
-    /// Machine-CFG predecessors per block.
-    preds: HashMap<BlockId, Vec<BlockId>>,
+pub(crate) struct SsaBuilder<R> {
+    /// Machine-CFG predecessors, indexed by block.
+    preds: Vec<Vec<BlockId>>,
     /// Register state of the block currently being translated.
     cur: HashMap<R, ValueId>,
     /// Start-of-block pending phi values, created on demand.
@@ -402,8 +398,9 @@ pub struct SsaBuilder<R> {
 }
 
 impl<R: Copy + Eq + Hash> SsaBuilder<R> {
-    /// Starts SSA construction with the machine CFG's predecessor map.
-    pub fn new(preds: HashMap<BlockId, Vec<BlockId>>) -> SsaBuilder<R> {
+    /// Starts SSA construction with the machine CFG's predecessors,
+    /// indexed by block.
+    pub fn new(preds: Vec<Vec<BlockId>>) -> SsaBuilder<R> {
         SsaBuilder {
             preds,
             cur: HashMap::new(),
@@ -462,7 +459,7 @@ impl<R: Copy + Eq + Hash> SsaBuilder<R> {
         if let Some(&v) = self.start_defs.get(&(b, r)) {
             return v;
         }
-        let v = if self.preds.get(&b).is_none_or(Vec::is_empty) {
+        let v = if self.preds.get(b.index()).is_none_or(Vec::is_empty) {
             self.undef_value(func)
         } else {
             let phi_val = func.add_value(Value {
@@ -477,7 +474,7 @@ impl<R: Copy + Eq + Hash> SsaBuilder<R> {
     }
 
     /// The function's shared `undef` constant, created on first use.
-    pub fn undef_value(&mut self, func: &mut Function) -> ValueId {
+    fn undef_value(&mut self, func: &mut Function) -> ValueId {
         if let Some(v) = self.undef {
             return v;
         }
@@ -494,7 +491,7 @@ impl<R: Copy + Eq + Hash> SsaBuilder<R> {
     /// translated and sealed.
     pub fn finish(&mut self, func: &mut Function) {
         while let Some((b, r, phi_val)) = self.pending.pop() {
-            let preds = self.preds.get(&b).cloned().unwrap_or_default();
+            let preds = self.preds.get(b.index()).cloned().unwrap_or_default();
             if preds.is_empty() {
                 // Unreachable or entry: the register was never defined.
                 let undef = self.undef_value(func);
@@ -588,10 +585,7 @@ mod tests {
         let t = f.add_block();
         let e = f.add_block();
         let j = f.add_block();
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        preds.insert(t, vec![entry]);
-        preds.insert(e, vec![entry]);
-        preds.insert(j, vec![t, e]);
+        let preds = vec![vec![], vec![entry], vec![entry], vec![t, e]];
         let mut ssa: SsaBuilder<u8> = SsaBuilder::new(preds);
 
         ssa.begin_block([]);
@@ -631,7 +625,7 @@ mod tests {
     fn ssa_builder_reads_of_unwritten_registers_are_undef() {
         let mut f = Function::new(FuncId(0), "f".into(), &[], Some(Width::W64));
         let entry = f.entry();
-        let mut ssa: SsaBuilder<u8> = SsaBuilder::new(HashMap::new());
+        let mut ssa: SsaBuilder<u8> = SsaBuilder::new(Vec::new());
         ssa.begin_block([]);
         let v = ssa.read(&mut f, entry, 9u8);
         assert!(matches!(

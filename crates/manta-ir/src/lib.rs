@@ -42,6 +42,7 @@ mod frontend;
 mod function;
 mod ids;
 mod inst;
+pub mod lift;
 mod module;
 pub mod parser;
 pub mod printer;
@@ -49,7 +50,7 @@ pub mod types;
 mod value;
 pub mod verify;
 
-pub use builder::{FunctionBuilder, ModuleBuilder, SsaBuilder};
+pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use externs::{ExternDecl, ExternEffect, ExternRegistry};
 pub use frontend::{Frontend, FrontendError};
 pub use function::{Block, Function, Terminator, UseIndex};

@@ -127,7 +127,7 @@ impl Module {
         self.functions.iter().map(Function::inst_count).sum()
     }
 
-    // ---- mutation, used by the builder / lifter ----
+    // ---- mutation, used by the builder, the parser and the lifter ----
 
     pub(crate) fn push_function(&mut self, f: Function) -> FuncId {
         let id = f.id();
@@ -150,26 +150,9 @@ impl Module {
         id
     }
 
-    /// Declares a global by name (low-level API for lifters; builders
-    /// should use [`crate::ModuleBuilder::global`]).
-    pub fn push_global_named(&mut self, name: &str, size: u64) -> GlobalId {
-        self.push_global(name.to_string(), size)
-    }
-
-    /// Installs a fully-built function whose id must equal the next slot
-    /// (low-level API for lifters and parsers).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when the function's id is out of sequence.
-    pub fn push_function_raw(&mut self, f: Function) -> FuncId {
-        self.push_function(f)
-    }
-
-    /// Declares an external function via [`crate::ExternRegistry`]
-    /// (low-level API for lifters and parsers). Existing declarations are
-    /// reused by name.
-    pub fn declare_extern(
+    /// Declares an external function via [`crate::ExternRegistry`].
+    /// Existing declarations are reused by name.
+    pub(crate) fn declare_extern(
         &mut self,
         name: &str,
         fallback_params: &[crate::types::Width],

@@ -1,9 +1,10 @@
 //! Structural IR verification.
 //!
 //! [`verify_module`] checks the invariants every analysis in the workspace
-//! relies on: ids are in range, each instruction-defined value points back
-//! at its unique defining instruction, phi incomings name actual
-//! predecessors, and call operands match callee arity where known.
+//! relies on: each function sits at the index its id names, ids are in
+//! range, each instruction-defined value points back at its unique
+//! defining instruction, phi incomings name actual predecessors, and call
+//! operands match callee arity where known.
 
 use std::fmt;
 
@@ -36,7 +37,13 @@ impl std::error::Error for VerifyError {}
 ///
 /// Returns the first [`VerifyError`] encountered.
 pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
-    for func in module.functions() {
+    for (i, func) in module.functions().enumerate() {
+        if func.id().index() != i {
+            return Err(VerifyError {
+                func: func.id(),
+                message: format!("{} sits at function index {i}", func.name()),
+            });
+        }
         verify_function(module, func)?;
     }
     Ok(())
@@ -263,6 +270,23 @@ mod tests {
         mb.finish_function(fb);
         let e = verify_module(&mb.finish()).unwrap_err();
         assert!(e.message.contains("out of range"), "{e}");
+    }
+
+    #[test]
+    fn rejects_a_function_outside_its_id_slot() {
+        let mut mb = ModuleBuilder::new("m");
+        for name in ["f", "g"] {
+            let (_, mut fb) = mb.function(name, &[], None);
+            fb.ret(None);
+            mb.finish_function(fb);
+        }
+        let mut m = mb.finish();
+        verify_module(&m).unwrap();
+        // A second `f` installed where `g` belongs, keeping id 0.
+        let twin = m.function(FuncId(0)).clone();
+        *m.function_mut(FuncId(1)) = twin;
+        let e = verify_module(&m).unwrap_err();
+        assert!(e.message.contains("sits at function index 1"), "{e}");
     }
 
     #[test]

@@ -195,7 +195,8 @@ pub fn decode(mut bytes: &[u8]) -> Result<Image, ImageError> {
         let nparams = get_u8(&mut bytes)?;
         let has_ret = get_u8(&mut bytes)? != 0;
         let n_code = get_u32(&mut bytes)? as usize;
-        let mut code = Vec::with_capacity(n_code);
+        // The count is untrusted; every instruction takes at least a byte.
+        let mut code = Vec::with_capacity(n_code.min(bytes.len()));
         for _ in 0..n_code {
             code.push(decode_inst(&mut bytes)?);
         }
@@ -572,6 +573,25 @@ mod tests {
                 "prefix of {cut} bytes must fail"
             );
         }
+    }
+
+    #[test]
+    fn rejects_an_instruction_count_past_the_input() {
+        // A 31-byte header claiming 2^32 - 1 instructions must fail as
+        // truncated, without reserving room for them.
+        let mut bytes = Vec::new();
+        bytes.put_slice(MAGIC);
+        put_str(&mut bytes, "huge");
+        bytes.put_u32_le(0); // externs
+        bytes.put_u32_le(0); // globals
+        bytes.put_u32_le(1); // one function
+        put_str(&mut bytes, "f");
+        bytes.put_u8(0);
+        bytes.put_u8(0);
+        bytes.put_u32_le(u32::MAX);
+        assert_eq!(bytes.len(), 31);
+        let e = decode(&bytes).unwrap_err();
+        assert!(e.message.contains("truncated"), "{e}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   stores with byte offsets, arithmetic, compares, calls, branches).
 //! * [`asm`] — a line-oriented assembler with labels.
 //! * [`image`] — the SBF container: encode/decode whole programs to bytes.
-//! * [`lift`] — decoder + on-the-fly SSA construction (Braun et al.) into
-//!   a [`manta_ir::Module`].
+//! * [`lift`] — SB-ISA semantics for the lifting skeleton
+//!   ([`manta_ir::lift`]), which recovers blocks and builds SSA (Braun et
+//!   al.) into a [`manta_ir::Module`].
 //!
 //! ```
 //! use manta_isa::{asm, image, lift};

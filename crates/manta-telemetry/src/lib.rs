@@ -6,9 +6,9 @@
 //!
 //! Three instruments, one global collector:
 //!
-//! * **Spans** — RAII wall-time scopes forming a tree. [`span`] (or the
-//!   [`span!`] macro) opens a scope; dropping the guard records its
-//!   duration under the innermost open span of the current thread.
+//! * **Spans** — RAII wall-time scopes forming a tree. [`span`](fn@span)
+//!   (or the [`span!`] macro) opens a scope; dropping the guard records
+//!   its duration under the innermost open span of the current thread.
 //!   Identical paths aggregate (`count`, `total_ns`), so a stage that runs
 //!   once per project shows up once with its call count.
 //! * **Counters** — named monotonically increasing `u64`s for the

@@ -24,7 +24,7 @@
 //!    layout the x86 lifter re-derives as its *residual* alloca).
 //! 3. **Emission.** Block layout, copy placement, staging through the two
 //!    scratch registers and immediate materialization are decided once by
-//!    the driver; the [`Backend`] trait renders each decision as SB-ISA or
+//!    the driver; the `Backend` trait renders each decision as SB-ISA or
 //!    x86 instructions with identical lifted-IR shape.
 //!
 //! Frame-layout parity is the delicate part: IR allocas become SB `salloc`s

@@ -9,15 +9,16 @@
 //!
 //! * [`inst`] — the instruction subset (mov/movzx/movsx/lea, the classic
 //!   ALU group, cmp/test + jcc, push/pop, call/ret; rel32 control flow).
-//! * [`encode`]/[`decode`] — canonical byte codec with REX, ModRM/SIB and
+//! * [`encode`](mod@encode)/[`decode`] — canonical byte codec with REX, ModRM/SIB and
 //!   RIP-relative addressing; `decode(bytes)` re-encodes byte-identically.
 //! * [`image`] — the XLF ELF-subset container: text blob + function table +
 //!   PLT stubs + globals, plus the [`image::ImageBuilder`] linker layer.
 //! * [`asm`] — a line-oriented Intel-syntax assembler with labels.
-//! * [`lift`] — decoder + Braun SSA construction into a [`manta_ir::Module`]:
-//!   eflags materialize as SSA booleans at their consuming `jcc`,
-//!   sub-registers become masked views, `rbp`-relative slots become frame
-//!   allocas, and the SysV ABI maps registers to parameters and returns.
+//! * [`lift`](mod@lift) — x86 semantics for the lifting skeleton
+//!   ([`manta_ir::lift`]) that builds a [`manta_ir::Module`]: eflags
+//!   materialize as SSA booleans at their consuming `jcc`, sub-registers
+//!   become masked views, `rbp`-relative slots become frame allocas, and
+//!   the SysV ABI maps registers to parameters and returns.
 
 #![warn(missing_docs)]
 

@@ -31,43 +31,25 @@
 //! arity from the argument registers written since the last call (a
 //! RetDec-style heuristic) and are assumed to return a value.
 
-use std::collections::{BTreeSet, HashMap};
-use std::fmt;
+use std::collections::BTreeSet;
 
-use manta_ir::{
-    BinOp, BlockId, Callee, ConstKind, ExternId, Frontend, FrontendError, FuncId, Function,
-    GlobalId, InstKind, Module, SsaBuilder, Terminator, Value, ValueId, ValueKind, Width,
-};
+use manta_ir::lift::{Body, CallTarget, Flow, Isa, ModuleLifter, MAX_REG_ARGS};
+use manta_ir::{BinOp, Frontend, FrontendError, InstKind, Module, ValueId, Width};
+
+pub use manta_ir::lift::LiftError;
 
 use crate::decode::decode_all;
 use crate::image::{rip_target, Image, ImageError, ImageFunction};
 use crate::inst::{Alu, Cc, Gpr, Inst, Mem, OpWidth, Rm, Shift};
 
-/// Lifting failure.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LiftError {
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for LiftError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lift error: {}", self.message)
-    }
-}
-
-impl std::error::Error for LiftError {}
-
 impl From<ImageError> for LiftError {
     fn from(e: ImageError) -> LiftError {
-        LiftError { message: e.message }
+        LiftError::new(e.message)
     }
 }
 
 fn err<T>(message: impl Into<String>) -> Result<T, LiftError> {
-    Err(LiftError {
-        message: message.into(),
-    })
+    Err(LiftError::new(message))
 }
 
 /// Lifts a decoded image to an IR module.
@@ -78,68 +60,38 @@ fn err<T>(message: impl Into<String>) -> Result<T, LiftError> {
 /// outside its function, manipulates `rsp`/`rbp` outside the recognized
 /// frame idioms, or consumes flags no `cmp`/`test` defined.
 pub fn lift(image: &Image) -> Result<Module, LiftError> {
-    let mut module = Module::new(image.name.clone());
-    // Externs first, preserving PLT order so indexes line up.
-    for e in &image.externs {
-        let fallback: Vec<Width> = vec![Width::W64; e.nparams as usize];
-        let ret = if e.has_ret { Some(Width::W64) } else { None };
-        module.declare_extern(&e.name, &fallback, ret);
-    }
-    for g in &image.globals {
-        module.push_global_named(&g.name, g.size);
-    }
+    let mut lifter = ModuleLifter::new(
+        &image.name,
+        image
+            .externs
+            .iter()
+            .map(|e| (e.name.as_str(), e.nparams, e.has_ret)),
+        image.globals.iter().map(|g| (g.name.as_str(), g.size)),
+        image
+            .functions
+            .iter()
+            .map(|f| (f.name.as_str(), f.nparams, f.has_ret)),
+    )?;
     // Decode every body up front; direct calls may reference any function.
     let mut decoded: Vec<Vec<(Inst, usize, usize)>> = Vec::with_capacity(image.functions.len());
     for f in &image.functions {
-        if f.nparams as usize > 6 {
-            return err(format!(
-                "function {} has too many register parameters",
-                f.name
-            ));
-        }
         let body = &image.text[f.offset as usize..(f.offset + f.len) as usize];
-        let insts = decode_all(body).map_err(|e| LiftError {
-            message: format!("in function {}: {}", f.name, e.message),
-        })?;
+        let insts = decode_all(body)
+            .map_err(|e| LiftError::new(format!("in function {}: {}", f.name, e.message)))?;
         decoded.push(insts);
     }
-    // Function shells first (direct calls may reference any index).
-    for (i, f) in image.functions.iter().enumerate() {
-        let params = vec![Width::W64; f.nparams as usize];
-        let ret = if f.has_ret { Some(Width::W64) } else { None };
-        let func = Function::new(FuncId::from_index(i), f.name.clone(), &params, ret);
-        module.push_function_raw(func);
-    }
-    // Lift bodies.
-    let mut total_insts = 0u64;
-    for (i, f) in image.functions.iter().enumerate() {
-        total_insts += decoded[i].len() as u64;
-        let lifted = Lifter::new(&module, image, i, f, &decoded[i])?.run()?;
-        *module.function_mut(FuncId::from_index(i)) = lifted;
-    }
-    // Address-taken marking: any `lea r, [rip+d]` landing on a function
-    // entry — after body installation so the flag survives.
-    for (fi, insts) in decoded.iter().enumerate() {
-        for &(inst, off, len) in insts {
-            if let Inst::Lea {
-                mem: Mem::Rip { disp },
-                ..
-            } = inst
-            {
-                let addr = rip_target(image, fi, (off + len) as u64, disp);
-                if let Some(ti) = image.func_at_addr(addr) {
-                    module
-                        .function_mut(FuncId::from_index(ti))
-                        .set_address_taken(true);
-                }
-            }
-        }
+    let (mut flags_materialized, mut frame_slots, mut total_insts) = (0, 0, 0);
+    for (i, (f, insts)) in image.functions.iter().zip(&decoded).enumerate() {
+        let mut code = Lifter::new(image, i, f, insts)?;
+        lifter.lift_function(i, &mut code)?;
+        flags_materialized += code.flags_materialized;
+        frame_slots += code.frame_slots;
+        total_insts += insts.len() as u64;
     }
     manta_telemetry::counter("lift.insts_decoded", total_insts);
-    manta_ir::verify::verify_module(&module).map_err(|e| LiftError {
-        message: format!("lifted module failed verification: {e}"),
-    })?;
-    Ok(module)
+    manta_telemetry::counter("lift.flags_materialized", flags_materialized);
+    manta_telemetry::counter("lift.frame_slots", frame_slots);
+    lifter.finish()
 }
 
 /// The last flag-defining instruction seen in the current block, held
@@ -170,24 +122,14 @@ struct Residual {
     value: Option<ValueId>,
 }
 
+/// One function's decoded x86 code, with the state its idioms carry
+/// between instructions.
 struct Lifter<'a> {
-    module: &'a Module,
     image: &'a Image,
     func_index: usize,
     src: &'a ImageFunction,
+    /// Decoded instructions with their byte offsets and lengths.
     insts: &'a [(Inst, usize, usize)],
-    func: Function,
-    /// Instruction index → owning block.
-    block_of: Vec<BlockId>,
-    /// Block → leader instruction index.
-    leader_of: HashMap<BlockId, usize>,
-    /// Machine-CFG predecessors per block.
-    preds: HashMap<BlockId, Vec<BlockId>>,
-    /// Byte offset → instruction index (branch-target resolution).
-    off_to_idx: HashMap<usize, usize>,
-    /// Shared Braun-style register renamer (`manta_ir::SsaBuilder`).
-    ssa: SsaBuilder<Gpr>,
-    has_frame: bool,
     lea_slots: Vec<LeaSlot>,
     residual: Option<Residual>,
     flags: FlagSrc,
@@ -202,33 +144,16 @@ struct Lifter<'a> {
 
 impl<'a> Lifter<'a> {
     fn new(
-        module: &'a Module,
         image: &'a Image,
         func_index: usize,
         src: &'a ImageFunction,
         insts: &'a [(Inst, usize, usize)],
     ) -> Result<Lifter<'a>, LiftError> {
-        let params = vec![Width::W64; src.nparams as usize];
-        let ret = if src.has_ret { Some(Width::W64) } else { None };
-        let func = Function::new(
-            FuncId::from_index(func_index),
-            src.name.clone(),
-            &params,
-            ret,
-        );
-        Ok(Lifter {
-            module,
+        let mut lifter = Lifter {
             image,
             func_index,
             src,
             insts,
-            func,
-            block_of: Vec::new(),
-            leader_of: HashMap::new(),
-            preds: HashMap::new(),
-            off_to_idx: HashMap::new(),
-            ssa: SsaBuilder::new(HashMap::new()),
-            has_frame: false,
             lea_slots: Vec::new(),
             residual: None,
             flags: FlagSrc::None,
@@ -236,7 +161,9 @@ impl<'a> Lifter<'a> {
             cur_idx: 0,
             flags_materialized: 0,
             frame_slots: 0,
-        })
+        };
+        lifter.scan_frame()?;
+        Ok(lifter)
     }
 
     /// Instruction index a branch at `(off, len, rel)` lands on.
@@ -244,142 +171,20 @@ impl<'a> Lifter<'a> {
         let target = off as i64 + len as i64 + rel as i64;
         usize::try_from(target)
             .ok()
-            .and_then(|t| self.off_to_idx.get(&t).copied())
-            .ok_or_else(|| LiftError {
-                message: format!(
+            .and_then(|t| self.insts.binary_search_by_key(&t, |&(_, o, _)| o).ok())
+            .ok_or_else(|| {
+                LiftError::new(format!(
                     "branch at offset {off} in {} targets {target:#x}, not an \
                      instruction boundary in the same function",
                     self.src.name
-                ),
+                ))
             })
-    }
-
-    fn run(mut self) -> Result<Function, LiftError> {
-        let n = self.insts.len();
-        if n == 0 {
-            // Empty body: entry stays `unreachable`.
-            return Ok(self.func);
-        }
-        for (i, &(_, off, _)) in self.insts.iter().enumerate() {
-            self.off_to_idx.insert(off, i);
-        }
-        self.scan_frame()?;
-        // 1. Leaders: index 0, branch targets, fallthroughs of terminators.
-        let mut is_leader = vec![false; n];
-        is_leader[0] = true;
-        for (i, &(inst, off, len)) in self.insts.iter().enumerate() {
-            match inst {
-                Inst::Jmp { rel } | Inst::Jcc { rel, .. } => {
-                    let t = self.branch_target(off, len, rel)?;
-                    is_leader[t] = true;
-                }
-                _ => {}
-            }
-            if inst.is_terminator() && i + 1 < n {
-                is_leader[i + 1] = true;
-            }
-        }
-        // 2. Blocks in leader order; entry (index 0) is the existing bb0.
-        self.block_of = vec![BlockId(0); n];
-        let mut current = self.func.entry();
-        self.leader_of.insert(current, 0);
-        for (i, &leader) in is_leader.iter().enumerate() {
-            if leader && i != 0 {
-                current = self.func.add_block();
-                self.leader_of.insert(current, i);
-            }
-            self.block_of[i] = current;
-        }
-        // 3. Machine CFG edges (for phi placement). Jcc pushes the taken
-        // target before the fallthrough, mirroring SB-ISA's `brz`.
-        for (i, &(inst, off, len)) in self.insts.iter().enumerate() {
-            let b = self.block_of[i];
-            let mut succs: Vec<usize> = Vec::new();
-            match inst {
-                Inst::Jmp { rel } => succs.push(self.branch_target(off, len, rel)?),
-                Inst::Jcc { rel, .. } => {
-                    succs.push(self.branch_target(off, len, rel)?);
-                    if i + 1 < n {
-                        succs.push(i + 1);
-                    }
-                }
-                Inst::Ret => {}
-                _ => {
-                    if i + 1 < n && is_leader[i + 1] {
-                        succs.push(i + 1);
-                    }
-                }
-            }
-            let ends_block = inst.is_terminator() || (i + 1 < n && is_leader[i + 1]);
-            if ends_block {
-                for s in succs {
-                    let sb = self.block_of[s];
-                    self.preds.entry(sb).or_default().push(b);
-                }
-            }
-        }
-        // 4. Translate in block order; SSA renaming is the shared
-        // two-phase `manta_ir::SsaBuilder` (pending phis are resolved in
-        // step 5 once every block's end state is sealed).
-        self.ssa = SsaBuilder::new(self.preds.clone());
-        let blocks: Vec<BlockId> = (0..self.func.block_count())
-            .map(|i| BlockId(i as u32))
-            .collect();
-        for &b in &blocks {
-            let seed: Vec<(Gpr, ValueId)> = if b == self.func.entry() {
-                self.func
-                    .params()
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, &p)| (Gpr::arg(idx), p))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            self.ssa.begin_block(seed);
-            // Flags and the arity heuristic never cross block boundaries.
-            self.flags = FlagSrc::None;
-            self.args_written = [false; 6];
-            if b == self.func.entry() {
-                if let Some(size) = self.residual.as_ref().map(|r| r.size) {
-                    // The residual spill area is allocated up front, exactly
-                    // where SB-ISA's `salloc` sits.
-                    let v = self.emit(b, Width::W64, |dst| InstKind::Alloca { dst, size });
-                    self.residual.as_mut().expect("just checked").value = Some(v);
-                    self.frame_slots += 1;
-                }
-            }
-            let start = self.leader_of[&b];
-            let mut i = start;
-            let mut terminated = false;
-            while i < n && self.block_of[i] == b {
-                let (inst, off, len) = self.insts[i];
-                self.translate(b, i, off, len, &inst, &mut terminated)?;
-                i += 1;
-            }
-            if !terminated {
-                // Fallthrough into the next block.
-                if i < n {
-                    self.func
-                        .replace_terminator(b, Terminator::Br(self.block_of[i]));
-                } else {
-                    self.func.replace_terminator(b, Terminator::Unreachable);
-                }
-            }
-            self.ssa.end_block(b);
-        }
-        // 5. Resolve pending phis against sealed end-of-block states.
-        self.ssa.finish(&mut self.func);
-        manta_telemetry::counter("lift.insts_decoded", 0); // name registered by module lift
-        manta_telemetry::counter("lift.flags_materialized", self.flags_materialized);
-        manta_telemetry::counter("lift.frame_slots", self.frame_slots);
-        Ok(self.func)
     }
 
     /// Recognizes the frame prologue and partitions every `rbp`-relative
     /// offset into `lea`-rooted slots plus a residual spill area.
     fn scan_frame(&mut self) -> Result<(), LiftError> {
-        self.has_frame = matches!(
+        let has_frame = matches!(
             self.insts.first(),
             Some(&(Inst::Push { reg: Gpr::RBP }, ..))
         ) && matches!(
@@ -434,19 +239,21 @@ impl<'a> Lifter<'a> {
         if lea_offs.is_empty() && direct_offs.is_empty() {
             return Ok(());
         }
-        if !self.has_frame {
+        if !has_frame {
             return err(format!(
                 "{}: rbp-relative access without a `push rbp; mov rbp, rsp` prologue",
                 self.src.name
             ));
         }
         // Slot `i` spans from its lea offset up to the next one (or 0).
+        // Sizes are differences of `i32`s, taken in `i64`: `[rbp-2^31]`
+        // spans 2^31 bytes.
         let leas: Vec<i32> = lea_offs.iter().copied().collect();
         for (i, &off) in leas.iter().enumerate() {
             let end = leas.get(i + 1).copied().unwrap_or(0);
             self.lea_slots.push(LeaSlot {
                 off,
-                size: (end - off) as u64,
+                size: (i64::from(end) - i64::from(off)) as u64,
                 value: None,
             });
         }
@@ -455,7 +262,7 @@ impl<'a> Lifter<'a> {
             if min_direct < floor {
                 self.residual = Some(Residual {
                     min_off: min_direct,
-                    size: (floor - min_direct) as u64,
+                    size: (i64::from(floor) - i64::from(min_direct)) as u64,
                     value: None,
                 });
             }
@@ -465,7 +272,7 @@ impl<'a> Lifter<'a> {
 
     /// The address of frame offset `off`, creating the owning slot's
     /// alloca at first touch.
-    fn frame_addr(&mut self, b: BlockId, off: i32) -> Result<ValueId, LiftError> {
+    fn frame_addr(&mut self, body: &mut Body<'_, Gpr>, off: i32) -> Result<ValueId, LiftError> {
         if let Some(i) = self
             .lea_slots
             .iter()
@@ -475,7 +282,7 @@ impl<'a> Lifter<'a> {
                 Some(v) => v,
                 None => {
                     let size = self.lea_slots[i].size;
-                    let v = self.emit(b, Width::W64, |dst| InstKind::Alloca { dst, size });
+                    let v = body.emit(Width::W64, |dst| InstKind::Alloca { dst, size });
                     self.lea_slots[i].value = Some(v);
                     self.frame_slots += 1;
                     v
@@ -485,7 +292,7 @@ impl<'a> Lifter<'a> {
             if inner == 0 {
                 return Ok(base);
             }
-            return Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
+            return Ok(body.emit(Width::W64, |dst| InstKind::Gep {
                 dst,
                 base,
                 offset: inner,
@@ -498,7 +305,7 @@ impl<'a> Lifter<'a> {
                 if inner == 0 {
                     return Ok(base);
                 }
-                return Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
+                return Ok(body.emit(Width::W64, |dst| InstKind::Gep {
                     dst,
                     base,
                     offset: inner,
@@ -511,17 +318,17 @@ impl<'a> Lifter<'a> {
         ))
     }
 
-    fn read_reg(&mut self, b: BlockId, r: Gpr) -> Result<ValueId, LiftError> {
+    fn read_reg(&self, body: &mut Body<'_, Gpr>, r: Gpr) -> Result<ValueId, LiftError> {
         if r == Gpr::RSP || r == Gpr::RBP {
             return err(format!(
                 "{}: {} read outside the frame idioms",
                 self.src.name, r
             ));
         }
-        Ok(self.ssa.read(&mut self.func, b, r))
+        Ok(body.read(r))
     }
 
-    fn write_reg(&mut self, r: Gpr, v: ValueId) -> Result<(), LiftError> {
+    fn write_reg(&mut self, body: &mut Body<'_, Gpr>, r: Gpr, v: ValueId) -> Result<(), LiftError> {
         if r == Gpr::RSP || r == Gpr::RBP {
             return err(format!(
                 "{}: {} written outside the frame idioms",
@@ -531,14 +338,14 @@ impl<'a> Lifter<'a> {
         if let Some(pos) = Gpr::SYSV_ARGS.iter().position(|&a| a == r) {
             self.args_written[pos] = true;
         }
-        self.ssa.write(r, v);
+        body.write(r, v);
         Ok(())
     }
 
     /// The address an operand like `[base + index*scale + disp]` denotes,
     /// as an SSA value. `rbp` bases route through the frame slots;
     /// `[rip+d]` resolves to globals.
-    fn lift_addr(&mut self, b: BlockId, mem: &Mem) -> Result<ValueId, LiftError> {
+    fn lift_addr(&mut self, body: &mut Body<'_, Gpr>, mem: &Mem) -> Result<ValueId, LiftError> {
         match *mem {
             Mem::Base { base: Gpr::RSP, .. } => err(format!(
                 "{}: rsp-relative memory access (only rbp frames are lifted)",
@@ -547,13 +354,13 @@ impl<'a> Lifter<'a> {
             Mem::Base {
                 base: Gpr::RBP,
                 disp,
-            } => self.frame_addr(b, disp),
+            } => self.frame_addr(body, disp),
             Mem::Base { base, disp } => {
-                let base = self.read_reg(b, base)?;
+                let base = self.read_reg(body, base)?;
                 if disp == 0 {
                     Ok(base)
                 } else if disp > 0 {
-                    Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
+                    Ok(body.emit(Width::W64, |dst| InstKind::Gep {
                         dst,
                         base,
                         offset: disp as u64,
@@ -577,18 +384,18 @@ impl<'a> Lifter<'a> {
                         self.src.name
                     ));
                 }
-                let base_v = self.read_reg(b, base)?;
-                let mut idx = self.read_reg(b, index)?;
+                let base_v = self.read_reg(body, base)?;
+                let mut idx = self.read_reg(body, index)?;
                 if scale > 1 {
-                    let amt = self.const_int(i64::from(scale.trailing_zeros()), Width::W64);
-                    idx = self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                    let amt = body.const_int(i64::from(scale.trailing_zeros()), Width::W64);
+                    idx = body.emit(Width::W64, |dst| InstKind::BinOp {
                         op: BinOp::Shl,
                         dst,
                         lhs: idx,
                         rhs: amt,
                     });
                 }
-                let sum = self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                let sum = body.emit(Width::W64, |dst| InstKind::BinOp {
                     op: BinOp::Add,
                     dst,
                     lhs: base_v,
@@ -597,7 +404,7 @@ impl<'a> Lifter<'a> {
                 if disp == 0 {
                     Ok(sum)
                 } else if disp > 0 {
-                    Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
+                    Ok(body.emit(Width::W64, |dst| InstKind::Gep {
                         dst,
                         base: sum,
                         offset: disp as u64,
@@ -609,36 +416,25 @@ impl<'a> Lifter<'a> {
                     ))
                 }
             }
-            Mem::Rip { disp } => {
-                let addr = self.rip_addr(disp, b)?;
-                match addr {
-                    RipTarget::Global(g, 0) => Ok(self.global_value(g)),
-                    RipTarget::Global(g, inner) => {
-                        let base = self.global_value(g);
-                        Ok(self.emit(b, Width::W64, |dst| InstKind::Gep {
-                            dst,
-                            base,
-                            offset: inner,
-                        }))
-                    }
-                    RipTarget::Func(_) => err(format!(
-                        "{}: memory access through a function address",
-                        self.src.name
-                    )),
-                }
-            }
+            Mem::Rip { disp } => match self.rip_addr(disp)? {
+                RipTarget::Global(g, inner) => global_addr(body, g, inner),
+                RipTarget::Func(_) => err(format!(
+                    "{}: memory access through a function address",
+                    self.src.name
+                )),
+            },
         }
     }
 
     /// Resolves a `[rip+disp]` reference at the current instruction.
-    fn rip_addr(&mut self, disp: i32, _b: BlockId) -> Result<RipTarget, LiftError> {
+    fn rip_addr(&self, disp: i32) -> Result<RipTarget, LiftError> {
         let (_, off, len) = self.insts[self.cur_idx];
         let addr = rip_target(self.image, self.func_index, (off + len) as u64, disp);
         if let Some((gi, inner)) = self.image.global_at_addr(addr) {
-            return Ok(RipTarget::Global(GlobalId(gi as u32), inner));
+            return Ok(RipTarget::Global(gi, inner));
         }
         if let Some(ti) = self.image.func_at_addr(addr) {
-            return Ok(RipTarget::Func(FuncId::from_index(ti)));
+            return Ok(RipTarget::Func(ti));
         }
         err(format!(
             "{}: [rip{disp:+}] resolves to {addr:#x}, neither a global nor a \
@@ -647,38 +443,12 @@ impl<'a> Lifter<'a> {
         ))
     }
 
-    fn global_value(&mut self, g: GlobalId) -> ValueId {
-        self.func.add_value(Value {
-            kind: ValueKind::GlobalAddr(g),
-            width: Width::W64,
-        })
-    }
-
-    fn const_int(&mut self, v: i64, width: Width) -> ValueId {
-        self.func.add_value(Value {
-            kind: ValueKind::Const(ConstKind::Int(v)),
-            width,
-        })
-    }
-
-    fn def_value(&mut self, width: Width) -> (ValueId, manta_ir::InstId) {
-        let next = manta_ir::InstId::from_index(self.func.inst_count());
-        let v = self.func.add_value(Value {
-            kind: ValueKind::Inst { def: next },
-            width,
-        });
-        (v, next)
-    }
-
-    fn emit(&mut self, b: BlockId, width: Width, f: impl FnOnce(ValueId) -> InstKind) -> ValueId {
-        let (v, expected) = self.def_value(width);
-        let got = self.func.append_inst(b, f(v));
-        debug_assert_eq!(got, expected);
-        v
-    }
-
     /// Reads the flag source at a `jcc` and materializes the SSA boolean.
-    fn materialize_flags(&mut self, b: BlockId, cc: Cc) -> Result<ValueId, LiftError> {
+    fn materialize_flags(
+        &mut self,
+        body: &mut Body<'_, Gpr>,
+        cc: Cc,
+    ) -> Result<ValueId, LiftError> {
         // The IR compare carries the *negated* condition: `jcc target` falls
         // through (then-edge) exactly when `!cc` holds — matching the SB
         // lift of `cmp.Q` + `brz`.
@@ -691,7 +461,7 @@ impl<'a> Lifter<'a> {
                     cc.mnemonic()
                 ))
             }
-            FlagSrc::Cmp { lhs, rhs } => self.emit(b, Width::W1, |dst| InstKind::Cmp {
+            FlagSrc::Cmp { lhs, rhs } => body.emit(Width::W1, |dst| InstKind::Cmp {
                 dst,
                 pred,
                 lhs,
@@ -709,15 +479,15 @@ impl<'a> Lifter<'a> {
                 let operand = if a == tb {
                     a
                 } else {
-                    self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                    body.emit(Width::W64, |dst| InstKind::BinOp {
                         op: BinOp::And,
                         dst,
                         lhs: a,
                         rhs: tb,
                     })
                 };
-                let zero = self.const_int(0, Width::W64);
-                self.emit(b, Width::W1, |dst| InstKind::Cmp {
+                let zero = body.const_int(0, Width::W64);
+                body.emit(Width::W1, |dst| InstKind::Cmp {
                     dst,
                     pred,
                     lhs: operand,
@@ -742,15 +512,20 @@ impl<'a> Lifter<'a> {
     }
 
     /// Reads register `r` through a sub-register mask of `width`.
-    fn masked_read(&mut self, b: BlockId, r: Gpr, width: OpWidth) -> Result<ValueId, LiftError> {
-        let full = self.read_reg(b, r)?;
+    fn masked_read(
+        &self,
+        body: &mut Body<'_, Gpr>,
+        r: Gpr,
+        width: OpWidth,
+    ) -> Result<ValueId, LiftError> {
+        let full = self.read_reg(body, r)?;
         let mask = if width.bits() >= 64 {
             return Ok(full);
         } else {
             (1i64 << width.bits()) - 1
         };
-        let mask_v = self.const_int(mask, Width::W64);
-        Ok(self.emit(b, width.ir(), |dst| InstKind::BinOp {
+        let mask_v = body.const_int(mask, Width::W64);
+        Ok(body.emit(width.ir(), |dst| InstKind::BinOp {
             op: BinOp::And,
             dst,
             lhs: full,
@@ -758,53 +533,77 @@ impl<'a> Lifter<'a> {
         }))
     }
 
-    fn finish_call(
+    /// Calls `target`; a call clobbers both the flags and the arity
+    /// heuristic's window.
+    fn call(
         &mut self,
-        b: BlockId,
-        callee: Callee,
+        body: &mut Body<'_, Gpr>,
+        target: CallTarget,
         nargs: usize,
-        ret_width: Option<Width>,
     ) -> Result<(), LiftError> {
-        let mut args = Vec::with_capacity(nargs);
-        for i in 0..nargs {
-            args.push(self.read_reg(b, Gpr::arg(i))?);
-        }
-        if let Some(w) = ret_width {
-            let v = self.emit(b, w, |dst| InstKind::Call {
-                dst: Some(dst),
-                callee,
-                args: args.clone(),
-            });
-            self.write_reg(Gpr::RAX, v)?;
-        } else {
-            self.func.append_inst(
-                b,
-                InstKind::Call {
-                    dst: None,
-                    callee,
-                    args,
-                },
-            );
-        }
-        // Calls clobber both flags and the arity-heuristic window.
+        body.call(target, nargs)?;
         self.flags = FlagSrc::None;
         self.args_written = [false; 6];
         Ok(())
+    }
+}
+
+/// The address `inner` bytes into global `g`.
+fn global_addr(body: &mut Body<'_, Gpr>, g: usize, inner: u64) -> Result<ValueId, LiftError> {
+    let base = body.global_addr(g)?;
+    if inner == 0 {
+        return Ok(base);
+    }
+    Ok(body.emit(Width::W64, |dst| InstKind::Gep {
+        dst,
+        base,
+        offset: inner,
+    }))
+}
+
+impl Isa for Lifter<'_> {
+    type Reg = Gpr;
+    const ARGS: [Gpr; MAX_REG_ARGS] = Gpr::SYSV_ARGS;
+    const RET: Gpr = Gpr::RAX;
+
+    fn inst_count(&self) -> usize {
+        self.insts.len()
+    }
+
+    fn flow(&self, i: usize) -> Result<Flow, LiftError> {
+        let (inst, off, len) = self.insts[i];
+        Ok(match inst {
+            Inst::Jmp { rel } => Flow::Jump(self.branch_target(off, len, rel)?),
+            Inst::Jcc { rel, .. } => Flow::Branch(self.branch_target(off, len, rel)?),
+            Inst::Ret => Flow::Return,
+            _ => Flow::Next,
+        })
+    }
+
+    fn begin_block(&mut self, body: &mut Body<'_, Gpr>, entry: bool) {
+        // Flags and the arity heuristic never cross block boundaries.
+        self.flags = FlagSrc::None;
+        self.args_written = [false; 6];
+        if entry {
+            if let Some(residual) = &mut self.residual {
+                // The residual spill area is allocated up front, exactly
+                // where SB-ISA's `salloc` sits.
+                let size = residual.size;
+                residual.value = Some(body.emit(Width::W64, |dst| InstKind::Alloca { dst, size }));
+                self.frame_slots += 1;
+            }
+        }
     }
 
     #[allow(clippy::too_many_lines)]
     fn translate(
         &mut self,
-        b: BlockId,
-        idx: usize,
-        off: usize,
-        len: usize,
-        inst: &Inst,
-        terminated: &mut bool,
-    ) -> Result<(), LiftError> {
-        self.cur_idx = idx;
-        let n = self.insts.len();
-        match *inst {
+        body: &mut Body<'_, Gpr>,
+        i: usize,
+    ) -> Result<Option<ValueId>, LiftError> {
+        self.cur_idx = i;
+        let (inst, off, len) = self.insts[i];
+        match inst {
             // --- Frame idioms: no IR. ---------------------------------
             Inst::MovRR {
                 w: OpWidth::B64,
@@ -840,49 +639,46 @@ impl<'a> Lifter<'a> {
             Inst::MovRR { w, dst, src } => {
                 let v = match w {
                     OpWidth::B64 => {
-                        let s = self.read_reg(b, src)?;
-                        self.emit(b, self.func.value(s).width, |dst| InstKind::Copy {
-                            dst,
-                            src: s,
-                        })
+                        let s = self.read_reg(body, src)?;
+                        body.emit(body.width(s), |dst| InstKind::Copy { dst, src: s })
                     }
                     // A 32-bit register move zero-extends: lift as a masked
                     // view so the 32-bit width reaches the substrate.
-                    _ => self.masked_read(b, src, w)?,
+                    _ => self.masked_read(body, src, w)?,
                 };
-                self.write_reg(dst, v)?;
+                self.write_reg(body, dst, v)?;
             }
             Inst::MovRI { dst, imm } => {
-                let v = self.const_int(imm, Width::W64);
-                self.write_reg(dst, v)?;
+                let v = body.const_int(imm, Width::W64);
+                self.write_reg(body, dst, v)?;
             }
             Inst::MovLoad { w, dst, mem } => {
-                let addr = self.lift_addr(b, &mem)?;
+                let addr = self.lift_addr(body, &mem)?;
                 let width = w.ir();
-                let v = self.emit(b, width, |dst| InstKind::Load { dst, addr, width });
-                self.write_reg(dst, v)?;
+                let v = body.emit(width, |dst| InstKind::Load { dst, addr, width });
+                self.write_reg(body, dst, v)?;
             }
             Inst::MovStore { w: _, mem, src } => {
-                let addr = self.lift_addr(b, &mem)?;
-                let val = self.read_reg(b, src)?;
-                self.func.append_inst(b, InstKind::Store { addr, val });
+                let addr = self.lift_addr(body, &mem)?;
+                let val = self.read_reg(body, src)?;
+                body.append(InstKind::Store { addr, val });
             }
             Inst::MovStoreImm { w: _, mem, imm } => {
-                let addr = self.lift_addr(b, &mem)?;
-                let val = self.const_int(i64::from(imm), Width::W64);
-                self.func.append_inst(b, InstKind::Store { addr, val });
+                let addr = self.lift_addr(body, &mem)?;
+                let val = body.const_int(i64::from(imm), Width::W64);
+                body.append(InstKind::Store { addr, val });
             }
             Inst::MovZx { from, dst, src } => {
                 // The register form is a masked view of the wide register.
                 let v = match src {
-                    Rm::Reg(r) => self.masked_read(b, r, from)?,
+                    Rm::Reg(r) => self.masked_read(body, r, from)?,
                     Rm::Mem(mem) => {
-                        let addr = self.lift_addr(b, &mem)?;
+                        let addr = self.lift_addr(body, &mem)?;
                         let width = from.ir();
-                        self.emit(b, width, |dst| InstKind::Load { dst, addr, width })
+                        body.emit(width, |dst| InstKind::Load { dst, addr, width })
                     }
                 };
-                self.write_reg(dst, v)?;
+                self.write_reg(body, dst, v)?;
             }
             Inst::MovSx { from, dst, src } => {
                 let v = match src {
@@ -895,16 +691,16 @@ impl<'a> Lifter<'a> {
                         // bit-identical IR. The constant binds before the
                         // register read to match SB's `movi` staging order.
                         let amt = i64::from(64 - from.bits());
-                        let c1 = self.const_int(amt, Width::W64);
-                        let lhs = self.read_reg(b, r)?;
-                        let hi = self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                        let c1 = body.const_int(amt, Width::W64);
+                        let lhs = self.read_reg(body, r)?;
+                        let hi = body.emit(Width::W64, |dst| InstKind::BinOp {
                             op: BinOp::Shl,
                             dst,
                             lhs,
                             rhs: c1,
                         });
-                        let c2 = self.const_int(amt, Width::W64);
-                        self.emit(b, Width::W64, |dst| InstKind::BinOp {
+                        let c2 = body.const_int(amt, Width::W64);
+                        body.emit(Width::W64, |dst| InstKind::BinOp {
                             op: BinOp::Shr,
                             dst,
                             lhs: hi,
@@ -914,42 +710,31 @@ impl<'a> Lifter<'a> {
                     // Memory forms stay plain narrow loads: the access
                     // width is the type evidence, as with `movzx`.
                     Rm::Mem(mem) => {
-                        let addr = self.lift_addr(b, &mem)?;
+                        let addr = self.lift_addr(body, &mem)?;
                         let width = from.ir();
-                        self.emit(b, width, |dst| InstKind::Load { dst, addr, width })
+                        body.emit(width, |dst| InstKind::Load { dst, addr, width })
                     }
                 };
-                self.write_reg(dst, v)?;
+                self.write_reg(body, dst, v)?;
             }
             Inst::Lea { dst, mem } => match mem {
                 Mem::Base {
                     base: Gpr::RBP,
                     disp,
                 } => {
-                    let v = self.frame_addr(b, disp)?;
-                    self.write_reg(dst, v)?;
+                    let v = self.frame_addr(body, disp)?;
+                    self.write_reg(body, dst, v)?;
                 }
                 Mem::Rip { disp } => {
-                    let v = match self.rip_addr(disp, b)? {
-                        RipTarget::Global(g, 0) => self.global_value(g),
-                        RipTarget::Global(g, inner) => {
-                            let base = self.global_value(g);
-                            self.emit(b, Width::W64, |dst| InstKind::Gep {
-                                dst,
-                                base,
-                                offset: inner,
-                            })
-                        }
-                        RipTarget::Func(f) => self.func.add_value(Value {
-                            kind: ValueKind::FuncAddr(f),
-                            width: Width::W64,
-                        }),
+                    let v = match self.rip_addr(disp)? {
+                        RipTarget::Global(g, inner) => global_addr(body, g, inner)?,
+                        RipTarget::Func(f) => body.func_addr(f)?,
                     };
-                    self.write_reg(dst, v)?;
+                    self.write_reg(body, dst, v)?;
                 }
                 _ => {
-                    let v = self.lift_addr(b, &mem)?;
-                    self.write_reg(dst, v)?;
+                    let v = self.lift_addr(body, &mem)?;
+                    self.write_reg(body, dst, v)?;
                 }
             },
             // --- ALU and flags. ---------------------------------------
@@ -958,8 +743,8 @@ impl<'a> Lifter<'a> {
                 dst,
                 src,
             } => {
-                let lhs = self.read_reg(b, dst)?;
-                let rhs = self.read_reg(b, src)?;
+                let lhs = self.read_reg(body, dst)?;
+                let rhs = self.read_reg(body, src)?;
                 self.flags = FlagSrc::Cmp { lhs, rhs };
             }
             Inst::AluRI {
@@ -970,8 +755,8 @@ impl<'a> Lifter<'a> {
                 // Immediate before the register read: the read may create a
                 // phi, and SB's `movi` staging binds its constant first, so
                 // value creation order must match that sequence.
-                let rhs = self.const_int(i64::from(imm), Width::W64);
-                let lhs = self.read_reg(b, dst)?;
+                let rhs = body.const_int(i64::from(imm), Width::W64);
+                let lhs = self.read_reg(body, dst)?;
                 self.flags = FlagSrc::Cmp { lhs, rhs };
             }
             Inst::AluRM {
@@ -979,9 +764,9 @@ impl<'a> Lifter<'a> {
                 dst,
                 mem,
             } => {
-                let lhs = self.read_reg(b, dst)?;
-                let addr = self.lift_addr(b, &mem)?;
-                let rhs = self.emit(b, Width::W64, |dst| InstKind::Load {
+                let lhs = self.read_reg(body, dst)?;
+                let addr = self.lift_addr(body, &mem)?;
+                let rhs = body.emit(Width::W64, |dst| InstKind::Load {
                     dst,
                     addr,
                     width: Width::W64,
@@ -989,96 +774,63 @@ impl<'a> Lifter<'a> {
                 self.flags = FlagSrc::Cmp { lhs, rhs };
             }
             Inst::AluRR { op, dst, src } => {
-                let lhs = self.read_reg(b, dst)?;
-                let rhs = self.read_reg(b, src)?;
+                let lhs = self.read_reg(body, dst)?;
+                let rhs = self.read_reg(body, src)?;
                 let op = Self::alu_binop(op);
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
-                self.write_reg(dst, v)?;
+                let v = body.emit(Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                self.write_reg(body, dst, v)?;
                 self.flags = FlagSrc::None;
             }
             Inst::AluRI { op, dst, imm } => {
                 // Immediate first, as in the compare arm above.
-                let rhs = self.const_int(i64::from(imm), Width::W64);
-                let lhs = self.read_reg(b, dst)?;
+                let rhs = body.const_int(i64::from(imm), Width::W64);
+                let lhs = self.read_reg(body, dst)?;
                 let op = Self::alu_binop(op);
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
-                self.write_reg(dst, v)?;
+                let v = body.emit(Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                self.write_reg(body, dst, v)?;
                 self.flags = FlagSrc::None;
             }
             Inst::AluRM { op, dst, mem } => {
-                let lhs = self.read_reg(b, dst)?;
-                let addr = self.lift_addr(b, &mem)?;
-                let rhs = self.emit(b, Width::W64, |dst| InstKind::Load {
+                let lhs = self.read_reg(body, dst)?;
+                let addr = self.lift_addr(body, &mem)?;
+                let rhs = body.emit(Width::W64, |dst| InstKind::Load {
                     dst,
                     addr,
                     width: Width::W64,
                 });
                 let op = Self::alu_binop(op);
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
-                self.write_reg(dst, v)?;
+                let v = body.emit(Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                self.write_reg(body, dst, v)?;
                 self.flags = FlagSrc::None;
             }
             Inst::TestRR { a, b: tb } => {
-                let av = self.read_reg(b, a)?;
-                let bv = self.read_reg(b, tb)?;
+                let av = self.read_reg(body, a)?;
+                let bv = self.read_reg(body, tb)?;
                 self.flags = FlagSrc::Test { a: av, b: bv };
             }
             Inst::ShiftRI { sh, dst, amt } => {
                 // Immediate first, as in the compare arm above.
-                let rhs = self.const_int(i64::from(amt), Width::W64);
-                let lhs = self.read_reg(b, dst)?;
+                let rhs = body.const_int(i64::from(amt), Width::W64);
+                let lhs = self.read_reg(body, dst)?;
                 let op = match sh {
                     Shift::Shl => BinOp::Shl,
                     Shift::Shr => BinOp::Shr,
                 };
-                let v = self.emit(b, Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
-                self.write_reg(dst, v)?;
+                let v = body.emit(Width::W64, |dst| InstKind::BinOp { op, dst, lhs, rhs });
+                self.write_reg(body, dst, v)?;
                 self.flags = FlagSrc::None;
             }
             // --- Control flow. ----------------------------------------
-            Inst::Jcc { cc, rel } => {
-                let cond = self.materialize_flags(b, cc)?;
-                let target = self.branch_target(off, len, rel)?;
-                let else_bb = self.block_of[target];
-                let then_bb = if idx + 1 < n {
-                    self.block_of[idx + 1]
-                } else {
-                    // Branch at the very end: no fallthrough exists; both
-                    // arms go to the target.
-                    else_bb
-                };
-                self.func.replace_terminator(
-                    b,
-                    Terminator::CondBr {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    },
-                );
-                *terminated = true;
-            }
-            Inst::Jmp { rel } => {
-                let target = self.branch_target(off, len, rel)?;
-                self.func
-                    .replace_terminator(b, Terminator::Br(self.block_of[target]));
-                *terminated = true;
-            }
+            Inst::Jcc { cc, .. } => return Ok(Some(self.materialize_flags(body, cc)?)),
+            Inst::Jmp { .. } | Inst::Ret => {}
             Inst::Call { rel } => {
                 let addr = rip_target(self.image, self.func_index, (off + len) as u64, rel);
                 if let Some(ti) = self.image.func_at_addr(addr) {
-                    let target = &self.image.functions[ti];
-                    let ret = if target.has_ret {
-                        Some(Width::W64)
-                    } else {
-                        None
-                    };
-                    let nargs = target.nparams as usize;
-                    self.finish_call(b, Callee::Direct(FuncId::from_index(ti)), nargs, ret)?;
+                    let nargs = self.image.functions[ti].nparams.into();
+                    self.call(body, CallTarget::Function(ti), nargs)?;
                 } else if let Some(ei) = self.image.plt_at_addr(addr) {
-                    let decl = self.module.extern_decl(ExternId(ei as u32));
-                    let nargs = self.image.externs[ei].nparams as usize;
-                    let ret = decl.ret_width;
-                    self.finish_call(b, Callee::Extern(ExternId(ei as u32)), nargs, ret)?;
+                    let nargs = self.image.externs[ei].nparams.into();
+                    self.call(body, CallTarget::Extern(ei), nargs)?;
                 } else {
                     return err(format!(
                         "{}: call targets {addr:#x}, neither a function entry \
@@ -1088,36 +840,26 @@ impl<'a> Lifter<'a> {
                 }
             }
             Inst::CallInd { reg } => {
-                let fp = self.read_reg(b, reg)?;
+                let fp = self.read_reg(body, reg)?;
                 // Arity heuristic: the contiguous run of SysV argument
                 // registers written since the last call. An indirect callee
                 // is assumed to return a value (the conservative RetDec
                 // choice — `rax` may or may not be read afterwards).
                 let nargs = self.args_written.iter().take_while(|&&w| w).count();
-                self.finish_call(b, Callee::Indirect(fp), nargs, Some(Width::W64))?;
-            }
-            Inst::Ret => {
-                let val = if self.src.has_ret {
-                    Some(self.read_reg(b, Gpr::RAX)?)
-                } else {
-                    None
-                };
-                self.func.replace_terminator(b, Terminator::Ret(val));
-                *terminated = true;
+                self.call(body, CallTarget::Indirect(fp, Some(Width::W64)), nargs)?;
             }
         }
-        Ok(())
+        Ok(None)
     }
 }
 
 /// What a `[rip+disp]` reference resolves to.
 enum RipTarget {
     /// Global index plus byte offset into the region.
-    Global(GlobalId, u64),
-    /// A function entry.
-    Func(FuncId),
+    Global(usize, u64),
+    /// The entry of the function at this index.
+    Func(usize),
 }
-
 /// The x86-64 frontend plugin: recognizes XLF images by their ELF magic
 /// and lifts them via [`lift`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -1145,7 +887,7 @@ impl Frontend for X86Frontend {
 
 #[cfg(test)]
 mod tests {
-    use manta_ir::CmpPred;
+    use manta_ir::{Callee, CmpPred, ConstKind, Terminator, ValueKind};
 
     use super::*;
     use crate::asm::assemble;
@@ -1402,6 +1144,59 @@ mod tests {
         assert!(f
             .values()
             .any(|(_, v)| matches!(v.kind, ValueKind::Const(ConstKind::Undef))));
+    }
+
+    #[test]
+    fn repeated_extern_names_share_one_declaration() {
+        let m = lift_text(
+            "module m\nextern alpha, 1\nextern alpha, 1\nextern beta, 1, ret\nfunc main(0) -> ret {\n    mov rdi, 3\n    call beta\n    ret\n}\n",
+        );
+        assert_eq!(m.externs().count(), 2);
+        let main = m.function_by_name("main").unwrap();
+        let callee = main
+            .insts()
+            .find_map(|i| match i.kind {
+                InstKind::Call {
+                    callee: Callee::Extern(e),
+                    ..
+                } => Some(e),
+                _ => None,
+            })
+            .expect("extern call lifted");
+        assert_eq!(m.extern_decl(callee).name, "beta");
+    }
+
+    #[test]
+    fn an_extern_with_seven_parameters_lifts_until_called() {
+        let decl = "module m\nextern wide, 7\n";
+        lift_text(&format!("{decl}func main(0) -> void {{\n    ret\n}}\n"));
+        let e = lift_err(&format!(
+            "{decl}func main(0) -> void {{\n    call wide\n    ret\n}}\n"
+        ));
+        assert!(e.message.contains("at most 6"), "{e}");
+    }
+
+    #[test]
+    fn the_lowest_frame_offset_sizes_its_slot_without_overflow() {
+        for access in [
+            "lea rax, [rbp-2147483648]",
+            "mov rax, qword [rbp-2147483648]",
+        ] {
+            let m = lift_text(&format!(
+                "module m\nfunc f(0) -> ret {{\n    push rbp\n    mov rbp, rsp\n    {access}\n    pop rbp\n    ret\n}}\n"
+            ));
+            let f = m.function_by_name("f").unwrap();
+            assert!(
+                f.insts().any(|i| matches!(
+                    i.kind,
+                    InstKind::Alloca {
+                        size: 0x8000_0000,
+                        ..
+                    }
+                )),
+                "{access}"
+            );
+        }
     }
 
     #[test]

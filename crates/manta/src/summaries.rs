@@ -22,7 +22,7 @@
 //! its call-graph adjacency, and the per-value interval slice of the
 //! pre-stage result. Each cached chunk records the **footprint** of the
 //! walks that produced it — every function whose data was read
-//! ([`crate::ctx_refine::Footprint`]). A chunk is replayed iff every
+//! (`ctx_refine::Footprint`). A chunk is replayed iff every
 //! footprint member's current `IN` matches the value recorded at write
 //! time; otherwise the chunk recomputes. Because the footprint covers
 //! *all* inputs of the walk, replay is bit-identical by construction —

@@ -7,20 +7,28 @@
 //! the whole engine — every sensitivity tier, at every thread count —
 //! produces bit-identical inferred types from either binary.
 //!
+//! Because the SB-vs-x86 differential compares the two lifters with each
+//! other, a change to the lifting skeleton they share moves both sides at
+//! once; `LIFTED_HASHES` pins what both encodings lift to.
+//!
 //! Alongside the differential sweep: a seeded decoder fuzz (arbitrary
 //! bytes must never panic the decoder, and everything that decodes from
-//! real code must re-encode to the same bytes), and hand-written x86
-//! assembly exercising the three lifter-specific idioms — eflags
+//! real code must re-encode to the same bytes), a bit-flip lift fuzz
+//! (damaged images fail with an error, never a panic), and hand-written
+//! x86 assembly exercising the three lifter-specific idioms — eflags
 //! materialization at `jcc`, sub-register masking, and `rbp` frame-slot
 //! recognition.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use manta::cache::results_identical;
 use manta::{Engine, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
 use manta_ir::printer::print_module;
+use manta_ir::verify::verify_module;
 use manta_ir::{Frontend, Module};
+use manta_store::Fingerprint;
 use manta_workloads::generator::GenSpec;
 use manta_workloads::rng::ChaCha8Rng;
 use manta_workloads::{generate, PhenomenonMix};
@@ -102,6 +110,40 @@ fn real_code_decodes_and_reencodes_byte_identically() {
     }
 }
 
+/// Bit flips in real images: 24 generated programs, each encoding
+/// mutated 128 times with 1–3 flipped bits. Every mutant must fail with
+/// an error or lift to a module that passes `verify_module`; none may
+/// panic.
+#[test]
+fn bit_flipped_images_error_or_lift_cleanly() {
+    let frontends: [&dyn Frontend; 2] = [&manta_isa::lift::SbFrontend, &manta_x86::X86Frontend];
+    let mut rng = ChaCha8Rng::seed_from_u64(0xB17_F11B);
+    let mut panics = Vec::new();
+    for seed in 0..24u64 {
+        let prog = generate(&spec(2 + seed as usize % 6, 0xF1B0 + seed));
+        let dual = manta_workloads::emit_dual(&prog.module).expect("generated module lowers");
+        for (fe, image) in frontends.iter().zip([dual.sb_bytes(), dual.x86_bytes()]) {
+            for _ in 0..128 {
+                let mut bytes = image.clone();
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let bit = rng.gen_range(0..bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+                match catch_unwind(AssertUnwindSafe(|| fe.lift_bytes(&bytes))) {
+                    Ok(Ok(module)) => {
+                        if let Err(e) = verify_module(&module) {
+                            panic!("seed {seed}, {}: lifted an invalid module: {e}", fe.name());
+                        }
+                    }
+                    Ok(Err(_)) => {}
+                    Err(_) => panics.push((seed, fe.name())),
+                }
+            }
+        }
+    }
+    assert!(panics.is_empty(), "lifting panicked on {panics:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Differential lift + inference.
 // ---------------------------------------------------------------------------
@@ -121,6 +163,61 @@ fn lifted_ir_is_bit_identical_across_220_seeds() {
     }
 }
 
+/// [`lifted_hash`] of each generated program's lifted module, one per
+/// program: both encodings must lift to it.
+const LIFTED_HASHES: [u64; 24] = [
+    0x7b5d_8215_8467_c175,
+    0xa386_fbf7_ab73_6b04,
+    0x8d63_d73c_5333_42e9,
+    0x6ec6_c60c_0a16_c5fb,
+    0x253a_d3cc_74ee_0bdf,
+    0x34d7_184e_8906_30f3,
+    0x6984_2051_23f9_5aaf,
+    0x0422_cd78_b05e_cc10,
+    0x4ca0_86ef_bbaa_341d,
+    0x42c8_84f3_20b1_4bc1,
+    0xe5c3_4c3e_957f_3b45,
+    0x5f0f_fc4e_7689_8f83,
+    0x91cc_9dd8_839d_e752,
+    0x22d2_e509_fcb3_9440,
+    0x5e7e_cebc_0268_3436,
+    0x50dd_aebb_115c_e3e8,
+    0x699f_e9ff_e549_d608,
+    0x0b14_e388_60f4_ab85,
+    0x2f3f_86ec_a2db_f5c8,
+    0x5386_0496_17f5_fc61,
+    0xdbd4_f0e1_6f06_98cb,
+    0x1a60_76ef_a0f1_3251,
+    0xed18_18f3_eebe_48e1,
+    0x2d19_ebff_d2bc_d21a,
+];
+
+/// `Fingerprint` of a lifted module's printed text and of every
+/// function's `Debug` form. The printer renumbers values canonically and
+/// prints constants inline, so it hides a change in creation order;
+/// `Debug` lists the value and instruction arenas in id order and shows
+/// it. (`Module`'s own `Debug` holds a `HashMap`, so it is not hashed.)
+fn lifted_hash(module: &Module) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.write_str(&print_module(module));
+    for f in module.functions() {
+        fp.write_str(&format!("{f:?}"));
+    }
+    fp.finish()
+}
+
+/// The lifted bytes of 24 generated programs stay what they were, from
+/// both encodings.
+#[test]
+fn lifted_modules_match_their_pinned_hashes() {
+    for (i, want) in LIFTED_HASHES.iter().enumerate() {
+        let prog = generate(&spec(2 + i % 7, 0x11F7 + i as u64));
+        let (sb, x86) = lift_both(&prog.module);
+        assert_eq!(lifted_hash(&sb), *want, "program {i}: SB lift moved");
+        assert_eq!(lifted_hash(&x86), *want, "program {i}: x86 lift moved");
+    }
+}
+
 /// 200 seeds through the full-sensitivity engine: the inference results
 /// (canonical encoding, including degradation records) must be
 /// bit-identical between the SB-lifted and x86-lifted module.
@@ -137,6 +234,32 @@ fn inferred_types_are_bit_identical_across_200_seeds() {
             "seed {seed}: inferred types diverge between encodings"
         );
     }
+}
+
+/// Functions are numbered by image position, even when two share a
+/// name: an SB program whose first two functions are both `f` lifts with
+/// ids 0, 1 and 2, and infers exactly what its twin with the second `f`
+/// renamed does. (The assembler resolves `f` to the last function of that
+/// name, so `main` calls the second one in both.)
+#[test]
+fn repeated_function_names_keep_their_image_positions() {
+    let program = |second: &str| {
+        format!(
+            "module twin\nfunc f(1) -> ret {{\n    ld.w64 r0, [r1+0]\n    ret\n}}\nfunc {second}(0) -> ret {{\n    salloc r0, 8\n    ret\n}}\nfunc main(0) -> ret {{\n    call {second}, 0\n    ld.w64 r0, [r0+0]\n    ret\n}}\n"
+        )
+    };
+    let twin = manta_isa::parse_source(&program("f")).expect("two-f program lifts");
+    let renamed = manta_isa::parse_source(&program("g")).expect("renamed program lifts");
+    for (i, f) in twin.functions().enumerate() {
+        assert_eq!(f.id().index(), i, "{}", f.name());
+    }
+    let engine = Engine::new(MantaConfig::full());
+    let a = engine.analyze(&ModuleAnalysis::build(twin)).unwrap();
+    let b = engine.analyze(&ModuleAnalysis::build(renamed)).unwrap();
+    assert!(
+        results_identical(&a, &b),
+        "a repeated name changed inference"
+    );
 }
 
 /// A smaller sweep through every sensitivity tier, including the

@@ -141,8 +141,10 @@ fn bug_detection_builds_no_second_ddg() {
         1,
         "the checkers pruned"
     );
+    // `reset` zeroes counters but keeps their names, so a test that ran
+    // earlier in this process may have left them registered at 0.
     for counter in ["ddg.nodes", "ddg.edges"] {
-        assert_eq!(report.counters.get(counter), None, "{counter}");
+        assert_eq!(report.counter(counter), 0, "{counter}");
     }
 }
 
