@@ -225,6 +225,16 @@ impl PointsTo {
         self.pts.get(&Node::Var(v)).unwrap_or(&EMPTY)
     }
 
+    /// Every variable that has a points-to set, with the set, in no
+    /// particular order: one pass over the map, for a caller that wants
+    /// the sets of many variables.
+    pub fn var_sets(&self) -> impl Iterator<Item = (VarRef, &BTreeSet<ObjectId>)> + '_ {
+        self.pts.iter().filter_map(|(node, set)| match node {
+            Node::Var(v) => Some((*v, set)),
+            Node::Obj(_) => None,
+        })
+    }
+
     /// Points-to set of the contents of object `o`.
     pub fn pts_obj(&self, o: ObjectId) -> &BTreeSet<ObjectId> {
         self.pts.get(&Node::Obj(o)).unwrap_or(&EMPTY)

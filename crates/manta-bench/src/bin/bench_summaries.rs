@@ -13,7 +13,9 @@
 //!                                 the committed baseline or fell below
 //!                                 the 3x acceptance floor
 //! bench_summaries --probe         print state size and per-stage spans
-//!                                 for one edit solve (diagnostics)
+//!                                 for one edit solve, and an engine
+//!                                 miss's bookkeeping against its
+//!                                 recompute (diagnostics, no gate)
 //! ```
 //!
 //! The summary leg asserts correctness in-bench, not just speed: every
@@ -33,6 +35,7 @@ use manta_analysis::ModuleAnalysis;
 use manta_bench::harness::median;
 use manta_ir::{BinOp, ModuleBuilder, Width};
 use manta_store::json::{parse, JsonValue, JsonWriter};
+use manta_telemetry::SpanReport;
 
 /// The acceptance contract: re-analyzing after a one-function edit in
 /// summary mode must be at least this much faster than the non-summary
@@ -377,9 +380,42 @@ fn probe(clusters: usize) {
     manta_telemetry::reset();
     let t = Instant::now();
     let _ = engine.analyze(&e2);
+    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+    println!("engine summary analyze: {wall_ms:.2} ms");
+    let report = manta_telemetry::report();
+    print!("{}", report.render_text());
+    let (bookkeeping, recompute) = split_miss(&report, wall_ms);
     println!(
-        "engine summary analyze: {:.2} ms",
-        t.elapsed().as_secs_f64() * 1e3
+        "engine summary miss: bookkeeping {bookkeeping:.2} ms against recompute \
+         {recompute:.2} ms ({:.1}x)",
+        bookkeeping / recompute.max(1e-6)
     );
-    print!("{}", manta_telemetry::report().render_text());
+}
+
+/// Splits an engine summary-mode miss that took `wall_ms` into its
+/// bookkeeping and its recompute (`summary.recompute` under CS and FS).
+/// Bookkeeping is everything except the module key
+/// (`cache.fingerprint`), reveal, FI, the recompute, the CS and FS
+/// commits (their `classify`), and the result's encode and write (the
+/// top-level `cache.encode` and `store.put`; the state's write sits
+/// under `summary.encode`).
+fn split_miss(report: &manta_telemetry::Report, wall_ms: f64) -> (f64, f64) {
+    let ms = |span: Option<&SpanReport>| span.map_or(0.0, SpanReport::total_ms);
+    let infer = report.span("infer");
+    let in_infer = |name| ms(infer.and_then(|s| s.child(name)));
+    let in_stages = |name| {
+        ["cs", "fs"]
+            .into_iter()
+            .map(|stage| ms(infer.and_then(|s| s.child(stage)?.child(name))))
+            .sum::<f64>()
+    };
+    let recompute = in_stages("summary.recompute");
+    let excluded = ms(report.span("cache.fingerprint"))
+        + in_infer("reveal")
+        + in_infer("fi")
+        + recompute
+        + in_stages("classify")
+        + ms(report.span("cache.encode"))
+        + ms(report.span("store.put"));
+    (wall_ms - excluded, recompute)
 }

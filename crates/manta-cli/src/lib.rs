@@ -947,7 +947,9 @@ fn run_command(
             let mut rows: Vec<(&str, f64, usize)> =
                 totals.into_iter().map(|(n, (d, c))| (n, d, c)).collect();
             rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-            for (name, dur_us, count) in rows.iter().take(16) {
+            // Every span, however short: a cache run's store and
+            // fingerprint spans are microseconds on a small input.
+            for (name, dur_us, count) in &rows {
                 let _ = writeln!(
                     out,
                     "  {name}: {:.3} ms over {count} events",

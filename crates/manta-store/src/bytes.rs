@@ -89,6 +89,13 @@ impl ByteWriter {
         self.bytes(v.as_bytes())
     }
 
+    /// Appends raw bytes with no length prefix, for a caller that wrote
+    /// the length itself (a field assembled from several slices).
+    pub fn raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// The encoded bytes.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
@@ -201,6 +208,12 @@ impl<'a> ByteReader<'a> {
         std::str::from_utf8(raw).or_else(|_| self.err(context))
     }
 
+    /// Bytes consumed so far: the offset of the next read.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Whether the whole buffer has been consumed (decoders should check
     /// this last: trailing garbage means a corrupt or mis-versioned
     /// payload).
@@ -235,7 +248,9 @@ mod tests {
             .u64(u64::MAX)
             .f64(-2.5)
             .str("héllo")
-            .bytes(&[1, 2, 3]);
+            .bytes(&[1, 2, 3])
+            .u64(2)
+            .raw(&[4, 5]);
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u8("t").unwrap(), 7);
@@ -245,6 +260,9 @@ mod tests {
         assert_eq!(r.f64("t").unwrap(), -2.5);
         assert_eq!(r.str("t").unwrap(), "héllo");
         assert_eq!(r.bytes("t").unwrap(), &[1, 2, 3]);
+        // A length written by hand reads back as one prefixed field.
+        assert_eq!(r.bytes("t").unwrap(), &[4, 5]);
+        assert_eq!(r.position(), buf.len());
         assert!(r.expect_end("t").is_ok());
     }
 

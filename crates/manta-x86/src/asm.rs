@@ -574,9 +574,11 @@ fn split_operands(rest: &str) -> Vec<&str> {
 ///
 /// # Errors
 ///
-/// Returns [`ImageError`] when the text bytes don't decode, or when a call
-/// or RIP reference points at no known function, extern or global.
+/// Returns [`ImageError`] when the text bytes don't decode, when a call
+/// or RIP reference points at no known function, extern or global, or
+/// when the globals overflow the address space.
 pub fn disassemble(image: &Image) -> std::result::Result<String, ImageError> {
+    let addrs = image.addresses()?;
     let mut out = String::new();
     let _ = writeln!(out, "module {}", image.name);
     for e in &image.externs {
@@ -624,7 +626,7 @@ pub fn disassemble(image: &Image) -> std::result::Result<String, ImageError> {
                 Inst::Call { rel } => {
                     let addr =
                         (TEXT_BASE + f.offset as u64 + next_off).wrapping_add(*rel as i64 as u64);
-                    if let Some(ti) = image.func_at_addr(addr) {
+                    if let Some(ti) = addrs.func_at(addr) {
                         let _ = writeln!(out, "    call {}", image.functions[ti].name);
                     } else if let Some(ei) = image.plt_at_addr(addr) {
                         let _ = writeln!(out, "    call {}", image.externs[ei].name);
@@ -639,9 +641,9 @@ pub fn disassemble(image: &Image) -> std::result::Result<String, ImageError> {
                     mem: Mem::Rip { disp },
                 } => {
                     let addr = rip_target(image, fi, next_off, *disp);
-                    if let Some(ti) = image.func_at_addr(addr) {
+                    if let Some(ti) = addrs.func_at(addr) {
                         let _ = writeln!(out, "    lea {dst}, func {}", image.functions[ti].name);
-                    } else if let Some((gi, 0)) = image.global_at_addr(addr) {
+                    } else if let Some((gi, 0)) = addrs.global_at(addr) {
                         let _ = writeln!(out, "    lea {dst}, global {}", image.globals[gi].name);
                     } else {
                         return Err(ImageError {

@@ -104,18 +104,32 @@ impl Image {
         PLT_BASE + PLT_STUB_SIZE * i as u64
     }
 
-    /// Virtual address of global `i` (8-byte aligned layout).
-    pub fn global_addr(&self, i: usize) -> u64 {
-        let mut addr = DATA_BASE;
-        for g in &self.globals[..i] {
-            addr += (g.size + 7) & !7;
+    /// The image's address lookups: its function entries and its data
+    /// layout (globals 8-byte aligned from [`DATA_BASE`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError`] when the globals' sizes overflow the 64-bit
+    /// address space; the sizes come from the image, so they are
+    /// untrusted.
+    pub(crate) fn addresses(&self) -> Result<Addresses, ImageError> {
+        let mut entries: Vec<(u64, usize)> = (0..self.functions.len())
+            .map(|i| (self.func_addr(i), i))
+            .collect();
+        entries.sort_unstable();
+        let overflow = || ImageError {
+            message: "global data overflows the 64-bit address space".into(),
+        };
+        let mut globals = Vec::with_capacity(self.globals.len());
+        let mut base = DATA_BASE;
+        for g in &self.globals {
+            // A zero-size global still spans the byte at its base.
+            let end = base.checked_add(g.size.max(1)).ok_or_else(overflow)?;
+            globals.push((base, end));
+            let aligned = g.size.checked_add(7).ok_or_else(overflow)? & !7;
+            base = base.checked_add(aligned).ok_or_else(overflow)?;
         }
-        addr
-    }
-
-    /// Function index whose *entry* is at `addr`, if any.
-    pub fn func_at_addr(&self, addr: u64) -> Option<usize> {
-        (0..self.functions.len()).find(|&i| self.func_addr(i) == addr)
+        Ok(Addresses { entries, globals })
     }
 
     /// Extern index whose PLT stub starts at `addr`, if any.
@@ -127,20 +141,55 @@ impl Image {
         (i < self.externs.len()).then_some(i)
     }
 
-    /// Global index containing `addr`, with the offset into the region.
-    pub fn global_at_addr(&self, addr: u64) -> Option<(usize, u64)> {
-        for i in 0..self.globals.len() {
-            let base = self.global_addr(i);
-            if addr >= base && addr < base + self.globals[i].size.max(1) {
-                return Some((i, addr - base));
-            }
-        }
-        None
-    }
-
     /// Total text size in bytes.
     pub fn text_len(&self) -> usize {
         self.text.len()
+    }
+}
+
+/// An image's function entries and data layout, computed once
+/// ([`Image::addresses`]) so that resolving a call or a RIP reference is
+/// a binary search. Where several symbols claim an address — functions
+/// whose entry offsets repeat, zero-size globals sharing a base — the
+/// first in image order wins.
+#[derive(Clone, Debug)]
+pub(crate) struct Addresses {
+    /// `(entry address, function index)`, ascending.
+    entries: Vec<(u64, usize)>,
+    /// Each global's `[base, end)`, in data-segment order. Bases never
+    /// decrease, and only globals sharing a base overlap: every global
+    /// but the last at a base has size zero and spans just its base.
+    globals: Vec<(u64, u64)>,
+}
+
+impl Addresses {
+    /// Function index whose *entry* is at `addr`, if any.
+    pub(crate) fn func_at(&self, addr: u64) -> Option<usize> {
+        let k = self.entries.partition_point(|&(a, _)| a < addr);
+        self.entries
+            .get(k)
+            .filter(|&&(a, _)| a == addr)
+            .map(|&(_, i)| i)
+    }
+
+    /// Virtual address of global `i`.
+    pub(crate) fn global_addr(&self, i: usize) -> u64 {
+        self.globals[i].0
+    }
+
+    /// Global index containing `addr`, with the offset into the region.
+    pub(crate) fn global_at(&self, addr: u64) -> Option<(usize, u64)> {
+        let last = self
+            .globals
+            .partition_point(|&(base, _)| base <= addr)
+            .checked_sub(1)?;
+        let (base, end) = self.globals[last];
+        if addr == base {
+            // Every global at this base spans it; the first wins.
+            let first = self.globals.partition_point(|&(b, _)| b < base);
+            return Some((first, 0));
+        }
+        (addr < end).then_some((last, addr - base))
     }
 }
 
@@ -415,7 +464,8 @@ impl ImageBuilder {
     /// # Errors
     ///
     /// Returns [`ImageError`] for undefined labels, functions, externs or
-    /// globals, and duplicate labels within a function.
+    /// globals, duplicate labels within a function, and globals whose
+    /// sizes overflow the address space.
     pub fn build(self) -> Result<Image, ImageError> {
         // Pass 1: function entry offsets (16-byte aligned) and body lengths.
         let mut offsets = Vec::with_capacity(self.funcs.len());
@@ -440,13 +490,11 @@ impl ImageBuilder {
             .map(|(i, e)| (e.name.as_str(), i))
             .collect();
 
-        let image_skeleton = Image {
-            name: self.name.clone(),
-            externs: self.externs.clone(),
+        let data = Image {
             globals: self.globals.clone(),
-            functions: Vec::new(),
-            text: Vec::new(),
-        };
+            ..Image::default()
+        }
+        .addresses()?;
         let global_index: HashMap<&str, usize> = self
             .globals
             .iter()
@@ -534,7 +582,7 @@ impl ImageBuilder {
                         let gi = *global_index.get(name.as_str()).ok_or_else(|| ImageError {
                             message: format!("lea of undeclared global `{name}`"),
                         })?;
-                        let disp = rel32(image_skeleton.global_addr(gi), next_addr)?;
+                        let disp = rel32(data.global_addr(gi), next_addr)?;
                         encode(
                             &Inst::Lea {
                                 dst: *dst,
@@ -698,8 +746,71 @@ mod tests {
         b.declare_global("b", 16);
         b.function("f", 0, false, vec![SymInst::Real(Inst::Ret)]);
         let img = b.build().unwrap();
-        assert_eq!(img.global_addr(0), DATA_BASE);
-        assert_eq!(img.global_addr(1), DATA_BASE + 8);
-        assert_eq!(img.global_at_addr(DATA_BASE + 9), Some((1, 1)));
+        let addrs = img.addresses().unwrap();
+        assert_eq!(addrs.global_addr(0), DATA_BASE);
+        assert_eq!(addrs.global_addr(1), DATA_BASE + 8);
+        assert_eq!(addrs.global_at(DATA_BASE + 9), Some((1, 1)));
+        // The padding after `a` belongs to no global.
+        assert_eq!(addrs.global_at(DATA_BASE + 3), None);
+    }
+
+    /// The linear scans the lookups replace, on the unchecked layout.
+    fn scanned(img: &Image, addr: u64) -> (Option<usize>, Option<(usize, u64)>) {
+        let func = (0..img.functions.len()).find(|&i| img.func_addr(i) == addr);
+        let mut base = DATA_BASE;
+        let mut global = None;
+        for (i, g) in img.globals.iter().enumerate() {
+            if global.is_none() && addr >= base && addr < base + g.size.max(1) {
+                global = Some((i, addr - base));
+            }
+            base += (g.size + 7) & !7;
+        }
+        (func, global)
+    }
+
+    #[test]
+    fn lookups_match_a_scan_where_symbols_share_an_address() {
+        let mut img = Image::default();
+        for (name, size) in [("a", 0), ("b", 0), ("c", 5), ("d", 0), ("e", 16), ("f", 0)] {
+            img.globals.push(ImageGlobal {
+                name: name.into(),
+                size,
+            });
+        }
+        for (name, offset) in [("f0", 32), ("f1", 0), ("f2", 32), ("f3", 16), ("f4", 0)] {
+            img.functions.push(ImageFunction {
+                name: name.into(),
+                nparams: 0,
+                has_ret: false,
+                offset,
+                len: 0,
+            });
+        }
+        let addrs = img.addresses().unwrap();
+        for addr in (TEXT_BASE - 1..TEXT_BASE + 40).chain(DATA_BASE - 1..DATA_BASE + 40) {
+            let (func, global) = scanned(&img, addr);
+            assert_eq!(addrs.func_at(addr), func, "{addr:#x}");
+            assert_eq!(addrs.global_at(addr), global, "{addr:#x}");
+        }
+    }
+
+    #[test]
+    fn globals_past_the_address_space_are_rejected() {
+        let mut img = Image::default();
+        for size in [1 << 63, 1 << 63, 8] {
+            img.globals.push(ImageGlobal {
+                name: "g".into(),
+                size,
+            });
+        }
+        let e = img
+            .addresses()
+            .expect_err("the third global's base overflows");
+        assert!(e.message.contains("overflows"), "{e}");
+        img.globals.pop();
+        let e = img
+            .addresses()
+            .expect_err("the second global's end overflows");
+        assert!(e.message.contains("overflows"), "{e}");
     }
 }

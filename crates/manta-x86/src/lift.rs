@@ -39,7 +39,7 @@ use manta_ir::{BinOp, Frontend, FrontendError, InstKind, Module, ValueId, Width}
 pub use manta_ir::lift::LiftError;
 
 use crate::decode::decode_all;
-use crate::image::{rip_target, Image, ImageError, ImageFunction};
+use crate::image::{rip_target, Addresses, Image, ImageError, ImageFunction};
 use crate::inst::{Alu, Cc, Gpr, Inst, Mem, OpWidth, Rm, Shift};
 
 impl From<ImageError> for LiftError {
@@ -60,6 +60,9 @@ fn err<T>(message: impl Into<String>) -> Result<T, LiftError> {
 /// outside its function, manipulates `rsp`/`rbp` outside the recognized
 /// frame idioms, or consumes flags no `cmp`/`test` defined.
 pub fn lift(image: &Image) -> Result<Module, LiftError> {
+    let addrs = image
+        .addresses()
+        .map_err(|e| LiftError::new(e.to_string()))?;
     let mut lifter = ModuleLifter::new(
         &image.name,
         image
@@ -82,7 +85,7 @@ pub fn lift(image: &Image) -> Result<Module, LiftError> {
     }
     let (mut flags_materialized, mut frame_slots, mut total_insts) = (0, 0, 0);
     for (i, (f, insts)) in image.functions.iter().zip(&decoded).enumerate() {
-        let mut code = Lifter::new(image, i, f, insts)?;
+        let mut code = Lifter::new(image, &addrs, i, f, insts)?;
         lifter.lift_function(i, &mut code)?;
         flags_materialized += code.flags_materialized;
         frame_slots += code.frame_slots;
@@ -126,6 +129,7 @@ struct Residual {
 /// between instructions.
 struct Lifter<'a> {
     image: &'a Image,
+    addrs: &'a Addresses,
     func_index: usize,
     src: &'a ImageFunction,
     /// Decoded instructions with their byte offsets and lengths.
@@ -145,12 +149,14 @@ struct Lifter<'a> {
 impl<'a> Lifter<'a> {
     fn new(
         image: &'a Image,
+        addrs: &'a Addresses,
         func_index: usize,
         src: &'a ImageFunction,
         insts: &'a [(Inst, usize, usize)],
     ) -> Result<Lifter<'a>, LiftError> {
         let mut lifter = Lifter {
             image,
+            addrs,
             func_index,
             src,
             insts,
@@ -430,10 +436,10 @@ impl<'a> Lifter<'a> {
     fn rip_addr(&self, disp: i32) -> Result<RipTarget, LiftError> {
         let (_, off, len) = self.insts[self.cur_idx];
         let addr = rip_target(self.image, self.func_index, (off + len) as u64, disp);
-        if let Some((gi, inner)) = self.image.global_at_addr(addr) {
+        if let Some((gi, inner)) = self.addrs.global_at(addr) {
             return Ok(RipTarget::Global(gi, inner));
         }
-        if let Some(ti) = self.image.func_at_addr(addr) {
+        if let Some(ti) = self.addrs.func_at(addr) {
             return Ok(RipTarget::Func(ti));
         }
         err(format!(
@@ -825,7 +831,7 @@ impl Isa for Lifter<'_> {
             Inst::Jmp { .. } | Inst::Ret => {}
             Inst::Call { rel } => {
                 let addr = rip_target(self.image, self.func_index, (off + len) as u64, rel);
-                if let Some(ti) = self.image.func_at_addr(addr) {
+                if let Some(ti) = self.addrs.func_at(addr) {
                     let nargs = self.image.functions[ti].nparams.into();
                     self.call(body, CallTarget::Function(ti), nargs)?;
                 } else if let Some(ei) = self.image.plt_at_addr(addr) {

@@ -5,10 +5,12 @@
 //!
 //! Cached inference results are keyed `(stage, content, config)`:
 //!
-//! * **content** — [`module_fingerprint`], a deterministic hash of the
-//!   module's *canonical printed text* (`print(parse(print(m))) ==
-//!   print(m)`, so two behaviorally identical modules always share a
-//!   fingerprint regardless of how they were built).
+//! * **content** — [`module_fingerprint`], a deterministic hash of
+//!   everything the module's *canonical printed text* holds
+//!   (`print(parse(print(m))) == print(m)`, so two behaviorally identical
+//!   modules always share a fingerprint regardless of how they were
+//!   built): the fold of its per-function fingerprints with its name,
+//!   externs and globals.
 //! * **config** — [`config_hash`], covering every [`MantaConfig`] field,
 //!   the fuel limit when one applies, and [`CODEC_VERSION`]. Thread
 //!   count is deliberately *excluded*: inference results are
@@ -58,12 +60,13 @@ use crate::{
 pub const CODEC_VERSION: u32 = 1;
 
 /// Version of the text → module mapping a `"src"` alias stands for:
-/// `manta_isa::parse_source` plus preprocessing, and the hash. Folded
-/// into every [`source_fingerprint`]; bump it whenever any of them
-/// changes what a text fingerprints to, or old aliases would point at
-/// another module's result. Version 2 hashes with the word-at-a-time
-/// [`Fingerprint`].
-pub const SOURCE_VERSION: u32 = 2;
+/// `manta_isa::parse_source` plus preprocessing, and the module key
+/// ([`module_fingerprint`]). Folded into every [`source_fingerprint`];
+/// bump it whenever any of them changes what a text fingerprints to, or
+/// old aliases would point at another module's result. Version 2 hashes
+/// with the word-at-a-time [`Fingerprint`]; version 3 folds the module
+/// key from the per-function fingerprints.
+pub const SOURCE_VERSION: u32 = 3;
 
 /// Maximum [`Type`] nesting depth accepted by the decoder — a corrupt
 /// payload must not be able to recurse the stack away. Generous: the
@@ -79,11 +82,47 @@ pub(crate) fn text_hash(text: &str) -> u64 {
     Fingerprint::new().write_str(text).finish()
 }
 
-/// Deterministic content hash of a module: the hash of its canonical
-/// printed text.
+/// Deterministic content hash of a module, the content half of its
+/// `"infer"` key: its [`function_fingerprints`], in id order, folded with
+/// the rest of what its canonical print holds — the module name, each
+/// extern's name and widths, each global's name and size — so two
+/// modules share it exactly when they print the same text.
 #[must_use]
 pub fn module_fingerprint(module: &manta_ir::Module) -> u64 {
-    text_hash(&printer::print_module(module))
+    module_key(module, &function_fingerprints(module))
+}
+
+/// The module key and the per-function fingerprints it folds, under the
+/// `cache.fingerprint` span: one canonical print of each function, which
+/// a summary-mode miss hands on to its memo instead of printing again.
+pub(crate) fn fingerprints(module: &manta_ir::Module) -> (u64, Vec<u64>) {
+    manta_telemetry::span!("cache.fingerprint");
+    let functions = function_fingerprints(module);
+    (module_key(module, &functions), functions)
+}
+
+/// [`module_fingerprint`] from already computed function fingerprints.
+fn module_key(module: &manta_ir::Module, functions: &[u64]) -> u64 {
+    let mut h = Fingerprint::new();
+    h.write_str(module.name());
+    let width = |w: Option<Width>| w.map_or(0, |w| u64::from(w.bits()));
+    h.write_usize(module.externs().count());
+    for e in module.externs() {
+        h.write_str(&e.name).write_usize(e.param_widths.len());
+        for &w in &e.param_widths {
+            h.write_u64(width(Some(w)));
+        }
+        h.write_u64(width(e.ret_width));
+    }
+    h.write_usize(module.globals().count());
+    for g in module.globals() {
+        h.write_str(&g.name).write_u64(g.size);
+    }
+    h.write_usize(functions.len());
+    for &f in functions {
+        h.write_u64(f);
+    }
+    h.finish()
 }
 
 /// The content half of a `"src"` alias key: the hash of
@@ -708,20 +747,43 @@ impl AnalysisCache {
         self.get_decoded(key, decode_result)
     }
 
-    /// Fetches and decodes a `"src"` alias (see [`encode_alias`]).
+    /// Fetches and decodes a `"src"` alias (see [`encode_alias`]). No
+    /// span: an alias hit is all a repeated daemon request costs.
     pub(crate) fn get_alias(&self, key: &Key) -> Option<(u64, ClassCounts)> {
-        self.get_decoded(key, decode_alias).map(|(alias, _)| alias)
+        let payload = self.store.get(key)?;
+        self.decoded(key, payload, decode_alias)
+            .map(|(alias, _)| alias)
     }
 
-    /// Fetches an entry and decodes it. Checksum-valid but undecodable
-    /// payloads (hash collision, codec bug, wrong length) are discarded
-    /// with a degradation record — never served, never panicked on.
+    /// Fetches an entry under a `store.get` span and decodes it.
     pub(crate) fn get_decoded<T>(
         &self,
         key: &Key,
         decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
     ) -> Option<(T, Vec<u8>)> {
-        let payload = self.store.get(key)?;
+        let payload = {
+            manta_telemetry::span!("store.get");
+            self.store.get(key)?
+        };
+        self.decoded(key, payload, decode)
+    }
+
+    /// Stores `payload` under `key` in a `store.put` span. A failed put
+    /// only costs a later recomputation, so it is not reported.
+    pub(crate) fn put(&self, key: &Key, payload: &[u8]) {
+        manta_telemetry::span!("store.put");
+        let _ = self.store.put(key, payload);
+    }
+
+    /// Decodes a fetched payload. Checksum-valid but undecodable payloads
+    /// (hash collision, codec bug, wrong length) are discarded with a
+    /// degradation record — never served, never panicked on.
+    fn decoded<T>(
+        &self,
+        key: &Key,
+        payload: Vec<u8>,
+        decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+    ) -> Option<(T, Vec<u8>)> {
         match decode(&payload) {
             Ok(v) => Some((v, payload)),
             Err(e) => {
@@ -878,6 +940,51 @@ mod tests {
         let s = cache.store().stats().snapshot();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(cache.store().len(), 1);
+    }
+
+    /// A two-function module; the variants differ from the first only in
+    /// an extern's return width, a global's size or the function order.
+    fn keyed_module(extern_ret: bool, global_size: u64, swapped: bool) -> manta_ir::Module {
+        let mut mb = ModuleBuilder::new("keyed");
+        let _ = mb.extern_fn("getbuf", &[Width::W64], extern_ret.then_some(Width::W64));
+        let _ = mb.global("table", global_size);
+        let names = if swapped { ["b", "a"] } else { ["a", "b"] };
+        for name in names {
+            let (_, mut fb) = mb.function(name, &[Width::W64], None);
+            let _ = fb.param(0);
+            fb.ret(None);
+            mb.finish_function(fb);
+        }
+        mb.finish()
+    }
+
+    #[test]
+    fn module_fingerprint_separates_what_the_print_separates() {
+        let base = keyed_module(true, 16, false);
+        let key = module_fingerprint(&base);
+        assert_eq!(key, module_fingerprint(&keyed_module(true, 16, false)));
+        let variants = [
+            ("extern signature", keyed_module(false, 16, false)),
+            ("global size", keyed_module(true, 24, false)),
+            ("function order", keyed_module(true, 16, true)),
+        ];
+        for (what, module) in &variants {
+            assert_ne!(
+                printer::print_module(module),
+                printer::print_module(&base),
+                "{what}"
+            );
+            assert_ne!(module_fingerprint(module), key, "{what}");
+        }
+
+        // The engine stores its result under exactly that key.
+        let (_tmp, engine) = cached_engine("module-key");
+        let analysis = ModuleAnalysis::build(base);
+        let _ = engine.analyze(&analysis).unwrap();
+        let content = module_fingerprint(analysis.module());
+        assert_eq!(content, fingerprints(analysis.module()).0);
+        let infer = Key::new("infer", content, config_hash(&MantaConfig::full(), None));
+        assert!(engine.cache().unwrap().store().get(&infer).is_some());
     }
 
     #[test]

@@ -48,7 +48,7 @@ use manta_resilience::{
 use manta_store::{Key, StoreError};
 
 use crate::cache::{
-    config_hash, encode_alias, encode_result, module_fingerprint, source_fingerprint, AnalysisCache,
+    config_hash, encode_alias, encode_result, fingerprints, source_fingerprint, AnalysisCache,
 };
 use crate::ctx_refine::Footprint;
 use crate::interval::TypeInterval;
@@ -159,7 +159,7 @@ fn run_step(
 /// no answer depends on which partition computed it, and the updates
 /// merge back in partition (= function) order. With a `memo`, clean
 /// partitions replay from the summary state and only the dirty ones run
-/// (see [`Memo::refine`]).
+/// (see [`Memo::refine`]), merged in the same order.
 ///
 /// # Errors
 ///
@@ -190,12 +190,12 @@ fn refine(
             sites: Vec::new(),
         })
     };
-    let outs = match memo {
-        Some(memo) => memo.refine(stage, analysis, result, chunks, run)?,
-        None => manta_parallel::par_map(chunks, |chunk| run(chunk, &mut Footprint::off()))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    if let Some(memo) = memo {
+        return memo.refine(stage, analysis, result, chunks, run);
+    }
+    let outs = manta_parallel::par_map(chunks, |chunk| run(chunk, &mut Footprint::off()))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let mut delta = Refinement {
         vars: Vec::with_capacity(outs.iter().map(|o| o.vars.len()).sum()),
         sites: Vec::with_capacity(outs.iter().map(|o| o.sites.len()).sum()),
@@ -633,7 +633,7 @@ impl Engine {
         let counts = inferred.result.final_counts();
         let bytes = match (alias, inferred.stored) {
             (Some((cache, _, key)), Some((fingerprint, bytes))) => {
-                let _ = cache.store().put(&key, &encode_alias(fingerprint, counts));
+                cache.put(&key, &encode_alias(fingerprint, counts));
                 bytes
             }
             _ => encode_result(&inferred.result),
@@ -673,11 +673,11 @@ impl Engine {
                 stored: None,
             });
         };
-        let (analysis, fingerprint) = {
+        let (analysis, (fingerprint, functions)) = {
             manta_telemetry::span!("analysis.build");
             let pre =
                 ModuleAnalysis::preprocess_budgeted(module, PreprocessConfig::default(), &budget)?;
-            let fingerprint = module_fingerprint(&pre.module);
+            let (fingerprint, functions) = fingerprints(&pre.module);
             if let Some((result, bytes)) = cache.get_result(&Key::new("infer", fingerprint, cfg)) {
                 return Ok(Inferred {
                     module: pre.module,
@@ -685,10 +685,11 @@ impl Engine {
                     stored: Some((fingerprint, bytes)),
                 });
             }
-            (ModuleAnalysis::finish_budgeted(pre, &budget)?, fingerprint)
+            let analysis = ModuleAnalysis::finish_budgeted(pre, &budget)?;
+            (analysis, (fingerprint, functions))
         };
         let (result, _, encoded) =
-            self.analyze_miss(&analysis, cache, fingerprint, cfg, &budget)?;
+            self.analyze_miss(&analysis, cache, (fingerprint, &functions), cfg, &budget)?;
         Ok(Inferred {
             module: analysis.pre.module,
             result,
@@ -742,11 +743,11 @@ impl Engine {
         let Some((cache, cfg)) = self.cache_policy(budget) else {
             return self.run_pipeline(analysis, budget, None);
         };
-        let fingerprint = module_fingerprint(analysis.module());
+        let (fingerprint, functions) = fingerprints(analysis.module());
         if let Some(hit) = self.lookup(cache, fingerprint, cfg) {
             return Ok(hit);
         }
-        self.analyze_miss(analysis, cache, fingerprint, cfg, budget)
+        self.analyze_miss(analysis, cache, (fingerprint, &functions), cfg, budget)
             .map(|(result, prov, _)| (result, prov))
     }
 
@@ -788,16 +789,18 @@ impl Engine {
         Some((hit, Some(graph)))
     }
 
-    /// A cache miss: computes on `budget` and persists only non-degraded
-    /// results. The graph of a provenance-recording engine lands beside
-    /// the result, and a summary-mode engine's next summary state
-    /// replaces the previous one; the result payload stays bit-identical
-    /// to a provenance-off, summary-off run.
+    /// A cache miss on the module key `fingerprint`, folded from the
+    /// per-function fingerprints `functions`: computes on `budget` and
+    /// persists only non-degraded results. The graph of a
+    /// provenance-recording engine lands beside the result, and a
+    /// summary-mode engine's next summary state replaces the previous
+    /// one; the result payload stays bit-identical to a provenance-off,
+    /// summary-off run.
     fn analyze_miss(
         &self,
         analysis: &ModuleAnalysis,
         cache: &AnalysisCache,
-        fingerprint: u64,
+        (fingerprint, functions): (u64, &[u64]),
         cfg: u64,
         budget: &Budget,
     ) -> Result<Miss, MantaError> {
@@ -811,23 +814,21 @@ impl Engine {
             && budget.is_unlimited()
             && summaries::eligible(self.config.sensitivity))
         .then(|| summaries::state_key(analysis.module().name(), &self.config));
-        let mut memo = state_key.as_ref().map(|k| {
-            let prev = cache.get_decoded(k, summaries::decode_prev);
-            Memo::new(analysis, prev.map(|(state, _)| state).unwrap_or_default())
-        });
+        let mut memo = state_key
+            .as_ref()
+            .map(|k| Memo::new(analysis, summaries::load(cache, k), functions));
         let (result, prov) = self.run_pipeline(analysis, budget, memo.as_mut())?;
         // A degraded result is never persisted, nor is the summary state
         // it leaves behind.
         let encoded = (!result.is_degraded()).then(|| {
             let bytes = encode_result(&result);
-            let _ = cache.store().put(&key, &bytes);
+            cache.put(&key, &bytes);
             if let Some(graph) = &prov {
-                let _ = cache
-                    .store()
-                    .put(&Key::new("prov", fingerprint, cfg), &graph.encode());
+                cache.put(&Key::new("prov", fingerprint, cfg), &graph.encode());
             }
             if let (Some(state_key), Some(memo)) = (&state_key, memo) {
-                let _ = cache.store().put(state_key, &memo.finish().0);
+                manta_telemetry::span!("summary.encode");
+                cache.put(state_key, &memo.finish());
             }
             bytes
         });

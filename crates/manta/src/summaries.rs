@@ -23,8 +23,9 @@
 //! pre-stage result. Each cached chunk records the **footprint** of the
 //! walks that produced it — every function whose data was read
 //! (`ctx_refine::Footprint`). A chunk is replayed iff every
-//! footprint member's current `IN` matches the value recorded at write
-//! time; otherwise the chunk recomputes. Because the footprint covers
+//! footprint member still exists and their current `IN`s hash to the
+//! combined value recorded at write time; otherwise the chunk
+//! recomputes. Because the footprint covers
 //! *all* inputs of the walk, replay is bit-identical by construction —
 //! no precision allowlist is needed, and the parity suite pins it.
 //!
@@ -38,14 +39,20 @@
 //! [`solve`] is the engine's driver loop run with a `Memo` on an
 //! unlimited budget, so a summary solve has the same stage spans, fault
 //! sites, panic isolation and degradation records as a full one. The
-//! memo decodes the previous state and builds the static input
-//! fingerprints once per solve. Around each refinement step it computes
+//! memo parses the previous state's tables once per solve and builds the
+//! static input fingerprints from the per-function text fingerprints the
+//! module key already computed. Around each refinement step it computes
 //! the stage's input fingerprints, validates footprints sequentially,
-//! replays the clean chunks, sends only the dirty ones to the pool with
-//! footprint recording on, and records the next state's entries; the
-//! driver then commits the merged updates exactly as in a full solve.
-//! Chunks are pure functions of the frozen pre-stage result, so the
-//! dirty ones go to the pool in one flat `par_map`, in any order.
+//! sends only the dirty chunks to the pool with footprint recording on,
+//! and then, in partition order, decodes each clean chunk's cached
+//! updates straight into the stage's delta and records the next state's
+//! entries; the engine loop then commits the delta exactly as in a full
+//! solve. Chunks are pure functions of the frozen pre-stage result, so
+//! the dirty ones go to the pool in one flat `par_map`, in any order.
+//!
+//! A replayed or carried chunk moves into the next state as the bytes it
+//! was read as, citing its footprint list by index; only the dirty
+//! chunks are encoded, and only their footprints interned.
 //!
 //! ## What bypasses this path
 //!
@@ -57,27 +64,27 @@
 //! neither is their summary state.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use manta_analysis::{DepKind, ModuleAnalysis, ObjectKind, VarRef};
-use manta_ir::{FuncId, InstId, ValueId};
+use manta_analysis::{DepKind, ModuleAnalysis, ObjectId, ObjectKind, VarRef};
+use manta_ir::{FuncId, Function, InstId, ValueId};
 use manta_resilience::{Budget, BudgetExceeded};
 use manta_store::{ByteReader, ByteWriter, DecodeError, Fingerprint, Key};
 
 use crate::cache::{
-    bad, config_hash, dec_interval, enc_interval, function_fingerprints, text_hash,
+    bad, config_hash, dec_interval, enc_interval, function_fingerprints, text_hash, AnalysisCache,
 };
 use crate::ctx_refine::Footprint;
 use crate::engine::{Engine, Refinement};
-use crate::interval::TypeInterval;
 use crate::{InferenceResult, MantaConfig, Sensitivity, Stage, NONE};
 
 /// Version of the persisted summary-state payload. Folded into every
 /// input fingerprint and checked on decode, so a codec change orphans
-/// (never misreads) older state. v4 dropped v3's per-function points-to
-/// boundary table: each function's static input fingerprint already
-/// hashes the points-to set of every value it owns, call results
-/// included.
-pub const SUMMARY_STATE_VERSION: u32 = 4;
+/// (never misreads) older state. v5 names functions by index into a
+/// per-state function table, stores footprint members as runs of those
+/// indices under one combined hash of their `IN`s, and keeps each
+/// stage's chunk bodies in one blob that replay copies as bytes.
+pub const SUMMARY_STATE_VERSION: u32 = 5;
 
 /// The store key holding a module's whole summary state for one config:
 /// one mutable entry per `(module name, config)` — edits update it in
@@ -103,152 +110,206 @@ fn tag(stage: Stage) -> u8 {
 // ---------------------------------------------------------------------
 // Persisted state
 // ---------------------------------------------------------------------
+//
+// The v5 payload, little-endian throughout:
+//
+//   u32 version
+//   u32 n, n × u64               function table: name hashes
+//   u32 n, then per list:        footprint lists
+//       u64 combined IN hash, u32 k, k × (u32 first, u32 len)
+//   u8 n, then per stage:
+//       u8 tag, u32 m, m × (u32 owner, u32 list, u32 end),
+//       u64 b, b bytes of chunk bodies
+//
+// A list's members are the function-table indices its runs cover, in
+// order. Entries ascend by owner (a function-table index); an entry's
+// body is `bodies[previous end..end]`: u32 n, n × (u32 value, interval),
+// then u32 n, n × (u32 value, u32 inst, interval).
 
-/// One cached refinement chunk: the updates one function's candidate
-/// partition produced, plus the recorded read footprint that gates
-/// replay. Values are function-local ids — valid whenever the owning
-/// function's text fingerprint (part of its `IN`) is unchanged.
-#[derive(Clone, Debug, PartialEq)]
-struct ChunkEntry {
-    /// Index into [`State::footprints`]: the `(name hash, IN at write
-    /// time)` list for every function the producing walks read. Always
-    /// includes the owner.
-    footprint: u32,
-    /// Variable-level interval updates, by local value id.
-    vars: Vec<(u32, TypeInterval)>,
-    /// Site-level interval updates (FS stages only).
-    sites: Vec<(u32, u32, TypeInterval)>,
-}
-
-/// The whole persisted summary state: per stage, per function (by name
-/// hash), the cached chunk. Footprints live in a deduplicated side
-/// table — chunks in one call cluster record near-identical read sets,
-/// so interning shrinks the payload by the cluster size and lets
-/// validation run once per distinct footprint instead of once per
-/// chunk.
-#[derive(Default, Debug)]
-pub(crate) struct State {
-    footprints: Vec<Vec<(u64, u64)>>,
-    stages: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
-}
-
-/// Builds the deduplicated footprint table of the *next* state: every
-/// replayed, recomputed and carried-forward chunk re-interns its
-/// footprint list here, so the table never accretes dead lists.
+/// A previous state: its payload and the tables parsed out of it. Chunk
+/// bodies stay bytes until their chunk replays.
 #[derive(Default)]
-struct FpInterner {
-    table: Vec<Vec<(u64, u64)>>,
-    index: HashMap<Vec<(u64, u64)>, u32>,
+pub(crate) struct State {
+    payload: Vec<u8>,
+    layout: Layout,
 }
 
-impl FpInterner {
-    fn intern(&mut self, list: Vec<(u64, u64)>) -> u32 {
-        if let Some(&i) = self.index.get(&list) {
-            return i;
-        }
-        let i = self.table.len() as u32;
-        self.index.insert(list.clone(), i);
-        self.table.push(list);
-        i
+/// The parsed tables of a state payload.
+#[derive(Default)]
+struct Layout {
+    /// The function table: each function's name hash.
+    funcs: Vec<u64>,
+    lists: Vec<List>,
+    /// Every list's runs of consecutive function-table indices.
+    runs: Vec<(u32, u32)>,
+    /// Per refinement stage, its tag and cached chunks.
+    stages: Vec<(u8, Vec<Entry>)>,
+}
+
+/// A footprint list: the combined hash ([`list_hash`]) of its members'
+/// `IN`s at write time, and its runs.
+struct List {
+    hash: u64,
+    runs: Range<usize>,
+}
+
+/// One cached refinement chunk: the function whose candidate partition
+/// produced it, the footprint list of every function its walks read
+/// (always including the owner), and where its encoded updates lie in
+/// the payload. Values are function-local ids, valid whenever the
+/// owner's text fingerprint (part of its `IN`) is unchanged.
+#[derive(Clone)]
+struct Entry {
+    owner: u32,
+    list: u32,
+    body: Range<usize>,
+}
+
+impl Layout {
+    /// Function-table indices of list `list`'s members, in order.
+    fn members(&self, list: u32) -> impl Iterator<Item = usize> + '_ {
+        let runs = self.lists[list as usize].runs.clone();
+        self.runs[runs]
+            .iter()
+            .flat_map(|&(first, len)| first as usize..(first + len) as usize)
     }
 }
 
-fn encode_state(state: &State) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(SUMMARY_STATE_VERSION);
-    w.usize(state.footprints.len());
-    for list in &state.footprints {
-        w.usize(list.len());
-        for (h, fp) in list {
-            w.u64(*h).u64(*fp);
-        }
+/// The combined hash a footprint list records: its members' `IN`s, in
+/// list order.
+fn list_hash(ins: impl Iterator<Item = u64>) -> u64 {
+    let mut h = Fingerprint::new();
+    for i in ins {
+        h.write_u64(i);
     }
-    w.usize(state.stages.len());
-    for (tag, entries) in &state.stages {
-        w.u8(*tag);
-        w.usize(entries.len());
-        for (nh, e) in entries {
-            w.u64(*nh);
-            w.u32(e.footprint);
-            w.usize(e.vars.len());
-            for (v, i) in &e.vars {
-                w.u32(*v);
-                enc_interval(&mut w, i);
-            }
-            w.usize(e.sites.len());
-            for (v, s, i) in &e.sites {
-                w.u32(*v).u32(*s);
-                enc_interval(&mut w, i);
-            }
-        }
-    }
-    w.finish()
+    h.finish()
 }
 
-/// Decodes a persisted state under the `summary.decode` span; an
-/// undecodable one counts `summary.state_corrupt`.
-pub(crate) fn decode_prev(payload: &[u8]) -> Result<State, DecodeError> {
+/// Reads the previous state under the `summary.decode` span, with its
+/// read the nested `store.get`. An undecodable state is discarded as
+/// store corruption and counts `summary.state_corrupt`.
+pub(crate) fn load(cache: &AnalysisCache, key: &Key) -> Option<State> {
     manta_telemetry::span!("summary.decode");
-    decode_state(payload).inspect_err(|_| manta_telemetry::counter("summary.state_corrupt", 1))
+    cache
+        .get_decoded(key, parse)
+        .map(|(layout, payload)| State { payload, layout })
 }
 
-fn decode_state(payload: &[u8]) -> Result<State, DecodeError> {
+/// Parses a state payload's tables, counting `summary.state_corrupt` when
+/// it is not a v5 state.
+fn parse(payload: &[u8]) -> Result<Layout, DecodeError> {
+    parse_layout(payload).inspect_err(|_| manta_telemetry::counter("summary.state_corrupt", 1))
+}
+
+fn parse_layout(payload: &[u8]) -> Result<Layout, DecodeError> {
+    // No table is allocated for more entries than the payload could hold.
+    let fits = |n: u32, bytes: usize| (n as usize).min(payload.len() / bytes);
     let mut r = ByteReader::new(payload);
     if r.u32("summary version")? != SUMMARY_STATE_VERSION {
         return Err(bad("summary version"));
     }
-    let n_fps = r.len("summary footprints")?;
-    let mut footprints = Vec::with_capacity(n_fps.min(4096));
-    for _ in 0..n_fps {
-        let nf = r.len("summary footprint")?;
-        let mut list = Vec::with_capacity(nf.min(4096));
-        for _ in 0..nf {
-            list.push((r.u64("footprint name")?, r.u64("footprint fp")?));
-        }
-        footprints.push(list);
+    let n = r.u32("summary functions")?;
+    let mut funcs = Vec::with_capacity(fits(n, 8));
+    for _ in 0..n {
+        funcs.push(r.u64("summary function")?);
     }
-    let n_stages = r.len("summary stages")?;
-    let mut stages = Vec::with_capacity(n_stages.min(4));
-    for _ in 0..n_stages {
+    let n = r.u32("summary lists")?;
+    let mut lists = Vec::with_capacity(fits(n, 12));
+    let mut runs = Vec::new();
+    for _ in 0..n {
+        let hash = r.u64("summary list hash")?;
+        let start = runs.len();
+        for _ in 0..r.u32("summary list runs")? {
+            let (first, len) = (r.u32("summary run")?, r.u32("summary run")?);
+            if u64::from(first) + u64::from(len) > funcs.len() as u64 {
+                return Err(bad("summary run"));
+            }
+            runs.push((first, len));
+        }
+        lists.push(List {
+            hash,
+            runs: start..runs.len(),
+        });
+    }
+    let mut stages: Vec<(u8, Vec<Entry>)> = Vec::new();
+    for _ in 0..r.u8("summary stages")? {
         let tag = r.u8("summary stage tag")?;
-        if tag > 1 {
+        if tag > 1 || stages.iter().any(|(t, _)| *t == tag) {
             return Err(bad("summary stage tag"));
         }
-        let n = r.len("summary entries")?;
-        let mut entries = Vec::with_capacity(n.min(4096));
+        let n = r.u32("summary entries")?;
+        let mut entries: Vec<Entry> = Vec::with_capacity(fits(n, 12));
+        let mut start = 0;
         for _ in 0..n {
-            let nh = r.u64("summary name hash")?;
-            let footprint = r.u32("summary footprint ref")?;
-            if footprint as usize >= footprints.len() {
-                return Err(bad("summary footprint ref"));
+            let owner = r.u32("summary owner")?;
+            let list = r.u32("summary list ref")?;
+            let end = r.u32("summary body end")? as usize;
+            let ascending = entries.last().is_none_or(|e| e.owner < owner);
+            if !ascending || owner as usize >= funcs.len() {
+                return Err(bad("summary owner"));
             }
-            let nv = r.len("summary vars")?;
-            let mut vars = Vec::with_capacity(nv.min(4096));
-            for _ in 0..nv {
-                vars.push((r.u32("summary var")?, dec_interval(&mut r)?));
+            if list as usize >= lists.len() || end < start {
+                return Err(bad("summary entry"));
             }
-            let ns = r.len("summary sites")?;
-            let mut sites = Vec::with_capacity(ns.min(4096));
-            for _ in 0..ns {
-                sites.push((
-                    r.u32("summary site var")?,
-                    r.u32("summary site inst")?,
-                    dec_interval(&mut r)?,
-                ));
-            }
-            entries.push((
-                nh,
-                ChunkEntry {
-                    footprint,
-                    vars,
-                    sites,
-                },
-            ));
+            entries.push(Entry {
+                owner,
+                list,
+                body: start..end,
+            });
+            start = end;
+        }
+        let bodies = r.bytes("summary bodies")?;
+        if bodies.len() != start {
+            return Err(bad("summary bodies"));
+        }
+        let base = r.position() - bodies.len();
+        for e in &mut entries {
+            e.body = base + e.body.start..base + e.body.end;
         }
         stages.push((tag, entries));
     }
     r.expect_end("summary state")?;
-    Ok(State { footprints, stages })
+    Ok(Layout {
+        funcs,
+        lists,
+        runs,
+        stages,
+    })
+}
+
+/// Decodes one cached chunk body onto `delta`, in its owner `func`'s
+/// coordinates. A body that names a value `func` lacks is corrupt.
+fn decode_body(body: &[u8], func: &Function, delta: &mut Refinement) -> Result<(), DecodeError> {
+    let var = |v: u32| {
+        ((v as usize) < func.value_count())
+            .then(|| VarRef::new(func.id(), ValueId(v)))
+            .ok_or(bad("summary value"))
+    };
+    let mut r = ByteReader::new(body);
+    for _ in 0..r.u32("summary vars")? {
+        let v = var(r.u32("summary var")?)?;
+        delta.vars.push((v, dec_interval(&mut r)?));
+    }
+    for _ in 0..r.u32("summary sites")? {
+        let v = var(r.u32("summary site var")?)?;
+        let s = InstId(r.u32("summary site inst")?);
+        delta.sites.push(((v, s), dec_interval(&mut r)?));
+    }
+    r.expect_end("summary chunk")
+}
+
+/// Encodes a recomputed chunk's updates as a body [`decode_body`] reads.
+fn encode_body(w: &mut ByteWriter, out: &Refinement) {
+    w.u32(out.vars.len() as u32);
+    for (v, i) in &out.vars {
+        w.u32(v.value.0);
+        enc_interval(w, i);
+    }
+    w.u32(out.sites.len() as u32);
+    for ((v, s), i) in &out.sites {
+        w.u32(v.value.0).u32(s.0);
+        enc_interval(w, i);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -261,18 +322,15 @@ fn decode_state(payload: &[u8]) -> Result<State, DecodeError> {
 /// per-value interval slice of the live result at each stage entry.
 struct Inputs {
     name_hash: Vec<u64>,
-    by_name: HashMap<u64, FuncId>,
     static_fp: Vec<u64>,
 }
 
 impl Inputs {
+    /// The static input fingerprints of `analysis`'s functions, from
+    /// their text fingerprints `text_fps` (in id order).
     fn new(analysis: &ModuleAnalysis, text_fps: &[u64]) -> Inputs {
         let module = analysis.module();
         let name_hash: Vec<u64> = module.functions().map(|f| text_hash(f.name())).collect();
-        let by_name: HashMap<u64, FuncId> = module
-            .functions()
-            .map(|f| (name_hash[f.id().index()], f.id()))
-            .collect();
 
         // Extern signatures feed reveal rules without appearing in any
         // function's canonical text, so they fold into every IN: an
@@ -293,13 +351,29 @@ impl Inputs {
 
         let obj_keys = stable_object_keys(analysis, &name_hash);
         let ddg = &analysis.ddg;
-        let pts = &analysis.pointsto;
         let cg = &analysis.callgraph;
+        // Each value's points-to set by its DDG node, read off the map in
+        // one pass rather than looked up value by value.
+        let mut pts_of = vec![None; ddg.node_count()];
+        for (v, set) in analysis.pointsto.var_sets() {
+            pts_of[ddg.node(v).index()] = Some(set);
+        }
 
         let mut static_fp = Vec::with_capacity(name_hash.len());
         // Arith edges hash their operator via its Debug text; memoized
         // per distinct operator, not per edge.
         let mut op_hash: HashMap<manta_ir::BinOp, u64> = HashMap::new();
+        // One scratch list of hashes, sorted before each fold so that
+        // construction order cannot perturb a fingerprint.
+        let mut keys: Vec<u64> = Vec::new();
+        let fold = |h: &mut Fingerprint, keys: &mut Vec<u64>| {
+            keys.sort_unstable();
+            h.write_usize(keys.len());
+            for &k in keys.iter() {
+                h.write_u64(k);
+            }
+            keys.clear();
+        };
         for func in module.functions() {
             let fid = func.id();
             let mut h = Fingerprint::new();
@@ -307,70 +381,55 @@ impl Inputs {
             h.write_u64(extern_digest);
             h.write_u64(text_fps[fid.index()]);
 
-            // Points-to slice: per value, the sorted stable object keys.
+            // Points-to slice: per value, the stable object keys.
             for (value, _) in func.values() {
-                let v = VarRef::new(fid, value);
-                let mut ks: Vec<u64> = pts.pts_var(v).iter().map(|o| obj_keys[o.index()]).collect();
-                ks.sort_unstable();
-                h.write_u64(u64::from(value.0));
-                h.write_usize(ks.len());
-                for k in ks {
-                    h.write_u64(k);
+                if let Some(set) = pts_of[ddg.node(VarRef::new(fid, value)).index()] {
+                    keys.extend(set.iter().map(|o: &ObjectId| obj_keys[o.index()]));
                 }
+                h.write_u64(u64::from(value.0));
+                fold(&mut h, &mut keys);
             }
 
             // DDG slice: every edge incident to this function's nodes, in
-            // stable coordinates. Hashes are sorted so adjacency-list
-            // construction order (which can shift when *other* functions
-            // change) cannot perturb the fingerprint.
+            // stable coordinates; adjacency-list order can shift when
+            // *other* functions change.
             for (value, _) in func.values() {
                 let n = ddg.node(VarRef::new(fid, value));
-                let mut es: Vec<u64> = Vec::new();
                 for &(other, kind) in ddg.children(n) {
-                    es.push(edge_hash(0, ddg.var(other), kind, &name_hash, &mut op_hash));
+                    keys.push(edge_hash(0, ddg.var(other), kind, &name_hash, &mut op_hash));
                 }
                 for &(other, kind) in ddg.parents(n) {
-                    es.push(edge_hash(1, ddg.var(other), kind, &name_hash, &mut op_hash));
+                    keys.push(edge_hash(1, ddg.var(other), kind, &name_hash, &mut op_hash));
                 }
-                es.sort_unstable();
                 h.write_u64(u64::from(value.0));
-                h.write_usize(es.len());
-                for e in es {
-                    h.write_u64(e);
-                }
+                fold(&mut h, &mut keys);
             }
 
             // Call-graph adjacency: both directions, with sites. Needed
             // beyond the DDG slice because e.g. a new zero-argument call
             // edge changes the FS caller crossing without adding any DDG
             // edge.
-            let mut es: Vec<u64> = Vec::new();
             for e in cg.callees(fid) {
                 let mut eh = Fingerprint::new();
                 eh.write_u64(0)
                     .write_u64(name_hash[e.callee.index()])
                     .write_u64(u64::from(e.site.0));
-                es.push(eh.finish());
+                keys.push(eh.finish());
             }
             for e in cg.callers(fid) {
                 let mut eh = Fingerprint::new();
                 eh.write_u64(1)
                     .write_u64(name_hash[e.caller.index()])
                     .write_u64(u64::from(e.site.0));
-                es.push(eh.finish());
+                keys.push(eh.finish());
             }
-            es.sort_unstable();
-            h.write_usize(es.len());
-            for e in es {
-                h.write_u64(e);
-            }
+            fold(&mut h, &mut keys);
 
             static_fp.push(h.finish());
         }
 
         Inputs {
             name_hash,
-            by_name,
             static_fp,
         }
     }
@@ -378,15 +437,15 @@ impl Inputs {
     /// The per-function input fingerprints at one stage entry: the
     /// static part plus the current per-value interval slice (the only
     /// live input the walks read), read off each function's contiguous
-    /// slots.
+    /// slots. Every function's slice is encoded into one buffer, per
+    /// value a 0 byte or a 1 byte and the interval, and hashed from it.
     fn stage_fps(&self, analysis: &ModuleAnalysis, result: &InferenceResult) -> Vec<u64> {
         let module = analysis.module();
-        let mut out = Vec::with_capacity(self.static_fp.len());
+        let mut w = ByteWriter::new();
+        let mut ends = Vec::with_capacity(self.static_fp.len());
         for func in module.functions() {
-            let fid = func.id();
-            let slots = result.vars.slots(fid);
+            let slots = result.vars.slots(func.id());
             debug_assert_eq!(slots.len(), func.value_count());
-            let mut w = ByteWriter::new();
             for &entry in &result.slot[slots] {
                 if entry == NONE {
                     w.u8(0);
@@ -395,12 +454,19 @@ impl Inputs {
                     enc_interval(&mut w, &result.intervals[entry as usize]);
                 }
             }
-            let mut h = Fingerprint::new();
-            h.write_u64(self.static_fp[fid.index()]);
-            h.write(&w.finish());
-            out.push(h.finish());
+            ends.push(w.len());
         }
-        out
+        let bytes = w.finish();
+        let mut start = 0;
+        ends.into_iter()
+            .zip(&self.static_fp)
+            .map(|(end, &static_fp)| {
+                let mut h = Fingerprint::new();
+                h.write_u64(static_fp).write(&bytes[start..end]);
+                start = end;
+                h.finish()
+            })
+            .collect()
     }
 }
 
@@ -536,39 +602,79 @@ pub struct SolveReport {
 pub(crate) struct Memo {
     prev: State,
     inputs: Inputs,
-    /// The next state's footprint table, and where each previous
-    /// footprint landed in it.
-    interner: FpInterner,
+    /// Each previous function-table index's function in this module.
+    prev_func: Vec<Option<FuncId>>,
+    next: Next,
+    /// Each partition's function and whether it replayed, in solve order.
+    outcomes: Vec<(FuncId, bool)>,
+}
+
+/// The next state as it accumulates.
+#[derive(Default)]
+struct Next {
+    /// Its footprint lists: previous ones by index, new ones by content.
+    lists: Vec<NextList>,
+    /// Where each previous list landed in `lists`.
     moved: Vec<Option<u32>>,
-    next: Vec<(u8, Vec<(u64, ChunkEntry)>)>,
-    report: SolveReport,
+    /// New lists by combined hash.
+    new_by_hash: HashMap<u64, u32>,
+    /// Per stage, its tag and entries.
+    stages: Vec<(u8, Vec<NextEntry>)>,
+    /// The recomputed chunks' bodies, back to back.
+    bodies: ByteWriter,
+}
+
+enum NextList {
+    Prev(u32),
+    New { hash: u64, members: Vec<FuncId> },
+}
+
+/// A chunk of the next state: its owner (this module's function, whose
+/// index it keeps in the next function table), footprint list, and body.
+struct NextEntry {
+    owner: FuncId,
+    list: u32,
+    body: Body,
+}
+
+/// Where a next-state chunk body's bytes lie.
+enum Body {
+    /// In the previous payload: a replayed or carried chunk.
+    Prev(Range<usize>),
+    /// In [`Next::bodies`]: a recomputed chunk.
+    New(Range<usize>),
 }
 
 impl Memo {
-    /// Starts from the previous state `prev` ([`decode_prev`]; the
-    /// default state replays nothing) and builds the static input
-    /// fingerprints of `analysis`.
-    pub(crate) fn new(analysis: &ModuleAnalysis, prev: State) -> Memo {
+    /// Starts from the previous state `prev` ([`load`]; `None` replays
+    /// nothing) and builds the static input fingerprints of `analysis`
+    /// from its per-function text fingerprints `text_fps`.
+    pub(crate) fn new(analysis: &ModuleAnalysis, prev: Option<State>, text_fps: &[u64]) -> Memo {
         let inputs = {
             manta_telemetry::span!("summary.inputs");
-            Inputs::new(analysis, &function_fingerprints(analysis.module()))
+            Inputs::new(analysis, text_fps)
         };
+        let prev = prev.unwrap_or_default();
+        let prev_func = map_by_name(&prev.layout.funcs, &inputs.name_hash);
         Memo {
-            moved: vec![None; prev.footprints.len()],
+            next: Next {
+                moved: vec![None; prev.layout.lists.len()],
+                ..Next::default()
+            },
             prev,
             inputs,
-            interner: FpInterner::default(),
-            next: Vec::new(),
-            report: SolveReport::default(),
+            prev_func,
+            outcomes: Vec::new(),
         }
     }
 
     /// Runs one refinement stage's `chunks` (its partitions of `V_O`, in
     /// function order) against the frozen `result`: validates each cached
-    /// chunk's footprint, replays the clean ones, sends only the dirty
-    /// ones through `run` on the pool with footprint recording on, and
-    /// records the next state's entries. Outputs come back in partition
-    /// order; nothing is recorded when a dirty chunk fails.
+    /// chunk's footprint, sends only the dirty chunks through `run` on the
+    /// pool with footprint recording on, then merges the clean chunks'
+    /// cached updates and the dirty chunks' fresh ones into the stage's
+    /// delta in partition order, recording the next state's entries.
+    /// Nothing is recorded when a dirty chunk fails.
     pub(crate) fn refine(
         &mut self,
         stage: Stage,
@@ -576,162 +682,297 @@ impl Memo {
         result: &InferenceResult,
         chunks: Vec<&[VarRef]>,
         run: impl Fn(&[VarRef], &mut Footprint) -> Result<Refinement, BudgetExceeded> + Sync,
-    ) -> Result<Vec<Refinement>, BudgetExceeded> {
+    ) -> Result<Refinement, BudgetExceeded> {
         let module = analysis.module();
         let tag = tag(stage);
-        let inputs = &self.inputs;
         let in_fps = {
             manta_telemetry::span!("summary.stage_fps");
-            inputs.stage_fps(analysis, result)
+            self.inputs.stage_fps(analysis, result)
         };
-        // This stage's previous entries, each taken when its function
-        // replays or recomputes; the rest carry forward.
-        let mut old: Vec<(u64, Option<ChunkEntry>)> =
-            match self.prev.stages.iter_mut().find(|(t, _)| *t == tag) {
-                Some((_, entries)) => std::mem::take(entries)
-                    .into_iter()
-                    .map(|(nh, e)| (nh, Some(e)))
-                    .collect(),
-                None => Vec::new(),
-            };
+        // This stage's previous entries by owning function; each is taken
+        // when its function replays or recomputes, and the rest carry
+        // forward.
+        let mut cached: Vec<Option<Entry>> = vec![None; module.function_count()];
+        if let Some((_, entries)) = self.prev.layout.stages.iter().find(|(t, _)| *t == tag) {
+            for e in entries {
+                if let Some(g) = self.prev_func[e.owner as usize] {
+                    cached[g.index()] = Some(e.clone());
+                }
+            }
+        }
 
-        // Each partition's cached entry when it validates (its updates
-        // replay into `outs` right away), `None` when it recomputes.
-        let mut plan: Vec<(FuncId, Option<ChunkEntry>)> = Vec::with_capacity(chunks.len());
-        let mut outs: Vec<Option<Refinement>> = Vec::with_capacity(chunks.len());
+        // Each partition's cached entry when its footprint validates,
+        // `None` when it recomputes.
+        let mut plan: Vec<Option<Entry>> = Vec::with_capacity(chunks.len());
         let mut dirty: Vec<&[VarRef]> = Vec::new();
         {
             manta_telemetry::span!("summary.validate");
-            let at: HashMap<u64, usize> = old
-                .iter()
-                .enumerate()
-                .map(|(i, (nh, _))| (*nh, i))
-                .collect();
-            // Footprint validity memoized per interned list: chunks in
-            // one call cluster share a footprint, so each distinct read
-            // set is checked once per stage no matter how many chunks
-            // cite it.
-            let mut fp_ok: Vec<Option<bool>> = vec![None; self.prev.footprints.len()];
-            for chunk in chunks {
-                let f = chunk[0].func;
-                let entry = at
-                    .get(&inputs.name_hash[f.index()])
-                    .and_then(|&i| old[i].1.take());
-                let valid = entry.filter(|e| {
-                    let idx = e.footprint as usize;
-                    *fp_ok[idx].get_or_insert_with(|| {
-                        self.prev.footprints[idx].iter().all(|&(h, fp)| {
-                            inputs.by_name.get(&h).map(|g| in_fps[g.index()]) == Some(fp)
-                        })
-                    })
+            // Validity memoized per list: chunks in one call cluster share
+            // a footprint, so each distinct read set is checked once per
+            // stage no matter how many chunks cite it.
+            let mut valid: Vec<Option<bool>> = vec![None; self.prev.layout.lists.len()];
+            for chunk in &chunks {
+                let entry = cached[chunk[0].func.index()].take().filter(|e| {
+                    *valid[e.list as usize].get_or_insert_with(|| self.validates(e.list, &in_fps))
                 });
-                let name = module.function(f).name().to_string();
-                if valid.is_some() {
-                    self.report.reused.push(name);
-                } else {
-                    self.report.recomputed.push(name);
+                if entry.is_none() {
                     dirty.push(chunk);
                 }
-                outs.push(valid.as_ref().map(|e| replay(f, e)));
-                plan.push((f, valid));
+                plan.push(entry);
             }
         }
-        manta_telemetry::counter("summary.hits", (plan.len() - dirty.len()) as u64);
-        manta_telemetry::counter("summary.recomputes", dirty.len() as u64);
 
+        let recompute = |chunk: &[VarRef]| -> Result<(Refinement, Vec<FuncId>), BudgetExceeded> {
+            let mut fp = Footprint::on(module.function_count());
+            let out = run(chunk, &mut fp)?;
+            Ok((out, fp.into_funcs()))
+        };
         let computed = {
             manta_telemetry::span!("summary.recompute");
-            manta_parallel::par_map(dirty, |chunk| {
-                let mut fp = Footprint::on(module.function_count());
-                let out = run(chunk, &mut fp)?;
-                let footprint: Vec<(u64, u64)> = fp
-                    .into_funcs()
-                    .into_iter()
-                    .map(|g| (inputs.name_hash[g.index()], in_fps[g.index()]))
-                    .collect();
-                Ok((out, footprint))
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, BudgetExceeded>>()?
+            manta_parallel::par_map(dirty, recompute)
+                .into_iter()
+                .collect::<Result<Vec<_>, BudgetExceeded>>()?
         };
 
-        // Sequential bookkeeping: the next state's entries, footprints
-        // interned. Replayed and carried entries cite the *previous*
-        // footprint table.
         manta_telemetry::span!("summary.record");
+        let mut delta = Refinement {
+            vars: Vec::with_capacity(chunks.iter().map(|c| c.len()).sum()),
+            sites: Vec::new(),
+        };
+        let mut entries: Vec<NextEntry> = Vec::with_capacity(chunks.len());
         let mut computed = computed.into_iter();
-        let mut entries: Vec<(u64, ChunkEntry)> = Vec::with_capacity(old.len().max(plan.len()));
-        for ((f, entry), slot) in plan.into_iter().zip(&mut outs) {
-            let entry = match entry {
-                Some(mut e) => {
-                    e.footprint = self.reintern(e.footprint);
-                    e
+        let mut replayed = 0u64;
+        for (chunk, entry) in chunks.iter().zip(plan) {
+            let f = module.function(chunk[0].func);
+            let (out, members) = match entry {
+                Some(e) if self.replay(&e, f, &mut delta) => {
+                    let list = self.next.reuse(e.list);
+                    entries.push(NextEntry {
+                        owner: f.id(),
+                        list,
+                        body: Body::Prev(e.body),
+                    });
+                    self.outcomes.push((f.id(), true));
+                    replayed += 1;
+                    continue;
                 }
-                None => {
-                    let Some((out, footprint)) = computed.next() else {
-                        unreachable!("one computed chunk per dirty partition");
-                    };
-                    let e = ChunkEntry {
-                        footprint: self.interner.intern(footprint),
-                        vars: out
-                            .vars
-                            .iter()
-                            .map(|(v, i)| (v.value.0, i.clone()))
-                            .collect(),
-                        sites: out
-                            .sites
-                            .iter()
-                            .map(|((v, s), i)| (v.value.0, s.0, i.clone()))
-                            .collect(),
-                    };
-                    *slot = Some(out);
-                    e
-                }
+                // A cached body that does not decode recomputes here.
+                Some(_) => recompute(chunk)?,
+                None => computed
+                    .next()
+                    .expect("one computed chunk per dirty partition"),
             };
-            entries.push((self.inputs.name_hash[f.index()], entry));
+            let list = self.intern(members, &in_fps);
+            let start = self.next.bodies.len();
+            encode_body(&mut self.next.bodies, &out);
+            entries.push(NextEntry {
+                owner: f.id(),
+                list,
+                body: Body::New(start..self.next.bodies.len()),
+            });
+            self.outcomes.push((f.id(), false));
+            delta.vars.extend(out.vars);
+            delta.sites.extend(out.sites);
         }
+        manta_telemetry::counter("summary.hits", replayed);
+        manta_telemetry::counter("summary.recomputes", chunks.len() as u64 - replayed);
         // Functions that still exist but had no candidates this round
         // keep their entries: a later edit may revive them.
-        for (nh, e) in old {
-            if let (Some(mut e), true) = (e, self.inputs.by_name.contains_key(&nh)) {
-                e.footprint = self.reintern(e.footprint);
-                entries.push((nh, e));
+        for (g, e) in cached.into_iter().enumerate() {
+            if let Some(e) = e {
+                let list = self.next.reuse(e.list);
+                entries.push(NextEntry {
+                    owner: FuncId(g as u32),
+                    list,
+                    body: Body::Prev(e.body),
+                });
             }
         }
-        entries.sort_by_key(|(nh, _)| *nh);
-        self.next.push((tag, entries));
-        Ok(outs.into_iter().flatten().collect())
+        entries.sort_unstable_by_key(|e| e.owner);
+        self.next.stages.push((tag, entries));
+        Ok(delta)
     }
 
-    /// Where previous footprint `idx` lands in the next state's table.
-    fn reintern(&mut self, idx: u32) -> u32 {
-        let prev = &self.prev.footprints;
-        let interner = &mut self.interner;
-        *self.moved[idx as usize].get_or_insert_with(|| interner.intern(prev[idx as usize].clone()))
+    /// Whether previous list `list` still holds: every member is a
+    /// function of this module, and their `IN`s now hash to the recorded
+    /// combined hash.
+    fn validates(&self, list: u32, in_fps: &[u64]) -> bool {
+        let mut present = true;
+        let ins = self.prev.layout.members(list).map_while(|m| {
+            let g = self.prev_func[m];
+            present &= g.is_some();
+            g.map(|g| in_fps[g.index()])
+        });
+        let hash = list_hash(ins);
+        present && hash == self.prev.layout.lists[list as usize].hash
     }
 
-    /// The encoded next state and the reuse report.
-    pub(crate) fn finish(self) -> (Vec<u8>, SolveReport) {
-        manta_telemetry::span!("summary.encode");
-        let state = State {
-            footprints: self.interner.table,
-            stages: self.next,
+    /// Decodes cached entry `e`'s updates onto `delta` for function `f`.
+    /// On a corrupt body, `delta` is left as it was, the state counts
+    /// `summary.state_corrupt`, and the answer is `false`.
+    fn replay(&self, e: &Entry, f: &Function, delta: &mut Refinement) -> bool {
+        let (vars, sites) = (delta.vars.len(), delta.sites.len());
+        if decode_body(&self.prev.payload[e.body.clone()], f, delta).is_ok() {
+            return true;
+        }
+        delta.vars.truncate(vars);
+        delta.sites.truncate(sites);
+        manta_telemetry::counter("summary.state_corrupt", 1);
+        false
+    }
+
+    /// The next state's list for a recomputed chunk's footprint `members`
+    /// (this module's functions, ascending): the new list this solve
+    /// already made with the same members and combined hash, else a new
+    /// one. Chunks of one call cluster recompute together and share it.
+    fn intern(&mut self, members: Vec<FuncId>, in_fps: &[u64]) -> u32 {
+        let hash = list_hash(members.iter().map(|g| in_fps[g.index()]));
+        if let Some(&i) = self.next.new_by_hash.get(&hash) {
+            if matches!(&self.next.lists[i as usize], NextList::New { members: m, .. } if *m == members)
+            {
+                return i;
+            }
+        }
+        let i = self.next.lists.len() as u32;
+        self.next.new_by_hash.insert(hash, i);
+        self.next.lists.push(NextList::New { hash, members });
+        i
+    }
+
+    /// The reuse report of this solve, by function name.
+    fn report(&self, module: &manta_ir::Module) -> SolveReport {
+        let names = |replayed: bool| {
+            self.outcomes
+                .iter()
+                .filter(|&&(_, r)| r == replayed)
+                .map(|&(f, _)| module.function(f).name().to_string())
+                .collect()
         };
-        (encode_state(&state), self.report)
+        SolveReport {
+            reused: names(true),
+            recomputed: names(false),
+        }
+    }
+
+    /// The encoded next state. Replayed and carried chunks are copied as
+    /// the bytes they were read as. A reused list keeps its combined hash
+    /// and has its members renumbered into this module's functions (the
+    /// same runs when no function moved); a member this module lacks
+    /// keeps its name at the end of the next function table.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        let Memo {
+            prev,
+            inputs,
+            prev_func,
+            next,
+            ..
+        } = self;
+        let layout = &prev.layout;
+        let bodies = next.bodies.finish();
+        let mut funcs = inputs.name_hash;
+        let mut kept: Vec<Option<u32>> = vec![None; layout.funcs.len()];
+        let mut lists = ByteWriter::new();
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for list in &next.lists {
+            runs.clear();
+            let hash = match list {
+                NextList::Prev(p) => {
+                    for m in layout.members(*p) {
+                        let i = match prev_func[m] {
+                            Some(g) => g.0,
+                            None => *kept[m].get_or_insert_with(|| {
+                                funcs.push(layout.funcs[m]);
+                                funcs.len() as u32 - 1
+                            }),
+                        };
+                        push_run(&mut runs, i);
+                    }
+                    layout.lists[*p as usize].hash
+                }
+                NextList::New { hash, members } => {
+                    for g in members {
+                        push_run(&mut runs, g.0);
+                    }
+                    *hash
+                }
+            };
+            lists.u64(hash).u32(runs.len() as u32);
+            for &(first, len) in &runs {
+                lists.u32(first).u32(len);
+            }
+        }
+
+        let mut w = ByteWriter::new();
+        w.u32(SUMMARY_STATE_VERSION);
+        w.u32(funcs.len() as u32);
+        for &h in &funcs {
+            w.u64(h);
+        }
+        w.u32(next.lists.len() as u32);
+        w.raw(&lists.finish());
+        w.u8(next.stages.len() as u8);
+        let body = |b: &Body| match b {
+            Body::Prev(r) => &prev.payload[r.clone()],
+            Body::New(r) => &bodies[r.clone()],
+        };
+        for (tag, entries) in &next.stages {
+            w.u8(*tag).u32(entries.len() as u32);
+            let mut end = 0;
+            for e in entries {
+                end += body(&e.body).len();
+                w.u32(e.owner.0).u32(e.list).u32(end as u32);
+            }
+            w.usize(end);
+            for e in entries {
+                w.raw(body(&e.body));
+            }
+        }
+        w.finish()
     }
 }
 
-/// A cached chunk's updates, in the owning function `f`'s coordinates.
-fn replay(f: FuncId, e: &ChunkEntry) -> Refinement {
-    let var = |v: u32| VarRef::new(f, ValueId(v));
-    Refinement {
-        vars: e.vars.iter().map(|(v, i)| (var(*v), i.clone())).collect(),
-        sites: e
-            .sites
-            .iter()
-            .map(|(v, s, i)| ((var(*v), InstId(*s)), i.clone()))
-            .collect(),
+impl Next {
+    /// Where previous list `p` lands in the next state's table.
+    fn reuse(&mut self, p: u32) -> u32 {
+        let lists = &mut self.lists;
+        *self.moved[p as usize].get_or_insert_with(|| {
+            lists.push(NextList::Prev(p));
+            lists.len() as u32 - 1
+        })
     }
+}
+
+/// Appends function-table index `i` to a list's runs.
+fn push_run(runs: &mut Vec<(u32, u32)>, i: u32) {
+    match runs.last_mut() {
+        Some((first, len)) if *first + *len == i => *len += 1,
+        _ => runs.push((i, 1)),
+    }
+}
+
+/// Maps each index of a previous function table `table` to the function
+/// of this module (whose name hashes are `names`, in id order) with the
+/// same name hash. A name's k-th occurrence in `table` maps to its k-th
+/// function here, so a table that starts with this module's names maps
+/// those index for index, repeated names too; occurrences past this
+/// module's count map nowhere.
+fn map_by_name(table: &[u64], names: &[u64]) -> Vec<Option<FuncId>> {
+    // Each name's functions not yet mapped, as a chain: `first` holds the
+    // head, `after` each function's successor.
+    let mut after: Vec<Option<FuncId>> = vec![None; names.len()];
+    let mut first: HashMap<u64, Option<FuncId>> = HashMap::with_capacity(names.len());
+    for (i, &h) in names.iter().enumerate().rev() {
+        after[i] = first.insert(h, Some(FuncId(i as u32))).flatten();
+    }
+    table
+        .iter()
+        .map(|h| {
+            let head = first.get_mut(h)?;
+            let g = head.take()?;
+            *head = after[g.index()];
+            Some(g)
+        })
+        .collect()
 }
 
 /// Runs the cascade in summary mode: the engine's driver loop on an
@@ -747,15 +988,23 @@ pub fn solve(
     config: &MantaConfig,
     prev_state: Option<&[u8]>,
 ) -> (InferenceResult, Vec<u8>, SolveReport) {
-    let prev = prev_state.and_then(|p| decode_prev(p).ok());
-    let mut memo = Memo::new(analysis, prev.unwrap_or_default());
+    let prev = prev_state.and_then(|payload| {
+        manta_telemetry::span!("summary.decode");
+        let layout = parse(payload).ok()?;
+        Some(State {
+            payload: payload.to_vec(),
+            layout,
+        })
+    });
+    let mut memo = Memo::new(analysis, prev, &function_fingerprints(analysis.module()));
     let result =
         match Engine::new(*config).run_pipeline(analysis, &Budget::unlimited(), Some(&mut memo)) {
             Ok((result, _)) => result,
             Err(_) => unreachable!("non-strict engines convert failures to degradations"),
         };
-    let (state, report) = memo.finish();
-    (result, state, report)
+    let report = memo.report(analysis.module());
+    manta_telemetry::span!("summary.encode");
+    (result, memo.finish(), report)
 }
 
 #[cfg(test)]
@@ -911,12 +1160,150 @@ mod tests {
         assert!(results_identical(&full, &r));
     }
 
+    /// The state survives a parse and a write unchanged: re-solving an
+    /// unchanged module replays every chunk and reuses every list, which
+    /// moves them as bytes.
     #[test]
     fn state_codec_roundtrips() {
         let config = MantaConfig::full();
         let analysis = manta_analysis::ModuleAnalysis::build(module(true));
         let (_, state, _) = solve(&analysis, &config, None);
-        let decoded = decode_state(&state).unwrap();
-        assert_eq!(encode_state(&decoded), state);
+        assert!(parse_layout(&state).is_ok());
+        let (_, again, report) = solve(&analysis, &config, Some(&state));
+        assert!(report.recomputed.is_empty(), "{report:?}");
+        assert_eq!(again, state);
+    }
+
+    /// `module(true)` as parsed from its text, with a function `pad`
+    /// inserted before every other when `padded` (moving each one's id up
+    /// by one). Both parse, so value ids agree.
+    fn parsed_module(padded: bool) -> manta_ir::Module {
+        let mut text = manta_ir::printer::print_module(&module(true));
+        if padded {
+            let at = text.find("\nfunc ").expect("a function");
+            text.insert_str(at, "\nfunc pad() -> void {\nbb0:\n  ret\n}\n");
+        }
+        manta_ir::parser::parse_module(&text).expect("the text parses")
+    }
+
+    #[test]
+    fn renumbered_functions_still_replay() {
+        let config = MantaConfig::full();
+        let plain = manta_analysis::ModuleAnalysis::build(parsed_module(false));
+        let padded = manta_analysis::ModuleAnalysis::build(parsed_module(true));
+        assert_eq!(
+            padded.module().function_count(),
+            plain.module().function_count() + 1
+        );
+        let (_, state, cold) = solve(&plain, &config, None);
+        // Both ways: a function inserted before every other, then gone.
+        let (incr, padded_state, report) = solve(&padded, &config, Some(&state));
+        assert!(results_identical(&Manta::new(config).infer(&padded), &incr));
+        assert_eq!(report.reused, cold.recomputed, "every chunk replays");
+        let (back, _, report) = solve(&plain, &config, Some(&padded_state));
+        assert!(results_identical(&Manta::new(config).infer(&plain), &back));
+        assert_eq!(report.reused, cold.recomputed, "every chunk replays");
+    }
+
+    /// `module(true)` with `use_int` and `use_ptr` both named `twin`,
+    /// after a function `pad` when `padded` (moving each one's id up by
+    /// one).
+    fn twin_module(padded: bool) -> manta_ir::Module {
+        let mut mb = ModuleBuilder::new("twins");
+        let malloc = mb.extern_fn("malloc", &[], None);
+        if padded {
+            let (_, mut pb) = mb.function("pad", &[], None);
+            pb.ret(None);
+            mb.finish_function(pb);
+        }
+        let (id_f, mut ib) = mb.function("id", &[Width::W64], Some(Width::W64));
+        let x = ib.param(0);
+        ib.ret(Some(x));
+        mb.finish_function(ib);
+        let (_, mut cb1) = mb.function("twin", &[Width::W64], None);
+        let n = cb1.param(0);
+        let n2 = cb1.binop(BinOp::Mul, n, n, Width::W64);
+        let r1 = cb1.call(id_f, &[n2], Some(Width::W64)).unwrap();
+        let s = cb1.alloca(8);
+        cb1.store(s, r1);
+        cb1.ret(None);
+        mb.finish_function(cb1);
+        let (_, mut cb2) = mb.function("twin", &[], None);
+        let k = cb2.const_int(16, Width::W64);
+        let buf = cb2.call_extern(malloc, &[k], Some(Width::W64)).unwrap();
+        let r2 = cb2.call(id_f, &[buf], Some(Width::W64)).unwrap();
+        let _ = cb2.load(r2, Width::W64);
+        cb2.ret(None);
+        mb.finish_function(cb2);
+        mb.finish()
+    }
+
+    #[test]
+    fn repeated_names_replay_by_occurrence() {
+        let config = MantaConfig::full();
+        let plain = manta_analysis::ModuleAnalysis::build(twin_module(false));
+        let padded = manta_analysis::ModuleAnalysis::build(twin_module(true));
+        let (_, state, cold) = solve(&plain, &config, None);
+        assert!(
+            cold.recomputed.iter().filter(|n| *n == "twin").count() >= 2,
+            "both twins own chunks: {cold:?}"
+        );
+        // Renumbered and back, then unchanged: each time, every chunk
+        // replays, the twins' included.
+        let (incr, padded_state, report) = solve(&padded, &config, Some(&state));
+        assert!(results_identical(&Manta::new(config).infer(&padded), &incr));
+        assert_eq!(report.reused, cold.recomputed, "every chunk replays");
+        let (back, back_state, report) = solve(&plain, &config, Some(&padded_state));
+        assert!(results_identical(&Manta::new(config).infer(&plain), &back));
+        assert_eq!(report.reused, cold.recomputed, "every chunk replays");
+        let (_, _, report) = solve(&plain, &config, Some(&back_state));
+        assert_eq!(report.reused, cold.recomputed, "every chunk replays");
+    }
+
+    #[test]
+    fn map_by_name_pairs_each_occurrence_with_the_same_occurrence() {
+        let (a, b, x) = (1, 2, 3);
+        let ids = |v: &[Option<u32>]| v.iter().map(|i| i.map(FuncId)).collect::<Vec<_>>();
+        assert_eq!(
+            map_by_name(&[a, b, a, x], &[b, a, a]),
+            ids(&[Some(1), Some(0), Some(2), None])
+        );
+        // A table that starts with the module's names maps them index
+        // for index, whatever names it keeps after them.
+        assert_eq!(
+            map_by_name(&[a, a, b, a, x], &[a, a, b]),
+            ids(&[Some(0), Some(1), Some(2), None, None])
+        );
+    }
+
+    #[test]
+    fn a_chunk_body_that_does_not_decode_recomputes_alone() {
+        let config = MantaConfig::full();
+        let analysis = manta_analysis::ModuleAnalysis::build(module(true));
+        let (_, mut state, cold) = solve(&analysis, &config, None);
+        // Point the first chunk's first variable past its function.
+        let layout = parse_layout(&state).unwrap();
+        let (_, entries) = &layout.stages[0];
+        let first = &entries[0];
+        let body = first.body.start;
+        assert_ne!(
+            state[body..body + 4],
+            [0; 4],
+            "the chunk updates a variable"
+        );
+        state[body + 4..body + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let owner = analysis
+            .module()
+            .function(FuncId(first.owner))
+            .name()
+            .to_string();
+
+        let (incr, _, report) = solve(&analysis, &config, Some(&state));
+        assert!(results_identical(
+            &Manta::new(config).infer(&analysis),
+            &incr
+        ));
+        assert_eq!(report.recomputed, [owner], "{report:?}");
+        assert_eq!(report.reused.len(), cold.recomputed.len() - 1);
     }
 }

@@ -144,6 +144,46 @@ fn bit_flipped_images_error_or_lift_cleanly() {
     assert!(panics.is_empty(), "lifting panicked on {panics:?}");
 }
 
+/// The data layout sums untrusted 64-bit global sizes. An image whose
+/// first two of three globals claim 2^63 bytes each puts the third past
+/// the address space, so its one RIP reference cannot be resolved: the
+/// lift fails with an error, where an unchecked sum panics (debug) or
+/// wraps to a wrong address (release).
+#[test]
+fn globals_past_the_address_space_fail_to_lift() {
+    use manta_x86::{Gpr, ImageBuilder, ImageGlobal, Inst, SymInst};
+    let mut b = ImageBuilder::new("huge");
+    b.function(
+        "f",
+        0,
+        true,
+        vec![
+            SymInst::LeaFunc(Gpr::RAX, "f".into()),
+            SymInst::Real(Inst::Ret),
+        ],
+    );
+    let mut image = b.build().expect("a function reference needs no data");
+    image.globals = [1 << 63, 1 << 63, 8]
+        .into_iter()
+        .enumerate()
+        .map(|(i, size)| ImageGlobal {
+            name: format!("g{i}"),
+            size,
+        })
+        .collect();
+    let bytes = manta_x86::encode_image(&image);
+    let lifts = [
+        manta_x86::lift(&image).map_err(|e| e.to_string()),
+        manta_x86::X86Frontend
+            .lift_bytes(&bytes)
+            .map_err(|e| e.to_string()),
+    ];
+    for lifted in lifts {
+        let e = lifted.expect_err("the globals overflow");
+        assert!(e.contains("overflows the 64-bit address space"), "{e}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential lift + inference.
 // ---------------------------------------------------------------------------

@@ -255,8 +255,71 @@ fn edit_storm_recomputes_only_the_dirty_clusters() {
             results_identical(&result, &manta.infer(&a)),
             "seed {seed}: summary solve diverged from the whole-module solve"
         );
+        // Replayed chunks and reused footprint lists carry over as bytes;
+        // lists no chunk cites any more must not pile up.
+        let (_, cold, _) = summaries::solve(&a, &config, None);
+        assert!(
+            new_state.len() * 4 <= cold.len() * 5,
+            "seed {seed}: the evolved state is {} bytes, a cold one {}",
+            new_state.len(),
+            cold.len()
+        );
 
         state = new_state;
         prev_cluster = Some(cluster);
     }
+}
+
+/// A summary-mode edit reads its state once: the cold miss finds no
+/// `fsum` entry, and the edit's miss reads the one the cold run wrote.
+#[test]
+fn a_summary_edit_reads_its_state_once() {
+    let (_tmp, dir) = temp_dir("one-read");
+    let engine = summary_engine(MantaConfig::full(), &dir);
+    for edit in [None, Some((2, 5))] {
+        engine
+            .analyze(&analysis(edit))
+            .expect("non-strict cannot fail");
+    }
+    let cache = engine.cache().expect("attached");
+    assert_eq!(
+        cache.store().kind_traffic(),
+        [("fsum", 1, 1), ("infer", 0, 2)],
+        "one state read per miss"
+    );
+}
+
+/// A state written by the previous codec (version 4; here its empty
+/// form) is not a v5 state: it counts as corrupt, replays nothing, and
+/// the solve is the whole-module one. Through the engine it is also
+/// discarded as store corruption.
+#[test]
+fn a_version_4_state_reads_as_corrupt_and_recomputes() {
+    let config = MantaConfig::full();
+    let a = analysis(Some((1, 4)));
+    let want = Manta::new(config).infer(&a);
+    let mut v4 = 4u32.to_le_bytes().to_vec();
+    v4.extend_from_slice(&0u64.to_le_bytes()); // no footprint lists
+    v4.extend_from_slice(&0u64.to_le_bytes()); // no stages
+
+    let corrupt = || manta_telemetry::report().counter("summary.state_corrupt");
+    manta_telemetry::set_enabled(true);
+    let before = corrupt();
+    let (result, _, report) = summaries::solve(&a, &config, Some(&v4));
+    let counted = corrupt() - before;
+    manta_telemetry::set_enabled(false);
+    assert_eq!(counted, 1, "summary.state_corrupt");
+    assert!(report.reused.is_empty(), "{report:?}");
+    assert!(results_identical(&result, &want));
+
+    let (_tmp, dir) = temp_dir("v4");
+    let engine = summary_engine(config, &dir);
+    let cache = engine.cache().expect("attached");
+    let key = summaries::state_key(a.module().name(), &config);
+    cache.store().put(&key, &v4).expect("checksum-valid put");
+    let r = engine.analyze(&a).expect("non-strict cannot fail");
+    assert!(results_identical(&r, &want));
+    let degradations = cache.take_degradations();
+    assert_eq!(degradations.len(), 1, "{degradations:?}");
+    assert_eq!(cache.store().stats().snapshot().invalidations, 1);
 }
