@@ -32,9 +32,8 @@
 //! `infer`, `bugs`, `icall` and `stats` accept `--cache-dir <dir>` to
 //! persist analysis results across invocations (and `--no-cache` to
 //! force a cold run): inference results are keyed by content and config
-//! hashes, unchanged input files are served from a stat-fingerprinted
-//! module cache, and a corrupt store is silently discarded and
-//! recomputed. Warm output is bit-identical to cold output.
+//! hashes, and a corrupt store is silently discarded and recomputed.
+//! Warm output is bit-identical to cold output.
 //!
 //! Inputs may be binary images in any registered frontend's container —
 //! SBF (`SBF1` magic, SB-ISA code) or XLF (`\x7fELF` magic, x86-64-subset
@@ -135,10 +134,9 @@ PARALLELISM (all commands):
 CACHING (infer, bugs, icall, stats):
     --cache-dir <dir> persistent analysis cache: inference results are
                       keyed by (content hash, config hash) and served on
-                      warm runs; unchanged input files are not re-lifted.
-                      A corrupt or version-mismatched cache is discarded
-                      and recomputed, never trusted. Warm output is
-                      bit-identical to cold output at any thread count
+                      warm runs. A corrupt or version-mismatched cache is
+                      discarded and recomputed, never trusted. Warm output
+                      is bit-identical to cold output at any thread count
     --no-cache        ignore --cache-dir (force a cold run)
 
 SERVING:
@@ -210,59 +208,6 @@ pub fn load_module_as(
         ));
     };
     manta_isa::parse_source(&text).map_err(|e| CliError(e.message))
-}
-
-/// Like [`load_module`], but serves unchanged files from the cache:
-/// the entry is keyed by a stat fingerprint (absolute path, mtime,
-/// size) and holds the module's canonical IR text, so a warm run skips
-/// SBF decoding, assembling, and lifting entirely. A stale or
-/// undecodable entry is discarded and the file is re-read.
-pub fn load_module_cached(
-    path: &Path,
-    cache: Option<&AnalysisCache>,
-    forced: Option<&'static dyn Frontend>,
-) -> Result<Module, CliError> {
-    let Some(cache) = cache else {
-        return load_module_as(path, forced);
-    };
-    let Some(key) = stat_key(path, forced) else {
-        return load_module_as(path, forced);
-    };
-    if let Some(payload) = cache.store().get(&key) {
-        if let Some(module) = std::str::from_utf8(&payload)
-            .ok()
-            .and_then(|text| manta_ir::parser::parse_module(text).ok())
-        {
-            return Ok(module);
-        }
-        cache.store().invalidate(&key);
-    }
-    let module = load_module_as(path, forced)?;
-    let text = manta_ir::printer::print_module(&module);
-    let _ = cache.store().put(&key, text.as_bytes());
-    Ok(module)
-}
-
-/// Stat fingerprint of `path`: the cache key for its lifted module.
-/// `None` (unreadable metadata) simply bypasses the file cache. A forced
-/// frontend is part of the key — the same bytes lift differently under
-/// different frontends, so overridden runs must not share entries.
-fn stat_key(path: &Path, forced: Option<&'static dyn Frontend>) -> Option<manta_store::Key> {
-    let meta = fs::metadata(path).ok()?;
-    let nanos = meta
-        .modified()
-        .ok()?
-        .duration_since(std::time::UNIX_EPOCH)
-        .ok()?
-        .as_nanos();
-    let mut fp = manta_store::Fingerprint::new();
-    fp.write_str("manta-cli.module");
-    fp.write_str(forced.map_or("auto", |f| f.name()));
-    fp.write_str(&path.to_string_lossy());
-    fp.write_u64(nanos as u64);
-    fp.write_u64((nanos >> 64) as u64);
-    fp.write_u64(meta.len());
-    Some(manta_store::Key::new("module", fp.finish(), 0))
 }
 
 fn parse_sensitivity(s: &str) -> Result<Sensitivity, CliError> {
@@ -361,8 +306,8 @@ impl CacheOpts {
     /// Opens the analysis cache when one is configured and not disabled.
     /// A corrupt store is wiped and reopened inside
     /// [`AnalysisCache::open`]; only hard filesystem errors surface.
-    /// The cache is shared between the module loader and the engine,
-    /// hence the [`Arc`].
+    /// The engine holds it as an [`Arc`], and `stats` keeps a handle
+    /// for its cache lines.
     fn open(&self) -> Result<Option<Arc<AnalysisCache>>, CliError> {
         match &self.dir {
             Some(dir) if !self.disabled => AnalysisCache::open(dir)
@@ -677,7 +622,7 @@ fn run_command(
                 [_, i, flag, s] if flag == "-s" => (i, parse_sensitivity(s)?),
                 _ => return err(USAGE),
             };
-            let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
+            let module = load_module_as(Path::new(input), forced_frontend)?;
             let engine = make_engine(
                 Engine::builder().sensitivity(sens),
                 resilience,
@@ -719,7 +664,7 @@ fn run_command(
                 [_, i, flag] if flag == "--no-types" => (i, false),
                 _ => return err(USAGE),
             };
-            let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
+            let module = load_module_as(Path::new(input), forced_frontend)?;
             let engine = make_engine(Engine::builder(), resilience, cache.clone());
             let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
@@ -747,7 +692,7 @@ fn run_command(
         }
         Some("icall") => {
             let [_, input] = args else { return err(USAGE) };
-            let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
+            let module = load_module_as(Path::new(input), forced_frontend)?;
             let engine = make_engine(Engine::builder(), resilience, cache.clone());
             let Some(analysis) = build_analysis(&engine, module, &budget, &mut out)? else {
                 return Ok(out);
@@ -774,7 +719,7 @@ fn run_command(
         }
         Some("stats") => {
             let [_, input] = args else { return err(USAGE) };
-            let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
+            let module = load_module_as(Path::new(input), forced_frontend)?;
             // Drive the whole cascade: substrate build, full-sensitivity
             // inference, every checker, and indirect-call resolution, then
             // print the per-stage cost breakdown they recorded. With a cache
@@ -835,15 +780,12 @@ fn run_command(
             );
             if let Some(c) = &cache {
                 // Per-entry-kind traffic straight off the store: `infer`
-                // (inference results), `prov` (provenance graphs),
-                // `module` (lifted-module file cache), `fsum`
+                // (inference results), `prov` (provenance graphs), `fsum`
                 // (per-function summary state).
                 for (kind, hits, misses) in c.store().kind_traffic() {
                     let _ = writeln!(out, "  cache[{kind}]: {hits} hits, {misses} misses");
                 }
             }
-            // Frontend decode/lift work (zero on a warm module cache: the
-            // module was replayed from IR text, not re-lifted).
             let _ = writeln!(
                 out,
                 "frontend: {} insts decoded, {} flags materialized, {} frame slots",
@@ -876,7 +818,7 @@ fn run_command(
             let [_, input, func, var] = args else {
                 return err(USAGE);
             };
-            let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
+            let module = load_module_as(Path::new(input), forced_frontend)?;
             let engine = make_engine(
                 Engine::builder().provenance(true),
                 resilience,
@@ -908,7 +850,7 @@ fn run_command(
         }
         Some("profile") => {
             let [_, input] = args else { return err(USAGE) };
-            let module = load_module_cached(Path::new(input), cache.as_deref(), forced_frontend)?;
+            let module = load_module_as(Path::new(input), forced_frontend)?;
             // Same full drive as `stats`, but summarized from the trace
             // buffer: per-span cumulative wall time across all threads.
             let engine = make_engine(Engine::builder(), resilience, cache.clone());
@@ -1300,6 +1242,32 @@ func double(1) -> ret {
                 run(&s(&["infer", src.to_str().unwrap(), "--cache-dir"])).is_err(),
                 "--cache-dir needs a path"
             );
+        });
+    }
+
+    #[test]
+    fn a_same_size_rewrite_under_its_old_mtime_is_never_served_stale() {
+        let deref = "module m\nfunc main(1) -> ret {\n    ld.w64 r0, [r1+0]\n    ret\n}\n";
+        let constant = "module m\nfunc main(1) -> ret {\n    movi r0, 12345678\n    ret\n}\n";
+        assert_eq!(deref.len(), constant.len());
+        with_files(|dir| {
+            let src = dir.join("p.s");
+            let cache_dir = dir.join("cache");
+            let infer = |extra: &[&str]| {
+                let mut args = vec!["infer", src.to_str().unwrap()];
+                args.extend(["--cache-dir", cache_dir.to_str().unwrap()]);
+                args.extend(extra);
+                run(&s(&args)).unwrap()
+            };
+            fs::write(&src, deref).unwrap();
+            let mtime = fs::metadata(&src).unwrap().modified().unwrap();
+            let old = infer(&[]);
+            fs::write(&src, constant).unwrap();
+            let file = fs::File::options().write(true).open(&src).unwrap();
+            file.set_modified(mtime).unwrap();
+            let fresh = infer(&["--no-cache"]);
+            assert_ne!(fresh, old, "the rewrite changes the answer");
+            assert_eq!(infer(&[]), fresh, "a warm run must read the new program");
         });
     }
 

@@ -2,24 +2,20 @@
 //! Return Stack Address (RSA), Use After Free (UAF), OS Command Injection
 //! (CMI) and Buffer Overflow (BOF).
 //!
-//! Each checker is a source/sink specification over the DDG; detection is
-//! the [`crate::slicing`] traversal. When an inference result is supplied,
-//! the detection is *type-assisted*: the DDG is pruned per Table 2 first,
-//! and slices are guarded so a value that is precisely numeric cannot
-//! continue a pointer/string flow — the Manta mode. Passing `None` is the
-//! Manta-NoType ablation.
+//! NPD, RSA, CMI and BOF are source–sink specs ([`BugKind::spec`]) run by
+//! the [`crate::custom`] driver: type-assisted Manta with an inference
+//! result, the Manta-NoType ablation without one. UAF keeps its own
+//! points-to/CFG detector.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use manta::{FirstLayer, TypeQuery};
-use manta_analysis::{Ddg, ModuleAnalysis, NodeId, VarRef};
+use manta::TypeQuery;
+use manta_analysis::{ModuleAnalysis, NodeId, VarRef};
 use manta_ir::cfg::Cfg;
-use manta_ir::{
-    Callee, ConstKind, ExternEffect, FuncId, InstId, InstKind, Terminator, ValueKind, Width,
-};
+use manta_ir::{ExternEffect, FuncId, InstId};
 
-use crate::ddg_prune;
-use crate::slicing::{Slicer, SlicerConfig};
+use crate::custom::{self, CustomChecker, SinkSpec, SourceSpec};
+use crate::slicing::SlicerConfig;
 
 /// The vulnerability classes the example checkers cover.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -56,6 +52,38 @@ impl BugKind {
             BugKind::Bof => "BOF",
         }
     }
+
+    /// The source–sink spec of a slicing checker, or `None` for UAF. The
+    /// extern registry's effects name the taint sources and the `system`
+    /// and `strcpy` sinks.
+    pub fn spec(self) -> Option<CustomChecker> {
+        let taint = || SourceSpec::Effect(ExternEffect::TaintSource);
+        let (sources, sinks) = match self {
+            BugKind::Npd => (SourceSpec::NullConstants, SinkSpec::Dereferences),
+            BugKind::Rsa => (SourceSpec::StackAddresses, SinkSpec::ReturnValues),
+            BugKind::Uaf => return None,
+            BugKind::Cmi => (
+                taint(),
+                SinkSpec::Effect {
+                    effect: ExternEffect::CommandSink,
+                    index: 0,
+                },
+            ),
+            BugKind::Bof => (
+                taint(),
+                SinkSpec::Effect {
+                    effect: ExternEffect::StrCopy,
+                    index: 1,
+                },
+            ),
+        };
+        Some(CustomChecker {
+            name: self.label().into(),
+            sources,
+            sinks,
+            numeric_guard: true,
+        })
+    }
 }
 
 /// One reported bug.
@@ -90,235 +118,52 @@ pub fn detect_bugs(
     config: CheckerConfig,
 ) -> (Vec<BugReport>, usize) {
     manta_telemetry::span!("checkers");
-    // Type-assisted mode prunes the DDG first (§5.2).
-    let owned_pruned: Option<Ddg> = inference.map(|inf| {
-        manta_telemetry::span!("ddg_prune");
-        let (pruned, stats) = ddg_prune::pruned_ddg(analysis, inf);
-        manta_telemetry::counter("checker.ddg_edges_pruned", stats.removed as u64);
-        pruned
-    });
-    let ddg: &Ddg = owned_pruned.as_ref().unwrap_or(&analysis.ddg);
-
+    let ddg = custom::sliced_ddg(analysis, inference);
     let mut reports = Vec::new();
-    let mut visits = 0usize;
-    let mut raised = 0u64;
-    let mut pruned_alarms = 0u64;
+    let mut visits = 0;
     for &kind in kinds {
-        match kind {
-            BugKind::Uaf => {
-                let uaf = detect_uaf(analysis, inference);
-                raised += uaf.len() as u64;
-                reports.extend(uaf);
-            }
-            _ => {
-                let (srcs, sinks) = spec(analysis, ddg, kind);
-                let sink_nodes: HashSet<NodeId> = sinks.keys().copied().collect();
-                let mut slicer = Slicer::new(ddg, config.slicer);
-                let guard = |n: NodeId| match inference {
-                    None => true,
-                    Some(inf) => flow_guard(inf, ddg, n, kind),
-                };
-                let pairs = slicer.slice(&srcs, &sink_nodes, guard);
-                visits += slicer.visits;
-                raised += pairs.len() as u64;
-                for p in pairs {
-                    let (site, func) = sinks[&p.sink];
-                    if kind == BugKind::Rsa && ddg.var(p.source).func != func {
-                        // A stack address returned by a *different* frame
-                        // than the one that owns it is legal (caller-owned
-                        // buffer).
-                        pruned_alarms += 1;
-                        continue;
-                    }
-                    if let Some(inf) = inference {
-                        if !sink_guard(inf, ddg, p.sink, site, kind) {
-                            pruned_alarms += 1;
-                            continue;
-                        }
-                    }
-                    reports.push(BugReport {
-                        kind,
-                        func,
-                        source: p.source,
-                        sink: p.sink,
-                        sink_site: site,
-                    });
-                }
-            }
-        }
+        let Some(spec) = kind.spec() else {
+            let uaf = detect_uaf(analysis);
+            manta_telemetry::counter("checker.alarms_raised", uaf.len() as u64);
+            reports.extend(uaf);
+            continue;
+        };
+        let (found, v) = spec.run(analysis, &ddg, inference, config.slicer);
+        visits += v;
+        reports.extend(found.into_iter().map(|r| BugReport {
+            kind,
+            func: r.func,
+            source: r.source,
+            sink: r.sink,
+            sink_site: r.sink_site,
+        }));
     }
     reports.sort_by_key(|r| (r.kind, r.func, r.sink_site, r.source));
     reports.dedup();
-    manta_telemetry::counter("checker.alarms_raised", raised);
-    manta_telemetry::counter("checker.alarms_pruned", pruned_alarms);
-    manta_telemetry::counter("checker.slicer_visits", visits as u64);
     (reports, visits)
-}
-
-/// Per-node guard: a value that the inference resolves to a numeric type
-/// cannot transport a pointer (NPD/RSA) or an attacker-controlled string
-/// (CMI/BOF).
-fn flow_guard(inference: &dyn TypeQuery, ddg: &Ddg, n: NodeId, kind: BugKind) -> bool {
-    let v = ddg.var(n);
-    let numeric = matches!(
-        inference.precise_of(v).map(|t| FirstLayer::of(&t)),
-        Some(FirstLayer::Int(_) | FirstLayer::Float | FirstLayer::Double | FirstLayer::Num(_))
-    );
-    match kind {
-        BugKind::Npd | BugKind::Rsa | BugKind::Cmi | BugKind::Bof => !numeric,
-        BugKind::Uaf => true,
-    }
-}
-
-/// Sink-side guard: e.g. the value reaching `system` must still be
-/// pointer-compatible.
-fn sink_guard(
-    inference: &dyn TypeQuery,
-    ddg: &Ddg,
-    sink: NodeId,
-    site: InstId,
-    kind: BugKind,
-) -> bool {
-    match kind {
-        BugKind::Cmi | BugKind::Bof | BugKind::Npd => {
-            let v = ddg.var(sink);
-            match inference.precise_at(v, site) {
-                Some(t) => !t.is_numeric(),
-                None => true,
-            }
-        }
-        _ => true,
-    }
-}
-
-type SinkMap = HashMap<NodeId, (InstId, FuncId)>;
-
-/// Builds the source list and sink map for one bug kind.
-fn spec(analysis: &ModuleAnalysis, ddg: &Ddg, kind: BugKind) -> (Vec<NodeId>, SinkMap) {
-    let module = analysis.module();
-    let mut sources = Vec::new();
-    let mut sinks: SinkMap = HashMap::new();
-    for func in module.functions() {
-        let fid = func.id();
-        match kind {
-            BugKind::Npd => {
-                // Sources: null/zero 64-bit constants that flow somewhere.
-                for (v, data) in func.values() {
-                    let is_nullish = matches!(data.kind, ValueKind::Const(ConstKind::Null))
-                        || (matches!(data.kind, ValueKind::Const(ConstKind::Int(0)))
-                            && data.width == Width::W64);
-                    if is_nullish {
-                        let n = ddg.node(VarRef::new(fid, v));
-                        if ddg.children(n).iter().any(|(_, k)| k.is_value_flow()) {
-                            sources.push(n);
-                        }
-                    }
-                }
-                // Sinks: dereferenced addresses.
-                for inst in func.insts() {
-                    let addr = match &inst.kind {
-                        InstKind::Load { addr, .. } => Some(*addr),
-                        InstKind::Store { addr, .. } => Some(*addr),
-                        _ => None,
-                    };
-                    if let Some(a) = addr {
-                        sinks.insert(ddg.node(VarRef::new(fid, a)), (inst.id, fid));
-                    }
-                }
-            }
-            BugKind::Rsa => {
-                for inst in func.insts() {
-                    if let InstKind::Alloca { dst, .. } = inst.kind {
-                        sources.push(ddg.node(VarRef::new(fid, dst)));
-                    }
-                }
-                for b in func.blocks() {
-                    if let Terminator::Ret(Some(v)) = b.term {
-                        // Attribute the sink to the last instruction of the
-                        // returning block (or the first of the function).
-                        let site = b
-                            .insts
-                            .last()
-                            .copied()
-                            .unwrap_or_else(|| InstId::from_index(0));
-                        sinks.insert(ddg.node(VarRef::new(fid, v)), (site, fid));
-                    }
-                }
-            }
-            BugKind::Cmi | BugKind::Bof => {
-                for inst in func.insts() {
-                    if let InstKind::Call {
-                        dst,
-                        callee: Callee::Extern(e),
-                        args,
-                    } = &inst.kind
-                    {
-                        match module.extern_decl(*e).effect {
-                            ExternEffect::TaintSource => {
-                                if let Some(d) = dst {
-                                    sources.push(ddg.node(VarRef::new(fid, *d)));
-                                }
-                            }
-                            ExternEffect::CommandSink if kind == BugKind::Cmi => {
-                                if let Some(&a0) = args.first() {
-                                    sinks.insert(ddg.node(VarRef::new(fid, a0)), (inst.id, fid));
-                                }
-                            }
-                            ExternEffect::StrCopy if kind == BugKind::Bof => {
-                                if let Some(&src_arg) = args.get(1) {
-                                    sinks.insert(
-                                        ddg.node(VarRef::new(fid, src_arg)),
-                                        (inst.id, fid),
-                                    );
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            BugKind::Uaf => unreachable!("UAF uses its own detector"),
-        }
-    }
-    (sources, sinks)
 }
 
 /// UAF is detected directly on points-to + CFG order: a `free(p)` followed
 /// (in control flow) by a dereference whose address may alias `p`.
-fn detect_uaf(analysis: &ModuleAnalysis, _inference: Option<&dyn TypeQuery>) -> Vec<BugReport> {
+fn detect_uaf(analysis: &ModuleAnalysis) -> Vec<BugReport> {
+    const FREES: SinkSpec = SinkSpec::Effect {
+        effect: ExternEffect::FreeHeap,
+        index: 0,
+    };
     let module = analysis.module();
     let pts = &analysis.pointsto;
     let ddg = &analysis.ddg;
     let mut reports = Vec::new();
     for func in module.functions() {
         let fid = func.id();
-        let cfg = Cfg::new(func);
-        // free sites in this function.
-        let frees: Vec<(InstId, manta_ir::ValueId)> = func
-            .insts()
-            .filter_map(|inst| match &inst.kind {
-                InstKind::Call {
-                    callee: Callee::Extern(e),
-                    args,
-                    ..
-                } if module.extern_decl(*e).effect == ExternEffect::FreeHeap => {
-                    args.first().map(|&p| (inst.id, p))
-                }
-                _ => None,
-            })
-            .collect();
+        let mut frees = Vec::new();
+        FREES.for_each(module, func, |p, site| frees.push((site, p)));
         if frees.is_empty() {
             continue;
         }
-        // Dereference sites.
-        let derefs: Vec<(InstId, manta_ir::ValueId)> = func
-            .insts()
-            .filter_map(|inst| match &inst.kind {
-                InstKind::Load { addr, .. } => Some((inst.id, *addr)),
-                InstKind::Store { addr, .. } => Some((inst.id, *addr)),
-                _ => None,
-            })
-            .collect();
+        let cfg = Cfg::new(func);
+        let mut derefs = Vec::new();
+        SinkSpec::Dereferences.for_each(module, func, |a, site| derefs.push((site, a)));
         for (free_site, p) in frees {
             let free_block = func.inst(free_site).block;
             for &(deref_site, a) in &derefs {
@@ -328,10 +173,8 @@ fn detect_uaf(analysis: &ModuleAnalysis, _inference: Option<&dyn TypeQuery>) -> 
                 let deref_block = func.inst(deref_site).block;
                 let after = if free_block == deref_block {
                     // Same block: instruction order decides.
-                    let b = func.block(free_block);
-                    let fi = b.insts.iter().position(|&i| i == free_site);
-                    let di = b.insts.iter().position(|&i| i == deref_site);
-                    matches!((fi, di), (Some(f), Some(d)) if d > f)
+                    let mut insts = func.block(free_block).insts.iter();
+                    insts.any(|&i| i == free_site) && insts.any(|&i| i == deref_site)
                 } else {
                     block_reaches(&cfg, free_block, deref_block)
                 };
@@ -371,7 +214,7 @@ fn block_reaches(cfg: &Cfg, from: manta_ir::BlockId, to: manta_ir::BlockId) -> b
 mod tests {
     use super::*;
     use manta::{Manta, MantaConfig};
-    use manta_ir::{BinOp, CmpPred, ModuleBuilder};
+    use manta_ir::{BinOp, CmpPred, ModuleBuilder, Width};
 
     fn run(m: manta_ir::Module, kinds: &[BugKind], typed: bool) -> Vec<BugReport> {
         let analysis = ModuleAnalysis::build(m);

@@ -1,19 +1,25 @@
-//! User-defined source–sink checkers (paper §5.3: "users of MANTA can
-//! easily implement a new bug checker by specifying the sources and sinks
-//! of the vulnerabilities to detect").
+//! Source–sink checkers (paper §5.3: "users of MANTA can easily
+//! implement a new bug checker by specifying the sources and sinks of
+//! the vulnerabilities to detect").
 //!
-//! A [`CustomChecker`] names a source specification and a sink
-//! specification; detection is the same type-guarded CFL slicing the
-//! built-in checkers use.
+//! A [`CustomChecker`] names a source and a sink specification. One
+//! driver runs every checker, and the built-in NPD, RSA, CMI and BOF
+//! checkers are specs too ([`BugKind::spec`](crate::BugKind::spec)), so a
+//! user-defined checker runs exactly as they do. With types the driver
+//! slices the DDG pruned per Table 2 and applies the numeric guards;
+//! without types it is the Manta-NoType ablation.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use manta::{FirstLayer, TypeQuery};
-use manta_analysis::{ModuleAnalysis, NodeId, VarRef};
+use manta::TypeQuery;
+use manta_analysis::{Ddg, ModuleAnalysis, NodeId, VarRef};
 use manta_ir::{
-    Callee, ConstKind, ExternEffect, FuncId, InstId, InstKind, Terminator, ValueKind, Width,
+    Callee, ConstKind, ExternDecl, ExternEffect, FuncId, Function, InstId, InstKind, Module,
+    Terminator, Type, ValueId, ValueKind, Width,
 };
 
+use crate::ddg_prune;
 use crate::slicing::{Slicer, SlicerConfig};
 
 /// Where tainted / interesting values originate.
@@ -23,7 +29,8 @@ pub enum SourceSpec {
     ExternReturn(String),
     /// Return values of every external with the given effect.
     Effect(ExternEffect),
-    /// Null / zero 64-bit constants (the NPD source).
+    /// Null / zero 64-bit constants with a value-flow child (the NPD
+    /// source).
     NullConstants,
     /// Stack-slot addresses (`alloca` results).
     StackAddresses,
@@ -39,13 +46,23 @@ pub enum SinkSpec {
         /// Zero-based argument position.
         index: usize,
     },
+    /// The `index`-th argument of calls to every external with the given
+    /// effect.
+    Effect {
+        /// The effect the extern registry gives the callee.
+        effect: ExternEffect,
+        /// Zero-based argument position.
+        index: usize,
+    },
     /// Addresses dereferenced by loads/stores.
     Dereferences,
-    /// Values returned from functions.
+    /// Values returned from functions. The reported site is the last
+    /// instruction of the returning block, an attribution rather than a
+    /// use.
     ReturnValues,
 }
 
-/// A user-defined checker: a name plus source and sink specifications.
+/// A source–sink checker: a name plus source and sink specifications.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CustomChecker {
     /// Display name of the vulnerability class.
@@ -54,8 +71,10 @@ pub struct CustomChecker {
     pub sources: SourceSpec,
     /// Sink specification.
     pub sinks: SinkSpec,
-    /// Whether a flow through a precisely-numeric value refutes the
-    /// finding (true for pointer/string-carrying vulnerabilities).
+    /// Whether a precisely-numeric value refutes the finding (true for
+    /// pointer/string-carrying vulnerabilities). With types, no flow
+    /// passes through one, and a sink that is an instruction operand
+    /// must not be one at its instruction.
     pub numeric_guard: bool,
 }
 
@@ -74,143 +93,178 @@ pub struct CustomReport {
     pub sink_site: InstId,
 }
 
+/// The DDG the checkers slice: with types, a copy of the substrate's
+/// DDG minus Table 2's infeasible edges (§5.2).
+pub(crate) fn sliced_ddg<'a>(
+    analysis: &'a ModuleAnalysis,
+    inference: Option<&dyn TypeQuery>,
+) -> Cow<'a, Ddg> {
+    let Some(inf) = inference else {
+        return Cow::Borrowed(&analysis.ddg);
+    };
+    manta_telemetry::span!("ddg_prune");
+    let (pruned, stats) = ddg_prune::pruned_ddg(analysis, inf);
+    manta_telemetry::counter("checker.ddg_edges_pruned", stats.removed as u64);
+    Cow::Owned(pruned)
+}
+
+fn numeric(t: Option<Type>) -> bool {
+    t.is_some_and(|t| t.is_numeric())
+}
+
+impl SourceSpec {
+    /// Appends `func`'s sources to `out`, in value or instruction order.
+    fn gather(&self, module: &Module, func: &Function, ddg: &Ddg, out: &mut Vec<NodeId>) {
+        let node = |v| ddg.node(VarRef::new(func.id(), v));
+        if *self == SourceSpec::NullConstants {
+            let nulls = func.values().filter(|(_, d)| match d.kind {
+                ValueKind::Const(ConstKind::Null) => true,
+                ValueKind::Const(ConstKind::Int(0)) => d.width == Width::W64,
+                _ => false,
+            });
+            out.extend(
+                nulls
+                    .map(|(v, _)| node(v))
+                    .filter(|&n| ddg.children(n).iter().any(|(_, k)| k.is_value_flow())),
+            );
+            return;
+        }
+        out.extend(func.insts().filter_map(|inst| match &inst.kind {
+            InstKind::Alloca { dst, .. } if *self == SourceSpec::StackAddresses => Some(node(*dst)),
+            InstKind::Call {
+                dst: Some(d),
+                callee: Callee::Extern(e),
+                ..
+            } if self.returns_from(module.extern_decl(*e)) => Some(node(*d)),
+            _ => None,
+        }));
+    }
+
+    fn returns_from(&self, decl: &ExternDecl) -> bool {
+        match self {
+            SourceSpec::ExternReturn(name) => decl.name == *name,
+            SourceSpec::Effect(effect) => decl.effect == *effect,
+            _ => false,
+        }
+    }
+}
+
+impl SinkSpec {
+    /// Calls `sink` with each value this spec sinks in `func` and its
+    /// site, in block or instruction order.
+    pub(crate) fn for_each(
+        &self,
+        module: &Module,
+        func: &Function,
+        mut sink: impl FnMut(ValueId, InstId),
+    ) {
+        if *self == SinkSpec::ReturnValues {
+            for b in func.blocks() {
+                if let Terminator::Ret(Some(v)) = b.term {
+                    sink(v, b.insts.last().copied().unwrap_or(InstId::from_index(0)));
+                }
+            }
+            return;
+        }
+        for inst in func.insts() {
+            let operand = match &inst.kind {
+                InstKind::Load { addr, .. } | InstKind::Store { addr, .. }
+                    if *self == SinkSpec::Dereferences =>
+                {
+                    Some(*addr)
+                }
+                InstKind::Call {
+                    callee: Callee::Extern(e),
+                    args,
+                    ..
+                } => self
+                    .arg_of(module.extern_decl(*e))
+                    .and_then(|i| args.get(i).copied()),
+                _ => None,
+            };
+            if let Some(v) = operand {
+                sink(v, inst.id);
+            }
+        }
+    }
+
+    /// The argument this spec sinks at a call to `decl`, if any.
+    fn arg_of(&self, decl: &ExternDecl) -> Option<usize> {
+        match self {
+            SinkSpec::ExternArg { name, index } if decl.name == *name => Some(*index),
+            SinkSpec::Effect { effect, index } if decl.effect == *effect => Some(*index),
+            _ => None,
+        }
+    }
+}
+
 impl CustomChecker {
     /// Runs the checker over an analyzed module. `inference = Some(..)`
-    /// enables the type-assisted guards.
+    /// slices the type-pruned DDG and enables the type guards.
     pub fn detect(
         &self,
         analysis: &ModuleAnalysis,
         inference: Option<&dyn TypeQuery>,
         config: SlicerConfig,
     ) -> Vec<CustomReport> {
-        let ddg = &analysis.ddg;
+        let ddg = sliced_ddg(analysis, inference);
+        self.run(analysis, &ddg, inference, config).0
+    }
+
+    /// The one source–sink driver: gathers this spec's sources and sinks
+    /// on `ddg`, slices, and keeps the pairs no guard refutes. Returns
+    /// them with the slicer's node visits (the Table 5 work metric).
+    pub(crate) fn run(
+        &self,
+        analysis: &ModuleAnalysis,
+        ddg: &Ddg,
+        inference: Option<&dyn TypeQuery>,
+        config: SlicerConfig,
+    ) -> (Vec<CustomReport>, usize) {
         let module = analysis.module();
-
-        // Sources.
-        let mut sources: Vec<NodeId> = Vec::new();
-        for func in module.functions() {
-            let fid = func.id();
-            match &self.sources {
-                SourceSpec::ExternReturn(_) | SourceSpec::Effect(_) => {
-                    for inst in func.insts() {
-                        if let InstKind::Call {
-                            dst: Some(d),
-                            callee: Callee::Extern(e),
-                            ..
-                        } = &inst.kind
-                        {
-                            let decl = module.extern_decl(*e);
-                            let hit = match &self.sources {
-                                SourceSpec::ExternReturn(n) => &decl.name == n,
-                                SourceSpec::Effect(eff) => decl.effect == *eff,
-                                _ => unreachable!(),
-                            };
-                            if hit {
-                                sources.push(ddg.node(VarRef::new(fid, *d)));
-                            }
-                        }
-                    }
-                }
-                SourceSpec::NullConstants => {
-                    for (v, data) in func.values() {
-                        let nullish = matches!(data.kind, ValueKind::Const(ConstKind::Null))
-                            || (matches!(data.kind, ValueKind::Const(ConstKind::Int(0)))
-                                && data.width == Width::W64);
-                        if nullish {
-                            sources.push(ddg.node(VarRef::new(fid, v)));
-                        }
-                    }
-                }
-                SourceSpec::StackAddresses => {
-                    for inst in func.insts() {
-                        if let InstKind::Alloca { dst, .. } = inst.kind {
-                            sources.push(ddg.node(VarRef::new(fid, dst)));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Sinks.
+        let mut sources = Vec::new();
+        // Later inserts win: a value used at several sites keeps the last.
         let mut sinks: HashMap<NodeId, (InstId, FuncId)> = HashMap::new();
         for func in module.functions() {
             let fid = func.id();
-            match &self.sinks {
-                SinkSpec::ExternArg { name, index } => {
-                    for inst in func.insts() {
-                        if let InstKind::Call {
-                            callee: Callee::Extern(e),
-                            args,
-                            ..
-                        } = &inst.kind
-                        {
-                            if &module.extern_decl(*e).name == name {
-                                if let Some(&a) = args.get(*index) {
-                                    sinks.insert(ddg.node(VarRef::new(fid, a)), (inst.id, fid));
-                                }
-                            }
-                        }
-                    }
-                }
-                SinkSpec::Dereferences => {
-                    for inst in func.insts() {
-                        let addr = match &inst.kind {
-                            InstKind::Load { addr, .. } | InstKind::Store { addr, .. } => {
-                                Some(*addr)
-                            }
-                            _ => None,
-                        };
-                        if let Some(a) = addr {
-                            sinks.insert(ddg.node(VarRef::new(fid, a)), (inst.id, fid));
-                        }
-                    }
-                }
-                SinkSpec::ReturnValues => {
-                    for b in func.blocks() {
-                        if let Terminator::Ret(Some(v)) = b.term {
-                            let site = b
-                                .insts
-                                .last()
-                                .copied()
-                                .unwrap_or_else(|| InstId::from_index(0));
-                            sinks.insert(ddg.node(VarRef::new(fid, v)), (site, fid));
-                        }
-                    }
-                }
-            }
+            self.sources.gather(module, func, ddg, &mut sources);
+            self.sinks.for_each(module, func, |v, site| {
+                sinks.insert(ddg.node(VarRef::new(fid, v)), (site, fid));
+            });
         }
-
         let sink_nodes: HashSet<NodeId> = sinks.keys().copied().collect();
+        let types = inference.filter(|_| self.numeric_guard);
         let mut slicer = Slicer::new(ddg, config);
-        let guard = |n: NodeId| match inference {
-            Some(inf) if self.numeric_guard => {
-                let numeric = matches!(
-                    inf.precise_of(ddg.var(n)).map(|t| FirstLayer::of(&t)),
-                    Some(
-                        FirstLayer::Int(_)
-                            | FirstLayer::Float
-                            | FirstLayer::Double
-                            | FirstLayer::Num(_)
-                    )
-                );
-                !numeric
-            }
-            _ => true,
-        };
-        slicer
-            .slice(&sources, &sink_nodes, guard)
-            .into_iter()
-            .map(|p| {
+        let pairs = slicer.slice(&sources, &sink_nodes, |n| {
+            types.is_none_or(|inf| !numeric(inf.precise_of(ddg.var(n))))
+        });
+        // A callee returning its caller's buffer is legal: a stack
+        // address escapes only through its own frame's return.
+        let same_frame =
+            self.sources == SourceSpec::StackAddresses && self.sinks == SinkSpec::ReturnValues;
+        // A return's site only attributes the sink; other sinks are
+        // operands of their instruction.
+        let sink_types = types.filter(|_| self.sinks != SinkSpec::ReturnValues);
+        let reports: Vec<CustomReport> = pairs
+            .iter()
+            .filter_map(|p| {
                 let (site, func) = sinks[&p.sink];
-                CustomReport {
+                let refuted = (same_frame && ddg.var(p.source).func != func)
+                    || sink_types.is_some_and(|inf| numeric(inf.precise_at(ddg.var(p.sink), site)));
+                (!refuted).then(|| CustomReport {
                     checker: self.name.clone(),
                     func,
                     source: p.source,
                     sink: p.sink,
                     sink_site: site,
-                }
+                })
             })
-            .collect()
+            .collect();
+        let refuted = pairs.len() - reports.len();
+        manta_telemetry::counter("checker.alarms_raised", pairs.len() as u64);
+        manta_telemetry::counter("checker.alarms_pruned", refuted as u64);
+        manta_telemetry::counter("checker.slicer_visits", slicer.visits as u64);
+        (reports, slicer.visits)
     }
 }
 
@@ -308,5 +362,85 @@ mod tests {
         };
         let reports = checker.detect(&analysis, None, SlicerConfig::default());
         assert_eq!(reports.len(), 1);
+    }
+
+    #[test]
+    fn a_callee_returning_its_callers_buffer_is_not_an_escape() {
+        // `fill(p) { return p; }` handed the caller's alloca: the address
+        // is returned by a frame that does not own it, which is legal.
+        let mut mb = ModuleBuilder::new("m");
+        let (fill, mut cb) = mb.function("fill", &[Width::W64], Some(Width::W64));
+        let p = cb.param(0);
+        cb.ret(Some(p));
+        mb.finish_function(cb);
+        let (_, mut fb) = mb.function("caller", &[], None);
+        let local = fb.alloca(16);
+        fb.call(fill, &[local], Some(Width::W64));
+        fb.ret(None);
+        mb.finish_function(fb);
+        let analysis = ModuleAnalysis::build(mb.finish());
+        let inference = Manta::new(MantaConfig::full()).infer(&analysis);
+        let checker = CustomChecker {
+            name: "ESCAPE".into(),
+            sources: SourceSpec::StackAddresses,
+            sinks: SinkSpec::ReturnValues,
+            numeric_guard: false,
+        };
+        for types in [Some(&inference as &dyn TypeQuery), None] {
+            let reports = checker.detect(&analysis, types, SlicerConfig::default());
+            assert!(reports.is_empty(), "{reports:?}");
+        }
+    }
+
+    #[test]
+    fn a_sink_numeric_at_its_site_is_refuted() {
+        // `vendor_exec(atol(s))`: the parsed integer is the source and the
+        // sink at once, so only the sink guard sees its type.
+        let mut mb = ModuleBuilder::new("m");
+        let nvram = mb.extern_fn("nvram_get", &[], None);
+        let atol = mb.extern_fn("atol", &[], None);
+        let exec = mb.extern_fn("vendor_exec", &[Width::W64], None);
+        let (_, mut fb) = mb.function("run", &[], None);
+        let key = fb.alloca(8);
+        let s = fb.call_extern(nvram, &[key], Some(Width::W64)).unwrap();
+        let n = fb.call_extern(atol, &[s], Some(Width::W64)).unwrap();
+        fb.call_extern(exec, &[n], None);
+        fb.ret(None);
+        mb.finish_function(fb);
+        let analysis = ModuleAnalysis::build(mb.finish());
+        let inference = Manta::new(MantaConfig::full()).infer(&analysis);
+        let checker = CustomChecker {
+            name: "EXEC".into(),
+            sources: SourceSpec::ExternReturn("atol".into()),
+            sinks: SinkSpec::ExternArg {
+                name: "vendor_exec".into(),
+                index: 0,
+            },
+            numeric_guard: true,
+        };
+        let typed = checker.detect(
+            &analysis,
+            Some(&inference as &dyn TypeQuery),
+            SlicerConfig::default(),
+        );
+        assert!(typed.is_empty(), "{typed:?}");
+        let untyped = checker.detect(&analysis, None, SlicerConfig::default());
+        assert_eq!(untyped.len(), 1, "{untyped:?}");
+    }
+
+    #[test]
+    fn null_constants_that_flow_nowhere_start_no_slice() {
+        let mut mb = ModuleBuilder::new("m");
+        let (_, mut fb) = mb.function("f", &[Width::W64], Some(Width::W64));
+        let p = fb.param(0);
+        fb.const_null();
+        let v = fb.load(p, Width::W64);
+        fb.ret(Some(v));
+        mb.finish_function(fb);
+        let analysis = ModuleAnalysis::build(mb.finish());
+        let npd = crate::BugKind::Npd.spec().unwrap();
+        let (reports, visits) = npd.run(&analysis, &analysis.ddg, None, SlicerConfig::default());
+        assert!(reports.is_empty(), "{reports:?}");
+        assert_eq!(visits, 0);
     }
 }

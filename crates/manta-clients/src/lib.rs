@@ -12,9 +12,11 @@
 //!   inferred types.
 //! * [`slicing`] — source–sink DDG traversal (§5.3) with CFL-context
 //!   validation and optional type guards.
-//! * [`checkers`] — the five example bug checkers: NPD, RSA, UAF, CMI, BOF.
-//! * [`custom`] — user-defined source/sink checkers (§5.3's extensibility
-//!   claim), sharing the same slicing and type guards.
+//! * [`checkers`] — the five example bug checkers: NPD, RSA, UAF, CMI,
+//!   BOF. All but UAF are source–sink specs.
+//! * [`custom`] — source–sink checker specs (§5.3's extensibility claim)
+//!   and the one driver that runs every spec, built-in or user-defined:
+//!   with types it slices the pruned DDG and applies the same guards.
 
 #![warn(missing_docs)]
 

@@ -163,7 +163,6 @@ pub fn config_hash(config: &MantaConfig, fuel: Option<u64>) -> u64 {
     h.write_u64(u64::from(sensitivity_tag(config.sensitivity)));
     h.write_usize(config.max_ctx_depth);
     h.write_usize(config.max_visits);
-    h.write_u64(u64::from(config.strong_updates));
     match fuel {
         Some(f) => h.write_u64(1).write_u64(f),
         None => h.write_u64(0),
@@ -451,7 +450,9 @@ pub fn encode_result(result: &InferenceResult) -> Vec<u8> {
     w.u8(sensitivity_tag(result.config.sensitivity));
     w.usize(result.config.max_ctx_depth);
     w.usize(result.config.max_visits);
-    w.bool(result.config.strong_updates);
+    // The retired strong-update switch: flow-sensitive refinement always
+    // applies strong updates, and the byte keeps the codec's layout.
+    w.bool(true);
 
     w.usize(result.degradations.len());
     for d in &result.degradations {
@@ -591,8 +592,10 @@ pub fn decode_result(payload: &[u8]) -> Result<InferenceResult, DecodeError> {
         sensitivity: sensitivity_from_tag(r.u8("sensitivity")?).ok_or(bad("sensitivity"))?,
         max_ctx_depth: dec_usize(&mut r, "max_ctx_depth")?,
         max_visits: dec_usize(&mut r, "max_visits")?,
-        strong_updates: r.bool("strong_updates")?,
     };
+    if !r.bool("strong_updates")? {
+        return Err(bad("strong_updates"));
+    }
 
     let n = r.len("degradation count")?;
     let mut degradations = Vec::with_capacity(n.min(64));

@@ -438,12 +438,10 @@ impl<'a> SiteWalker<'a> {
                 // here kill older hints along this path (lines 15-16);
                 // all aliases annotated at the *same* instruction
                 // contribute.
-                if self.config.strong_updates {
-                    break;
-                }
+                break;
             }
         }
-        if !(found && self.config.strong_updates) {
+        if !found {
             self.continue_upward(walk, func, block, view, alias);
         }
         if whole {

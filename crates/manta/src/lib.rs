@@ -138,10 +138,6 @@ pub struct MantaConfig {
     pub max_ctx_depth: usize,
     /// Node-visit budget per refined variable (scalability guard).
     pub max_visits: usize,
-    /// Whether the flow-sensitive stage applies strong updates (stops at
-    /// the first annotation per backward path). Ablation knob; the paper's
-    /// algorithm always does.
-    pub strong_updates: bool,
 }
 
 impl MantaConfig {
@@ -156,7 +152,6 @@ impl MantaConfig {
             sensitivity,
             max_ctx_depth: 32,
             max_visits: 4096,
-            strong_updates: true,
         }
     }
 }

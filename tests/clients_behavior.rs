@@ -168,3 +168,49 @@ fn detection_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn builtin_specs_run_as_custom_checkers_report_what_detect_bugs_does() {
+    // The slicing checkers are specs on the custom-checker driver, so the
+    // public path reports exactly what `detect_bugs` does, typed and
+    // untyped, on firmware images and on a suite project.
+    let mut modules: Vec<manta_ir::Module> = [3u64, 11, 29]
+        .into_iter()
+        .map(|seed| {
+            generate_firmware(&FirmwareSpec {
+                name: format!("spec_fw{seed}"),
+                real_bugs_per_class: 2,
+                decoys_per_class: 2,
+                noise_functions: 10,
+                seed,
+            })
+            .module
+        })
+        .collect();
+    modules.push(manta_workloads::project_suite()[2].generate().module);
+    let mut compared = 0;
+    for module in modules {
+        let analysis = ModuleAnalysis::build(module);
+        let inference = Manta::new(MantaConfig::full()).infer(&analysis);
+        for types in [Some(&inference as &dyn TypeQuery), None] {
+            for kind in BugKind::ALL {
+                let Some(spec) = kind.spec() else { continue };
+                let (builtin, _) = detect_bugs(&analysis, types, &[kind], CheckerConfig::default());
+                let custom = spec.detect(&analysis, types, SlicerConfig::default());
+                let mut custom: Vec<_> = custom
+                    .iter()
+                    .map(|r| (r.func, r.sink_site, r.source, r.sink))
+                    .collect();
+                let mut builtin: Vec<_> = builtin
+                    .iter()
+                    .map(|r| (r.func, r.sink_site, r.source, r.sink))
+                    .collect();
+                custom.sort();
+                builtin.sort();
+                assert_eq!(custom, builtin, "{kind:?}, typed: {}", types.is_some());
+                compared += builtin.len();
+            }
+        }
+    }
+    assert!(compared > 0, "the corpus must raise some reports");
+}
