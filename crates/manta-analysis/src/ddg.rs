@@ -13,8 +13,6 @@
 //!   site, which act as the open/close parentheses of CFL-reachability for
 //!   the context-sensitive refinement (Algorithm 1).
 
-use std::collections::{BTreeSet, HashMap};
-
 use manta_ir::{BinOp, Callee, ExternEffect, FuncId, InstId, InstKind, Terminator, ValueId};
 
 use crate::pointsto::{ObjectId, PointsTo};
@@ -145,8 +143,8 @@ impl Ddg {
 
         // Memory writes: (written value, objects it reaches, via) — stores
         // plus extern copy effects; paired against loads below.
-        let mut writes: Vec<(VarRef, &BTreeSet<ObjectId>)> = Vec::new();
-        let mut reads: Vec<(VarRef, &BTreeSet<ObjectId>)> = Vec::new();
+        let mut writes: Vec<(VarRef, &[ObjectId])> = Vec::new();
+        let mut reads: Vec<(VarRef, &[ObjectId])> = Vec::new();
         for scan in scans {
             let scan = scan?;
             for (from, to, kind) in scan.edges {
@@ -157,20 +155,18 @@ impl Ddg {
         }
 
         // Memory dependencies: a write reaches a read iff they share an
-        // object.
-        let mut writes_by_obj: HashMap<ObjectId, Vec<VarRef>> = HashMap::new();
-        for (val, objs) in &writes {
-            for &o in objs.iter() {
-                writes_by_obj.entry(o).or_default().push(*val);
-            }
-        }
+        // object. The writers of each object, in write order.
+        let writers = crate::Csr::new(
+            pts.object_count(),
+            writes
+                .iter()
+                .flat_map(|&(val, objs)| objs.iter().map(move |o| (o.index(), val))),
+        );
         for (dst, objs) in &reads {
             budget.tick()?;
             for &o in objs.iter() {
-                if let Some(ws) = writes_by_obj.get(&o) {
-                    for &w in ws {
-                        ddg.add_edge(w.func, w.value, dst.func, dst.value, DepKind::Memory(o));
-                    }
+                for &w in writers.get(o.index()) {
+                    ddg.add_edge(w.func, w.value, dst.func, dst.value, DepKind::Memory(o));
                 }
             }
         }
@@ -248,8 +244,8 @@ impl Ddg {
 /// pairing pass below consumes them.
 struct FuncScan<'a> {
     edges: Vec<(VarRef, VarRef, DepKind)>,
-    writes: Vec<(VarRef, &'a BTreeSet<ObjectId>)>,
-    reads: Vec<(VarRef, &'a BTreeSet<ObjectId>)>,
+    writes: Vec<(VarRef, &'a [ObjectId])>,
+    reads: Vec<(VarRef, &'a [ObjectId])>,
 }
 
 /// Scans one function for DDG edges and memory write/read records. Fuel is

@@ -60,6 +60,48 @@ impl std::fmt::Display for VarRef {
     }
 }
 
+/// Values grouped by a dense key in one table (compressed sparse rows):
+/// key `k`'s values are `values[start[k]..start[k + 1]]`, in the order
+/// they were given. A key past the table has none.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Csr<T> {
+    start: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Groups `items` by their key in `0..keys` with a counting sort,
+    /// walking `items` twice.
+    pub(crate) fn new(keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Csr<T> {
+        let mut start = vec![0u32; keys + 1];
+        for (k, _) in items.clone() {
+            start[k + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut next = start.clone();
+        // Every slot is overwritten below; any item's value fills them first.
+        let mut values = match items.clone().next() {
+            Some((_, v)) => vec![v; start[keys] as usize],
+            None => Vec::new(),
+        };
+        for (k, v) in items {
+            values[next[k] as usize] = v;
+            next[k] += 1;
+        }
+        Csr { start, values }
+    }
+
+    /// Key `k`'s values.
+    pub(crate) fn get(&self, k: usize) -> &[T] {
+        match (self.start.get(k), self.start.get(k.wrapping_add(1))) {
+            (Some(&s), Some(&e)) => &self.values[s as usize..e as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// Bundles the full analysis state for one module: the preprocessed module,
 /// its call graph, points-to results and DDG. This is the input the `manta`
 /// crate's type inference consumes.

@@ -19,12 +19,22 @@
 //! The production solver (`DeltaSolver`) is a delta-propagation worklist
 //! solver in the difference-propagation tradition: nodes live in a dense
 //! `u32` arena (per-function variable bases, then object nodes), points-to
-//! sets are hybrid sorted-vec/bitset `ObjSet`s with a `diff`/`union`
-//! API, and each node carries a *delta* — the objects added since the node
-//! was last visited — so the copy/load/store/gep rules only ever process
-//! new objects. Copy edges are deduplicated at insertion, and copy-SCCs
-//! are collapsed online into a union-find representative so cyclic copy
-//! chains cannot ping-pong.
+//! sets are hybrid sorted-list/bitset `ObjSet`s that hold up to four
+//! objects inline, and each node carries a *delta* — the objects added
+//! since the node was last visited — so the copy/load/store/gep rules only
+//! ever process new objects. Deltas are chains in one shared cell pool,
+//! load/store/gep rules sit in tables fixed at setup, and short successor
+//! lists stay inline, so the fixpoint allocates for the few nodes whose
+//! lists grow, not per visit. Copy edges are deduplicated
+//! at insertion, and copy-SCCs are collapsed online into a union-find
+//! representative so cyclic copy chains cannot ping-pong.
+//!
+//! ## The result
+//!
+//! [`PointsTo`] keeps the solver's numbering: each node's ascending set
+//! is a span of one arena, found by index, and the members of a collapsed
+//! copy-SCC share their representative's span. Each object lists its
+//! materialized fields in id order. Ids outside the module read empty.
 //!
 //! The historical whole-set fixpoint solver is kept behind
 //! `#[cfg(any(test, feature = "reference-solver"))]` as
@@ -34,14 +44,14 @@
 //! materialize in solver-visit order — so comparisons go through
 //! [`ObjectKind`] chains, not raw ids).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use manta_ir::{FuncId, GlobalId, InstId};
 
 use crate::callgraph::CallGraph;
 use crate::preprocess::Preprocessed;
-use crate::VarRef;
+use crate::{Csr, VarRef};
 
 mod constraints;
 mod objset;
@@ -147,12 +157,22 @@ pub struct PointsToProvenance {
     pub obj_origins: HashMap<(ObjectId, ObjectId), PtsSource>,
 }
 
-/// Points-to results: the map `ℙ : 𝕍 ∪ 𝕆 → 2^𝕆` of Figure 5.
+/// Points-to results: the map `ℙ : 𝕍 ∪ 𝕆 → 2^𝕆` of Figure 5, as a table
+/// on the solver's dense numbering. Function `f`'s values are nodes
+/// `var_base[f]..var_base[f + 1]` (the DDG's numbering) and object `o`
+/// is node `nv + o`, where `nv` is `var_base`'s last entry. Each node's
+/// set is an ascending span of one arena.
 #[derive(Debug)]
 pub struct PointsTo {
-    pub(crate) objects: Vec<ObjectKind>,
-    pub(crate) field_intern: HashMap<(ObjectId, u64), ObjectId>,
-    pub(crate) pts: HashMap<Node, BTreeSet<ObjectId>>,
+    objects: Vec<ObjectKind>,
+    var_base: Vec<u32>,
+    /// Each node's `(start, end)` span of `arena`. The members of a
+    /// collapsed copy-SCC share their representative's span.
+    spans: Vec<(u32, u32)>,
+    arena: Vec<ObjectId>,
+    /// Each object's materialized fields, as `(offset, field)` in id
+    /// order.
+    fields: Csr<(u64, ObjectId)>,
     /// Number of solver worklist visits (reported by scalability figures).
     pub iterations: usize,
     /// Dense propagation-graph node count at fixpoint (variables plus
@@ -168,7 +188,92 @@ pub struct PointsTo {
     pub peak_pts: usize,
 }
 
-static EMPTY: BTreeSet<ObjectId> = BTreeSet::new();
+/// Each function's first dense node in module order, then one past the
+/// last variable node: the DDG's numbering with a closing sentinel.
+fn var_bases(module: &manta_ir::Module) -> Vec<u32> {
+    let mut bases = Vec::with_capacity(module.function_count() + 1);
+    let mut next = 0u32;
+    for f in module.functions() {
+        bases.push(next);
+        next += f.value_count() as u32;
+    }
+    bases.push(next);
+    bases
+}
+
+/// `v`'s dense node, if `v` is a value of the module `var_base` numbers:
+/// the index is checked against the next function's base, so a value id
+/// past its function's count names no neighbour's node.
+fn var_index(var_base: &[u32], v: VarRef) -> Option<u32> {
+    let f = v.func.index();
+    let (&base, &next) = (var_base.get(f)?, var_base.get(f.checked_add(1)?)?);
+    (v.value.0 < next - base).then(|| base + v.value.0)
+}
+
+/// Lays a solved relation out as a [`PointsTo`]: both solvers export
+/// through it.
+struct Table {
+    var_base: Vec<u32>,
+    spans: Vec<(u32, u32)>,
+    arena: Vec<ObjectId>,
+    peak: usize,
+}
+
+impl Table {
+    /// An empty table over `nodes` dense nodes on `var_base`'s numbering,
+    /// with room for `len` objects over all stored sets.
+    fn new(var_base: Vec<u32>, nodes: usize, len: usize) -> Table {
+        Table {
+            var_base,
+            spans: vec![(0, 0); nodes],
+            arena: Vec::with_capacity(len),
+            peak: 0,
+        }
+    }
+
+    /// Stores node `n`'s set, given in ascending order.
+    fn set(&mut self, n: u32, objs: impl Iterator<Item = ObjectId>) {
+        let start = self.arena.len();
+        self.arena.extend(objs);
+        self.peak = self.peak.max(self.arena.len() - start);
+        self.spans[n as usize] = (start as u32, self.arena.len() as u32);
+    }
+
+    /// Makes node `n` share node `rep`'s stored set.
+    fn share(&mut self, n: u32, rep: u32) {
+        self.spans[n as usize] = self.spans[rep as usize];
+    }
+
+    /// The result over `objects`, with each object's fields listed under
+    /// it. Its counters other than `peak_pts` read zero.
+    fn finish(self, objects: Vec<ObjectKind>) -> PointsTo {
+        // Fields by parent in id order: the object table's ids ascend.
+        let fields = Csr::new(
+            objects.len(),
+            objects
+                .iter()
+                .enumerate()
+                .filter_map(|(i, kind)| match *kind {
+                    ObjectKind::Field { parent, offset } => {
+                        Some((parent.index(), (offset, ObjectId(i as u32))))
+                    }
+                    _ => None,
+                }),
+        );
+        PointsTo {
+            objects,
+            var_base: self.var_base,
+            spans: self.spans,
+            arena: self.arena,
+            fields,
+            iterations: 0,
+            constraint_nodes: 0,
+            constraint_edges: 0,
+            scc_merges: 0,
+            peak_pts: self.peak,
+        }
+    }
+}
 
 impl PointsTo {
     /// Solves points-to constraints for the preprocessed module with the
@@ -220,24 +325,31 @@ impl PointsTo {
         }
     }
 
-    /// Points-to set of variable `v`.
-    pub fn pts_var(&self, v: VarRef) -> &BTreeSet<ObjectId> {
-        self.pts.get(&Node::Var(v)).unwrap_or(&EMPTY)
+    /// Points-to set of variable `v`, ascending. A `v` outside the
+    /// module (a function id past it, or a value id past its function's
+    /// count) reads empty.
+    pub fn pts_var(&self, v: VarRef) -> &[ObjectId] {
+        var_index(&self.var_base, v).map_or(&[], |n| self.set(n as usize))
     }
 
-    /// Every variable that has a points-to set, with the set, in no
-    /// particular order: one pass over the map, for a caller that wants
-    /// the sets of many variables.
-    pub fn var_sets(&self) -> impl Iterator<Item = (VarRef, &BTreeSet<ObjectId>)> + '_ {
-        self.pts.iter().filter_map(|(node, set)| match node {
-            Node::Var(v) => Some((*v, set)),
-            Node::Obj(_) => None,
-        })
+    /// Points-to set of the contents of object `o`, ascending. An `o`
+    /// past the object table reads empty.
+    pub fn pts_obj(&self, o: ObjectId) -> &[ObjectId] {
+        if o.index() < self.objects.len() {
+            self.set(self.nv() + o.index())
+        } else {
+            &[]
+        }
     }
 
-    /// Points-to set of the contents of object `o`.
-    pub fn pts_obj(&self, o: ObjectId) -> &BTreeSet<ObjectId> {
-        self.pts.get(&Node::Obj(o)).unwrap_or(&EMPTY)
+    /// The number of variable nodes, where object nodes begin.
+    fn nv(&self) -> usize {
+        self.var_base.last().copied().unwrap_or(0) as usize
+    }
+
+    fn set(&self, node: usize) -> &[ObjectId] {
+        let (start, end) = self.spans[node];
+        &self.arena[start as usize..end as usize]
     }
 
     /// The kind of object `o`.
@@ -265,22 +377,32 @@ impl PointsTo {
     /// The largest points-to set cardinality over all variables and
     /// objects (the "peak" reported by the benchmark harness).
     pub fn max_pts_len(&self) -> usize {
-        self.pts.values().map(BTreeSet::len).max().unwrap_or(0)
+        self.peak_pts
+    }
+
+    /// The fields materialized under `parent`, as `(offset, field)` in
+    /// field id order. A `parent` past the object table reads empty.
+    pub fn fields(&self, parent: ObjectId) -> &[(u64, ObjectId)] {
+        self.fields.get(parent.index())
     }
 
     /// The field object `(parent, offset)` if it was materialized.
     pub fn field_of(&self, parent: ObjectId, offset: u64) -> Option<ObjectId> {
-        self.field_intern.get(&(parent, offset)).copied()
+        self.fields(parent)
+            .iter()
+            .find(|&&(off, _)| off == offset)
+            .map(|&(_, f)| f)
     }
 
     /// Whether two variables may point to a common object.
     pub fn may_alias(&self, a: VarRef, b: VarRef) -> bool {
         let (pa, pb) = (self.pts_var(a), self.pts_var(b));
-        if pa.len() <= pb.len() {
-            pa.iter().any(|o| pb.contains(o))
+        let (small, large) = if pa.len() <= pb.len() {
+            (pa, pb)
         } else {
-            pb.iter().any(|o| pa.contains(o))
-        }
+            (pb, pa)
+        };
+        small.iter().any(|o| large.binary_search(o).is_ok())
     }
 }
 
@@ -288,7 +410,7 @@ impl PointsTo {
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, PreprocessConfig};
-    use manta_ir::{BinOp, ModuleBuilder, Width};
+    use manta_ir::{BinOp, ModuleBuilder, ValueId, Width};
 
     fn analyze(m: manta_ir::Module) -> (Preprocessed, PointsTo) {
         let pre = preprocess(m, PreprocessConfig::default());
@@ -327,7 +449,7 @@ mod tests {
         fb.ret(None);
         mb.finish_function(fb);
         let (_, pts) = analyze(mb.finish());
-        let heap: Vec<_> = pts.pts_var(VarRef::new(fid, p)).iter().copied().collect();
+        let heap = pts.pts_var(VarRef::new(fid, p)).to_vec();
         assert_eq!(heap.len(), 1);
         assert!(matches!(pts.object_kind(heap[0]), ObjectKind::Heap { .. }));
         assert_eq!(
@@ -434,28 +556,117 @@ mod tests {
 
     #[test]
     fn copy_cycles_equalize_and_collapse() {
-        // a → b → c → a plus a seed in a: everyone sees the seed, and
-        // fields derived from any member match.
+        // A copy chain a → b → c → p plus a seed in s, and a true copy
+        // cycle: `id(x) { return x; }` called as t = id(s); u = id(t)
+        // binds x → t → x context-insensitively.
         let mut mb = ModuleBuilder::new("m");
+        let (id_f, mut ib) = mb.function("id", &[Width::W64], Some(Width::W64));
+        let x = ib.param(0);
+        ib.ret(Some(x));
+        mb.finish_function(ib);
         let (fid, mut fb) = mb.function("f", &[], None);
         let s = fb.alloca(8);
         let a = fb.copy(s);
         let b = fb.copy(a);
         let c = fb.copy(b);
-        // Close the cycle with a phi so `a` also depends on `c`.
-        // (copy-only cycles need a phi or call to appear in SSA.)
         let bb = fb.current_block();
         let p = fb.phi(&[(bb, a), (bb, c)], Width::W64);
+        let t = fb.call(id_f, &[s], Some(Width::W64)).unwrap();
+        let u = fb.call(id_f, &[t], Some(Width::W64)).unwrap();
+        fb.ret(None);
+        mb.finish_function(fb);
+        let (pre, pts) = analyze(mb.finish());
+        let id_f = pre.module.function_by_name("id").unwrap().id();
+        let xp = VarRef::new(id_f, pre.module.function(id_f).params()[0]);
+        let seed = pts.pts_var(VarRef::new(fid, s));
+        assert_eq!(seed.len(), 1);
+        for v in [a, b, c, p, t, u] {
+            assert_eq!(
+                pts.pts_var(VarRef::new(fid, v)),
+                seed,
+                "chain and cycle members must carry the seed"
+            );
+        }
+        assert_eq!(pts.scc_merges, 1, "x and t collapse");
+        // The cycle's members share one stored set.
+        assert!(std::ptr::eq(
+            pts.pts_var(xp),
+            pts.pts_var(VarRef::new(fid, t))
+        ));
+    }
+
+    #[test]
+    fn ids_outside_the_module_read_empty() {
+        // f's values precede g's in the dense numbering and g's precede
+        // the objects', so an index unchecked against the next base
+        // would read a neighbour's set.
+        let mut mb = ModuleBuilder::new("m");
+        let (f, mut fb) = mb.function("f", &[], None);
+        let cell = fb.alloca(8);
+        let target = fb.alloca(8);
+        fb.store(cell, target);
+        fb.ret(None);
+        mb.finish_function(fb);
+        let (g, mut gb) = mb.function("g", &[], None);
+        let b = gb.alloca(8);
+        gb.ret(None);
+        mb.finish_function(gb);
+        let (pre, pts) = analyze(mb.finish());
+        let count = |fid: FuncId| pre.module.function(fid).value_count() as u32;
+        assert_eq!(b, ValueId(0), "g's first value is its alloca");
+        assert!(!pts.pts_var(VarRef::new(g, b)).is_empty());
+        let first_obj = pts.pts_var(VarRef::new(f, cell))[0];
+        assert!(!pts.pts_obj(first_obj).is_empty());
+        assert_eq!(first_obj, ObjectId(0), "objects follow g's values");
+        // A value id past its function's count.
+        assert!(pts.pts_var(VarRef::new(f, ValueId(count(f)))).is_empty());
+        assert!(pts.pts_var(VarRef::new(g, ValueId(count(g)))).is_empty());
+        assert!(pts.pts_var(VarRef::new(g, ValueId(u32::MAX))).is_empty());
+        // A function id past the module.
+        assert!(pts.pts_var(VarRef::new(FuncId(2), ValueId(0))).is_empty());
+        assert!(pts
+            .pts_var(VarRef::new(FuncId(u32::MAX), ValueId(0)))
+            .is_empty());
+        // An object id past the object table.
+        let past = ObjectId(pts.object_count() as u32);
+        for o in [past, ObjectId(u32::MAX)] {
+            assert!(pts.pts_obj(o).is_empty());
+            assert!(pts.fields(o).is_empty());
+            assert_eq!(pts.field_of(o, 0), None);
+        }
+    }
+
+    #[test]
+    fn fields_list_each_parents_fields_in_id_order() {
+        let mut mb = ModuleBuilder::new("m");
+        let (_, mut fb) = mb.function("f", &[], None);
+        let s = fb.alloca(32);
+        let f8 = fb.gep(s, 8);
+        fb.gep(s, 0);
+        fb.gep(f8, 4);
+        fb.gep(s, 16);
+        let t = fb.alloca(16);
+        fb.gep(t, 8);
         fb.ret(None);
         mb.finish_function(fb);
         let (_, pts) = analyze(mb.finish());
-        for v in [a, b, c, p] {
-            assert_eq!(
-                pts.pts_var(VarRef::new(fid, v)),
-                pts.pts_var(VarRef::new(fid, s)),
-                "cycle member must carry the seed"
-            );
+        let mut listed = 0;
+        for (o, _) in pts.objects() {
+            let want: Vec<(u64, ObjectId)> = pts
+                .objects()
+                .filter_map(|(id, k)| match k {
+                    ObjectKind::Field { parent, offset } if parent == o => Some((offset, id)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(pts.fields(o), want.as_slice(), "fields of {o}");
+            for &(offset, field) in &want {
+                assert_eq!(pts.field_of(o, offset), Some(field));
+            }
+            assert_eq!(pts.field_of(o, 3), None);
+            listed += want.len();
         }
+        assert_eq!(listed, 5, "every field is listed under its parent");
     }
 
     #[test]

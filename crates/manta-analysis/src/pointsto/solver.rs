@@ -1,14 +1,18 @@
 //! The delta-propagation solver and the historical whole-set reference
 //! solver (the differential-testing oracle).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+
+use manta_ir::{FuncId, ValueId};
 
 use super::constraints::Constraints;
-use super::objset::ObjSet;
+use super::objset::{Deltas, InlineVec, ObjSet};
 use super::{
-    Node, ObjectId, ObjectKind, PointsTo, PointsToProvenance, PtsSource, DELTA_SIZES, PEAK_PTS,
+    var_bases, Node, ObjectId, ObjectKind, PointsTo, PointsToProvenance, PtsSource, Table,
+    DELTA_SIZES, PEAK_PTS,
 };
 use crate::preprocess::Preprocessed;
+use crate::Csr;
 use crate::VarRef;
 
 /// Solver-internal derivation reason over raw dense node ids; resolved
@@ -20,6 +24,24 @@ enum Origin {
     Field(u32),
 }
 
+/// The load, store and gep rules each variable node triggers, fixed at
+/// setup from the constraint system: `dst ⊇ *n`, `*n ⊇ val` and
+/// `dst ∋ field(o, offset)` for each `o ∈ pts(n)`.
+struct Rules {
+    geps: Csr<(u32, u64)>,
+    loads: Csr<u32>,
+    stores: Csr<u32>,
+}
+
+/// The rules a representative took over from the members merged into
+/// it; they run after its own.
+#[derive(Default)]
+struct Inherited {
+    geps: Vec<(u32, u64)>,
+    loads: Vec<u32>,
+    stores: Vec<u32>,
+}
+
 /// Delta-propagation worklist solver over a dense node arena.
 ///
 /// Node numbering: per-function variable bases first (the same scheme the
@@ -29,7 +51,7 @@ enum Origin {
 /// at the representative.
 pub(super) struct DeltaSolver<'a> {
     pre: &'a Preprocessed,
-    vars: Vec<VarRef>,
+    /// Function `f`'s variables are nodes `var_base[f]..var_base[f + 1]`.
     var_base: Vec<u32>,
     nv: usize,
     objects: Vec<ObjectKind>,
@@ -37,14 +59,16 @@ pub(super) struct DeltaSolver<'a> {
     // Per dense node:
     parent: Vec<u32>,
     pts: Vec<ObjSet>,
-    delta: Vec<Vec<u32>>,
+    deltas: Deltas,
     /// Copy successors, sorted and deduplicated at insertion.
-    succ: Vec<Vec<u32>>,
-    load_dsts: Vec<Vec<u32>>,
-    store_vals: Vec<Vec<u32>>,
-    geps: Vec<Vec<(u32, u64)>>,
+    succ: Vec<InlineVec<u32, 4>>,
     on_list: Vec<bool>,
+    /// Rules inherited by representatives, only ever from merges.
+    inherited: HashMap<u32, Inherited>,
     list: VecDeque<u32>,
+    /// [`DeltaSolver::add_edge`]'s scratch for the objects a new edge
+    /// carries.
+    diff: Vec<u32>,
     iterations: usize,
     edges_since_scc: usize,
     total_edges: usize,
@@ -55,35 +79,30 @@ pub(super) struct DeltaSolver<'a> {
     prov: Option<HashMap<(u32, u32), Origin>>,
 }
 
+impl Inherited {
+    fn is_empty(&self) -> bool {
+        self.geps.is_empty() && self.loads.is_empty() && self.stores.is_empty()
+    }
+}
+
 impl<'a> DeltaSolver<'a> {
     pub(super) fn new(pre: &'a Preprocessed) -> Self {
-        let module = &pre.module;
-        let mut var_base = Vec::with_capacity(module.function_count());
-        let mut vars = Vec::new();
-        let mut next = 0u32;
-        for f in module.functions() {
-            var_base.push(next);
-            for (v, _) in f.values() {
-                vars.push(VarRef::new(f.id(), v));
-            }
-            next += f.value_count() as u32;
-        }
+        let var_base = var_bases(&pre.module);
+        let nv = var_base.last().copied().unwrap_or(0) as usize;
         DeltaSolver {
             pre,
-            vars,
             var_base,
-            nv: next as usize,
+            nv,
             objects: Vec::new(),
             field_intern: HashMap::new(),
             parent: Vec::new(),
             pts: Vec::new(),
-            delta: Vec::new(),
+            deltas: Deltas::new(),
             succ: Vec::new(),
-            load_dsts: Vec::new(),
-            store_vals: Vec::new(),
-            geps: Vec::new(),
             on_list: Vec::new(),
+            inherited: HashMap::new(),
             list: VecDeque::new(),
+            diff: Vec::new(),
             iterations: 0,
             edges_since_scc: 0,
             total_edges: 0,
@@ -103,11 +122,8 @@ impl<'a> DeltaSolver<'a> {
     fn grow_to(&mut self, n: usize) {
         self.parent.extend(self.parent.len() as u32..n as u32);
         self.pts.resize_with(n, ObjSet::default);
-        self.delta.resize_with(n, Vec::new);
-        self.succ.resize_with(n, Vec::new);
-        self.load_dsts.resize_with(n, Vec::new);
-        self.store_vals.resize_with(n, Vec::new);
-        self.geps.resize_with(n, Vec::new);
+        self.deltas.grow_to(n);
+        self.succ.resize_with(n, InlineVec::default);
         self.on_list.resize(n, false);
     }
 
@@ -143,7 +159,7 @@ impl<'a> DeltaSolver<'a> {
         let mut any = false;
         for &o in objs {
             if self.pts[n as usize].insert(o) {
-                self.delta[n as usize].push(o);
+                self.deltas.push(n, o);
                 any = true;
                 if let Some(prov) = &mut self.prov {
                     prov.entry((n, o)).or_insert(origin);
@@ -159,27 +175,25 @@ impl<'a> DeltaSolver<'a> {
     /// immediately propagates `pts(a) \ pts(b)`.
     fn add_edge(&mut self, a: u32, b: u32) {
         let (a, b) = (self.find(a), self.find(b));
-        if a == b {
-            return;
-        }
-        match self.succ[a as usize].binary_search(&b) {
-            Ok(_) => return, // duplicate copy constraint
-            Err(at) => self.succ[a as usize].insert(at, b),
+        if a == b || !self.succ[a as usize].insert_sorted(b) {
+            return; // a self-loop or a duplicate copy constraint
         }
         self.edges_since_scc += 1;
         self.total_edges += 1;
-        let mut diff = Vec::new();
+        let mut diff = std::mem::take(&mut self.diff);
         self.pts[a as usize].diff_into(&self.pts[b as usize], &mut diff);
         if !diff.is_empty() {
             self.add_objs(b, &diff, Origin::Copy(a));
         }
+        diff.clear();
+        self.diff = diff;
     }
 
     /// Merges node `b` into representative `a` (cycle collapse): points-to
     /// sets union, constraint lists concatenate, and the combined delta
     /// covers the symmetric difference plus both pending deltas so every
     /// inherited edge and constraint sees what its side was missing.
-    fn merge(&mut self, a: u32, b: u32) {
+    fn merge(&mut self, a: u32, b: u32, rules: &Rules) {
         debug_assert_ne!(a, b);
         self.scc_merges += 1;
         self.parent[b as usize] = a;
@@ -191,24 +205,29 @@ impl<'a> DeltaSolver<'a> {
         for &o in &b_only {
             self.pts[a as usize].insert(o);
         }
-        let mut b_delta = std::mem::take(&mut self.delta[b as usize]);
-        self.delta[a as usize].append(&mut b_delta);
-        self.delta[a as usize].extend(b_only);
-        self.delta[a as usize].extend(a_only);
-        let b_succ = std::mem::take(&mut self.succ[b as usize]);
-        for s in b_succ {
-            match self.succ[a as usize].binary_search(&s) {
-                Ok(_) => {}
-                Err(at) => self.succ[a as usize].insert(at, s),
-            }
+        self.deltas.move_all(b, a);
+        for o in b_only.into_iter().chain(a_only) {
+            self.deltas.push(a, o);
         }
-        let mut moved = std::mem::take(&mut self.load_dsts[b as usize]);
-        self.load_dsts[a as usize].append(&mut moved);
-        let mut moved = std::mem::take(&mut self.store_vals[b as usize]);
-        self.store_vals[a as usize].append(&mut moved);
-        let mut moved = std::mem::take(&mut self.geps[b as usize]);
-        self.geps[a as usize].append(&mut moved);
-        if !self.delta[a as usize].is_empty() {
+        let b_succ = std::mem::take(&mut self.succ[b as usize]);
+        for &s in b_succ.as_slice() {
+            self.succ[a as usize].insert_sorted(s);
+        }
+        // `b`'s rules, its own then those it inherited, run after `a`'s.
+        let from = self.inherited.remove(&b).unwrap_or_default();
+        let bu = b as usize;
+        let (geps, loads, stores) = (
+            rules.geps.get(bu),
+            rules.loads.get(bu),
+            rules.stores.get(bu),
+        );
+        if !(geps.is_empty() && loads.is_empty() && stores.is_empty() && from.is_empty()) {
+            let into = self.inherited.entry(a).or_default();
+            into.geps.extend(geps.iter().chain(&from.geps));
+            into.loads.extend(loads.iter().chain(&from.loads));
+            into.stores.extend(stores.iter().chain(&from.stores));
+        }
+        if !self.deltas.is_empty(a) {
             self.enqueue(a);
         }
     }
@@ -216,7 +235,7 @@ impl<'a> DeltaSolver<'a> {
     /// Collapses every copy-SCC of the current (representative) copy graph
     /// into its minimum member — iterative Tarjan, merges applied after
     /// the pass so the traversal sees a consistent graph.
-    fn collapse_sccs(&mut self) {
+    fn collapse_sccs(&mut self, rules: &Rules) {
         let n = self.parent.len();
         let mut index = vec![0u32; n]; // 0 = unvisited
         let mut low = vec![0u32; n];
@@ -241,7 +260,7 @@ impl<'a> DeltaSolver<'a> {
                 }
                 // Resolve the successor through the union-find at visit
                 // time; merges are deferred, so reps are stable here.
-                let succ_at = self.succ[v as usize].get(*pos).copied();
+                let succ_at = self.succ[v as usize].as_slice().get(*pos).copied();
                 match succ_at {
                     Some(raw) => {
                         *pos += 1;
@@ -257,17 +276,16 @@ impl<'a> DeltaSolver<'a> {
                     }
                     None => {
                         if low[v as usize] == index[v as usize] {
-                            let mut comp = Vec::new();
-                            while let Some(w) = stack.pop() {
+                            // A node alone in its component (most of
+                            // them) is popped without collecting it.
+                            let at = stack.iter().rposition(|&w| w == v).unwrap_or(0);
+                            for &w in &stack[at..] {
                                 on_stack[w as usize] = false;
-                                comp.push(w);
-                                if w == v {
-                                    break;
-                                }
                             }
-                            if comp.len() > 1 {
-                                components.push(comp);
+                            if stack.len() - at > 1 {
+                                components.push(stack[at..].to_vec());
                             }
+                            stack.truncate(at);
                         }
                         frames.pop();
                         if let Some(&mut (p, _)) = frames.last_mut() {
@@ -281,7 +299,7 @@ impl<'a> DeltaSolver<'a> {
             comp.sort_unstable();
             let rep = comp[0];
             for &m in &comp[1..] {
-                self.merge(rep, m);
+                self.merge(rep, m, rules);
             }
         }
         self.edges_since_scc = 0;
@@ -361,18 +379,21 @@ impl<'a> DeltaSolver<'a> {
         }
         self.grow_to(self.nv + self.objects.len());
         // Index complex constraints by their trigger node.
-        for &(addr, dst) in &constraints.loads {
-            let (a, d) = (self.var_node(addr), self.var_node(dst));
-            self.load_dsts[a as usize].push(d);
-        }
-        for &(addr, val) in &constraints.stores {
-            let (a, v) = (self.var_node(addr), self.var_node(val));
-            self.store_vals[a as usize].push(v);
-        }
-        for &(base, dst, offset) in &constraints.geps {
-            let (b, d) = (self.var_node(base), self.var_node(dst));
-            self.geps[b as usize].push((d, offset));
-        }
+        let node = |v: VarRef| self.var_node(v);
+        let rules = Rules {
+            geps: Csr::new(
+                self.nv,
+                (constraints.geps.iter()).map(|&(b, d, off)| (node(b) as usize, (node(d), off))),
+            ),
+            loads: Csr::new(
+                self.nv,
+                (constraints.loads.iter()).map(|&(a, d)| (node(a) as usize, node(d))),
+            ),
+            stores: Csr::new(
+                self.nv,
+                (constraints.stores.iter()).map(|&(a, v)| (node(a) as usize, node(v))),
+            ),
+        };
         for &(src, dst) in &constraints.copies {
             let (s, d) = (self.node_of(src), self.node_of(dst));
             self.add_edge(s, d);
@@ -383,21 +404,24 @@ impl<'a> DeltaSolver<'a> {
         }
         // Collapse the static copy-SCCs up front; further collapses run
         // online as load/store rules add enough new edges.
-        self.collapse_sccs();
+        self.collapse_sccs(&rules);
 
         let scc_period = (self.parent.len() / 4).max(256);
+        // The visited node's delta, sorted; one buffer for every visit.
+        let mut d = Vec::new();
         while let Some(n0) = self.list.pop_front() {
             self.iterations += 1;
             budget.tick()?;
             self.on_list[n0 as usize] = false;
             if self.edges_since_scc >= scc_period {
-                self.collapse_sccs();
+                self.collapse_sccs(&rules);
             }
             let n = self.find(n0);
             if n != n0 {
                 continue; // merged away; the representative is enqueued
             }
-            let mut d = std::mem::take(&mut self.delta[n as usize]);
+            d.clear();
+            self.deltas.drain_into(n, &mut d);
             if d.is_empty() {
                 continue;
             }
@@ -405,61 +429,65 @@ impl<'a> DeltaSolver<'a> {
             d.dedup();
             budget.consume(d.len() as u64)?;
             DELTA_SIZES.record(d.len() as u64);
+            let nu = n as usize;
+            // Rules `n` inherited from merged members run after its own.
+            // A visit merges nothing, so they go back unchanged.
+            let inherited = if self.inherited.is_empty() {
+                None
+            } else {
+                self.inherited.remove(&n)
+            };
+            let inh = inherited.as_ref();
             // Field derivation: materialize fields under each new object.
-            let gep_list = std::mem::take(&mut self.geps[n as usize]);
-            for &(dst, offset) in &gep_list {
+            let geps = rules
+                .geps
+                .get(nu)
+                .iter()
+                .chain(inh.map_or(&[][..], |i| &i.geps));
+            for &(dst, offset) in geps {
                 for &o in &d {
                     let f = self.field(ObjectId(o), offset);
                     self.add_objs(dst, &[f.0], Origin::Field(o));
                 }
             }
-            // Processing a node never merges it, so putting the (possibly
-            // still-growing at the rep) list back is safe.
-            let slot = self.find(n);
-            self.geps[slot as usize].extend(gep_list);
             // Load rule: `dst ⊇ *addr` becomes edges obj → dst.
-            let load_list = std::mem::take(&mut self.load_dsts[n as usize]);
-            for &dst in &load_list {
+            let loads = rules
+                .loads
+                .get(nu)
+                .iter()
+                .chain(inh.map_or(&[][..], |i| &i.loads));
+            for &dst in loads {
                 for &o in &d {
                     let on = self.obj_node(ObjectId(o));
                     self.add_edge(on, dst);
                 }
             }
-            let slot = self.find(n);
-            self.load_dsts[slot as usize].extend(load_list);
             // Store rule: `*addr ⊇ val` becomes edges val → obj.
-            let store_list = std::mem::take(&mut self.store_vals[n as usize]);
-            for &val in &store_list {
+            let stores = rules
+                .stores
+                .get(nu)
+                .iter()
+                .chain(inh.map_or(&[][..], |i| &i.stores));
+            for &val in stores {
                 for &o in &d {
                     let on = self.obj_node(ObjectId(o));
                     self.add_edge(val, on);
                 }
             }
-            let slot = self.find(n);
-            self.store_vals[slot as usize].extend(store_list);
+            if let Some(inherited) = inherited {
+                self.inherited.insert(n, inherited);
+            }
             // Copy rule: push only the delta to each successor.
-            let succ_list = std::mem::take(&mut self.succ[n as usize]);
-            for &s in &succ_list {
+            // It adds no edge either, so the list goes back by move.
+            let succ_list = std::mem::take(&mut self.succ[nu]);
+            for &s in succ_list.as_slice() {
                 let s = self.find(s);
                 if s != n {
                     self.add_objs(s, &d, Origin::Copy(n));
                 }
             }
-            let slot = self.find(n);
-            debug_assert_eq!(slot, n, "processing must not merge the node");
-            if self.succ[slot as usize].is_empty() {
-                self.succ[slot as usize] = succ_list;
-            } else {
-                // Edges added while processing (via add_edge re-entry on
-                // the same rep cannot happen, but merges into `n` can't
-                // either; keep the union just in case).
-                for s in succ_list {
-                    match self.succ[slot as usize].binary_search(&s) {
-                        Ok(_) => {}
-                        Err(at) => self.succ[slot as usize].insert(at, s),
-                    }
-                }
-            }
+            debug_assert!(self.parent[nu] == n && self.succ[nu].is_empty());
+            self.succ[nu] = succ_list;
         }
 
         Ok(())
@@ -477,37 +505,44 @@ impl<'a> DeltaSolver<'a> {
     /// not synthetics).
     fn node_key(&self, raw: u32) -> Node {
         if (raw as usize) < self.nv {
-            Node::Var(self.vars[raw as usize])
+            // The last function starting at or before `raw` owns it (a
+            // function without values shares its successor's base).
+            let f = self.var_base.partition_point(|&b| b <= raw) - 1;
+            Node::Var(VarRef::new(
+                FuncId(f as u32),
+                ValueId(raw - self.var_base[f]),
+            ))
         } else {
             Node::Obj(ObjectId(raw - self.nv as u32))
         }
     }
 
-    /// Materializes the dense solution back into the map-keyed form the
-    /// public API serves; every member of a collapsed cycle gets the
-    /// representative's (shared) final set.
+    /// Lays the dense solution out as the result table in two passes:
+    /// each representative's set goes into the arena once, then every
+    /// member of a collapsed cycle shares its representative's span.
     fn export(mut self) -> PointsTo {
         let total = self.parent.len();
-        let mut pts: HashMap<Node, BTreeSet<ObjectId>> = HashMap::new();
-        let mut peak = 0usize;
+        let is_rep = |n: usize| self.parent[n] as usize == n;
+        let len = (0..total)
+            .filter(|&n| is_rep(n))
+            .map(|n| self.pts[n].len())
+            .sum();
+        let mut table = Table::new(std::mem::take(&mut self.var_base), total, len);
+        for n in (0..total).filter(|&n| is_rep(n)) {
+            table.set(n as u32, self.pts[n].iter().map(ObjectId));
+        }
         for n in 0..total as u32 {
             let rep = self.find(n);
-            if self.pts[rep as usize].is_empty() {
-                continue;
+            if rep != n {
+                table.share(n, rep);
             }
-            let set: BTreeSet<ObjectId> = self.pts[rep as usize].iter().map(ObjectId).collect();
-            peak = peak.max(set.len());
-            pts.insert(self.node_key(n), set);
         }
         PointsTo {
-            objects: self.objects,
-            field_intern: self.field_intern,
-            pts,
             iterations: self.iterations,
             constraint_nodes: total,
             constraint_edges: self.total_edges,
             scc_merges: self.scc_merges as usize,
-            peak_pts: peak,
+            ..table.finish(self.objects)
         }
     }
 }
@@ -521,7 +556,10 @@ impl<'a> DeltaSolver<'a> {
 /// delta solver is differentially tested against.
 #[cfg(any(test, feature = "reference-solver"))]
 pub(super) mod reference {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::pointsto::var_index;
 
     pub(in crate::pointsto) struct Solver<'a> {
         pre: &'a Preprocessed,
@@ -664,18 +702,26 @@ pub(super) mod reference {
                     break;
                 }
             }
-            // The oracle has no dense arena or SCC machinery; shape
-            // introspection is a delta-solver feature.
-            let peak = self.pts.values().map(BTreeSet::len).max().unwrap_or(0);
+            // The oracle has no dense arena or SCC machinery; it lays its
+            // map out in the delta solver's numbering, one set per node.
+            let var_base = var_bases(&self.pre.module);
+            let nv = var_base.last().copied().unwrap_or(0);
+            let nodes = nv as usize + self.objects.len();
+            let len = self.pts.values().map(BTreeSet::len).sum();
+            let mut table = Table::new(var_base, nodes, len);
+            for (node, set) in &self.pts {
+                let n = match *node {
+                    Node::Var(v) => var_index(&table.var_base, v),
+                    Node::Obj(o) => Some(nv + o.0),
+                };
+                let Some(n) = n else {
+                    unreachable!("every node of the oracle is the module's")
+                };
+                table.set(n, set.iter().copied());
+            }
             Ok(PointsTo {
-                objects: self.objects,
-                field_intern: self.field_intern,
-                pts: self.pts,
                 iterations,
-                constraint_nodes: 0,
-                constraint_edges: 0,
-                scc_merges: 0,
-                peak_pts: peak,
+                ..table.finish(self.objects)
             })
         }
     }

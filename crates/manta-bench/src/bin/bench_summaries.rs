@@ -44,7 +44,7 @@ const EDIT_FLOOR: f64 = 3.0;
 
 /// Distinct one-function edits per timed leg; the recorded time is the
 /// median across them.
-const EDITS: usize = 7;
+const EDITS: usize = 15;
 
 /// Call-chain depth per cluster. Per-candidate walk cost is capped by
 /// the walk budget, so depth scales total walk volume linearly — deep
@@ -231,39 +231,38 @@ fn bench_summaries(clusters: usize) -> SummaryBench {
     let replayed = report.reused.len();
     let recomputed = report.recomputed.len();
 
-    // Leg A — full pipeline on each edited module (what a non-summary
-    // engine does on any edit: the module fingerprint changed, so the
-    // result cache misses and the whole cascade re-runs).
-    let edited: Vec<ModuleAnalysis> = (0..EDITS as u64)
-        .map(|i| analysis(clusters, Some(10 + i)))
-        .collect();
+    // The two legs alternate per edit, so host drift and the caches the
+    // untimed identity check evicts fall on both alike. Each edit's
+    // module is built untimed, just before its leg runs.
     let mut full_times = Vec::new();
-    for a in &edited {
+    let mut summ_times = Vec::new();
+    for i in 0..EDITS as u64 {
+        // Leg A — the full pipeline on an edited module (what a
+        // non-summary engine does on any edit: the module fingerprint
+        // changed, so the result cache misses and the whole cascade
+        // re-runs).
+        let a = analysis(clusters, Some(10 + i));
         let start = Instant::now();
-        let r = plain_engine.analyze(a).expect("non-strict cannot fail");
+        let r = plain_engine.analyze(&a).expect("non-strict cannot fail");
         full_times.push(start.elapsed().as_secs_f64() * 1e3);
         assert!(r.degradations.is_empty());
-    }
-    let full_edit_ms = median(&mut full_times);
+        drop(a);
 
-    // Leg B — the same class of edits through the summary engine. Each
-    // run validates footprints, replays every clean cluster, and
-    // recomputes only the dirty one. Bit-identity vs a fresh
-    // whole-module solve is asserted per edit, outside the timer.
-    let edited_b: Vec<ModuleAnalysis> = (0..EDITS as u64)
-        .map(|i| analysis(clusters, Some(100 + i)))
-        .collect();
-    let mut summ_times = Vec::new();
-    for a in &edited_b {
+        // Leg B — the same class of edit through the summary engine. It
+        // validates footprints, replays every clean cluster, and
+        // recomputes only the dirty one. Bit-identity vs a fresh
+        // whole-module solve is asserted per edit, outside the timer.
+        let b = analysis(clusters, Some(100 + i));
         let start = Instant::now();
-        let r = summary_engine.analyze(a).expect("non-strict cannot fail");
+        let r = summary_engine.analyze(&b).expect("non-strict cannot fail");
         summ_times.push(start.elapsed().as_secs_f64() * 1e3);
-        let full = Manta::new(config).infer(a);
+        let full = Manta::new(config).infer(&b);
         assert!(
             results_identical(&r, &full),
             "summary-mode engine result diverged after an edit"
         );
     }
+    let full_edit_ms = median(&mut full_times);
     let summary_edit_ms = median(&mut summ_times);
 
     let edit_speedup = full_edit_ms / summary_edit_ms.max(1e-6);

@@ -254,6 +254,41 @@ mod tests {
     }
 
     #[test]
+    fn npd_reports_a_direct_null_dereference() {
+        // `v = load null`: the constant is the address itself, with no
+        // value-flow child to start a slice from.
+        let mut mb = ModuleBuilder::new("m");
+        let (fid, mut fb) = mb.function("f", &[], Some(Width::W64));
+        let null = fb.const_null();
+        let v = fb.load(null, Width::W64);
+        fb.ret(Some(v));
+        mb.finish_function(fb);
+        let analysis = ModuleAnalysis::build(mb.finish());
+        let inference = Manta::new(MantaConfig::full()).infer(&analysis);
+        let null_node = analysis.ddg.node(VarRef::new(fid, null));
+        let reports = detect_bugs(
+            &analysis,
+            Some(&inference as &dyn TypeQuery),
+            &[BugKind::Npd],
+            CheckerConfig::default(),
+        )
+        .0;
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert_eq!(
+            (reports[0].kind, reports[0].source),
+            (BugKind::Npd, null_node)
+        );
+        let spec = BugKind::Npd.spec().expect("NPD is a slicing checker");
+        let custom = spec.detect(
+            &analysis,
+            Some(&inference as &dyn TypeQuery),
+            SlicerConfig::default(),
+        );
+        assert_eq!(custom.len(), 1, "{custom:?}");
+        assert_eq!((custom[0].source, custom[0].sink), (null_node, null_node));
+    }
+
+    #[test]
     fn npd_false_positive_pruned_by_types() {
         // Figure 4's shape: `pchr = s + offset` where offset is reachable
         // from constant 0 — without types the 0 "flows" into the deref.

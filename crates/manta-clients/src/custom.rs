@@ -29,8 +29,8 @@ pub enum SourceSpec {
     ExternReturn(String),
     /// Return values of every external with the given effect.
     Effect(ExternEffect),
-    /// Null / zero 64-bit constants with a value-flow child (the NPD
-    /// source).
+    /// Null / zero 64-bit constants with a value-flow child or used as a
+    /// load/store address (the NPD source).
     NullConstants,
     /// Stack-slot addresses (`alloca` results).
     StackAddresses,
@@ -117,16 +117,29 @@ impl SourceSpec {
     fn gather(&self, module: &Module, func: &Function, ddg: &Ddg, out: &mut Vec<NodeId>) {
         let node = |v| ddg.node(VarRef::new(func.id(), v));
         if *self == SourceSpec::NullConstants {
-            let nulls = func.values().filter(|(_, d)| match d.kind {
-                ValueKind::Const(ConstKind::Null) => true,
-                ValueKind::Const(ConstKind::Int(0)) => d.width == Width::W64,
-                _ => false,
-            });
-            out.extend(
-                nulls
-                    .map(|(v, _)| node(v))
-                    .filter(|&n| ddg.children(n).iter().any(|(_, k)| k.is_value_flow())),
-            );
+            // A null constant starts a slice when it flows on, or when it
+            // is itself dereferenced: `v = load null` gives it no
+            // value-flow child.
+            let mut dereferenced: Option<Vec<ValueId>> = None;
+            for (v, d) in func.values() {
+                let null = match d.kind {
+                    ValueKind::Const(ConstKind::Null) => true,
+                    ValueKind::Const(ConstKind::Int(0)) => d.width == Width::W64,
+                    _ => false,
+                };
+                if !null {
+                    continue;
+                }
+                let n = node(v);
+                let kept = ddg.children(n).iter().any(|(_, k)| k.is_value_flow())
+                    || dereferenced
+                        .get_or_insert_with(|| addresses(func))
+                        .binary_search(&v)
+                        .is_ok();
+                if kept {
+                    out.push(n);
+                }
+            }
             return;
         }
         out.extend(func.insts().filter_map(|inst| match &inst.kind {
@@ -147,6 +160,20 @@ impl SourceSpec {
             _ => false,
         }
     }
+}
+
+/// The values `func` loads from or stores to, ascending.
+fn addresses(func: &Function) -> Vec<ValueId> {
+    let mut addrs: Vec<ValueId> = func
+        .insts()
+        .filter_map(|inst| match inst.kind {
+            InstKind::Load { addr, .. } | InstKind::Store { addr, .. } => Some(addr),
+            _ => None,
+        })
+        .collect();
+    addrs.sort_unstable();
+    addrs.dedup();
+    addrs
 }
 
 impl SinkSpec {

@@ -283,20 +283,25 @@ fn unify_obj_types(
         return;
     }
     ops.push((keys.obj(a), keys.obj(b)));
-    // Unify fields at matching offsets.
+    // Unify fields at matching offsets, walking both parents' fields in
+    // id order. A matched offset comes up once per parent; the second
+    // visit finds the pair seen.
     let pts = &keys.analysis.pointsto;
-    let offsets: Vec<u64> = pts
-        .objects()
-        .filter_map(|(_, k)| match k {
-            manta_analysis::ObjectKind::Field { parent, offset } if parent == a || parent == b => {
-                Some(offset)
-            }
-            _ => None,
-        })
-        .collect();
-    for off in offsets {
-        if let (Some(fa), Some(fb)) = (pts.field_of(a, off), pts.field_of(b, off)) {
-            unify_obj_types(ops, keys, fa, fb, depth - 1, seen);
+    let (fa, fb) = (pts.fields(a), pts.fields(b));
+    if fa.is_empty() || fb.is_empty() {
+        return;
+    }
+    let (mut i, mut j) = (0, 0);
+    while i < fa.len() || j < fb.len() {
+        let off = if j == fb.len() || (i < fa.len() && fa[i].1 < fb[j].1) {
+            i += 1;
+            fa[i - 1].0
+        } else {
+            j += 1;
+            fb[j - 1].0
+        };
+        if let (Some(x), Some(y)) = (pts.field_of(a, off), pts.field_of(b, off)) {
+            unify_obj_types(ops, keys, x, y, depth - 1, seen);
         }
     }
 }

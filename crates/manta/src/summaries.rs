@@ -66,7 +66,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use manta_analysis::{DepKind, ModuleAnalysis, ObjectId, ObjectKind, VarRef};
+use manta_analysis::{DepKind, ModuleAnalysis, ObjectKind, VarRef};
 use manta_ir::{FuncId, Function, InstId, ValueId};
 use manta_resilience::{Budget, BudgetExceeded};
 use manta_store::{ByteReader, ByteWriter, DecodeError, Fingerprint, Key};
@@ -352,12 +352,6 @@ impl Inputs {
         let obj_keys = stable_object_keys(analysis, &name_hash);
         let ddg = &analysis.ddg;
         let cg = &analysis.callgraph;
-        // Each value's points-to set by its DDG node, read off the map in
-        // one pass rather than looked up value by value.
-        let mut pts_of = vec![None; ddg.node_count()];
-        for (v, set) in analysis.pointsto.var_sets() {
-            pts_of[ddg.node(v).index()] = Some(set);
-        }
 
         let mut static_fp = Vec::with_capacity(name_hash.len());
         // Arith edges hash their operator via its Debug text; memoized
@@ -383,9 +377,8 @@ impl Inputs {
 
             // Points-to slice: per value, the stable object keys.
             for (value, _) in func.values() {
-                if let Some(set) = pts_of[ddg.node(VarRef::new(fid, value)).index()] {
-                    keys.extend(set.iter().map(|o: &ObjectId| obj_keys[o.index()]));
-                }
+                let set = analysis.pointsto.pts_var(VarRef::new(fid, value));
+                keys.extend(set.iter().map(|o| obj_keys[o.index()]));
                 h.write_u64(u64::from(value.0));
                 fold(&mut h, &mut keys);
             }

@@ -1,11 +1,14 @@
 //! Cross-crate behavioral invariants of the §5 clients.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use manta::{Manta, MantaConfig, Sensitivity, TypeQuery};
 use manta_analysis::ModuleAnalysis;
 use manta_clients::{
     ddg_prune, detect_bugs, BugKind, CheckerConfig, CustomChecker, SinkSpec, SlicerConfig,
     SourceSpec,
 };
+use manta_ir::{ModuleBuilder, Width};
 use manta_workloads::{generate_firmware, generator, FirmwareSpec, PhenomenonMix};
 
 fn workload(seed: u64) -> ModuleAnalysis {
@@ -213,4 +216,72 @@ fn builtin_specs_run_as_custom_checkers_report_what_detect_bugs_does() {
         }
     }
     assert!(compared > 0, "the corpus must raise some reports");
+}
+
+/// Serializes the tests that read the process-global telemetry registry.
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The checkers' refutations on the path an audit runs: a callee that
+/// returns its caller's stack buffer is no escape (RSA's same-frame
+/// rule), beside one true RSA and one true CMI bug. The sink guard has
+/// no case here: every built-in sink's own dereference or call reveals
+/// a pointer at its site, so no built-in sink is numeric there.
+#[test]
+fn refuted_alarms_are_pruned_on_the_audit_path() {
+    let mut mb = ModuleBuilder::new("refutations");
+    let nvram = mb.extern_fn("nvram_get", &[], None);
+    let system = mb.extern_fn("system", &[], None);
+    // fill(p) { return p; } handed its caller's alloca: legal.
+    let (fill, mut cb) = mb.function("fill", &[Width::W64], Some(Width::W64));
+    let p = cb.param(0);
+    cb.ret(Some(p));
+    mb.finish_function(cb);
+    let (_, mut fb) = mb.function("caller", &[], None);
+    let local = fb.alloca(16);
+    fb.call(fill, &[local], Some(Width::W64));
+    fb.ret(None);
+    mb.finish_function(fb);
+    // escape() { return alloca; }: a true RSA.
+    let (_, mut eb) = mb.function("escape", &[], Some(Width::W64));
+    let slot = eb.alloca(32);
+    eb.ret(Some(slot));
+    mb.finish_function(eb);
+    // direct(): system(nvram_get(k)), a true CMI.
+    let (_, mut db) = mb.function("direct", &[], None);
+    let key = db.alloca(8);
+    let taint = db.call_extern(nvram, &[key], Some(Width::W64)).unwrap();
+    db.call_extern(system, &[taint], Some(Width::W32));
+    db.ret(None);
+    mb.finish_function(db);
+
+    let analysis = ModuleAnalysis::build(mb.finish());
+    let inference = Manta::new(MantaConfig::full()).infer(&analysis);
+    let _l = lock();
+    manta_telemetry::set_enabled(true);
+    manta_telemetry::reset();
+    let (reports, _) = detect_bugs(
+        &analysis,
+        Some(&inference as &dyn TypeQuery),
+        &BugKind::ALL,
+        CheckerConfig::default(),
+    );
+    let counters = manta_telemetry::report().counters;
+    manta_telemetry::set_enabled(false);
+    let module = analysis.module();
+    let got: Vec<(BugKind, &str)> = reports
+        .iter()
+        .map(|r| (r.kind, module.function(r.func).name()))
+        .collect();
+    assert_eq!(
+        got,
+        [(BugKind::Rsa, "escape"), (BugKind::Cmi, "direct")],
+        "{reports:?}"
+    );
+    // Other tests of this file may add to the global counter meanwhile,
+    // never take from it.
+    let pruned = counters.get("checker.alarms_pruned").copied().unwrap_or(0);
+    assert!(pruned >= 1, "the same-frame rule refutes fill's return");
 }

@@ -30,10 +30,13 @@ fn canon(pts: &PointsTo, o: ObjectId) -> String {
 type Shape = (
     BTreeMap<String, BTreeSet<String>>,
     BTreeMap<String, BTreeSet<String>>,
+    BTreeMap<String, BTreeSet<String>>,
+    usize,
 );
 
 /// All non-empty points-to relations, keyed canonically: one map for
-/// variables, one for object contents. Empty sets are dropped on both
+/// variables, one for object contents, one for each object's fields
+/// (`offset:field`), and the largest set. Empty sets are dropped on both
 /// sides because a solver may or may not materialize a node it never
 /// populated.
 fn shape(pre: &Preprocessed, pts: &PointsTo) -> Shape {
@@ -51,13 +54,22 @@ fn shape(pre: &Preprocessed, pts: &PointsTo) -> Shape {
         }
     }
     let mut objs = BTreeMap::new();
+    let mut fields = BTreeMap::new();
     for (o, _) in pts.objects() {
         let set: BTreeSet<String> = pts.pts_obj(o).iter().map(|&x| canon(pts, x)).collect();
         if !set.is_empty() {
             objs.insert(canon(pts, o), set);
         }
+        let listed: BTreeSet<String> = pts
+            .fields(o)
+            .iter()
+            .map(|&(offset, f)| format!("{offset}:{}", canon(pts, f)))
+            .collect();
+        if !listed.is_empty() {
+            fields.insert(canon(pts, o), listed);
+        }
     }
-    (vars, objs)
+    (vars, objs, fields, pts.max_pts_len())
 }
 
 fn assert_equivalent(module: manta_ir::Module, label: &str) {
