@@ -6,11 +6,10 @@
 //! [`crate::preprocess`](mod@crate::preprocess) are likewise excluded, so
 //! the graph is acyclic.
 
-use std::collections::HashMap;
-
 use manta_ir::{Callee, FuncId, InstId, InstKind};
 
 use crate::preprocess::Preprocessed;
+use crate::Csr;
 
 /// A call edge: caller, call-site instruction, callee.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -23,12 +22,14 @@ pub struct CallEdge {
     pub callee: FuncId,
 }
 
-/// The acyclic direct call graph of a preprocessed module.
+/// The acyclic direct call graph of a preprocessed module. Each
+/// function's callees and callers are tables by function index, in edge
+/// order.
 #[derive(Clone, Debug)]
 pub struct CallGraph {
     edges: Vec<CallEdge>,
-    callees_of: HashMap<FuncId, Vec<CallEdge>>,
-    callers_of: HashMap<FuncId, Vec<CallEdge>>,
+    callees_of: Csr<CallEdge>,
+    callers_of: Csr<CallEdge>,
     bottom_up: Vec<FuncId>,
 }
 
@@ -55,28 +56,25 @@ impl CallGraph {
                 }
             }
         }
-        let mut callees_of: HashMap<FuncId, Vec<CallEdge>> = HashMap::new();
-        let mut callers_of: HashMap<FuncId, Vec<CallEdge>> = HashMap::new();
-        for &e in &edges {
-            callees_of.entry(e.caller).or_default().push(e);
-            callers_of.entry(e.callee).or_default().push(e);
-        }
+        let n = module.function_count();
+        let callees_of = Csr::new(n, edges.iter().map(|&e| (e.caller.index(), e)));
+        let callers_of = Csr::new(n, edges.iter().map(|&e| (e.callee.index(), e)));
 
         // Bottom-up (callees before callers) topological order via DFS
-        // post-order. The graph is acyclic after preprocessing.
-        let n = module.function_count();
+        // post-order, on one stack. The graph is acyclic after
+        // preprocessing.
         let mut visited = vec![false; n];
         let mut order = Vec::with_capacity(n);
+        let mut stack: Vec<(FuncId, usize)> = Vec::new();
         for root in module.functions().map(|f| f.id()) {
             if visited[root.index()] {
                 continue;
             }
-            let mut stack: Vec<(FuncId, usize)> = vec![(root, 0)];
+            stack.push((root, 0));
             visited[root.index()] = true;
             while let Some(&mut (f, ref mut next)) = stack.last_mut() {
-                let cs = callees_of.get(&f).map(Vec::as_slice).unwrap_or(&[]);
-                if *next < cs.len() {
-                    let child = cs[*next].callee;
+                if let Some(e) = callees_of.get(f.index()).get(*next) {
+                    let child = e.callee;
                     *next += 1;
                     if !visited[child.index()] {
                         visited[child.index()] = true;
@@ -103,12 +101,12 @@ impl CallGraph {
 
     /// Outgoing edges of `f` (its call sites with direct targets).
     pub fn callees(&self, f: FuncId) -> &[CallEdge] {
-        self.callees_of.get(&f).map(Vec::as_slice).unwrap_or(&[])
+        self.callees_of.get(f.index())
     }
 
     /// Incoming edges of `f` (who calls it, and from where).
     pub fn callers(&self, f: FuncId) -> &[CallEdge] {
-        self.callers_of.get(&f).map(Vec::as_slice).unwrap_or(&[])
+        self.callers_of.get(f.index())
     }
 
     /// Functions in bottom-up order: every callee precedes its callers.

@@ -15,9 +15,9 @@
 
 use manta_ir::{BinOp, Callee, ExternEffect, FuncId, InstId, InstKind, Terminator, ValueId};
 
-use crate::pointsto::{ObjectId, PointsTo};
+use crate::pointsto::{var_bases, var_index, ObjectId, PointsTo};
 use crate::preprocess::Preprocessed;
-use crate::VarRef;
+use crate::{Csr, VarRef};
 
 /// A call site: caller function plus the call instruction.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -77,14 +77,18 @@ impl DepKind {
     }
 }
 
-/// The data-dependence graph of a module.
-#[derive(Clone, Debug)]
+/// An edge as the scans emit it: source node, target node, kind.
+type Edge = (NodeId, NodeId, DepKind);
+
+/// The data-dependence graph of a module. It is built once and never
+/// edited: each direction's adjacency is one table grouped by node, and
+/// nodes are numbered as points-to numbers variables.
+#[derive(Debug)]
 pub struct Ddg {
     node_base: Vec<u32>,
     vars: Vec<VarRef>,
-    fwd: Vec<Vec<(NodeId, DepKind)>>,
-    bwd: Vec<Vec<(NodeId, DepKind)>>,
-    edge_count: usize,
+    fwd: Csr<(NodeId, DepKind)>,
+    bwd: Csr<(NodeId, DepKind)>,
 }
 
 impl Ddg {
@@ -111,65 +115,57 @@ impl Ddg {
         budget: &manta_resilience::Budget,
     ) -> Result<Ddg, manta_resilience::BudgetExceeded> {
         let module = &pre.module;
-        // Dense node numbering: per-function bases.
-        let mut node_base = Vec::with_capacity(module.function_count());
-        let mut vars = Vec::new();
-        let mut next = 0u32;
-        for f in module.functions() {
-            node_base.push(next);
-            for (v, _) in f.values() {
-                vars.push(VarRef::new(f.id(), v));
-            }
-            next += f.value_count() as u32;
-        }
-        let n = vars.len();
-        let mut ddg = Ddg {
-            node_base,
-            vars,
-            fwd: vec![Vec::new(); n],
-            bwd: vec![Vec::new(); n],
-            edge_count: 0,
-        };
+        let node_base = var_bases(module);
+        let vars: Vec<VarRef> = module
+            .functions()
+            .flat_map(|f| f.values().map(move |(v, _)| VarRef::new(f.id(), v)))
+            .collect();
 
         // Per-function scans are independent: every edge an instruction
         // emits is discovered while scanning exactly one function, so the
-        // scans fan out across the pool and the collected lists are applied
-        // in function order — the same insertion order a serial pass
-        // produces. Write/read records borrow the points-to sets instead of
-        // cloning them (they are only consulted during pairing below).
+        // scans fan out across the pool and their lists are read in
+        // function order — the same order a serial pass produces.
+        // Write/read records borrow the points-to sets instead of cloning
+        // them (they are only consulted during pairing below).
         let func_ids: Vec<FuncId> = module.functions().map(|f| f.id()).collect();
-        let scans: Vec<Result<FuncScan<'_>, manta_resilience::BudgetExceeded>> =
-            manta_parallel::par_map(func_ids, |fid| scan_function(pre, pts, fid, budget));
+        let scans = manta_parallel::par_map(func_ids, |fid| {
+            scan_function(pre, pts, &node_base, fid, budget)
+        })
+        .into_iter()
+        .collect::<Result<Vec<FuncScan<'_>>, _>>()?;
 
-        // Memory writes: (written value, objects it reaches, via) — stores
-        // plus extern copy effects; paired against loads below.
-        let mut writes: Vec<(VarRef, &[ObjectId])> = Vec::new();
-        let mut reads: Vec<(VarRef, &[ObjectId])> = Vec::new();
-        for scan in scans {
-            let scan = scan?;
-            for (from, to, kind) in scan.edges {
-                ddg.add_edge(from.func, from.value, to.func, to.value, kind);
-            }
-            writes.extend(scan.writes);
-            reads.extend(scan.reads);
-        }
-
-        // Memory dependencies: a write reaches a read iff they share an
-        // object. The writers of each object, in write order.
-        let writers = crate::Csr::new(
+        // Memory dependencies: a write (a store, or an extern's copy
+        // effect) reaches a read iff they share an object. The writers of
+        // each object, in write order.
+        let writers = Csr::new(
             pts.object_count(),
-            writes
+            scans
                 .iter()
+                .flat_map(|s| &s.writes)
                 .flat_map(|&(val, objs)| objs.iter().map(move |o| (o.index(), val))),
         );
-        for (dst, objs) in &reads {
+        let mut memory: Vec<Edge> = Vec::new();
+        for &(dst, objs) in scans.iter().flat_map(|s| &s.reads) {
             budget.tick()?;
-            for &o in objs.iter() {
+            for &o in objs {
                 for &w in writers.get(o.index()) {
-                    ddg.add_edge(w.func, w.value, dst.func, dst.value, DepKind::Memory(o));
+                    memory.push((w, dst, DepKind::Memory(o)));
                 }
             }
         }
+        // Each node's edges in discovery order: the scans' in function
+        // order, then the memory edges. The grouping is a stable sort.
+        let edges = || {
+            let scanned = scans.iter().flat_map(|s| s.edges.iter().copied());
+            scanned.chain(memory.iter().copied())
+        };
+        let n = vars.len();
+        let ddg = Ddg {
+            node_base,
+            vars,
+            fwd: Csr::new(n, edges().map(|(from, to, k)| (from.index(), (to, k)))),
+            bwd: Csr::new(n, edges().map(|(from, to, k)| (to.index(), (from, k)))),
+        };
         manta_telemetry::counter("ddg.nodes", ddg.node_count() as u64);
         manta_telemetry::counter("ddg.edges", ddg.edge_count() as u64);
         Ok(ddg)
@@ -179,9 +175,10 @@ impl Ddg {
     ///
     /// # Panics
     ///
-    /// Panics if `v` does not belong to the analyzed module.
+    /// Panics if `v` does not belong to the analyzed module, including a
+    /// value id past its function's values.
     pub fn node(&self, v: VarRef) -> NodeId {
-        NodeId(self.node_base[v.func.index()] + v.value.0)
+        node_of(&self.node_base, v)
     }
 
     /// The variable of node `n`.
@@ -200,52 +197,35 @@ impl Ddg {
 
     /// Number of (directed) edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.fwd.len()
     }
 
     /// Forward (def → use) adjacency of `n` (paper: `DDG.childs`).
     pub fn children(&self, n: NodeId) -> &[(NodeId, DepKind)] {
-        &self.fwd[n.index()]
+        self.fwd.get(n.index())
     }
 
     /// Backward (use → def) adjacency of `n` (paper: `DDG.parents`).
     pub fn parents(&self, n: NodeId) -> &[(NodeId, DepKind)] {
-        &self.bwd[n.index()]
+        self.bwd.get(n.index())
     }
+}
 
-    /// Removes every edge from `from` to `to` whose kind satisfies `pred`.
-    /// Returns the number of edges removed. Used by the Table 2 pruning
-    /// client.
-    pub fn remove_edges(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        pred: impl Fn(DepKind) -> bool,
-    ) -> usize {
-        let before = self.fwd[from.index()].len();
-        self.fwd[from.index()].retain(|&(t, k)| !(t == to && pred(k)));
-        let removed = before - self.fwd[from.index()].len();
-        self.bwd[to.index()].retain(|&(s, k)| !(s == from && pred(k)));
-        self.edge_count -= removed;
-        removed
-    }
-
-    fn add_edge(&mut self, ff: FuncId, fv: ValueId, tf: FuncId, tv: ValueId, kind: DepKind) {
-        let from = self.node(VarRef::new(ff, fv));
-        let to = self.node(VarRef::new(tf, tv));
-        self.fwd[from.index()].push((to, kind));
-        self.bwd[to.index()].push((from, kind));
-        self.edge_count += 1;
+/// `v`'s node on `node_base`'s numbering; panics naming `v` if it has none.
+fn node_of(node_base: &[u32], v: VarRef) -> NodeId {
+    match var_index(node_base, v) {
+        Some(n) => NodeId(n),
+        None => panic!("{v} is not a variable of the analyzed module"),
     }
 }
 
 /// Everything one function's instruction scan contributes to the graph.
 /// Write/read records keep borrows into the points-to relation; only the
-/// pairing pass below consumes them.
+/// pairing pass consumes them.
 struct FuncScan<'a> {
-    edges: Vec<(VarRef, VarRef, DepKind)>,
-    writes: Vec<(VarRef, &'a [ObjectId])>,
-    reads: Vec<(VarRef, &'a [ObjectId])>,
+    edges: Vec<Edge>,
+    writes: Vec<(NodeId, &'a [ObjectId])>,
+    reads: Vec<(NodeId, &'a [ObjectId])>,
 }
 
 /// Scans one function for DDG edges and memory write/read records. Fuel is
@@ -254,6 +234,7 @@ struct FuncScan<'a> {
 fn scan_function<'a>(
     pre: &Preprocessed,
     pts: &'a PointsTo,
+    node_base: &[u32],
     fid: FuncId,
     budget: &manta_resilience::Budget,
 ) -> Result<FuncScan<'a>, manta_resilience::BudgetExceeded> {
@@ -265,54 +246,46 @@ fn scan_function<'a>(
         reads: Vec::new(),
     };
     let var = |v: ValueId| VarRef::new(fid, v);
+    let node = |v: ValueId| node_of(node_base, var(v));
     budget.tick()?;
     for inst in func.insts() {
         budget.tick()?;
         match &inst.kind {
             InstKind::Copy { dst, src } => {
-                scan.edges.push((var(*src), var(*dst), DepKind::Direct));
+                scan.edges.push((node(*src), node(*dst), DepKind::Direct));
             }
             InstKind::Phi { dst, incomings } => {
                 for (_, v) in incomings {
-                    scan.edges.push((var(*v), var(*dst), DepKind::Direct));
+                    scan.edges.push((node(*v), node(*dst), DepKind::Direct));
                 }
             }
             InstKind::BinOp { op, dst, lhs, rhs } => {
-                scan.edges.push((
-                    var(*lhs),
-                    var(*dst),
-                    DepKind::Arith {
+                for (operand, v) in [*lhs, *rhs].into_iter().enumerate() {
+                    let kind = DepKind::Arith {
                         op: *op,
-                        operand: 0,
-                    },
-                ));
-                scan.edges.push((
-                    var(*rhs),
-                    var(*dst),
-                    DepKind::Arith {
-                        op: *op,
-                        operand: 1,
-                    },
-                ));
+                        operand: operand as u8,
+                    };
+                    scan.edges.push((node(v), node(*dst), kind));
+                }
             }
             InstKind::Cmp { dst, lhs, rhs, .. } => {
-                scan.edges.push((var(*lhs), var(*dst), DepKind::Cmp));
-                scan.edges.push((var(*rhs), var(*dst), DepKind::Cmp));
+                scan.edges.push((node(*lhs), node(*dst), DepKind::Cmp));
+                scan.edges.push((node(*rhs), node(*dst), DepKind::Cmp));
             }
             InstKind::Gep { dst, base, .. } => {
-                scan.edges.push((var(*base), var(*dst), DepKind::Field));
+                scan.edges.push((node(*base), node(*dst), DepKind::Field));
             }
             InstKind::Alloca { .. } => {}
             InstKind::Store { addr, val } => {
                 let objs = pts.pts_var(var(*addr));
                 if !objs.is_empty() {
-                    scan.writes.push((var(*val), objs));
+                    scan.writes.push((node(*val), objs));
                 }
             }
             InstKind::Load { dst, addr, .. } => {
                 let objs = pts.pts_var(var(*addr));
                 if !objs.is_empty() {
-                    scan.reads.push((var(*dst), objs));
+                    scan.reads.push((node(*dst), objs));
                 }
             }
             InstKind::Call { dst, callee, args } => match callee {
@@ -325,21 +298,19 @@ fn scan_function<'a>(
                         site: inst.id,
                     };
                     let tf = module.function(*target);
+                    let callee_node = |v: ValueId| node_of(node_base, VarRef::new(*target, v));
                     for (i, &a) in args.iter().enumerate() {
                         if let Some(&p) = tf.params().get(i) {
-                            scan.edges.push((
-                                var(a),
-                                VarRef::new(*target, p),
-                                DepKind::CallParam(cs),
-                            ));
+                            scan.edges
+                                .push((node(a), callee_node(p), DepKind::CallParam(cs)));
                         }
                     }
                     if let Some(d) = dst {
                         for b in tf.blocks() {
                             if let Terminator::Ret(Some(r)) = b.term {
                                 scan.edges.push((
-                                    VarRef::new(*target, r),
-                                    var(*d),
+                                    callee_node(r),
+                                    node(*d),
                                     DepKind::CallReturn(cs),
                                 ));
                             }
@@ -354,19 +325,19 @@ fn scan_function<'a>(
                             // carry the source string.
                             if let Some(&src) = args.get(1) {
                                 if let Some(d) = dst {
-                                    scan.edges.push((var(src), var(*d), DepKind::ExternFlow));
+                                    scan.edges.push((node(src), node(*d), DepKind::ExternFlow));
                                 }
                                 if let Some(&dbuf) = args.first() {
                                     let objs = pts.pts_var(var(dbuf));
                                     if !objs.is_empty() {
-                                        scan.writes.push((var(src), objs));
+                                        scan.writes.push((node(src), objs));
                                     }
                                 }
                             }
                         }
                         ExternEffect::IntParse | ExternEffect::Pure => {
                             if let (Some(d), Some(&a0)) = (dst, args.first()) {
-                                scan.edges.push((var(a0), var(*d), DepKind::ExternFlow));
+                                scan.edges.push((node(a0), node(*d), DepKind::ExternFlow));
                             }
                         }
                         _ => {}
@@ -496,23 +467,22 @@ mod tests {
     }
 
     #[test]
-    fn remove_edges_prunes_both_directions() {
+    #[should_panic(expected = "is not a variable of the analyzed module")]
+    fn a_value_past_its_function_names_no_node() {
+        // One past the first function's values would be the second's first
+        // node if the id were not checked.
         let mut mb = ModuleBuilder::new("m");
-        let (fid, mut fb) = mb.function("f", &[Width::W64, Width::W64], Some(Width::W64));
-        let a = fb.param(0);
-        let b = fb.param(1);
-        let s = fb.binop(BinOp::Add, a, b, Width::W64);
-        fb.ret(Some(s));
+        let (first, mut fb) = mb.function("first", &[Width::W64], Some(Width::W64));
+        let p = fb.param(0);
+        fb.ret(Some(p));
         mb.finish_function(fb);
-        let (_, mut ddg) = build(mb.finish());
-        let nb = ddg.node(VarRef::new(fid, b));
-        let ns = ddg.node(VarRef::new(fid, s));
-        let e0 = ddg.edge_count();
-        let removed = ddg.remove_edges(nb, ns, |k| matches!(k, DepKind::Arith { .. }));
-        assert_eq!(removed, 1);
-        assert_eq!(ddg.edge_count(), e0 - 1);
-        assert!(!ddg.children(nb).iter().any(|&(t, _)| t == ns));
-        assert!(!ddg.parents(ns).iter().any(|&(s_, _)| s_ == nb));
+        let (_, mut gb) = mb.function("second", &[Width::W64], Some(Width::W64));
+        let q = gb.param(0);
+        gb.ret(Some(q));
+        mb.finish_function(gb);
+        let (pre, ddg) = build(mb.finish());
+        let past = ValueId(pre.module.function(first).value_count() as u32);
+        ddg.node(VarRef::new(first, past));
     }
 
     #[test]

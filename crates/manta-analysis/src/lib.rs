@@ -73,10 +73,10 @@ impl<T: Copy> Csr<T> {
     /// Groups `items` by their key in `0..keys` with a counting sort,
     /// walking `items` twice.
     pub(crate) fn new(keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> Csr<T> {
+        // Internal iteration (`for_each`) lets chained and flattened
+        // inputs run their fast `fold` paths.
         let mut start = vec![0u32; keys + 1];
-        for (k, _) in items.clone() {
-            start[k + 1] += 1;
-        }
+        items.clone().for_each(|(k, _)| start[k + 1] += 1);
         for k in 1..start.len() {
             start[k] += start[k - 1];
         }
@@ -86,10 +86,10 @@ impl<T: Copy> Csr<T> {
             Some((_, v)) => vec![v; start[keys] as usize],
             None => Vec::new(),
         };
-        for (k, v) in items {
+        items.for_each(|(k, v)| {
             values[next[k] as usize] = v;
             next[k] += 1;
-        }
+        });
         Csr { start, values }
     }
 
@@ -99,6 +99,11 @@ impl<T: Copy> Csr<T> {
             (Some(&s), Some(&e)) => &self.values[s as usize..e as usize],
             _ => &[],
         }
+    }
+
+    /// The number of values over all keys.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
     }
 }
 

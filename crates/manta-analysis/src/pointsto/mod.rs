@@ -190,7 +190,7 @@ pub struct PointsTo {
 
 /// Each function's first dense node in module order, then one past the
 /// last variable node: the DDG's numbering with a closing sentinel.
-fn var_bases(module: &manta_ir::Module) -> Vec<u32> {
+pub(crate) fn var_bases(module: &manta_ir::Module) -> Vec<u32> {
     let mut bases = Vec::with_capacity(module.function_count() + 1);
     let mut next = 0u32;
     for f in module.functions() {
@@ -204,7 +204,7 @@ fn var_bases(module: &manta_ir::Module) -> Vec<u32> {
 /// `v`'s dense node, if `v` is a value of the module `var_base` numbers:
 /// the index is checked against the next function's base, so a value id
 /// past its function's count names no neighbour's node.
-fn var_index(var_base: &[u32], v: VarRef) -> Option<u32> {
+pub(crate) fn var_index(var_base: &[u32], v: VarRef) -> Option<u32> {
     let f = v.func.index();
     let (&base, &next) = (var_base.get(f)?, var_base.get(f.checked_add(1)?)?);
     (v.value.0 < next - base).then(|| base + v.value.0)

@@ -118,7 +118,7 @@ pub fn detect_bugs(
     config: CheckerConfig,
 ) -> (Vec<BugReport>, usize) {
     manta_telemetry::span!("checkers");
-    let ddg = custom::sliced_ddg(analysis, inference);
+    let cut = custom::cut_set(analysis, inference);
     let mut reports = Vec::new();
     let mut visits = 0;
     for &kind in kinds {
@@ -128,7 +128,7 @@ pub fn detect_bugs(
             reports.extend(uaf);
             continue;
         };
-        let (found, v) = spec.run(analysis, &ddg, inference, config.slicer);
+        let (found, v) = spec.run(analysis, &cut, inference, config.slicer);
         visits += v;
         reports.extend(found.into_iter().map(|r| BugReport {
             kind,
@@ -286,6 +286,26 @@ mod tests {
         );
         assert_eq!(custom.len(), 1, "{custom:?}");
         assert_eq!((custom[0].source, custom[0].sink), (null_node, null_node));
+    }
+
+    #[test]
+    fn a_long_flow_slices_on_a_small_stack() {
+        // 100,000 copies from a null constant to a dereference: the walk
+        // keeps its path on the heap, so the test thread's 2 MiB stack
+        // does not bound the flow's length.
+        let mut mb = ModuleBuilder::new("m");
+        let (_, mut fb) = mb.function("f", &[], Some(Width::W64));
+        let mut v = fb.const_null();
+        for _ in 0..100_000 {
+            v = fb.copy(v);
+        }
+        let x = fb.load(v, Width::W64);
+        fb.ret(Some(x));
+        mb.finish_function(fb);
+        let analysis = ModuleAnalysis::build(mb.finish());
+        let (reports, visits) =
+            detect_bugs(&analysis, None, &[BugKind::Npd], CheckerConfig::default());
+        assert_eq!((reports.len(), visits), (1, 100_001), "{reports:?}");
     }
 
     #[test]

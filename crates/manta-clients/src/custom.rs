@@ -6,11 +6,10 @@
 //! driver runs every checker, and the built-in NPD, RSA, CMI and BOF
 //! checkers are specs too ([`BugKind::spec`](crate::BugKind::spec)), so a
 //! user-defined checker runs exactly as they do. With types the driver
-//! slices the DDG pruned per Table 2 and applies the numeric guards;
+//! slices the DDG minus Table 2's cut and applies the numeric guards;
 //! without types it is the Manta-NoType ablation.
 
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use manta::TypeQuery;
 use manta_analysis::{Ddg, ModuleAnalysis, NodeId, VarRef};
@@ -19,7 +18,7 @@ use manta_ir::{
     Terminator, Type, ValueId, ValueKind, Width,
 };
 
-use crate::ddg_prune;
+use crate::ddg_prune::{self, CutSet};
 use crate::slicing::{Slicer, SlicerConfig};
 
 /// Where tainted / interesting values originate.
@@ -74,7 +73,10 @@ pub struct CustomChecker {
     /// Whether a precisely-numeric value refutes the finding (true for
     /// pointer/string-carrying vulnerabilities). With types, no flow
     /// passes through one, and a sink that is an instruction operand
-    /// must not be one at its instruction.
+    /// must not be one at its instruction. That last test only fires
+    /// where the site reveals no pointer, as for an argument of an extern
+    /// without a signature: every built-in sink's site reveals one
+    /// (`ptr(⊥)` for an address, `ptr(int8)` for `system` and `strcpy`).
     pub numeric_guard: bool,
 }
 
@@ -93,19 +95,16 @@ pub struct CustomReport {
     pub sink_site: InstId,
 }
 
-/// The DDG the checkers slice: with types, a copy of the substrate's
-/// DDG minus Table 2's infeasible edges (§5.2).
-pub(crate) fn sliced_ddg<'a>(
-    analysis: &'a ModuleAnalysis,
-    inference: Option<&dyn TypeQuery>,
-) -> Cow<'a, Ddg> {
+/// The edges the checkers do not slice: with types, Table 2's infeasible
+/// dependencies (§5.2); without, none.
+pub(crate) fn cut_set(analysis: &ModuleAnalysis, inference: Option<&dyn TypeQuery>) -> CutSet {
     let Some(inf) = inference else {
-        return Cow::Borrowed(&analysis.ddg);
+        return CutSet::default();
     };
     manta_telemetry::span!("ddg_prune");
-    let (pruned, stats) = ddg_prune::pruned_ddg(analysis, inf);
+    let (cut, stats) = ddg_prune::infeasible_deps(analysis, inf);
     manta_telemetry::counter("checker.ddg_edges_pruned", stats.removed as u64);
-    Cow::Owned(pruned)
+    cut
 }
 
 fn numeric(t: Option<Type>) -> bool {
@@ -114,12 +113,19 @@ fn numeric(t: Option<Type>) -> bool {
 
 impl SourceSpec {
     /// Appends `func`'s sources to `out`, in value or instruction order.
-    fn gather(&self, module: &Module, func: &Function, ddg: &Ddg, out: &mut Vec<NodeId>) {
+    fn gather(
+        &self,
+        module: &Module,
+        func: &Function,
+        ddg: &Ddg,
+        cut: &CutSet,
+        out: &mut Vec<NodeId>,
+    ) {
         let node = |v| ddg.node(VarRef::new(func.id(), v));
         if *self == SourceSpec::NullConstants {
-            // A null constant starts a slice when it flows on, or when it
-            // is itself dereferenced: `v = load null` gives it no
-            // value-flow child.
+            // A null constant starts a slice when it flows on past the
+            // cut, or when it is itself dereferenced: `v = load null` gives
+            // it no value-flow child.
             let mut dereferenced: Option<Vec<ValueId>> = None;
             for (v, d) in func.values() {
                 let null = match d.kind {
@@ -131,7 +137,7 @@ impl SourceSpec {
                     continue;
                 }
                 let n = node(v);
-                let kept = ddg.children(n).iter().any(|(_, k)| k.is_value_flow())
+                let kept = ddg.children(n).iter().any(|&(c, k)| cut.flows(c, k))
                     || dereferenced
                         .get_or_insert_with(|| addresses(func))
                         .binary_search(&v)
@@ -227,42 +233,42 @@ impl SinkSpec {
 
 impl CustomChecker {
     /// Runs the checker over an analyzed module. `inference = Some(..)`
-    /// slices the type-pruned DDG and enables the type guards.
+    /// slices the DDG minus Table 2's cut and enables the type guards.
     pub fn detect(
         &self,
         analysis: &ModuleAnalysis,
         inference: Option<&dyn TypeQuery>,
         config: SlicerConfig,
     ) -> Vec<CustomReport> {
-        let ddg = sliced_ddg(analysis, inference);
-        self.run(analysis, &ddg, inference, config).0
+        let cut = cut_set(analysis, inference);
+        self.run(analysis, &cut, inference, config).0
     }
 
-    /// The one source–sink driver: gathers this spec's sources and sinks
-    /// on `ddg`, slices, and keeps the pairs no guard refutes. Returns
-    /// them with the slicer's node visits (the Table 5 work metric).
+    /// The one source–sink driver: gathers this spec's sources and sinks,
+    /// slices the DDG minus `cut`, and keeps the pairs no guard refutes.
+    /// Returns them with the slicer's node visits (the Table 5 work
+    /// metric).
     pub(crate) fn run(
         &self,
         analysis: &ModuleAnalysis,
-        ddg: &Ddg,
+        cut: &CutSet,
         inference: Option<&dyn TypeQuery>,
         config: SlicerConfig,
     ) -> (Vec<CustomReport>, usize) {
-        let module = analysis.module();
+        let (module, ddg) = (analysis.module(), &analysis.ddg);
         let mut sources = Vec::new();
         // Later inserts win: a value used at several sites keeps the last.
         let mut sinks: HashMap<NodeId, (InstId, FuncId)> = HashMap::new();
         for func in module.functions() {
             let fid = func.id();
-            self.sources.gather(module, func, ddg, &mut sources);
+            self.sources.gather(module, func, ddg, cut, &mut sources);
             self.sinks.for_each(module, func, |v, site| {
                 sinks.insert(ddg.node(VarRef::new(fid, v)), (site, fid));
             });
         }
-        let sink_nodes: HashSet<NodeId> = sinks.keys().copied().collect();
         let types = inference.filter(|_| self.numeric_guard);
-        let mut slicer = Slicer::new(ddg, config);
-        let pairs = slicer.slice(&sources, &sink_nodes, |n| {
+        let mut slicer = Slicer::new(ddg, cut, config);
+        let pairs = slicer.slice(&sources, &sinks, |n| {
             types.is_none_or(|inf| !numeric(inf.precise_of(ddg.var(n))))
         });
         // A callee returning its caller's buffer is legal: a stack
@@ -466,7 +472,8 @@ mod tests {
         mb.finish_function(fb);
         let analysis = ModuleAnalysis::build(mb.finish());
         let npd = crate::BugKind::Npd.spec().unwrap();
-        let (reports, visits) = npd.run(&analysis, &analysis.ddg, None, SlicerConfig::default());
+        let (reports, visits) =
+            npd.run(&analysis, &CutSet::default(), None, SlicerConfig::default());
         assert!(reports.is_empty(), "{reports:?}");
         assert_eq!(visits, 0);
     }

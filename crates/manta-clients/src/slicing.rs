@@ -1,13 +1,16 @@
 //! Source–sink DDG traversal (paper §5.3).
 //!
-//! Bug detection is program slicing over the (optionally pruned) DDG: a
-//! forward traversal from each source, constrained by CFL-context validity
-//! and an optional per-node *type guard*, reporting every sink reached.
+//! Bug detection is program slicing over the DDG minus a [`CutSet`] (the
+//! Table 2 pruning, or nothing): a forward traversal from each source,
+//! constrained by CFL-context validity and an optional per-node *type
+//! guard*, reporting every sink reached.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
-use manta_analysis::cfl::{ctx_op, CtxStack, Direction};
+use manta_analysis::cfl::{ctx_op, CtxOp, CtxStack, Direction};
 use manta_analysis::{Ddg, NodeId};
+
+use crate::ddg_prune::CutSet;
 
 /// Tuning for the slicer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,10 +39,11 @@ pub struct SourceSinkPair {
     pub sink: NodeId,
 }
 
-/// Forward slicer over a DDG.
+/// Forward slicer over a DDG minus a cut.
 #[derive(Debug)]
 pub struct Slicer<'a> {
     ddg: &'a Ddg,
+    cut: &'a CutSet,
     config: SlicerConfig,
     /// Total nodes visited across all queries — the work metric reported
     /// in the Table 5 time comparison.
@@ -47,10 +51,11 @@ pub struct Slicer<'a> {
 }
 
 impl<'a> Slicer<'a> {
-    /// Creates a slicer over `ddg`.
-    pub fn new(ddg: &'a Ddg, config: SlicerConfig) -> Slicer<'a> {
+    /// Creates a slicer over `ddg` that follows no edge `cut` cuts.
+    pub fn new(ddg: &'a Ddg, cut: &'a CutSet, config: SlicerConfig) -> Slicer<'a> {
         Slicer {
             ddg,
+            cut,
             config,
             visits: 0,
         }
@@ -58,71 +63,78 @@ impl<'a> Slicer<'a> {
 
     /// Slices forward from every source; returns each `(source, sink)` pair
     /// with a CFL-valid value-flow path whose every intermediate node
-    /// passes `guard`.
-    pub fn slice(
+    /// passes `guard`. A node is a sink if it is a key of `sinks`.
+    ///
+    /// Each source's walk is a depth-first preorder on an explicit path,
+    /// so a long flow cannot exhaust the thread's stack.
+    pub fn slice<S>(
         &mut self,
         sources: &[NodeId],
-        sinks: &HashSet<NodeId>,
+        sinks: &HashMap<NodeId, S>,
         mut guard: impl FnMut(NodeId) -> bool,
     ) -> Vec<SourceSinkPair> {
+        let (ddg, cut) = (self.ddg, self.cut);
         let mut out = Vec::new();
-        for &src in sources {
-            let mut visited: HashSet<NodeId> = HashSet::new();
-            let mut ctx = CtxStack::new(self.config.max_ctx_depth);
+        // `seen[n] == round`: node `n` was visited from the current source.
+        let mut seen = vec![0u32; ddg.node_count()];
+        let mut ctx = CtxStack::new(self.config.max_ctx_depth);
+        // Each node on the walk's path, its next child, and the context
+        // operation that entered it.
+        let mut path: Vec<(NodeId, usize, CtxOp)> = Vec::new();
+        for (round, &src) in (1..).zip(sources) {
             let mut budget = self.config.max_visits;
-            self.walk(
-                src,
-                src,
-                sinks,
-                &mut guard,
-                &mut visited,
-                &mut ctx,
-                &mut budget,
-                &mut out,
-            );
+            // Visits `node`; whether the walk goes on to its children.
+            let mut visit = |node: NodeId| {
+                if budget == 0 || seen[node.index()] == round {
+                    return false;
+                }
+                seen[node.index()] = round;
+                budget -= 1;
+                self.visits += 1;
+                if node != src && !guard(node) {
+                    // Type guard: the flow cannot continue through this node.
+                    return false;
+                }
+                if sinks.contains_key(&node) {
+                    out.push(SourceSinkPair {
+                        source: src,
+                        sink: node,
+                    });
+                }
+                true
+            };
+            if visit(src) {
+                path.push((src, 0, CtxOp::None));
+            }
+            while let Some((node, next, _)) = path.last_mut() {
+                let mut entered = None;
+                while let Some(&(child, kind)) = ddg.children(*node).get(*next) {
+                    *next += 1;
+                    if !cut.flows(child, kind) {
+                        continue;
+                    }
+                    let op = ctx_op(kind, Direction::Forward);
+                    if ctx.enter(op) {
+                        if visit(child) {
+                            entered = Some((child, 0, op));
+                            break;
+                        }
+                        ctx.leave(op);
+                    }
+                }
+                match entered {
+                    Some(frame) => path.push(frame),
+                    None => {
+                        if let Some((_, _, op)) = path.pop() {
+                            ctx.leave(op);
+                        }
+                    }
+                }
+            }
         }
         out.sort_by_key(|p| (p.source, p.sink));
         out.dedup();
         out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        &mut self,
-        src: NodeId,
-        node: NodeId,
-        sinks: &HashSet<NodeId>,
-        guard: &mut impl FnMut(NodeId) -> bool,
-        visited: &mut HashSet<NodeId>,
-        ctx: &mut CtxStack,
-        budget: &mut usize,
-        out: &mut Vec<SourceSinkPair>,
-    ) {
-        if *budget == 0 || !visited.insert(node) {
-            return;
-        }
-        *budget -= 1;
-        self.visits += 1;
-        if node != src && !guard(node) {
-            // Type guard: the flow cannot continue through this node.
-            return;
-        }
-        if sinks.contains(&node) {
-            out.push(SourceSinkPair {
-                source: src,
-                sink: node,
-            });
-        }
-        for &(child, kind) in self.ddg.children(node) {
-            if !kind.is_value_flow() {
-                continue;
-            }
-            let op = ctx_op(kind, Direction::Forward);
-            if ctx.enter(op) {
-                self.walk(src, child, sinks, guard, visited, ctx, budget, out);
-                ctx.leave(op);
-            }
-        }
     }
 }
 
@@ -142,13 +154,13 @@ mod tests {
         fb.ret(Some(b));
         mb.finish_function(fb);
         let analysis = ModuleAnalysis::build(mb.finish());
-        let ddg = &analysis.ddg;
+        let (ddg, uncut) = (&analysis.ddg, CutSet::default());
         let np = ddg.node(VarRef::new(fid, p));
         let na = ddg.node(VarRef::new(fid, a));
         let nb = ddg.node(VarRef::new(fid, b));
-        let sinks: HashSet<NodeId> = [nb].into_iter().collect();
+        let sinks = HashMap::from([(nb, ())]);
 
-        let mut slicer = Slicer::new(ddg, SlicerConfig::default());
+        let mut slicer = Slicer::new(ddg, &uncut, SlicerConfig::default());
         let pairs = slicer.slice(&[np], &sinks, |_| true);
         assert_eq!(
             pairs,
@@ -160,7 +172,7 @@ mod tests {
         assert!(slicer.visits >= 3);
 
         // Guard that blocks the midpoint kills the path.
-        let mut slicer = Slicer::new(ddg, SlicerConfig::default());
+        let mut slicer = Slicer::new(ddg, &uncut, SlicerConfig::default());
         let pairs = slicer.slice(&[np], &sinks, |n| n != na);
         assert!(pairs.is_empty());
     }
@@ -185,12 +197,12 @@ mod tests {
         b2.ret(Some(r2));
         mb.finish_function(b2);
         let analysis = ModuleAnalysis::build(mb.finish());
-        let ddg = &analysis.ddg;
+        let (ddg, uncut) = (&analysis.ddg, CutSet::default());
         let src = ddg.node(VarRef::new(c1, p1));
         let good_sink = ddg.node(VarRef::new(c1, r1));
         let bad_sink = ddg.node(VarRef::new(c2, r2));
-        let sinks: HashSet<NodeId> = [good_sink, bad_sink].into_iter().collect();
-        let mut slicer = Slicer::new(ddg, SlicerConfig::default());
+        let sinks = HashMap::from([(good_sink, ()), (bad_sink, ())]);
+        let mut slicer = Slicer::new(ddg, &uncut, SlicerConfig::default());
         let pairs = slicer.slice(&[src], &sinks, |_| true);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].sink, good_sink, "CFL must reject the c2 return");

@@ -29,8 +29,8 @@ fn more_precise_types_prune_at_least_as_many_dependencies() {
         let analysis = workload(seed);
         let fi = Manta::new(MantaConfig::with_sensitivity(Sensitivity::Fi)).infer(&analysis);
         let full = Manta::new(MantaConfig::full()).infer(&analysis);
-        let (_, s_fi) = ddg_prune::pruned_ddg(&analysis, &fi);
-        let (_, s_full) = ddg_prune::pruned_ddg(&analysis, &full);
+        let (_, s_fi) = ddg_prune::infeasible_deps(&analysis, &fi);
+        let (_, s_full) = ddg_prune::infeasible_deps(&analysis, &full);
         assert!(
             s_full.removed >= s_fi.removed,
             "seed {seed}: full pruned {} < FI {}",

@@ -116,9 +116,9 @@ fn pool_telemetry_aggregates_deterministically_across_thread_counts() {
     }
 }
 
-/// The checkers prune a copy of the substrate's DDG: detecting bugs
-/// with inference builds no second graph, so it adds nothing to the
-/// `ddg.*` counters the substrate's build recorded.
+/// The checkers slice the substrate's DDG minus Table 2's cut set:
+/// detecting bugs with inference builds no second graph, so it adds
+/// nothing to the `ddg.*` counters the substrate's build recorded.
 #[test]
 fn bug_detection_builds_no_second_ddg() {
     let _l = lock();
