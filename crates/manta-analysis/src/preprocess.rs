@@ -73,26 +73,33 @@ impl Preprocessed {
 pub fn preprocess(mut module: Module, config: PreprocessConfig) -> Preprocessed {
     let mut stats = PreprocessStats::default();
 
-    // 1. Unroll cyclic CFGs. Each function unrolls independently of every
-    // other, so the rewriting fans out across the pool; the results are
-    // grafted back in function order, which keeps stats and module layout
-    // identical to a serial pass.
-    let func_ids: Vec<FuncId> = module.functions().map(Function::id).collect();
+    // 1. Unroll cyclic CFGs. A function whose branches all go to higher
+    // block numbers has no cycle, so only the others get a CFG. Each
+    // function unrolls independently of every other, so the rewriting
+    // fans out across the pool; the results are grafted back in function
+    // order, which keeps stats and module layout identical to a serial
+    // pass.
+    let candidates: Vec<FuncId> = module
+        .functions()
+        .filter(|f| !branches_only_forward(f))
+        .map(Function::id)
+        .collect();
     let module_ref = &module;
-    let unrolled: Vec<Option<(FuncId, usize, Function)>> = manta_parallel::par_map(func_ids, |f| {
-        let func = module_ref.function(f);
-        let cfg = Cfg::new(func);
-        let back_edges = cfg.back_edges();
-        if back_edges.is_empty() {
-            return None;
-        }
-        let cut = back_edges.len();
-        Some((
-            f,
-            cut,
-            unroll_function(func, &cfg, config.unroll_factor.max(1)),
-        ))
-    });
+    let unrolled: Vec<Option<(FuncId, usize, Function)>> =
+        manta_parallel::par_map(candidates, |f| {
+            let func = module_ref.function(f);
+            let cfg = Cfg::new(func);
+            let back_edges = cfg.back_edges();
+            if back_edges.is_empty() {
+                return None;
+            }
+            let cut = back_edges.len();
+            Some((
+                f,
+                cut,
+                unroll_function(func, &cfg, config.unroll_factor.max(1)),
+            ))
+        });
     for (f, cut, rewritten) in unrolled.into_iter().flatten() {
         stats.cyclic_functions += 1;
         stats.back_edges_cut += cut;
@@ -116,6 +123,18 @@ pub fn preprocess(mut module: Module, config: PreprocessConfig) -> Preprocessed 
         stats,
         config,
     }
+}
+
+/// Whether every branch of `func` goes to a block with a higher id than
+/// its own. Such a CFG has no cycle, reachable or not.
+fn branches_only_forward(func: &Function) -> bool {
+    func.blocks().all(|b| match b.term {
+        Terminator::Br(t) => t > b.id,
+        Terminator::CondBr {
+            then_bb, else_bb, ..
+        } => then_bb > b.id && else_bb > b.id,
+        Terminator::Ret(_) | Terminator::Unreachable => true,
+    })
 }
 
 /// Clones the body of `func` `k` times, redirecting back edges forward
@@ -310,20 +329,24 @@ fn unroll_function(func: &Function, cfg: &Cfg, k: usize) -> Function {
 /// Finds a set of direct-call edges whose removal makes the call graph
 /// acyclic, via DFS back-edge detection.
 fn break_recursion(module: &Module) -> HashSet<(FuncId, InstId)> {
-    // Collect direct call edges.
+    // Direct call edges (callee and site), grouped by caller: function
+    // `f`'s are `edges[start[f]..start[f + 1]]`.
     let n = module.function_count();
-    let mut edges: Vec<Vec<(FuncId, InstId)>> = vec![Vec::new(); n]; // callee + site per caller
+    let mut start = Vec::with_capacity(n + 1);
+    let mut edges: Vec<(FuncId, InstId)> = Vec::new();
     for f in module.functions() {
+        start.push(edges.len());
         for inst in f.insts() {
             if let InstKind::Call {
                 callee: Callee::Direct(target),
                 ..
             } = &inst.kind
             {
-                edges[f.id().index()].push((*target, inst.id));
+                edges.push((*target, inst.id));
             }
         }
     }
+    start.push(edges.len());
 
     #[derive(Clone, Copy, PartialEq)]
     enum State {
@@ -333,15 +356,17 @@ fn break_recursion(module: &Module) -> HashSet<(FuncId, InstId)> {
     }
     let mut state = vec![State::Unvisited; n];
     let mut broken = HashSet::new();
+    // The DFS path: each function with the index of its next edge.
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
         if state[root] != State::Unvisited {
             continue;
         }
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+        stack.push((root, start[root]));
         state[root] = State::Active;
         while let Some(&mut (f, ref mut next)) = stack.last_mut() {
-            if *next < edges[f].len() {
-                let (callee, site) = edges[f][*next];
+            if *next < start[f + 1] {
+                let (callee, site) = edges[*next];
                 *next += 1;
                 match state[callee.index()] {
                     State::Active => {
@@ -349,7 +374,7 @@ fn break_recursion(module: &Module) -> HashSet<(FuncId, InstId)> {
                     }
                     State::Unvisited => {
                         state[callee.index()] = State::Active;
-                        stack.push((callee.index(), 0));
+                        stack.push((callee.index(), start[callee.index()]));
                     }
                     State::Done => {}
                 }
@@ -420,6 +445,31 @@ mod tests {
         // 4 original blocks × factor + 1 exhausted stub.
         assert_eq!(b1, 4 + 1);
         assert_eq!(b3, 12 + 1);
+    }
+
+    #[test]
+    fn only_a_backward_branch_can_close_a_cycle() {
+        let m = loop_module();
+        assert!(!branches_only_forward(m.function_by_name("count").unwrap()));
+
+        let mut mb = ModuleBuilder::new("m");
+        let (_, mut fb) = mb.function("diamond", &[Width::W1], None);
+        let c = fb.param(0);
+        let (left, right, join) = (fb.new_block(), fb.new_block(), fb.new_block());
+        fb.cond_br(c, left, right);
+        fb.switch_to(left);
+        fb.br(join);
+        fb.switch_to(right);
+        fb.br(join);
+        fb.switch_to(join);
+        fb.ret(None);
+        mb.finish_function(fb);
+        let m = mb.finish();
+        let diamond = m.function_by_name("diamond").unwrap();
+        assert!(branches_only_forward(diamond));
+        assert!(Cfg::new(diamond).back_edges().is_empty());
+        let pre = preprocess(m, PreprocessConfig::default());
+        assert_eq!(pre.stats, PreprocessStats::default());
     }
 
     #[test]

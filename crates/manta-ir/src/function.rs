@@ -111,6 +111,35 @@ impl Function {
         }
     }
 
+    /// Assembles a function from arenas its caller sized once: `values`
+    /// starts with the `param_count` parameters, and block 0 is the
+    /// entry. Used by the parser, which knows every size before it
+    /// builds the function.
+    pub(crate) fn from_parts(
+        id: FuncId,
+        name: String,
+        param_count: usize,
+        ret_width: Option<Width>,
+        values: Vec<Value>,
+        insts: Vec<InstData>,
+        blocks: Vec<Block>,
+    ) -> Function {
+        debug_assert!(values[..param_count]
+            .iter()
+            .all(|v| matches!(v.kind, ValueKind::Param { .. })));
+        Function {
+            id,
+            name,
+            params: (0..param_count).map(ValueId::from_index).collect(),
+            ret_width,
+            values,
+            insts,
+            blocks,
+            entry: BlockId(0),
+            address_taken: false,
+        }
+    }
+
     /// This function's id within its module.
     pub fn id(&self) -> FuncId {
         self.id

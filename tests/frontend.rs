@@ -18,6 +18,10 @@
 //! x86 assembly exercising the three lifter-specific idioms — eflags
 //! materialization at `jcc`, sub-register masking, and `rbp` frame-slot
 //! recognition.
+//!
+//! Textual IR is the third way a module arrives: `PARSED_HASHES` pins
+//! what the IR parser builds, value for value, from generated, firmware
+//! and hand-written texts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -25,6 +29,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use manta::cache::results_identical;
 use manta::{Engine, MantaConfig, Sensitivity};
 use manta_analysis::ModuleAnalysis;
+use manta_ir::parser::{parse_module, parse_module_recovering};
 use manta_ir::printer::print_module;
 use manta_ir::verify::verify_module;
 use manta_ir::{Frontend, Module};
@@ -203,7 +208,7 @@ fn lifted_ir_is_bit_identical_across_220_seeds() {
     }
 }
 
-/// [`lifted_hash`] of each generated program's lifted module, one per
+/// [`module_hash`] of each generated program's lifted module, one per
 /// program: both encodings must lift to it.
 const LIFTED_HASHES: [u64; 24] = [
     0x7b5d_8215_8467_c175,
@@ -232,12 +237,12 @@ const LIFTED_HASHES: [u64; 24] = [
     0x2d19_ebff_d2bc_d21a,
 ];
 
-/// `Fingerprint` of a lifted module's printed text and of every
-/// function's `Debug` form. The printer renumbers values canonically and
-/// prints constants inline, so it hides a change in creation order;
-/// `Debug` lists the value and instruction arenas in id order and shows
-/// it. (`Module`'s own `Debug` holds a `HashMap`, so it is not hashed.)
-fn lifted_hash(module: &Module) -> u64 {
+/// `Fingerprint` of a module's printed text and of every function's
+/// `Debug` form. The printer renumbers values canonically and prints
+/// constants inline, so it hides a change in creation order; `Debug`
+/// lists the value and instruction arenas in id order and shows it.
+/// (`Module`'s own `Debug` holds a `HashMap`, so it is not hashed.)
+fn module_hash(module: &Module) -> u64 {
     let mut fp = Fingerprint::new();
     fp.write_str(&print_module(module));
     for f in module.functions() {
@@ -253,8 +258,8 @@ fn lifted_modules_match_their_pinned_hashes() {
     for (i, want) in LIFTED_HASHES.iter().enumerate() {
         let prog = generate(&spec(2 + i % 7, 0x11F7 + i as u64));
         let (sb, x86) = lift_both(&prog.module);
-        assert_eq!(lifted_hash(&sb), *want, "program {i}: SB lift moved");
-        assert_eq!(lifted_hash(&x86), *want, "program {i}: x86 lift moved");
+        assert_eq!(module_hash(&sb), *want, "program {i}: SB lift moved");
+        assert_eq!(module_hash(&x86), *want, "program {i}: x86 lift moved");
     }
 }
 
@@ -511,6 +516,247 @@ fn sign_extension_idiom_agrees_between_encodings() {
         assert!(
             results_identical(&a, &b),
             "{sens:?}: sext idiom diverges between encodings"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Textual IR: what the parser builds.
+// ---------------------------------------------------------------------------
+
+/// Hand-written IR texts for [`PARSED_HASHES`]. Between them: forward
+/// phis, defs written out of number order, float and `undef` constants,
+/// one constant token used twice and the integer 1 spelled two ways
+/// (`1:i64` and `01:i64` are two constants), `g.` globals, `icall fn.f(..)` with
+/// arguments (read before the target), repeated function, extern and
+/// global names (`@f` and `fn.f` name the last `f`, `!e` the last `e`,
+/// `g.x` the first `x`), CRLF line ends, tabs, comments and blank lines,
+/// a body with no label, an empty body, labels out of order and a label
+/// given twice.
+const HAND_TEXTS: [&str; 3] = [
+    "module hand_phis
+func f(w64, w32) -> w64 {
+bb0:
+  br bb1
+bb1:
+  v0 = phi.w64 [bb0: p0, bb2: v1]
+  v3 = phi.w64 [bb0: 1:i64, bb2: v0]
+  v2 = cmp.gt v0, 0:i64
+  condbr v2, bb2, bb3
+bb2:
+  v1 = sub.w64 v0, 1:i64
+  v4 = copy.w64 2.5:f64
+  v5 = copy.w32 undef
+  br bb1
+bb3:
+  ret v3
+}
+func order(w64) -> w64 {
+bb0:
+  v1 = add.w64 p0, 3:i64
+  v0 = mul.w64 v1, 2:i64
+  v2 = copy.w64 -0.0:f32
+  ret v0
+}
+",
+    "module hand_names
+extern e(w64) -> w64
+extern malloc(w64) -> w64
+extern e(w64, w64) -> w64
+global x 8
+global y 16
+global x 32
+func f(w64) -> w64 addrtaken {
+bb0:
+  ret p0
+}
+func g(w64) -> w64 {
+bb0:
+  v0 = add.w64 p0, 1:i64
+  v1 = add.w64 v0, 01:i64
+  v2 = mul.w64 v1, 1:i64
+  store g.x, v2
+  store g.y, g.x
+  v3 = call.w64 !e(v2, 1:i64)
+  v4 = icall.w64 fn.f(v3, 7:i64)
+  v5 = call.w64 @f(v4)
+  ret v5
+}
+func f(w64) -> w64 {
+bb0:
+  v0 = call.w64 !malloc(8:i64)
+  v1 = gep v0, 8
+  v2 = load.w32 v1
+  v3 = alloca 16
+  v4 = cmp.ne v0, null
+  call @g(fn.g)
+  call !e()
+  ret v0
+}
+",
+    "module hand_blocks\r
+; a comment\r
+func h(w1) -> void {\r
+bb0:\r
+\tcondbr p0, bb2, bb1\r
+\r
+bb2:\r
+  ; a comment inside a body\r
+  v0 = alloca 8\r
+  store v0, -3:i8\r
+  unreachable\r
+bb1:\r
+  ret\r
+}\r
+func nolabel(w64) -> w64 {\r
+  ret p0\r
+}\r
+func empty() -> void {\r
+}\r
+func twice(w64) -> void {\r
+bb0:\r
+  v0 = add.w64 p0, p0\r
+  br bb1\r
+bb1:\r
+  ret\r
+bb0:\r
+  store v0, p0\r
+  br bb1\r
+}\r
+",
+];
+
+/// A module of the edit workload's shape at three clusters: each a chain
+/// of identity relays (`add.w64 p0, p0` then a call of the next link) fed
+/// by users passing integers (`mul.w64 7:i64, p0`) and heap pointers
+/// (`call.w64 !malloc(16:i64)`).
+fn cluster_module(clusters: usize, depth: usize) -> Module {
+    use manta_ir::{BinOp, ModuleBuilder, Width};
+    let mut mb = ModuleBuilder::new("clusters");
+    let malloc = mb.extern_fn("malloc", &[], None);
+    for k in 0..clusters {
+        let mut callee = None;
+        for i in (0..depth).rev() {
+            let (f, mut fb) = mb.function(&format!("w{k}_{i}"), &[Width::W64], Some(Width::W64));
+            let x = fb.param(0);
+            fb.binop(BinOp::Add, x, x, Width::W64);
+            let out = match callee {
+                Some(next) => fb.call(next, &[x], Some(Width::W64)).unwrap(),
+                None => x,
+            };
+            fb.ret(Some(out));
+            mb.finish_function(fb);
+            callee = Some(f);
+        }
+        let head = callee.unwrap();
+        for u in 0..4 {
+            let (_, mut ub) = mb.function(&format!("u{k}_{u}"), &[Width::W64], None);
+            let arg = if u % 2 == 0 {
+                let n = ub.const_int(7, Width::W64);
+                let p = ub.param(0);
+                ub.binop(BinOp::Mul, n, p, Width::W64)
+            } else {
+                let bytes = ub.const_int(16, Width::W64);
+                ub.call_extern(malloc, &[bytes], Some(Width::W64)).unwrap()
+            };
+            let r = ub.call(head, &[arg], Some(Width::W64)).unwrap();
+            if u % 2 == 0 {
+                let slot = ub.alloca(8);
+                ub.store(slot, r);
+            } else {
+                ub.load(r, Width::W64);
+            }
+            ub.ret(None);
+            mb.finish_function(ub);
+        }
+    }
+    mb.finish()
+}
+
+/// The texts [`PARSED_HASHES`] pins, in order: generated modules of four
+/// sizes in the balanced mix and two skewed mixes, three firmware images,
+/// a module of the edit workload's shape, then [`HAND_TEXTS`].
+fn parser_inputs() -> Vec<String> {
+    let balanced = PhenomenonMix::balanced();
+    let loops = PhenomenonMix {
+        loop_rate: 0.9,
+        icall_rate: 0.6,
+        ..balanced
+    };
+    let unions = PhenomenonMix {
+        union_rate: 0.9,
+        stack_recycle_rate: 0.8,
+        struct_ptr_rate: 0.9,
+        ..balanced
+    };
+    let mut texts = Vec::new();
+    for (i, (functions, mix)) in [
+        (2, balanced),
+        (9, balanced),
+        (40, balanced),
+        (150, balanced),
+        (30, loops),
+        (30, unions),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let spec = GenSpec {
+            name: format!("parse_{i}"),
+            functions,
+            mix,
+            seed: 0x9A45 + i as u64,
+        };
+        texts.push(print_module(&generate(&spec).module));
+    }
+    for (i, noise) in [0, 30, 120].into_iter().enumerate() {
+        let image = manta_workloads::generate_firmware(&manta_workloads::FirmwareSpec {
+            name: format!("fw_{i}"),
+            real_bugs_per_class: 1 + noise / 20,
+            decoys_per_class: 1 + noise / 14,
+            noise_functions: noise,
+            seed: 0xF1 + i as u64,
+        });
+        texts.push(print_module(&image.module));
+    }
+    texts.push(print_module(&cluster_module(3, 40)));
+    texts.extend(HAND_TEXTS.iter().map(|t| t.to_string()));
+    texts
+}
+
+/// [`module_hash`] of each [`parser_inputs`] text's parse, one per
+/// text: the value and instruction arenas the parser builds, in order.
+const PARSED_HASHES: [u64; 13] = [
+    0xca83_5518_c3f3_5949,
+    0xb9ef_e589_9b57_eb5f,
+    0x3064_8622_3c4b_162a,
+    0x04a5_40f8_87d2_d133,
+    0xe6a4_89db_c3aa_e18c,
+    0x80f3_61e1_54ad_7a0c,
+    0x9c61_90a9_4211_6501,
+    0x971a_6db7_6714_6628,
+    0x9a32_94bc_3c68_8ae4,
+    0x3349_fc5f_a4ff_6b3f,
+    0x7393_f8a4_756d_a86c,
+    0x028d_3300_126b_f56c,
+    0x1916_c154_1a85_2c8d,
+];
+
+/// The parser builds the same modules, value for value: params, then
+/// defs by number, then constants in first-use order.
+#[test]
+fn parsed_modules_match_their_pinned_hashes() {
+    let inputs = parser_inputs();
+    assert_eq!(inputs.len(), PARSED_HASHES.len());
+    for (i, (text, want)) in inputs.iter().zip(PARSED_HASHES).enumerate() {
+        let module = parse_module(text).unwrap_or_else(|e| panic!("text {i}: {e}"));
+        assert_eq!(module_hash(&module), want, "text {i}: the parse moved");
+        let (recovered, diagnostics) = parse_module_recovering(text);
+        assert!(diagnostics.is_empty(), "text {i}: {diagnostics:?}");
+        assert_eq!(
+            module_hash(&recovered),
+            want,
+            "text {i}: the recovering parse moved"
         );
     }
 }

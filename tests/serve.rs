@@ -14,7 +14,8 @@
 //! * **Source alias** — cold, warm and repeated requests get identical
 //!   bytes and summary lines.
 //! * **Wire robustness** — truncated frames, garbage payloads and
-//!   oversized length prefixes never wedge or kill the daemon.
+//!   oversized length prefixes never wedge or kill the daemon, and
+//!   neither do IR texts naming huge block or def numbers.
 //! * **Admission control** — a full queue answers `Overloaded`
 //!   deterministically; seeded client backoff retries to success once
 //!   capacity returns.
@@ -353,6 +354,46 @@ fn malformed_and_truncated_frames_never_wedge_the_daemon() {
         other => panic!("daemon wedged after malformed frames: {other:?}"),
     }
 
+    server.shutdown();
+}
+
+/// Two IR texts of about 60 bytes each once aborted the daemon's
+/// process: one named block `bb4000000000`, the other def
+/// `v1000000000000`, and the parser reserved memory for every number
+/// below. Each now gets a parse error, and the next request is served.
+#[test]
+fn oversized_block_and_def_numbers_are_parse_errors() {
+    let _guard = lock();
+    let (_tmp, dir) = temp_dir("oversized");
+    let server = spawn_server(&dir, ServeConfig::default());
+    let addr = server.addr();
+    for (text, says) in [
+        (
+            "module m\nfunc f() -> void {\nbb0:\n  br bb4000000000\n}\n",
+            "line 4, col 6: block `bb4000000000` is past the end",
+        ),
+        (
+            "module m\nfunc f() -> void {\nbb0:\n  v1000000000000 = alloca 8\n  ret\n}\n",
+            "line 2: v0 referenced but never defined",
+        ),
+    ] {
+        let request = Request::Analyze {
+            module_text: text.to_string(),
+            sensitivity: Sensitivity::FiCsFs,
+            fuel: None,
+            deadline_ms: None,
+        };
+        match call_once(addr, &request) {
+            Response::Error {
+                error: MantaError::Parse { message, .. },
+            } => assert!(message.contains(says), "{text:?}: {message}"),
+            other => panic!("expected a parse error for {text:?}, got {other:?}"),
+        }
+        match call_once(addr, &analyze_req(33, 3)) {
+            Response::Analyzed { .. } => {}
+            other => panic!("daemon stopped serving after {text:?}: {other:?}"),
+        }
+    }
     server.shutdown();
 }
 
