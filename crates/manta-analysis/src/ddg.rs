@@ -123,13 +123,26 @@ impl Ddg {
 
         // Per-function scans are independent: every edge an instruction
         // emits is discovered while scanning exactly one function, so the
-        // scans fan out across the pool and their lists are read in
-        // function order — the same order a serial pass produces.
-        // Write/read records borrow the points-to sets instead of cloning
-        // them (they are only consulted during pairing below).
-        let func_ids: Vec<FuncId> = module.functions().map(|f| f.id()).collect();
-        let scans = manta_parallel::par_map(func_ids, |fid| {
-            scan_function(pre, pts, &node_base, fid, budget)
+        // scans fan out across the pool, a contiguous range of functions
+        // per item (about four per worker, as the pool batches), and
+        // their lists are read in range order — the same order a serial
+        // pass produces. Write/read records borrow the points-to sets
+        // instead of cloning them (they are only consulted during pairing
+        // below).
+        let n_funcs = module.function_count();
+        let per_range = n_funcs
+            .div_ceil(manta_parallel::effective_threads() * 4)
+            .max(1);
+        let ranges: Vec<std::ops::Range<usize>> = (0..n_funcs)
+            .step_by(per_range)
+            .map(|lo| lo..n_funcs.min(lo + per_range))
+            .collect();
+        let scans = manta_parallel::par_map(ranges, |range| {
+            let mut scan = FuncScan::default();
+            for f in range {
+                scan_function(pre, pts, &node_base, FuncId(f as u32), budget, &mut scan)?;
+            }
+            Ok(scan)
         })
         .into_iter()
         .collect::<Result<Vec<FuncScan<'_>>, _>>()?;
@@ -219,32 +232,29 @@ fn node_of(node_base: &[u32], v: VarRef) -> NodeId {
     }
 }
 
-/// Everything one function's instruction scan contributes to the graph.
-/// Write/read records keep borrows into the points-to relation; only the
-/// pairing pass consumes them.
+/// Everything the instruction scans of a range of functions contribute
+/// to the graph, in function order. Write/read records keep borrows into
+/// the points-to relation; only the pairing pass consumes them.
+#[derive(Default)]
 struct FuncScan<'a> {
     edges: Vec<Edge>,
     writes: Vec<(NodeId, &'a [ObjectId])>,
     reads: Vec<(NodeId, &'a [ObjectId])>,
 }
 
-/// Scans one function for DDG edges and memory write/read records. Fuel is
-/// charged exactly as the historical serial pass: one unit per function
-/// plus one per instruction.
+/// Scans one function for DDG edges and memory write/read records,
+/// appending them to `scan`. Fuel is charged exactly as the historical
+/// serial pass: one unit per function plus one per instruction.
 fn scan_function<'a>(
     pre: &Preprocessed,
     pts: &'a PointsTo,
     node_base: &[u32],
     fid: FuncId,
     budget: &manta_resilience::Budget,
-) -> Result<FuncScan<'a>, manta_resilience::BudgetExceeded> {
+    scan: &mut FuncScan<'a>,
+) -> Result<(), manta_resilience::BudgetExceeded> {
     let module = &pre.module;
     let func = module.function(fid);
-    let mut scan = FuncScan {
-        edges: Vec::new(),
-        writes: Vec::new(),
-        reads: Vec::new(),
-    };
     let var = |v: ValueId| VarRef::new(fid, v);
     let node = |v: ValueId| node_of(node_base, var(v));
     budget.tick()?;
@@ -350,7 +360,7 @@ fn scan_function<'a>(
             },
         }
     }
-    Ok(scan)
+    Ok(())
 }
 
 #[cfg(test)]

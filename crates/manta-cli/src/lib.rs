@@ -190,24 +190,42 @@ pub fn load_module_as(
     path: &Path,
     forced: Option<&'static dyn Frontend>,
 ) -> Result<Module, CliError> {
+    match read_input(path, forced)? {
+        Input::Lifted(module) => Ok(module),
+        Input::Text(text) => manta_isa::parse_source(&text).map_err(|e| CliError(e.to_string())),
+    }
+}
+
+/// An input file: a binary image, already lifted, or source text for
+/// `manta_isa::parse_source`.
+enum Input {
+    Lifted(Module),
+    Text(String),
+}
+
+/// Reads `path`, lifting it when a frontend (the forced one, else the
+/// one whose image magic it starts with) takes it.
+fn read_input(path: &Path, forced: Option<&'static dyn Frontend>) -> Result<Input, CliError> {
     let bytes =
         fs::read(path).map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))?;
+    let lift = |fe: &dyn Frontend| match fe.lift_bytes(&bytes) {
+        Ok(module) => Ok(Input::Lifted(module)),
+        Err(e) => Err(CliError(e.to_string())),
+    };
     if let Some(fe) = forced {
-        return fe.lift_bytes(&bytes).map_err(|e| CliError(e.to_string()));
+        return lift(fe);
     }
-    for fe in frontends() {
-        if fe.detects(&bytes) {
-            return fe.lift_bytes(&bytes).map_err(|e| CliError(e.to_string()));
-        }
+    if let Some(fe) = frontends().into_iter().find(|fe| fe.detects(&bytes)) {
+        return lift(fe);
     }
-    let Ok(text) = String::from_utf8(bytes) else {
-        return err(format!(
+    match String::from_utf8(bytes) {
+        Ok(text) => Ok(Input::Text(text)),
+        Err(_) => err(format!(
             "{}: unrecognized image magic\n{}",
             path.display(),
             frontend_listing()
-        ));
-    };
-    manta_isa::parse_source(&text).map_err(|e| CliError(e.message))
+        )),
+    }
 }
 
 fn parse_sensitivity(s: &str) -> Result<Sensitivity, CliError> {
@@ -424,11 +442,16 @@ fn client_analyze_request(
     resilience: &ResilienceOpts,
     forced: Option<&'static dyn Frontend>,
 ) -> Result<manta_serve::proto::Request, CliError> {
-    // Normalize any supported input format to canonical IR text so the
-    // daemon does not need the original file.
-    let module = load_module_as(Path::new(input), forced)?;
+    // A binary image is lifted here and sent as canonical IR text, so
+    // the daemon does not need the original file. Source text goes as it
+    // is: the daemon parses it, and answers a malformed one with the
+    // parser's position.
+    let module_text = match read_input(Path::new(input), forced)? {
+        Input::Lifted(module) => manta_ir::printer::print_module(&module),
+        Input::Text(text) => text,
+    };
     Ok(manta_serve::proto::Request::Analyze {
-        module_text: manta_ir::printer::print_module(&module),
+        module_text,
         sensitivity,
         fuel: resilience.fuel,
         deadline_ms: resilience.budget_ms,

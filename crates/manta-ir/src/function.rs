@@ -26,24 +26,27 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br(b) => vec![*b],
+    /// Successor blocks, in order: at most two, both arms of a
+    /// `condbr` even when they name one block.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let targets = match *self {
+            Terminator::Br(b) => [Some(b), None],
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
-        }
+            } => [Some(then_bb), Some(else_bb)],
+            Terminator::Ret(_) | Terminator::Unreachable => [None, None],
+        };
+        targets.into_iter().flatten()
     }
 
-    /// Values read by this terminator.
-    pub fn uses(&self) -> Vec<ValueId> {
-        match self {
-            Terminator::CondBr { cond, .. } => vec![*cond],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
+    /// The value read by this terminator, if any.
+    pub fn uses(&self) -> impl Iterator<Item = ValueId> {
+        match *self {
+            Terminator::CondBr { cond, .. } => Some(cond),
+            Terminator::Ret(v) => v,
+            Terminator::Br(_) | Terminator::Unreachable => None,
         }
+        .into_iter()
     }
 }
 
@@ -337,30 +340,35 @@ pub struct UseIndex {
 impl UseIndex {
     /// Indexes the users of every value of `func`.
     pub fn new(func: &Function) -> UseIndex {
-        let mut pairs: Vec<(ValueId, InstId)> = Vec::new();
-        for inst in &func.insts {
-            let first = pairs.len();
-            for u in inst.kind.operands() {
-                // An instruction naming `u` twice is one user.
-                if !pairs[first..].iter().any(|&(v, _)| v == u) {
-                    pairs.push((u, inst.id));
-                }
-            }
+        // An instruction naming `u` twice is one user.
+        fn distinct(kind: &InstKind) -> impl Iterator<Item = ValueId> + '_ {
+            kind.operands()
+                .enumerate()
+                .filter(move |&(i, u)| !kind.operands().take(i).any(|w| w == u))
+                .map(|(_, u)| u)
         }
-        // Stable, so each value's users stay in arena order.
-        pairs.sort_by_key(|&(v, _)| v);
         let n = func.value_count();
         let mut start = vec![0u32; n + 1];
-        for &(v, _) in &pairs {
-            start[v.index() + 1] += 1;
+        for inst in &func.insts {
+            for u in distinct(&inst.kind) {
+                start[u.index() + 1] += 1;
+            }
         }
         for v in 0..n {
             start[v + 1] += start[v];
         }
-        UseIndex {
-            start,
-            users: pairs.into_iter().map(|(_, inst)| inst).collect(),
+        // Fill each value's run in arena order from its start; `start[v]`
+        // ends at `v + 1`'s start, so one shift restores the starts.
+        let mut users = vec![InstId(0); start[n] as usize];
+        for inst in &func.insts {
+            for u in distinct(&inst.kind) {
+                users[start[u.index()] as usize] = inst.id;
+                start[u.index()] += 1;
+            }
         }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        UseIndex { start, users }
     }
 
     /// All instructions that use `v`, in arena order.
@@ -391,16 +399,27 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Br(BlockId(3)).successors(), vec![BlockId(3)]);
+        let succs = |t: &Terminator| t.successors().collect::<Vec<_>>();
+        let uses = |t: &Terminator| t.uses().collect::<Vec<_>>();
+        assert_eq!(succs(&Terminator::Br(BlockId(3))), vec![BlockId(3)]);
         let cb = Terminator::CondBr {
             cond: ValueId(0),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(cb.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(cb.uses(), vec![ValueId(0)]);
-        assert!(Terminator::Ret(None).successors().is_empty());
-        assert_eq!(Terminator::Ret(Some(ValueId(5))).uses(), vec![ValueId(5)]);
+        assert_eq!(succs(&cb), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(uses(&cb), vec![ValueId(0)]);
+        let same = Terminator::CondBr {
+            cond: ValueId(0),
+            then_bb: BlockId(4),
+            else_bb: BlockId(4),
+        };
+        assert_eq!(succs(&same), vec![BlockId(4), BlockId(4)]);
+        assert!(succs(&Terminator::Ret(None)).is_empty());
+        assert!(uses(&Terminator::Ret(None)).is_empty());
+        assert!(uses(&Terminator::Br(BlockId(3))).is_empty());
+        assert_eq!(uses(&Terminator::Ret(Some(ValueId(5)))), vec![ValueId(5)]);
+        assert!(succs(&Terminator::Unreachable).is_empty());
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! parallelism, following the repo's in-tree-substitutes convention (no
 //! external crates; `std` only).
 //!
-//! [`par_map`] is the one entry point: it maps a function over a `Vec`
-//! of items on a transient work-stealing pool and returns the results
-//! **in input order** (deterministic reduce). The pipeline uses it for
-//! its per-function stages, the refinement partitions (replayed or not)
-//! and whole-module batches; because every merge happens in input
-//! order, parallel output is bit-identical to serial.
+//! [`par_map_with`] is the one entry point: it maps a function over a
+//! `Vec` of items on a transient work-stealing pool and returns the
+//! results **in input order** (deterministic reduce). Each worker calls
+//! `init` once, the first time it takes an item, and passes that state
+//! to every item it runs, so scratch memory is allocated per worker,
+//! not per item. [`par_map`] is its stateless case. The pipeline uses
+//! them for its per-function stages, the refinement partitions
+//! (replayed or not, each worker reusing one walk scratch) and
+//! whole-module batches; because every merge happens in input order,
+//! parallel output is bit-identical to serial.
 //!
 //! ## Determinism contract
 //!
@@ -19,6 +23,10 @@
 //! runs, never how results are ordered. Callers that mutate shared
 //! state must confine themselves to commutative sinks (atomic counters,
 //! a shared [`Budget`](../manta_resilience/struct.Budget.html)).
+//! `par_map_with` keeps the contract when an item's result does not
+//! depend on what earlier items left in the state: scratch that each
+//! item resets before use, or caches of pure functions of shared
+//! inputs. Which items share a state is a scheduling decision.
 //!
 //! ## Panic and budget semantics
 //!
@@ -27,19 +35,21 @@
 //! clock) is re-raised on the calling thread after all workers have
 //! joined, and later panics are dropped. An enclosing
 //! `manta_resilience::isolate` boundary therefore observes exactly the
-//! panic a serial run would have surfaced first. Budgets are shared
+//! panic a serial run would have surfaced first. A worker drops the
+//! state an item panicked in and calls `init` again for its next item,
+//! so no item sees scratch a panic left half-updated. Budgets are shared
 //! (`Budget` is `Sync`): workers tick one budget cooperatively, and a
 //! tripped budget fails every in-flight item at its next tick.
 //!
 //! ## Thread-count policy
 //!
 //! The pool size is a process-wide setting ([`set_threads`]): `0` means
-//! "auto" (`std::thread::available_parallelism`). [`par_map`] clamps
+//! "auto" (`std::thread::available_parallelism`). [`par_map_with`] clamps
 //! the configured count to the host's cores ([`effective_threads`]):
 //! oversubscribing a core adds scheduling overhead without speedup, so
 //! `--threads 8` on a single-core box runs inline. With an effective
-//! count of 1 `par_map` degenerates to a plain inline loop — no
-//! threads, no `catch_unwind` — so `--threads 1` *is* the serial
+//! count of 1 `par_map_with` degenerates to a plain inline loop over one
+//! state — no threads, no `catch_unwind` — so `--threads 1` *is* the serial
 //! engine, not an emulation of it. Nested calls from inside a worker
 //! also run inline, so recursive parallelism cannot oversubscribe.
 
@@ -171,13 +181,7 @@ pub fn in_pool() -> bool {
 }
 
 /// Maps `f` over `items` on a work-stealing pool, returning results in
-/// input order.
-///
-/// Runs inline (plain `map`) when the effective pool size
-/// ([`effective_threads`], i.e. the configured count clamped to the
-/// host's cores) is 1, when called from inside a pool worker, or when
-/// there are fewer than two items. See the crate docs for the
-/// determinism and panic contract.
+/// input order: [`par_map_with`] without per-worker state.
 ///
 /// # Panics
 ///
@@ -189,9 +193,38 @@ where
     R: Send,
     F: Fn(I) -> R + Sync,
 {
+    par_map_with(items, || (), |_: &mut (), item| f(item))
+}
+
+/// Maps `f` over `items` on a work-stealing pool, returning results in
+/// input order. Each worker calls `init` once, when it takes its first
+/// item, and hands that state to `f` with every item it runs; after an
+/// item panics, the worker calls `init` again before its next item.
+///
+/// Runs inline (plain `map` over one state) when the effective pool
+/// size ([`effective_threads`], i.e. the configured count clamped to
+/// the host's cores) is 1, when called from inside a pool worker, or
+/// when there are fewer than two items. `init` never runs for an empty
+/// input. See the crate docs for the determinism and panic contract.
+///
+/// # Panics
+///
+/// Re-raises the panic of the lowest-indexed panicking item, after all
+/// workers have drained.
+pub fn par_map_with<I, S, R, N, F>(items: Vec<I>, init: N, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    N: Fn() -> S + Sync,
+    F: Fn(&mut S, I) -> R + Sync,
+{
     let workers = effective_threads().min(items.len());
     if workers <= 1 || in_pool() {
-        return items.into_iter().map(f).collect();
+        let mut state = None;
+        return items
+            .into_iter()
+            .map(|item| f(state.get_or_insert_with(&init), item))
+            .collect();
     }
     MAPS.incr();
     manta_telemetry::counter_set("parallel.threads", workers as u64);
@@ -244,9 +277,10 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let deques = &deques;
-                let f = &f;
+                let (init, f) = (&init, &f);
                 s.spawn(move || {
                     IN_POOL.with(|c| c.set(true));
+                    let mut state: Option<S> = None;
                     let busy = Instant::now();
                     let mut done: Vec<(usize, R)> = Vec::new();
                     let mut caught: Vec<(usize, Box<dyn std::any::Any + Send>)> = Vec::new();
@@ -275,9 +309,16 @@ where
                         let item_start = detailed.then(Instant::now);
                         for (off, item) in chunk.into_iter().enumerate() {
                             let idx = start + off;
-                            match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                            let st = state.get_or_insert_with(init);
+                            match catch_unwind(AssertUnwindSafe(|| f(st, item))) {
                                 Ok(r) => done.push((idx, r)),
-                                Err(p) => caught.push((idx, p)),
+                                Err(p) => {
+                                    // The panic may have left the state
+                                    // half-updated: the next item gets a
+                                    // fresh one.
+                                    state = None;
+                                    caught.push((idx, p));
+                                }
                             }
                         }
                         if let Some(t) = item_start {
@@ -543,6 +584,105 @@ mod tests {
         set_threads(0);
         override_host_cores(0);
         assert_eq!(after - mid, 16);
+    }
+
+    /// Runs `body` with the pool forced to `n` workers (the core-count
+    /// override lets single-core hosts spin the pool up too).
+    fn at_pool_size<T>(n: usize, body: impl FnOnce() -> T) -> T {
+        override_host_cores(n);
+        set_threads(n);
+        let out = catch_unwind(AssertUnwindSafe(body));
+        set_threads(0);
+        override_host_cores(0);
+        out.unwrap_or_else(|p| resume_unwind(p))
+    }
+
+    #[test]
+    fn par_map_with_preserves_order_and_inits_once_per_worker() {
+        let _l = config_lock();
+        for n in [1, 2, 8] {
+            for len in [0usize, 1, 7, 1000] {
+                let inits = AtomicUsize::new(0);
+                let out = at_pool_size(n, || {
+                    par_map_with(
+                        (0..len as u64).collect(),
+                        || {
+                            inits.fetch_add(1, Ordering::SeqCst);
+                            Vec::<u64>::new()
+                        },
+                        |scratch, x| {
+                            // Scratch each item resets before use.
+                            scratch.clear();
+                            scratch.extend([x, x + 1]);
+                            scratch.iter().sum::<u64>()
+                        },
+                    )
+                });
+                assert_eq!(out, (0..len as u64).map(|x| 2 * x + 1).collect::<Vec<_>>());
+                let inits = inits.load(Ordering::SeqCst);
+                assert!(
+                    inits <= n.min(len),
+                    "{inits} inits at {n} workers, {len} items"
+                );
+                assert_eq!(inits == 0, len == 0, "{n} workers, {len} items");
+            }
+        }
+    }
+
+    /// An item that panics leaves its state poisoned; the worker must
+    /// hand its next item a fresh one, and the lowest-index panic still
+    /// wins.
+    #[test]
+    fn par_map_with_reinitializes_after_a_panic() {
+        let _l = config_lock();
+        for n in [1, 2, 8] {
+            let inits = AtomicUsize::new(0);
+            let saw_poison = AtomicUsize::new(0);
+            let ran = AtomicUsize::new(0);
+            let r = at_pool_size(n, || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    par_map_with(
+                        (0..256).collect::<Vec<u32>>(),
+                        || {
+                            inits.fetch_add(1, Ordering::SeqCst);
+                            false
+                        },
+                        |poisoned, x| {
+                            ran.fetch_add(1, Ordering::SeqCst);
+                            if *poisoned {
+                                saw_poison.fetch_add(1, Ordering::SeqCst);
+                            }
+                            if x % 7 == 3 {
+                                *poisoned = true;
+                                panic!("boom at {x}");
+                            }
+                            x
+                        },
+                    )
+                }))
+            });
+            let msg = r
+                .unwrap_err()
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(msg, "boom at 3", "first panic by item index must win");
+            assert_eq!(saw_poison.load(Ordering::SeqCst), 0, "{n} workers");
+            let (inits, ran) = (inits.load(Ordering::SeqCst), ran.load(Ordering::SeqCst));
+            if n == 1 {
+                // Inline: the first panic propagates at once.
+                assert_eq!((inits, ran), (1, 4), "{n} workers");
+            } else {
+                // Every item ran; each worker inits once, then once
+                // more per panic that was not its last item.
+                assert_eq!(ran, 256, "{n} workers");
+                let panics = (0..256).filter(|x| x % 7 == 3).count();
+                assert!(
+                    (panics..=panics + n).contains(&inits),
+                    "{inits} inits at {n} workers"
+                );
+            }
+        }
     }
 
     #[test]

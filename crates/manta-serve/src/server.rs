@@ -704,9 +704,9 @@ fn run_job(
         // the connection thread.
         session.infer_source(module_text, |text| {
             manta_isa::parse_source(text).map_err(|e| MantaError::Parse {
-                line: 0,
-                col: 0,
-                message: e.message,
+                line: e.line(),
+                col: e.col(),
+                message: e.message().to_string(),
             })
         })
     });

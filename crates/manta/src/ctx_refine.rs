@@ -20,13 +20,16 @@
 //! numeric cannot be the alias source of a pointer-valued result, and vice
 //! versa.
 
+use std::hash::Hasher;
+
 use manta_analysis::cfl::{ctx_op, CtxStack, Direction};
 use manta_analysis::{DepKind, ModuleAnalysis, NodeId, VarRef};
 use manta_ir::FuncId;
 use manta_resilience::{Budget, BudgetExceeded};
 use manta_telemetry::Counter;
 
-use crate::idhash::{IdMap, IdSet};
+use crate::flow_refine::FsScratch;
+use crate::idhash::{IdHasher, IdMap};
 use crate::interval::{FirstLayer, TypeInterval};
 use crate::reveal::RevealMap;
 use crate::{InferenceResult, MantaConfig, Stage};
@@ -72,16 +75,6 @@ impl Footprint {
         }
     }
 
-    /// A recorder in the same state (on/off) as `other`, for walks whose
-    /// borrows force a separate accumulator merged back via [`absorb`].
-    ///
-    /// [`absorb`]: Footprint::absorb
-    pub(crate) fn like(other: &Footprint) -> Footprint {
-        Footprint {
-            bits: other.bits.as_ref().map(|b| vec![0; b.len()]),
-        }
-    }
-
     /// Records that the walk read function `f`'s data.
     #[inline]
     pub(crate) fn touch(&mut self, f: FuncId) {
@@ -90,23 +83,18 @@ impl Footprint {
         }
     }
 
-    /// Folds another recorder's touches into this one.
-    pub(crate) fn absorb(&mut self, other: Footprint) {
-        if let (Some(dst), Some(src)) = (&mut self.bits, other.bits) {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d |= s;
-            }
+    /// Forgets every touch, keeping the recorder on or off.
+    pub(crate) fn reset(&mut self) {
+        if let Some(bits) = &mut self.bits {
+            bits.fill(0);
         }
     }
 
     /// The recorded function set in index order (empty when recording
-    /// was off).
-    pub(crate) fn into_funcs(self) -> Vec<FuncId> {
-        let Some(bits) = self.bits else {
-            return Vec::new();
-        };
+    /// is off).
+    pub(crate) fn funcs(&self) -> Vec<FuncId> {
         let mut out = Vec::new();
-        for (w, word) in bits.into_iter().enumerate() {
+        for (w, &word) in self.bits.iter().flatten().enumerate() {
             let mut word = word;
             while word != 0 {
                 let b = word.trailing_zeros() as usize;
@@ -124,41 +112,196 @@ pub(crate) fn partition_by_func(over: &[VarRef]) -> Vec<&[VarRef]> {
     over.chunk_by(|a, b| a.func == b.func).collect()
 }
 
+/// One pool worker's refinement scratch, reused for every CS and FS
+/// partition the worker runs in a stage (`manta_parallel::par_map_with`
+/// makes one per worker). Each partition resets the memos it uses before
+/// its first candidate, so a partition's updates, fuel and footprint
+/// never depend on what ran before it on the same worker; only their
+/// storage outlives it. The FS function views are pure functions of the
+/// module and the reveals, and live as long as the scratch.
+pub(crate) struct Scratch<'a> {
+    pub(crate) analysis: &'a ModuleAnalysis,
+    pub(crate) reveals: &'a RevealMap,
+    pub(crate) config: &'a MantaConfig,
+    pub(crate) roots: RootsMemo,
+    /// CS: each root set's forward walk, this partition.
+    walks: Vec<Option<ForwardWalk>>,
+    /// CS: the nodes the current forward walk visited.
+    visited: NodeStamps<()>,
+    pub(crate) fs: FsScratch<'a>,
+}
+
+impl<'a> Scratch<'a> {
+    /// An empty scratch for refining `analysis` under `config`.
+    pub(crate) fn new(
+        analysis: &'a ModuleAnalysis,
+        reveals: &'a RevealMap,
+        config: &'a MantaConfig,
+    ) -> Scratch<'a> {
+        Scratch {
+            analysis,
+            reveals,
+            config,
+            roots: RootsMemo::new(analysis, config),
+            walks: Vec::new(),
+            visited: NodeStamps::new(analysis.ddg.node_count()),
+            fs: FsScratch::new(analysis, reveals, config),
+        }
+    }
+}
+
+/// A map from DDG nodes to `V` that empties in O(1): an entry counts only
+/// while its stamp is the current generation. With `V = ()` it is a set.
+struct NodeStamps<V> {
+    slots: Vec<(u32, V)>,
+    generation: u32,
+    len: usize,
+}
+
+impl<V: Copy + Default> NodeStamps<V> {
+    /// An empty map over `n` nodes.
+    fn new(n: usize) -> NodeStamps<V> {
+        NodeStamps {
+            slots: vec![(0, V::default()); n],
+            generation: 1,
+            len: 0,
+        }
+    }
+
+    /// Removes every entry.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // A stamp 2^32 generations old would read as current.
+            self.slots.fill((0, V::default()));
+            self.generation = 1;
+        }
+    }
+
+    /// `n`'s value, if it has one.
+    fn get(&self, n: NodeId) -> Option<V> {
+        let (stamp, v) = self.slots[n.index()];
+        (stamp == self.generation).then_some(v)
+    }
+
+    /// Maps `n` to `v`; whether `n` had no value before.
+    fn insert(&mut self, n: NodeId, v: V) -> bool {
+        let slot = &mut self.slots[n.index()];
+        let fresh = slot.0 != self.generation;
+        self.len += usize::from(fresh);
+        *slot = (self.generation, v);
+        fresh
+    }
+
+    /// How many nodes have a value.
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// Identifies one interned root set of a [`RootsMemo`].
 pub(crate) type RootSet = usize;
 
+/// Ends a [`RootsMemo`] hash chain.
+const NO_SET: u32 = u32::MAX;
+
 /// One partition's `FIND_ROOTS` memo. Root sets are interned, so the
 /// candidates whose roots coincide share one [`RootSet`] id: the key CS
-/// replays forward walks by and FS memoizes alias answers by.
-#[derive(Default)]
+/// replays forward walks by and FS memoizes alias answers by. A worker
+/// keeps one and [`reset`](RootsMemo::reset)s it per partition.
 pub(crate) struct RootsMemo {
-    of_node: IdMap<NodeId, RootSet>,
-    /// Interned root sets, each sorted ascending.
-    sets: Vec<Vec<NodeId>>,
-    ids: IdMap<Vec<NodeId>, RootSet>,
+    /// Each start node's root set, this partition.
+    of_node: NodeStamps<u32>,
+    /// The interned root sets, each sorted ascending: set `i` is
+    /// `arena[spans[i].0..spans[i].1]`.
+    arena: Vec<NodeId>,
+    spans: Vec<(u32, u32)>,
+    /// The last set interned with each slice hash; `same_hash[i]` is the
+    /// set interned before `i` with `i`'s hash, or [`NO_SET`].
+    by_hash: IdMap<u64, u32>,
+    same_hash: Vec<u32>,
     /// Scratch reused by every backward walk.
-    visited: IdSet<NodeId>,
+    visited: NodeStamps<()>,
     found: Vec<NodeId>,
+    ctx: CtxStack,
 }
 
 impl RootsMemo {
+    /// An empty memo for `analysis`'s nodes under `config`'s caps.
+    pub(crate) fn new(analysis: &ModuleAnalysis, config: &MantaConfig) -> RootsMemo {
+        let n = analysis.ddg.node_count();
+        RootsMemo {
+            of_node: NodeStamps::new(n),
+            arena: Vec::new(),
+            spans: Vec::new(),
+            by_hash: IdMap::default(),
+            same_hash: Vec::new(),
+            visited: NodeStamps::new(n),
+            found: Vec::new(),
+            ctx: CtxStack::new(config.max_ctx_depth),
+        }
+    }
+
+    /// Forgets every root set: the start of a partition.
+    pub(crate) fn reset(&mut self) {
+        self.of_node.clear();
+        self.arena.clear();
+        self.spans.clear();
+        self.by_hash.clear();
+        self.same_hash.clear();
+    }
+
     /// The roots of set `id`, ascending.
     pub(crate) fn set(&self, id: RootSet) -> &[NodeId] {
-        &self.sets[id]
+        let (lo, hi) = self.spans[id];
+        &self.arena[lo as usize..hi as usize]
     }
 
     /// Whether sets `a` and `b` share a root (the alias check of
     /// Algorithm 2, line 14).
     pub(crate) fn intersect(&self, a: RootSet, b: RootSet) -> bool {
         a == b
-            || self.sets[a]
+            || self
+                .set(a)
                 .iter()
-                .any(|r| self.sets[b].binary_search(r).is_ok())
+                .any(|r| self.set(b).binary_search(r).is_ok())
     }
 
     /// How many distinct root sets the memo holds.
     pub(crate) fn len(&self) -> usize {
-        self.sets.len()
+        self.spans.len()
+    }
+
+    /// The roots of set `id` beside the context stack, for a walk from
+    /// each of them.
+    fn walk_from(&mut self, id: RootSet) -> (&[NodeId], &mut CtxStack) {
+        let (lo, hi) = self.spans[id];
+        (&self.arena[lo as usize..hi as usize], &mut self.ctx)
+    }
+
+    /// The id of the set in `found` (sorted), interning it if new.
+    fn intern_found(&mut self) -> RootSet {
+        let mut h = IdHasher::default();
+        for n in &self.found {
+            h.write_u32(n.0);
+        }
+        let hash = h.finish();
+        let head = self.by_hash.get(&hash).copied().unwrap_or(NO_SET);
+        let mut at = head;
+        while at != NO_SET {
+            if self.set(at as RootSet) == self.found.as_slice() {
+                return at as RootSet;
+            }
+            at = self.same_hash[at as usize];
+        }
+        let id = self.spans.len();
+        let lo = self.arena.len() as u32;
+        self.arena.extend_from_slice(&self.found);
+        self.spans.push((lo, self.arena.len() as u32));
+        self.same_hash.push(head);
+        self.by_hash.insert(hash, id as u32);
+        id
     }
 }
 
@@ -199,10 +342,11 @@ struct ForwardWalk {
     visits: u64,
 }
 
-/// Refines one per-function candidate partition. Fuel is charged exactly
-/// as the historical serial loop: one unit per candidate plus the size of
-/// its forward walk. With an enabled `fp`, records every function whose
-/// data the walks read (the summary cache's reuse precondition).
+/// Refines one per-function candidate partition through a worker's
+/// `scratch`. Fuel is charged exactly as the historical serial loop: one
+/// unit per candidate plus the size of its forward walk. With an enabled
+/// `fp`, records every function whose data the walks read (the summary
+/// cache's reuse precondition).
 ///
 /// The forward walk of Algorithm 1 starts from every root of a candidate
 /// on an empty context stack with an empty visited set, so its outcome,
@@ -211,23 +355,30 @@ struct ForwardWalk {
 /// touch, because the walk that filled the entry touched this partition's
 /// footprint already.
 pub(crate) fn refine_chunk(
-    analysis: &ModuleAnalysis,
-    reveals: &RevealMap,
-    config: &MantaConfig,
+    scratch: &mut Scratch<'_>,
     result: &InferenceResult,
     budget: &Budget,
     chunk: &[VarRef],
     fp: &mut Footprint,
 ) -> Result<CsChunkOut, BudgetExceeded> {
-    let mut roots = RootsMemo::default();
-    let mut memo: Vec<Option<ForwardWalk>> = Vec::new();
-    let mut visited: IdSet<NodeId> = IdSet::default();
+    let Scratch {
+        analysis,
+        reveals,
+        config,
+        roots,
+        walks: memo,
+        visited,
+        ..
+    } = scratch;
+    let (analysis, reveals, config) = (*analysis, *reveals, *config);
+    roots.reset();
+    memo.clear();
     let mut walks = CsWalks::default();
     let mut updates: Vec<(VarRef, TypeInterval)> = Vec::new();
     for &v in chunk {
         budget.tick()?;
         fp.touch(v.func);
-        let set = find_roots_traced(analysis, result, config, v, &mut roots, fp);
+        let set = find_roots_traced(analysis, result, config, v, roots, fp);
         memo.resize_with(roots.len(), || None);
         if memo[set].is_some() {
             walks.reused += 1;
@@ -235,15 +386,16 @@ pub(crate) fn refine_chunk(
             walks.run += 1;
             visited.clear();
             let mut interval = None;
-            for &root in roots.set(set) {
+            let (set_roots, ctx) = roots.walk_from(set);
+            for &root in set_roots {
                 collect_types(
                     analysis,
                     reveals,
                     result,
                     config,
                     root,
-                    &mut CtxStack::new(config.max_ctx_depth),
-                    &mut visited,
+                    ctx,
+                    visited,
                     &mut interval,
                     fp,
                 );
@@ -279,11 +431,12 @@ pub(crate) fn find_roots(
 }
 
 /// [`find_roots`] with footprint recording, returning the interned set.
-/// The memo lives in one partition, and so does the footprint: the walk
-/// that seeded an entry touched `fp` when it ran, so a hit, and every walk
-/// the other candidates of a root set replay from it, needs no touch of
-/// its own. The memo must never outlive the partition whose footprint
-/// recorded it.
+/// The memo's entries live in one partition, and so does the footprint:
+/// the walk that seeded an entry touched `fp` when it ran, so a hit, and
+/// every walk the other candidates of a root set replay from it, needs no
+/// touch of its own. The entries must never outlive the partition whose
+/// footprint recorded them, so every partition starts with
+/// [`RootsMemo::reset`].
 pub(crate) fn find_roots_traced(
     analysis: &ModuleAnalysis,
     result: &InferenceResult,
@@ -293,8 +446,8 @@ pub(crate) fn find_roots_traced(
     fp: &mut Footprint,
 ) -> RootSet {
     let start = analysis.ddg.node(v);
-    if let Some(&id) = memo.of_node.get(&start) {
-        return id;
+    if let Some(id) = memo.of_node.get(start) {
+        return id as RootSet;
     }
     memo.visited.clear();
     memo.found.clear();
@@ -303,7 +456,7 @@ pub(crate) fn find_roots_traced(
         analysis,
         result,
         start,
-        &mut CtxStack::new(config.max_ctx_depth),
+        &mut memo.ctx,
         &mut memo.visited,
         &mut memo.found,
         &mut budget,
@@ -314,16 +467,8 @@ pub(crate) fn find_roots_traced(
     }
     // Each root is found once: the visited set guards the walk.
     memo.found.sort_unstable();
-    let id = match memo.ids.get(&memo.found) {
-        Some(&id) => id,
-        None => {
-            let id = memo.sets.len();
-            memo.sets.push(memo.found.clone());
-            memo.ids.insert(memo.found.clone(), id);
-            id
-        }
-    };
-    memo.of_node.insert(start, id);
+    let id = memo.intern_found();
+    memo.of_node.insert(start, id as u32);
     id
 }
 
@@ -333,12 +478,12 @@ fn walk_roots(
     result: &InferenceResult,
     node: NodeId,
     ctx: &mut CtxStack,
-    visited: &mut IdSet<NodeId>,
+    visited: &mut NodeStamps<()>,
     roots: &mut Vec<NodeId>,
     budget: &mut usize,
     fp: &mut Footprint,
 ) {
-    if !visited.insert(node) || *budget == 0 {
+    if !visited.insert(node, ()) || *budget == 0 {
         return;
     }
     *budget -= 1;
@@ -380,11 +525,11 @@ fn collect_types(
     config: &MantaConfig,
     node: NodeId,
     ctx: &mut CtxStack,
-    visited: &mut IdSet<NodeId>,
+    visited: &mut NodeStamps<()>,
     out: &mut Option<TypeInterval>,
     fp: &mut Footprint,
 ) {
-    if !visited.insert(node) || visited.len() > config.max_visits {
+    if !visited.insert(node, ()) || visited.len() > config.max_visits {
         return;
     }
     let v = analysis.ddg.var(node);
@@ -590,11 +735,10 @@ pub(crate) mod tests {
         let result = crate::flow_insensitive::run(&analysis, &reveals, config);
         let over = classify::over_approximated(&result);
         let mut walks = CsWalks::default();
+        let mut scratch = Scratch::new(&analysis, &reveals, &config);
         for chunk in partition_by_func(&over) {
             let (_, chunk_walks) = refine_chunk(
-                &analysis,
-                &reveals,
-                &config,
+                &mut scratch,
                 &result,
                 &Budget::unlimited(),
                 chunk,
@@ -605,6 +749,26 @@ pub(crate) mod tests {
         }
         assert!(walks.reused > 0, "no candidate reused a walk: {walks:?}");
         assert_eq!(walks.run + walks.reused, over.len() as u64);
+    }
+
+    /// Clearing empties the map in O(1), including when the generation
+    /// wraps, where a stamp left from 2^32 generations ago must not read
+    /// as current.
+    #[test]
+    fn node_stamps_clear_across_generation_wrap() {
+        let mut stamps: NodeStamps<u32> = NodeStamps::new(3);
+        assert!(stamps.insert(NodeId(0), 7));
+        assert!(!stamps.insert(NodeId(0), 8));
+        assert_eq!((stamps.get(NodeId(0)), stamps.len()), (Some(8), 1));
+        stamps.clear();
+        assert_eq!((stamps.get(NodeId(0)), stamps.len()), (None, 0));
+        stamps.generation = u32::MAX;
+        stamps.insert(NodeId(1), 5);
+        stamps.clear();
+        assert_eq!(stamps.generation, 1);
+        assert_eq!(stamps.get(NodeId(1)), None);
+        assert!(stamps.insert(NodeId(1), 6));
+        assert_eq!((stamps.get(NodeId(1)), stamps.len()), (Some(6), 1));
     }
 
     #[test]
@@ -627,7 +791,7 @@ pub(crate) mod tests {
         let reveals = RevealMap::collect(&analysis);
         let config = MantaConfig::full();
         let result = crate::flow_insensitive::run(&analysis, &reveals, config);
-        let mut cache = RootsMemo::default();
+        let mut cache = RootsMemo::new(&analysis, &config);
         let roots = find_roots(&analysis, &result, &config, VarRef::new(fid, r), &mut cache);
         let off_node = analysis.ddg.node(VarRef::new(fid, off));
         assert!(

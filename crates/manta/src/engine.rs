@@ -50,7 +50,7 @@ use manta_store::{Key, StoreError};
 use crate::cache::{
     config_hash, encode_alias, encode_result, fingerprints, source_fingerprint, AnalysisCache,
 };
-use crate::ctx_refine::Footprint;
+use crate::ctx_refine::{Footprint, Scratch};
 use crate::interval::TypeInterval;
 use crate::provenance::ProvenanceGraph;
 use crate::reveal::RevealMap;
@@ -152,11 +152,13 @@ fn run_step(
 }
 
 /// The CS / FS step (Algorithms 1 and 2): partitions `V_O` by function
-/// and refines each partition against the frozen `result` on the pool.
-/// What a partition memoizes (roots, root-set walks and alias answers,
-/// function views) is a pure function of the frozen inputs and lives
-/// only as long as the partition, so pool workers share nothing mutable,
-/// no answer depends on which partition computed it, and the updates
+/// and refines each partition against the frozen `result` on the pool,
+/// each worker through one [`Scratch`] it reuses for every partition it
+/// runs. What a partition memoizes (roots, root-set walks and alias
+/// answers) is a pure function of the frozen inputs and is reset at the
+/// partition's start, and the function views a worker keeps for the
+/// stage are pure functions of the module and the reveals, so no answer
+/// depends on which worker or partition computed it, and the updates
 /// merge back in partition (= function) order. With a `memo`, clean
 /// partitions replay from the summary state and only the dirty ones run
 /// (see [`Memo::refine`]), merged in the same order.
@@ -178,12 +180,12 @@ fn refine(
     let candidates = if cs { "cs.candidates" } else { "fs.candidates" };
     manta_telemetry::counter(candidates, over.len() as u64);
     let chunks = ctx_refine::partition_by_func(&over);
-    let run = |chunk: &[VarRef], fp: &mut Footprint| {
+    let init = || Scratch::new(analysis, reveals, config);
+    let run = |scratch: &mut Scratch<'_>, chunk: &[VarRef], fp: &mut Footprint| {
         if !cs {
-            return flow_refine::refine_chunk(analysis, reveals, config, result, budget, chunk, fp);
+            return flow_refine::refine_chunk(scratch, result, budget, chunk, fp);
         }
-        let (vars, walks) =
-            ctx_refine::refine_chunk(analysis, reveals, config, result, budget, chunk, fp)?;
+        let (vars, walks) = ctx_refine::refine_chunk(scratch, result, budget, chunk, fp)?;
         walks.emit();
         Ok(Refinement {
             vars,
@@ -191,11 +193,13 @@ fn refine(
         })
     };
     if let Some(memo) = memo {
-        return memo.refine(stage, analysis, result, chunks, run);
+        return memo.refine(stage, analysis, result, chunks, init, run);
     }
-    let outs = manta_parallel::par_map(chunks, |chunk| run(chunk, &mut Footprint::off()))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    let outs = manta_parallel::par_map_with(chunks, init, |scratch, chunk| {
+        run(scratch, chunk, &mut Footprint::off())
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let mut delta = Refinement {
         vars: Vec::with_capacity(outs.iter().map(|o| o.vars.len()).sum()),
         sites: Vec::with_capacity(outs.iter().map(|o| o.sites.len()).sum()),
@@ -210,7 +214,7 @@ fn refine(
 /// Commits a refinement delta: the site intervals, then the variable
 /// intervals, re-classifying only the updated variables, and the stage's
 /// classification counts.
-fn commit(
+pub(crate) fn commit(
     stage: Stage,
     analysis: &ModuleAnalysis,
     result: &mut InferenceResult,

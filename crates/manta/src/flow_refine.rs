@@ -19,9 +19,9 @@ use manta_ir::{BlockId, FuncId, InstId, Type, UseIndex, ValueKind};
 use manta_resilience::{Budget, BudgetExceeded};
 
 use crate::classify;
-use crate::ctx_refine::{find_roots_traced, Footprint, RootsMemo};
+use crate::ctx_refine::{find_roots_traced, Footprint, RootSet, Scratch};
 use crate::engine::Refinement;
-use crate::idhash::{IdMap, IdSet};
+use crate::idhash::IdMap;
 use crate::interval::TypeInterval;
 use crate::reveal::{Reveal, RevealMap};
 use crate::{InferenceResult, MantaConfig, Stage};
@@ -38,19 +38,42 @@ pub fn refine(
     crate::engine::refine_in_place(Stage::FlowRefine, analysis, reveals, config, result);
 }
 
-/// Runs Algorithm 2 over one per-function candidate partition. Fuel is
-/// charged exactly as the historical serial loop: one unit per candidate
-/// plus one per inspected def/use site. With an enabled `fp`, records
-/// every function whose data the walks read.
+/// What FS keeps in a worker's [`Scratch`]: the partition's alias
+/// answers and site intervals, and the site walker with its stage-long
+/// function views.
+pub(crate) struct FsScratch<'a> {
+    /// The alias answers of this partition, by root set and queried node.
+    answers: IdMap<(RootSet, NodeId), bool>,
+    /// The current candidate's site intervals, in site order.
+    site_intervals: Vec<(Option<InstId>, TypeInterval)>,
+    walker: SiteWalker<'a>,
+}
+
+impl<'a> FsScratch<'a> {
+    pub(crate) fn new(
+        analysis: &'a ModuleAnalysis,
+        reveals: &'a RevealMap,
+        config: &'a MantaConfig,
+    ) -> FsScratch<'a> {
+        FsScratch {
+            answers: IdMap::default(),
+            site_intervals: Vec::new(),
+            walker: SiteWalker::new(analysis, reveals, config, true),
+        }
+    }
+}
+
+/// Runs Algorithm 2 over one per-function candidate partition through a
+/// worker's `scratch`. Fuel is charged exactly as the historical serial
+/// loop: one unit per candidate plus one per inspected def/use site. With
+/// an enabled `fp`, records every function whose data the walks read.
 ///
 /// Every site walk runs on its own, with a fresh whole-block memo and
 /// the full `max_visits` budget. What the walks of candidates with one
 /// root set share is the alias check of line 14, a function of the set,
 /// so its answers are memoized per set.
 pub(crate) fn refine_chunk(
-    analysis: &ModuleAnalysis,
-    reveals: &RevealMap,
-    config: &MantaConfig,
+    scratch: &mut Scratch<'_>,
     result: &InferenceResult,
     budget: &Budget,
     chunk: &[VarRef],
@@ -60,62 +83,68 @@ pub(crate) fn refine_chunk(
     let Some(first) = chunk.first() else {
         return Ok(out);
     };
+    let Scratch {
+        analysis,
+        config,
+        roots,
+        fs:
+            FsScratch {
+                answers,
+                site_intervals,
+                walker,
+            },
+        ..
+    } = scratch;
+    let (analysis, config) = (*analysis, *config);
+    roots.reset();
+    answers.clear();
     let func = analysis.module().function(first.func);
     let uses = UseIndex::new(func);
-    let mut roots = RootsMemo::default();
-    // The alias answers against each root set, by queried node.
-    let mut answers: Vec<IdMap<NodeId, bool>> = Vec::new();
-    let mut walker = SiteWalker::new(analysis, reveals, config, true);
     for &v in chunk {
         budget.tick()?;
         fp.touch(v.func);
-        let set = find_roots_traced(analysis, result, config, v, &mut roots, fp);
-        answers.resize_with(roots.len(), IdMap::default);
+        let set = find_roots_traced(analysis, result, config, v, roots, fp);
         // Def site plus each use site (Algorithm 2 line 7).
         let def_site = func.def_inst(v.value);
-        let first_site = out.sites.len();
-        let mut site_intervals: Vec<(Option<InstId>, TypeInterval)> = Vec::new();
+        site_intervals.clear();
         for site in sites(def_site, uses.users(v.value)) {
             budget.tick()?;
-            // The walker records into its own footprint (the alias check
-            // borrows `fp`), folded back in after the walk.
-            let mut walk_fp = Footprint::like(fp);
-            let answers = &mut answers[set];
-            let interval = walker.walk(v.func, site, &mut walk_fp, &mut |u| {
+            let interval = walker.walk(v.func, site, fp, &mut |u, fp| {
                 // The alias check of line 14: FIND_ROOTS(u) ∩ roots ≠ ∅.
                 let n = analysis.ddg.node(u);
-                if let Some(&b) = answers.get(&n) {
+                if let Some(&b) = answers.get(&(set, n)) {
                     return b;
                 }
-                let ur = find_roots_traced(analysis, result, config, u, &mut roots, fp);
+                let ur = find_roots_traced(analysis, result, config, u, roots, fp);
                 let b = roots.intersect(ur, set);
-                answers.insert(n, b);
+                answers.insert((set, n), b);
                 b
             });
-            fp.absorb(walk_fp);
-            let Some(interval) = interval else {
-                continue;
-            };
-            if let Some(s) = site {
-                out.sites.push(((v, s), interval.clone()));
+            if let Some(interval) = interval {
+                site_intervals.push((site, interval));
             }
-            site_intervals.push((site, interval));
         }
-        // In site order, so the stage's delta comes out sorted.
-        out.sites[first_site..].sort_by_key(|(k, _)| *k);
         // Variable-level: prefer the def-site result; otherwise merge all
         // site results; with no reachable hint anywhere the type is lost.
-        let def_result = site_intervals
-            .iter()
-            .find(|(s, _)| *s == def_site)
-            .map(|(_, i)| i.clone());
-        let var_interval = def_result.unwrap_or_else(|| {
-            let mut merged = TypeInterval::unknown();
-            for (_, i) in &site_intervals {
-                merged.merge(i);
+        let var_interval = match site_intervals.iter().find(|(s, _)| *s == def_site) {
+            Some((_, i)) => i.clone(),
+            None => {
+                let mut merged = TypeInterval::unknown();
+                for (_, i) in site_intervals.iter() {
+                    merged.merge(i);
+                }
+                merged
             }
-            merged
-        });
+        };
+        // The `v@s` results, in site order so the stage's delta comes out
+        // sorted (a parameter's entry site is not one).
+        let first_site = out.sites.len();
+        out.sites.extend(
+            site_intervals
+                .drain(..)
+                .filter_map(|(site, i)| Some(((v, site?), i))),
+        );
+        out.sites[first_site..].sort_by_key(|(k, _)| *k);
         // When no hint is CFG-reachable at any site the type is lost: the
         // variable drops back to the unknown sentinel (the aggressive
         // behavior §6.4 attributes to flow-sensitive refinement).
@@ -189,14 +218,15 @@ pub fn standalone_fs_budgeted(
 
     // Each function's variables consult only the (frozen) alias classes and
     // the reveal map, so the per-function site walks fan out across the
-    // pool; updates merge back in function order.
+    // pool, one walker per worker; updates merge back in function order.
     let func_ids: Vec<FuncId> = analysis.module().functions().map(|f| f.id()).collect();
     let alias_of = |v: VarRef| alias_class[ddg.node(v).index()];
-    let per_func: Vec<Result<Refinement, BudgetExceeded>> =
-        manta_parallel::par_map(func_ids, |fid| {
+    let per_func: Vec<Result<Refinement, BudgetExceeded>> = manta_parallel::par_map_with(
+        func_ids,
+        || SiteWalker::new(analysis, reveals, config, false),
+        |walker, fid| {
             let func = analysis.module().function(fid);
             let uses = UseIndex::new(func);
-            let mut walker = SiteWalker::new(analysis, reveals, config, false);
             let mut out = Refinement::default();
             for (value, data) in func.values() {
                 if matches!(data.kind, ValueKind::Const(_)) {
@@ -209,9 +239,11 @@ pub fn standalone_fs_budgeted(
                 let mut var_interval: Option<TypeInterval> = None;
                 for site in sites(def_site, uses.users(value)) {
                     budget.tick()?;
-                    let Some(interval) = walker.walk(fid, site, &mut Footprint::off(), &mut |u| {
-                        alias_of(u) == class
-                    }) else {
+                    let Some(interval) =
+                        walker.walk(fid, site, &mut Footprint::off(), &mut |u, _| {
+                            alias_of(u) == class
+                        })
+                    else {
                         continue;
                     };
                     if let Some(s) = site {
@@ -229,7 +261,8 @@ pub fn standalone_fs_budgeted(
                 }
             }
             Ok(out)
-        });
+        },
+    );
     let per_func = per_func.into_iter().collect::<Result<Vec<_>, _>>()?;
     let mut result = InferenceResult::over(analysis, *config);
     result
@@ -249,16 +282,32 @@ pub fn standalone_fs_budgeted(
 }
 
 /// One function's CFG, instruction positions and reveals by site, built
-/// the first time a partition's walks enter the function.
+/// the first time a worker's walks enter the function and kept for the
+/// rest of the stage (they depend only on the module and the reveals),
+/// plus the per-block state of the walk in progress.
 struct FuncView<'a> {
     cfg: Cfg,
     /// Instruction index → (block, index in block).
-    position: Vec<(BlockId, usize)>,
+    position: Vec<(BlockId, u32)>,
     /// `revealed[at[i]..at[i + 1]]` are the reveals at instruction `i`,
     /// in [`RevealMap`] order, so the first one naming a value is that
     /// value's first reveal at the instruction (`type_annotation(v@s)`).
     at: Vec<u32>,
     revealed: &'a [Reveal],
+    /// Per block, stamped with the walk they belong to.
+    blocks: Vec<BlockMemo>,
+}
+
+/// One block's state in a walk: a field counts only while its stamp is
+/// the current walk's.
+#[derive(Clone, Copy, Default)]
+struct BlockMemo {
+    /// The walk that scanned the whole block, appending `out[lo..hi]`.
+    scanned: u32,
+    lo: u32,
+    hi: u32,
+    /// The walk on whose recursion stack the block is (the cycle guard).
+    active: u32,
 }
 
 impl<'a> FuncView<'a> {
@@ -268,7 +317,7 @@ impl<'a> FuncView<'a> {
         let mut position = vec![(BlockId(u32::MAX), 0); n];
         for b in func.blocks() {
             for (i, &inst) in b.insts.iter().enumerate() {
-                position[inst.index()] = (b.id, i);
+                position[inst.index()] = (b.id, i as u32);
             }
         }
         // A function's reveals are in instruction order, which is site
@@ -287,6 +336,7 @@ impl<'a> FuncView<'a> {
             position,
             at,
             revealed,
+            blocks: vec![BlockMemo::default(); func.block_count()],
         }
     }
 
@@ -295,25 +345,27 @@ impl<'a> FuncView<'a> {
     }
 }
 
+/// Marks a function without a view in [`SiteWalker::view_of`].
+const NO_VIEW: u32 = u32::MAX;
+
 /// `REACHABLE_TYPES(s, roots)` (Algorithm 2, lines 12–23): the backward
-/// CFG walks of one partition, with the function views and scratch they
+/// CFG walks of one worker, with the function views and scratch they
 /// reuse.
 struct SiteWalker<'a> {
     analysis: &'a ModuleAnalysis,
     reveals: &'a RevealMap,
     config: &'a MantaConfig,
     cross_callers: bool,
-    view_of: IdMap<FuncId, usize>,
+    /// Each function's index in `views`, or [`NO_VIEW`].
+    view_of: Vec<u32>,
     views: Vec<FuncView<'a>>,
     /// The types the current walk reached, in order.
     out: Vec<&'a Type>,
-    /// The current walk's whole-block memo: the range of `out` a scan of
-    /// the block appended, replayed by copying that range.
-    blocks: IdMap<(FuncId, BlockId), (usize, usize)>,
     /// Block scans left to the current walk.
     budget: usize,
-    /// Blocks on the recursion stack (cycle guard; empty between walks).
-    active: IdSet<(FuncId, BlockId)>,
+    /// The current walk's stamp on [`BlockMemo`]s; 0 is no walk's.
+    walk: u32,
+    ctx: CtxStack,
 }
 
 impl<'a> SiteWalker<'a> {
@@ -328,84 +380,86 @@ impl<'a> SiteWalker<'a> {
             reveals,
             config,
             cross_callers,
-            view_of: IdMap::default(),
+            view_of: vec![NO_VIEW; analysis.module().function_count()],
             views: Vec::new(),
             out: Vec::new(),
-            blocks: IdMap::default(),
             budget: 0,
-            active: IdSet::default(),
+            walk: 0,
+            ctx: CtxStack::new(config.max_ctx_depth),
         }
     }
 
     /// Walks backward from `site` (or, for `None`, the def site of a
     /// parameter, from the function entry) with a fresh memo and the full
     /// `max_visits` budget. Returns the interval the types it reaches
-    /// absorb into.
+    /// absorb into. `alias` answers line 14's check and may record into
+    /// the walk's footprint `fp`.
     fn walk(
         &mut self,
         func: FuncId,
         site: Option<InstId>,
         fp: &mut Footprint,
-        alias: &mut impl FnMut(VarRef) -> bool,
+        alias: &mut impl FnMut(VarRef, &mut Footprint) -> bool,
     ) -> Option<TypeInterval> {
         self.out.clear();
-        self.blocks.clear();
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            // A stamp 2^32 walks old would read as current.
+            for view in &mut self.views {
+                view.blocks.fill(BlockMemo::default());
+            }
+            self.walk = 1;
+        }
         self.budget = self.config.max_visits;
-        let mut walk = Walk {
-            ctx: CtxStack::new(self.config.max_ctx_depth),
-            fp,
-        };
         match site {
             Some(s) => {
-                let (block, idx) = self.position(func, s);
-                self.scan_block(&mut walk, func, block, Some(idx), alias);
+                let view = self.view_index(func);
+                let (block, idx) = self.views[view].position[s.index()];
+                self.scan_block(fp, func, block, Some(idx as usize), alias);
             }
-            None => self.cross_to_callers(&mut walk, func, alias),
+            None => self.cross_to_callers(fp, func, alias),
         }
         absorb_all(&self.out)
     }
 
     /// The index of `f`'s view, building it on first use.
     fn view_index(&mut self, f: FuncId) -> usize {
-        if let Some(&i) = self.view_of.get(&f) {
-            return i;
+        let slot = &mut self.view_of[f.index()];
+        if *slot == NO_VIEW {
+            *slot = self.views.len() as u32;
+            self.views
+                .push(FuncView::new(self.analysis, self.reveals, f));
         }
-        self.views
-            .push(FuncView::new(self.analysis, self.reveals, f));
-        self.view_of.insert(f, self.views.len() - 1);
-        self.views.len() - 1
-    }
-
-    /// The block of instruction `inst` of `f` and its index there.
-    fn position(&mut self, f: FuncId, inst: InstId) -> (BlockId, usize) {
-        let i = self.view_index(f);
-        self.views[i].position[inst.index()]
+        *slot as usize
     }
 
     /// Collects the first reveals along every backward path from the
     /// given position (the block's end for `from_idx == None`). Whole-block
-    /// scans are memoized per `(func, block)`.
+    /// scans are memoized per block for the rest of the walk.
     fn scan_block(
         &mut self,
-        walk: &mut Walk<'_>,
+        fp: &mut Footprint,
         func: FuncId,
         block: BlockId,
         from_idx: Option<usize>,
-        alias: &mut impl FnMut(VarRef) -> bool,
+        alias: &mut impl FnMut(VarRef, &mut Footprint) -> bool,
     ) {
+        let view = self.view_index(func);
         let whole = from_idx.is_none();
-        if whole {
-            if let Some(&(lo, hi)) = self.blocks.get(&(func, block)) {
-                self.out.extend_from_within(lo..hi);
-                return;
-            }
-        }
-        if self.budget == 0 || (whole && !self.active.insert((func, block))) {
+        let memo = self.views[view].blocks[block.index()];
+        if whole && memo.scanned == self.walk {
+            self.out
+                .extend_from_within(memo.lo as usize..memo.hi as usize);
             return;
         }
+        if self.budget == 0 || (whole && memo.active == self.walk) {
+            return;
+        }
+        if whole {
+            self.views[view].blocks[block.index()].active = self.walk;
+        }
         self.budget -= 1;
-        walk.fp.touch(func);
-        let view = self.view_index(func);
+        fp.touch(func);
         let analysis = self.analysis;
         let f = analysis.module().function(func);
         let insts = &f.block(block).insts;
@@ -427,7 +481,7 @@ impl<'a> SiteWalker<'a> {
                     continue;
                 }
                 if let Some(r) = here.iter().find(|r| r.value == u) {
-                    if alias(VarRef::new(func, u)) {
+                    if alias(VarRef::new(func, u), fp) {
                         self.out.push(&r.ty);
                     }
                 }
@@ -442,32 +496,36 @@ impl<'a> SiteWalker<'a> {
             }
         }
         if !found {
-            self.continue_upward(walk, func, block, view, alias);
+            self.continue_upward(fp, func, block, view, alias);
         }
         if whole {
-            self.active.remove(&(func, block));
-            self.blocks.insert((func, block), (start, self.out.len()));
+            self.views[view].blocks[block.index()] = BlockMemo {
+                scanned: self.walk,
+                lo: start as u32,
+                hi: self.out.len() as u32,
+                active: 0,
+            };
         }
     }
 
     fn continue_upward(
         &mut self,
-        walk: &mut Walk<'_>,
+        fp: &mut Footprint,
         func: FuncId,
         block: BlockId,
         view: usize,
-        alias: &mut impl FnMut(VarRef) -> bool,
+        alias: &mut impl FnMut(VarRef, &mut Footprint) -> bool,
     ) {
         let cfg = &self.views[view].cfg;
         if cfg.preds(block).is_empty() {
             if block == cfg.entry() && self.cross_callers {
-                self.cross_to_callers(walk, func, alias);
+                self.cross_to_callers(fp, func, alias);
             }
             return;
         }
         for k in 0..self.views[view].cfg.preds(block).len() {
             let p = self.views[view].cfg.preds(block)[k];
-            self.scan_block(walk, func, p, None, alias);
+            self.scan_block(fp, func, p, None, alias);
         }
     }
 
@@ -475,34 +533,28 @@ impl<'a> SiteWalker<'a> {
     /// (line 18's `CFG.parents` at entry), popping the context.
     fn cross_to_callers(
         &mut self,
-        walk: &mut Walk<'_>,
+        fp: &mut Footprint,
         func: FuncId,
-        alias: &mut impl FnMut(VarRef) -> bool,
+        alias: &mut impl FnMut(VarRef, &mut Footprint) -> bool,
     ) {
         // The caller list is part of `func`'s call-graph adjacency, which
         // its input fingerprint covers — so consulting it (even when
         // empty) makes `func` part of the footprint.
-        walk.fp.touch(func);
+        fp.touch(func);
         let analysis = self.analysis;
         for edge in analysis.callgraph.callers(func) {
             let op = CtxOp::Pop(CallSite {
                 caller: edge.caller,
                 site: edge.site,
             });
-            if walk.ctx.enter(op) {
-                let (block, idx) = self.position(edge.caller, edge.site);
-                self.scan_block(walk, edge.caller, block, Some(idx), alias);
-                walk.ctx.leave(op);
+            if self.ctx.enter(op) {
+                let view = self.view_index(edge.caller);
+                let (block, idx) = self.views[view].position[edge.site.index()];
+                self.scan_block(fp, edge.caller, block, Some(idx as usize), alias);
+                self.ctx.leave(op);
             }
         }
     }
-}
-
-/// The state of one walk in progress.
-struct Walk<'w> {
-    ctx: CtxStack,
-    /// Functions whose blocks or caller lists this walk consulted.
-    fp: &'w mut Footprint,
 }
 
 #[cfg(test)]
@@ -668,11 +720,13 @@ mod tests {
         assert!(matches!(fs.precise_type(pv), Some(t) if t.is_pointer()));
     }
 
-    /// Runs reveal, FI and then `order`'s refinement stages, each stage
-    /// either as the engine does or, with `per_candidate`, as the
-    /// reference: every candidate refined in a partition of its own, so
-    /// no walk or alias answer is reused for another, and the whole
-    /// module re-classified.
+    /// Runs reveal, FI and then `order`'s refinement stages. The engine
+    /// side refines every partition of every stage through one reused
+    /// scratch, as a pool worker does, and commits each stage as the
+    /// engine does; the reference, with `per_candidate`, refines every
+    /// candidate in a partition of its own through a fresh scratch, so
+    /// no walk, alias answer or view is reused for another, and
+    /// re-classifies the whole module.
     fn cascade(
         analysis: &manta_analysis::ModuleAnalysis,
         config: &MantaConfig,
@@ -681,39 +735,46 @@ mod tests {
     ) -> InferenceResult {
         let reveals = RevealMap::collect(analysis);
         let mut result = crate::flow_insensitive::run(analysis, &reveals, *config);
+        let mut shared = Scratch::new(analysis, &reveals, config);
         for &stage in order {
-            if !per_candidate {
-                match stage {
-                    Stage::ContextRefine => {
-                        crate::ctx_refine::refine(analysis, &reveals, config, &mut result)
-                    }
-                    _ => refine(analysis, &reveals, config, &mut result),
-                }
-                continue;
-            }
             let (budget, fp) = (&Budget::unlimited(), &mut Footprint::off());
-            let mut vars = Vec::new();
-            let mut sites = Vec::new();
-            for v in classify::over_approximated(&result) {
-                let chunk = &[v][..];
+            let over = classify::over_approximated(&result);
+            let partitions = match per_candidate {
+                true => over.chunks(1).collect(),
+                false => crate::ctx_refine::partition_by_func(&over),
+            };
+            let mut delta = Refinement::default();
+            for chunk in partitions {
+                let mut fresh;
+                let scratch = match per_candidate {
+                    true => {
+                        fresh = Scratch::new(analysis, &reveals, config);
+                        &mut fresh
+                    }
+                    false => &mut shared,
+                };
                 let out = match stage {
                     Stage::ContextRefine => crate::ctx_refine::refine_chunk(
-                        analysis, &reveals, config, &result, budget, chunk, fp,
+                        scratch, &result, budget, chunk, fp,
                     )
                     .map(|(vars, _)| Refinement {
                         vars,
                         sites: Vec::new(),
                     }),
-                    _ => refine_chunk(analysis, &reveals, config, &result, budget, chunk, fp),
+                    _ => refine_chunk(scratch, &result, budget, chunk, fp),
                 };
                 let out = out.expect("unlimited budget");
-                vars.extend(out.vars);
-                sites.extend(out.sites);
+                delta.vars.extend(out.vars);
+                delta.sites.extend(out.sites);
             }
-            for (v, i) in vars {
+            if !per_candidate {
+                crate::engine::commit(stage, analysis, &mut result, delta);
+                continue;
+            }
+            for (v, i) in delta.vars {
                 result.set_var(v, i);
             }
-            result.add_sites(sites);
+            result.add_sites(delta.sites);
             let counts = classify::classify(analysis, &mut result);
             result.stage_counts.push((stage, counts));
         }
@@ -721,10 +782,10 @@ mod tests {
     }
 
     /// Reusing a root set's CS forward walk and FS alias answers across
-    /// its candidates, and re-classifying only the updated variables,
-    /// must be invisible at every cap: near `max_visits` the walks are
-    /// cut by their visit budget, and at small `max_ctx_depth` by
-    /// context depth.
+    /// its candidates, one worker scratch across partitions and stages,
+    /// and re-classifying only the updated variables, must be invisible
+    /// at every cap: near `max_visits` the walks are cut by their visit
+    /// budget, and at small `max_ctx_depth` by context depth.
     #[test]
     fn walk_reuse_matches_per_candidate_walks_at_every_cap() {
         let suite = manta_workloads::project_suite()[2].generate().module;

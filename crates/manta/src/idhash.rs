@@ -1,9 +1,10 @@
-//! A multiply-rotate hasher for the refinement walks' integer keys (DDG
-//! node ids, variables, blocks). The walks probe their visited sets and
-//! memos once per step, so the hash is on their hot path, and std's
-//! SipHash buys protection against crafted collisions that these keys do
-//! not need: they are ids the program assigns densely, not values read
-//! from input.
+//! A multiply-rotate hasher for the inference stages' integer keys (FS
+//! alias answers by root set and DDG node, interned root sets by their
+//! slice hash, FI's object pairs). The FS walks probe their alias memo
+//! once per step, so the hash is on their hot path, and std's SipHash
+//! buys protection against crafted collisions that these keys do not
+//! need: they are ids the program assigns densely, not values read from
+//! input.
 //! Nothing iterates a map keyed this way, so the hash never reaches an
 //! output.
 

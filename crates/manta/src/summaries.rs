@@ -48,7 +48,8 @@
 //! updates straight into the stage's delta and records the next state's
 //! entries; the engine loop then commits the delta exactly as in a full
 //! solve. Chunks are pure functions of the frozen pre-stage result, so
-//! the dirty ones go to the pool in one flat `par_map`, in any order.
+//! the dirty ones go to the pool in one flat `par_map_with`, in any
+//! order, each worker reusing one walk scratch and one footprint buffer.
 //!
 //! A replayed or carried chunk moves into the next state as the bytes it
 //! was read as, citing its footprint list by index; only the dirty
@@ -664,17 +665,19 @@ impl Memo {
     /// Runs one refinement stage's `chunks` (its partitions of `V_O`, in
     /// function order) against the frozen `result`: validates each cached
     /// chunk's footprint, sends only the dirty chunks through `run` on the
-    /// pool with footprint recording on, then merges the clean chunks'
+    /// pool with footprint recording on, each worker reusing one scratch
+    /// from `init` and one footprint, then merges the clean chunks'
     /// cached updates and the dirty chunks' fresh ones into the stage's
     /// delta in partition order, recording the next state's entries.
     /// Nothing is recorded when a dirty chunk fails.
-    pub(crate) fn refine(
+    pub(crate) fn refine<S>(
         &mut self,
         stage: Stage,
         analysis: &ModuleAnalysis,
         result: &InferenceResult,
         chunks: Vec<&[VarRef]>,
-        run: impl Fn(&[VarRef], &mut Footprint) -> Result<Refinement, BudgetExceeded> + Sync,
+        init: impl Fn() -> S + Sync,
+        run: impl Fn(&mut S, &[VarRef], &mut Footprint) -> Result<Refinement, BudgetExceeded> + Sync,
     ) -> Result<Refinement, BudgetExceeded> {
         let module = analysis.module();
         let tag = tag(stage);
@@ -715,14 +718,17 @@ impl Memo {
             }
         }
 
-        let recompute = |chunk: &[VarRef]| -> Result<(Refinement, Vec<FuncId>), BudgetExceeded> {
-            let mut fp = Footprint::on(module.function_count());
-            let out = run(chunk, &mut fp)?;
-            Ok((out, fp.into_funcs()))
+        let init = || (init(), Footprint::on(module.function_count()));
+        let recompute = |(scratch, fp): &mut (S, Footprint),
+                         chunk: &[VarRef]|
+         -> Result<(Refinement, Vec<FuncId>), BudgetExceeded> {
+            fp.reset();
+            let out = run(scratch, chunk, fp)?;
+            Ok((out, fp.funcs()))
         };
         let computed = {
             manta_telemetry::span!("summary.recompute");
-            manta_parallel::par_map(dirty, recompute)
+            manta_parallel::par_map_with(dirty, init, recompute)
                 .into_iter()
                 .collect::<Result<Vec<_>, BudgetExceeded>>()?
         };
@@ -750,7 +756,7 @@ impl Memo {
                     continue;
                 }
                 // A cached body that does not decode recomputes here.
-                Some(_) => recompute(chunk)?,
+                Some(_) => recompute(&mut init(), chunk)?,
                 None => computed
                     .next()
                     .expect("one computed chunk per dirty partition"),

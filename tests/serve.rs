@@ -367,14 +367,16 @@ fn oversized_block_and_def_numbers_are_parse_errors() {
     let (_tmp, dir) = temp_dir("oversized");
     let server = spawn_server(&dir, ServeConfig::default());
     let addr = server.addr();
-    for (text, says) in [
+    for (text, at, says) in [
         (
             "module m\nfunc f() -> void {\nbb0:\n  br bb4000000000\n}\n",
-            "line 4, col 6: block `bb4000000000` is past the end",
+            (4, 6),
+            "block `bb4000000000` is past the end",
         ),
         (
             "module m\nfunc f() -> void {\nbb0:\n  v1000000000000 = alloca 8\n  ret\n}\n",
-            "line 2: v0 referenced but never defined",
+            (2, 0),
+            "v0 referenced but never defined",
         ),
     ] {
         let request = Request::Analyze {
@@ -385,8 +387,11 @@ fn oversized_block_and_def_numbers_are_parse_errors() {
         };
         match call_once(addr, &request) {
             Response::Error {
-                error: MantaError::Parse { message, .. },
-            } => assert!(message.contains(says), "{text:?}: {message}"),
+                error: MantaError::Parse { line, col, message },
+            } => {
+                assert_eq!((line, col), at, "{text:?}: {message}");
+                assert!(message.starts_with(says), "{text:?}: {message}");
+            }
             other => panic!("expected a parse error for {text:?}, got {other:?}"),
         }
         match call_once(addr, &analyze_req(33, 3)) {
